@@ -105,6 +105,8 @@ class GridField:
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
         self._spline = None
+        # u0's weighted spectrum, kept only inside fraclap.shared_u0_transform
+        self._spectrum = None
 
     @property
     def dim(self) -> int:

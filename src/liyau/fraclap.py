@@ -5,17 +5,25 @@ The pointwise operator uses the principal-value-free second-difference form
     (-Delta)^(beta/2) f(x) = -(c/2) int (f(x+y) + f(x-y) - 2 f(x)) |y|^(-d-beta) dy,
 
 the spectral route applies the Fourier multiplier |xi|^beta on a periodized
-grid, and solve_fractional realizes u(t) = G(t, .) * u0 by padded FFT
-convolution with explicit tail corrections for the field's extension rule.
+grid, and solve_fractional realizes u(t) = G(t, .) * u0 as one linear
+convolution on the grid -- a real FFT of length next_fast_len(2n - 1) per
+axis, with the kernel sampled at its n non-negative offsets -- plus an end
+correction and explicit tail terms for the field's extension rule. Solves of
+one u0 inside shared_u0_transform transform u0 once.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
+
 import numpy as np
+import scipy.fft
 
 from .fields import Extension, GridField, QuadratureSpec
 from .singular import QuadResult, grid_cell_edges, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
+# box widening of the spectral route only
 PAD_FACTOR = 4
 # boundary samples above this fraction of the peak make the periodic
 # multiplier untrustworthy
@@ -112,33 +120,82 @@ def _tail_nodes(X: float, reach: float = 1e4, per_decade: int = 12,
     return nodes, weights
 
 
-def _signed_kernel_deriv(profile: StableDensityProfile, t: float,
-                         s: np.ndarray) -> np.ndarray:
-    # d/ds G(t, s) for signed s, via the profile's logarithmic derivative
-    tf = t ** (-1.0 / profile.beta)
-    u = np.abs(s) * tf
-    _, L1, _ = profile.log_derivs(u)
-    return np.sign(s) * tf ** 2 * profile.eval(u) * L1
+def _wrapped(g: np.ndarray, length: int) -> np.ndarray:
+    """Even kernel samples at offsets 0..n-1 per axis, laid out for a
+    circular convolution of the given length (offset -k sits at length - k)."""
+    n = g.shape[0]
+    out = np.zeros((length,) * g.ndim)
+    # (destination, source) per axis: offsets 0..n-1, then -(n-1)..-1
+    halves = ((slice(0, n), slice(0, n)),
+              (slice(length - n + 1, length), slice(n - 1, 0, -1)))
+    for combo in itertools.product(halves, repeat=g.ndim):
+        dst, src = zip(*combo)
+        out[dst] = g[src]
+    return out
 
 
-def _trapezoid_end_correction(u0: GridField, profile: StableDensityProfile,
-                              t: float) -> np.ndarray:
+@contextlib.contextmanager
+def shared_u0_transform(u0: GridField):
+    """Solves of u0 inside the block transform u0 once.
+
+    The weighted spectrum lives in the field's _spectrum slot while the
+    block is open; a lone solve transforms u0 afresh and leaves the field as
+    it found it, so fields that outlive a sweep carry no spectrum. Nested
+    blocks on one field share the outermost one's.
+    """
+    if u0._spectrum is not None:
+        yield
+        return
+    u0._spectrum = {}
+    try:
+        yield
+    finally:
+        u0._spectrum = None
+
+
+def _convolve_body(u0: GridField, weighted: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum over the grid of G(t, x_i - y_j) times the weighted u0(y_j), all i.
+
+    weighted holds u0 times its quadrature weights; g holds the kernel at
+    the non-negative offsets k h (k = 0..n-1 per axis). A linear convolution
+    of n samples needs 2n - 1 points, so one real FFT of that length, padded
+    to a fast size, suffices.
+    """
+    n = g.shape[0]
+    length = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    body = (slice(0, n),) * g.ndim
+    memo = u0._spectrum  # a dict inside shared_u0_transform, else None
+    spec = memo.get(length) if memo is not None else None
+    if g.ndim == 1:
+        if spec is None:
+            spec = scipy.fft.rfft(weighted, n=length)
+        conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
+    else:
+        if spec is None:
+            spec = scipy.fft.rfft2(weighted, s=(length, length))
+        conv = scipy.fft.irfft2(spec * scipy.fft.rfft2(_wrapped(g, length)),
+                                (length, length))
+    if memo is not None:
+        memo[length] = spec
+    return conv[body]
+
+
+def _trapezoid_end_correction(u0: GridField, g: np.ndarray,
+                              dg: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin h^2/12 end terms for the body convolution.
 
     The composite trapezoid over [-X, X] errs by -h^2/12 (F'(X) - F'(-X))
     with F(y) = G(t, x-y) u0(y); the kernel slope at the window ends is
-    not small when x sits near an edge.
+    not small when x sits near an edge. g and dg are the kernel and its
+    radial slope at the offsets k h: on the symmetric grid |x_i + X| = i h
+    and |x_i - X| = (n-1-i) h, so both window ends read them, one reversed.
     """
     h = u0.spacing
-    x = u0.x
-    X = u0.extent
     v = u0.values
     dv_r = (v[-1] - v[-2]) / h
     dv_l = (v[1] - v[0]) / h
-    Fp_right = (-_signed_kernel_deriv(profile, t, x - X) * v[-1]
-                + eval_G(profile, t, x - X) * dv_r)
-    Fp_left = (-_signed_kernel_deriv(profile, t, x + X) * v[0]
-               + eval_G(profile, t, x + X) * dv_l)
+    Fp_right = dg[::-1] * v[-1] + g[::-1] * dv_r
+    Fp_left = -dg * v[0] + g * dv_l
     return -h ** 2 / 12.0 * (Fp_right - Fp_left)
 
 
@@ -146,15 +203,21 @@ def solve_fractional(u0: GridField, beta: float, t: float,
                      profile: StableDensityProfile) -> GridField:
     """u(t, x) = int G(t, x - y) u0(y) dy on the grid of u0.
 
-    The body of the convolution runs as a linear (padded) FFT product; mass
-    reaching the grid from beyond its edges is restored from u0's extension
-    rule -- an exceedance integral for constant extensions, log-panel
-    quadrature against the kernel for power-law ones. Output fields carry a
-    power(d + beta) extension and meta['tail_mass'] with the solution mass
-    beyond the grid, so that mass() is conserved.
+    The body of the convolution is a trapezoid sum evaluated as one linear
+    convolution: the kernel is sampled at the n non-negative offsets k h,
+    mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
+    and multiplied with u0's weighted spectrum, which solves inside
+    shared_u0_transform(u0) compute once. An Euler-Maclaurin end correction
+    reuses the same kernel samples. Mass reaching the grid from beyond its
+    edges is restored from u0's extension rule -- an exceedance integral for
+    constant extensions, log-panel quadrature against the kernel for
+    power-law ones. Output fields carry a power(d + beta) extension and
+    meta['tail_mass'] with the solution mass beyond the grid, so that mass()
+    is conserved.
 
-    Planar (2-d) grids use the plain padded convolution and assume the field
-    is negligible at the boundary; no tail corrections are applied there.
+    Planar (2-d) grids run the same plan per axis (plain cell weights, no
+    end correction) and assume the field is negligible at the boundary; no
+    tail corrections are applied there.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -165,55 +228,44 @@ def solve_fractional(u0: GridField, beta: float, t: float,
 
     h = u0.spacing
     v = u0.values
+    n = v.shape[0]
+    offsets = h * np.arange(n)
     if u0.dim == 2:
         if profile.d != 2:
             raise ValueError("planar grids need a d = 2 profile")
-        n = v.shape[0]
-        m = PAD_FACTOR * n
-        x_pad = (np.arange(m) - m // 2) * h
-        K = eval_G(profile, t, np.stack(np.meshgrid(x_pad, x_pad, indexing="ij"),
-                                        axis=-1))
-        Kf = np.fft.fft2(np.fft.ifftshift(K))
-        vp = np.zeros((m, m))
-        lo = (m - n) // 2
-        vp[lo:lo + n, lo:lo + n] = v
-        conv = np.fft.ifft2(np.fft.fft2(vp) * Kf).real * h * h
-        out = conv[lo:lo + n, lo:lo + n]
+        radii = np.hypot(offsets[:, None], offsets[None, :])
+        g = eval_G(profile, t, radii.ravel()).reshape(radii.shape)
+        out = _convolve_body(u0, v * (h * h), g)
         return GridField(h, np.maximum(out, 1e-300), Extension("power", 2 + beta),
                          positive=True, meta={"t": float(t)})
 
     if profile.d != 1:
         raise ValueError("1-d grids need a d = 1 profile")
-    n = v.size
-    X = u0.extent
-    m = PAD_FACTOR * n
-    x_pad = (np.arange(m) - m // 2) * h
-    K = eval_G(profile, t, x_pad)
-    Kf = np.fft.fft(np.fft.ifftshift(K))
-    vp = np.zeros(m)
-    lo = (m - n) // 2
-    vp[lo:lo + n] = v
-    # trapezoid weights in y: the body integral ends exactly at +-X, where
-    # the tail corrections take over; full edge weights would double-count
-    # half a cell of density on each side
-    vp[lo] *= 0.5
-    vp[lo + n - 1] *= 0.5
-    conv = np.fft.ifft(np.fft.fft(vp) * Kf).real * h
-    out = conv[lo:lo + n]
-    out = out + _trapezoid_end_correction(u0, profile, t)
+    # trapezoid weights: the body integral ends exactly at +-X, where the
+    # tail terms take over; full edge weights would double-count half a cell
+    # of density on each side
+    w_trap = np.full(n, h)
+    w_trap[0] = w_trap[-1] = 0.5 * h
+    weighted = v * w_trap
+    g = eval_G(profile, t, offsets)
+    tf = t ** (-1.0 / beta)
+    _, L1, _ = profile.log_derivs(offsets * tf)
+    dg = tf * g * L1  # d/dr G(t, r) at r = k h
+    out = _convolve_body(u0, weighted, g) + _trapezoid_end_correction(u0, g, dg)
+    # one-sided kernel mass beyond X + x_i (= i h), and beyond X - x_i reversed
+    exceed = _one_sided_exceedance(profile, t, offsets)
 
-    x = u0.x
     ext = u0.extension
     tail_err = 0.0
     if ext.kind == "constant":
         # exact for a literally constant-extended field; mass bookkeeping
         # below treats the exterior as empty (it is infinite otherwise)
-        a_left, a_right = v[0], v[-1]
-        out = out + a_right * _one_sided_exceedance(profile, t, X - x)
-        out = out + a_left * _one_sided_exceedance(profile, t, X + x)
+        out = out + v[-1] * exceed[::-1] + v[0] * exceed
         u0_tail_mass = 0.0
     elif ext.kind == "power":
         q = ext.exponent
+        X = u0.extent
+        x = u0.x
         nodes, weights = _tail_nodes(X)
         for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
             u0_ext = edge * (nodes / X) ** (-q)
@@ -233,10 +285,7 @@ def solve_fractional(u0: GridField, beta: float, t: float,
 
     # mass of the solution beyond the grid: exterior initial mass stays
     # counted as exterior, interior mass leaks by the exceedance law
-    w_trap = np.full(n, h)
-    w_trap[0] = w_trap[-1] = 0.5 * h
-    leak = float(np.dot(v * w_trap, _one_sided_exceedance(profile, t, X - x)
-                        + _one_sided_exceedance(profile, t, X + x)))
+    leak = float(np.dot(weighted, exceed + exceed[::-1]))
     meta = {"t": float(t), "tail_mass": leak + u0_tail_mass,
             "tail_error": tail_err}
     out = np.maximum(out, 1e-300)
@@ -276,8 +325,9 @@ def dt_log_u(u0: GridField, beta: float, t: float,
         dn = solve_fractional(u0, beta, t - step, profile)
         return (np.log(up.values) - np.log(dn.values)) / (2.0 * step)
 
-    d1 = central(dt)
-    d2 = central(dt / 2.0)
+    with shared_u0_transform(u0):
+        d1 = central(dt)
+        d2 = central(dt / 2.0)
     vals = (4.0 * d2 - d1) / 3.0
     err = np.abs(d2 - d1) / 3.0
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import GridField
-from .fraclap import solve_fractional
+from .fraclap import shared_u0_transform, solve_fractional
 from .markov import complete_graph, phi_kn, solve_markov
 from .stable import StableDensityProfile, ball_volume, normalizing_constant
 from .verify import VerificationReport
@@ -188,8 +188,9 @@ def harnack_check_fractional(u0: GridField, beta: float, t1: float, t2: float,
                                          t2 / lam ** beta, constant=const)
     else:
         bound = harnack_bound_fractional(alpha, beta, 1, t1, t2, constant=const)
-    ua = solve_fractional(u0, beta, t1, profile)
-    ub = solve_fractional(u0, beta, t2, profile)
+    with shared_u0_transform(u0):
+        ua = solve_fractional(u0, beta, t1, profile)
+        ub = solve_fractional(u0, beta, t2, profile)
     lhs = float(np.log(ua.eval(x1)) - np.log(ub.eval(x2)))
     report = VerificationReport(
         name="harnack-fractional",

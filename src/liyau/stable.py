@@ -357,9 +357,10 @@ class StableDensityProfile:
             # Hermite in log r with the analytic slope de/dr = -surf Phi r^{d-1}:
             # linear interpolation of the cumulative leaves O(panel^2) bumps
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
-            self._exceed = (grid, cum, tail0,
-                            CubicHermiteSpline(np.log(grid), cum, slope))
-        grid, cum, tail0, hermite = self._exceed
+            # the total mass anchors the blend below the table: memoized here
+            self._exceed = (grid, cum, CubicHermiteSpline(np.log(grid), cum, slope),
+                            self.mass())
+        grid, cum, hermite, total = self._exceed
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(np.abs(r))
@@ -367,7 +368,6 @@ class StableDensityProfile:
         below = r <= grid[0]
         above = r >= grid[-1]
         midm = ~below & ~above
-        total = self.mass()
         if below.any():
             # linear blend down to the full mass at r = 0
             out[below] = cum[0] + (total - cum[0]) * (1.0 - r[below] / grid[0])

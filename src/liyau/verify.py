@@ -14,7 +14,8 @@ import numpy as np
 
 from .constant import LiYauConstantResult, SearchSpec, constant_for
 from .fields import Extension, GridField, QuadratureSpec
-from .fraclap import dt_log_u, frac_laplacian_point, solve_fractional
+from .fraclap import (dt_log_u, frac_laplacian_point, shared_u0_transform,
+                      solve_fractional)
 from .markov import MarkovChain, neg_L_log, solve_markov, transition_matrix
 from .ops import JumpKernel, psi_upsilon_continuous, psi_upsilon_discrete, upsilon
 from .singular import QuadResult
@@ -250,15 +251,20 @@ def fractional_liyau_margin(u0: GridField, beta: float, t: float, x: float,
 def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 profile: StableDensityProfile,
                                 quad: QuadratureSpec | None = None,
-                                constant: LiYauConstantResult | None = None) -> QuadResult:
-    """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x)."""
+                                constant: LiYauConstantResult | None = None,
+                                u: GridField | None = None) -> QuadResult:
+    """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
+
+    u, when given, is the solution at t already solved from u0.
+    """
     const = constant if constant is not None else constant_for(profile)
     dt_field = dt_log_u(u0, beta, t, profile)
     dt_val = float(dt_field.eval(x))
     i = int(round(x / dt_field.spacing)) + (dt_field.values.size - 1) // 2
     derr = dt_field.meta["dt_error"]
     dt_err = float(np.max(derr[max(0, i - 1):i + 2]))
-    u = solve_fractional(u0, beta, t, profile)
+    if u is None:
+        u = solve_fractional(u0, beta, t, profile)
     kernel = JumpKernel.continuous(beta, 1)
     psi = psi_upsilon_continuous(u.log(), kernel, x, quad=quad)
     value = dt_val - psi.value + const.value / t
@@ -283,13 +289,14 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
         seed=seed)
     for _ in range(n_fields):
         u0 = random_positive_field(rng, spacing=spacing, extent=extent)
-        for t in t_grid:
-            u = solve_fractional(u0, beta, float(t), profile)
-            logu = u.log()
-            for x in x_grid:
-                m = liyau_margin_on_solution(u, beta, float(t), float(x),
-                                             profile, quad, const, u_log=logu)
-                report.add_sample(m.value, m.error)
+        with shared_u0_transform(u0):
+            for t in t_grid:
+                u = solve_fractional(u0, beta, float(t), profile)
+                logu = u.log()
+                for x in x_grid:
+                    m = liyau_margin_on_solution(u, beta, float(t), float(x),
+                                                 profile, quad, const, u_log=logu)
+                    report.add_sample(m.value, m.error)
     report.runtime = time.perf_counter() - start
     return report
 
@@ -311,15 +318,17 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     report = VerificationReport(
         name="dh-consistency", params={"beta": profile.beta,
                                        "n_points": n_points}, seed=seed)
-    for _ in range(n_points):
-        t = float(log_uniform(rng, *t_range))
-        x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
-        ly = fractional_liyau_margin(u0, profile.beta, t, x, profile,
-                                     constant=const)
-        dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
-                                         constant=const)
-        gap = abs(dh.value - ly.value)
-        combined = dh.error + ly.error
-        report.add_sample(combined - gap, 0.0)
+    with shared_u0_transform(u0):
+        for _ in range(n_points):
+            t = float(log_uniform(rng, *t_range))
+            x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
+            u = solve_fractional(u0, profile.beta, t, profile)
+            ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
+                                          constant=const)
+            dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
+                                             constant=const, u=u)
+            gap = abs(dh.value - ly.value)
+            combined = dh.error + ly.error
+            report.add_sample(combined - gap, 0.0)
     report.runtime = time.perf_counter() - start
     return report

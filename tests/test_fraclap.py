@@ -1,12 +1,14 @@
 """Fractional Laplacian (quadrature and spectral) and the solution engine."""
 import numpy as np
 import pytest
+import scipy.fft
 
 from liyau.fields import Extension, GridField, QuadratureSpec
-from liyau.fraclap import (dt_log_u, frac_laplacian_point,
-                           frac_laplacian_spectral, solve_fractional)
+from liyau.fraclap import (_tail_nodes, dt_log_u, frac_laplacian_point,
+                           frac_laplacian_spectral, shared_u0_transform,
+                           solve_fractional)
 from liyau.ops import JumpKernel, psi_upsilon_continuous
-from liyau.stable import eval_G
+from liyau.stable import StableDensityProfile, build_profile, eval_G
 
 INV_PI = 0.31830988618379067154  # (-Delta)^{1/2} Phi_1 at 0 = -d/dt Poisson
 
@@ -202,6 +204,113 @@ def test_time_consistency(profile_b1_d1):
     n = once.values.size
     sl = slice(n // 10, 9 * n // 10)
     assert np.max(np.abs(once.values[sl] - twice.values[sl])) < 1e-4
+
+
+def _direct_solve(u0, beta, t, profile):
+    """The solver's rule node by node: trapezoid sum over the grid, the
+    h^2/12 Euler-Maclaurin end terms and the extension's tail terms."""
+    h, X, x, v = u0.spacing, u0.extent, u0.x, u0.values
+    n = x.size
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    diff = x[:, None] - x[None, :]
+    out = eval_G(profile, t, diff.ravel()).reshape(n, n) @ (w * v)
+    tf = t ** (-1.0 / beta)
+
+    def slope(s):  # d/ds G(t, s)
+        _, L1, _ = profile.log_derivs(np.abs(s) * tf)
+        return np.sign(s) * tf * eval_G(profile, t, s) * L1
+
+    dv_r = (v[-1] - v[-2]) / h
+    dv_l = (v[1] - v[0]) / h
+    Fp_r = -slope(x - X) * v[-1] + eval_G(profile, t, x - X) * dv_r
+    Fp_l = -slope(x + X) * v[0] + eval_G(profile, t, x + X) * dv_l
+    out = out - h ** 2 / 12.0 * (Fp_r - Fp_l)
+    if u0.extension.kind == "constant":
+        out = out + 0.5 * (v[-1] * profile.exceedance((X - x) * tf)
+                           + v[0] * profile.exceedance((X + x) * tf))
+    else:
+        q = u0.extension.exponent
+        nodes, weights = _tail_nodes(X)
+        for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
+            D = x[:, None] - sign * nodes[None, :]
+            K = eval_G(profile, t, D.ravel()).reshape(D.shape)
+            out = out + K @ (weights * edge * (nodes / X) ** (-q))
+    return out
+
+
+@pytest.mark.parametrize("ext", [Extension("constant"), Extension("power", 1.5)])
+@pytest.mark.parametrize("t", [0.05, 1.0])
+def test_solve_matches_direct_sum(profile_b05_d1, ext, t):
+    # n = 201; edges carry both a value and a slope, so every term is live
+    h, X = 0.1, 10.0
+    xs = np.arange(-X, X + h / 2, h)
+    vals = 0.5 + np.exp(-(xs - 1.0) ** 2) + 0.2 * (1.0 + xs / X)
+    u0 = GridField(h, vals, ext, positive=True)
+    u = solve_fractional(u0, 0.5, t, profile_b05_d1)
+    ref = _direct_solve(u0, 0.5, t, profile_b05_d1)
+    assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_planar_solve_matches_direct_sum(profile_b1_d2):
+    h, X, t = 0.25, 2.5, 0.4
+    u0 = GridField.from_function(lambda x, y: np.exp(-(x - 0.3) ** 2 - y ** 2)
+                                 + 1e-3, h, X, positive=True, dim=2)
+    u = solve_fractional(u0, 1.0, t, profile_b1_d2)
+    xx, yy = np.meshgrid(u0.x, u0.x, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    D = pts[:, None, :] - pts[None, :, :]
+    ref = (eval_G(profile_b1_d2, t, D) @ u0.values.ravel() * h * h).reshape(xx.shape)
+    assert u.values.shape == u0.values.shape
+    assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
+    h, X = 0.05, 20.0
+    u0 = GridField.from_function(lambda x: 1.0 + np.exp(-x ** 2), h, X,
+                                 positive=True)
+    fresh = [solve_fractional(GridField(h, u0.values, Extension("constant"),
+                                        positive=True), 1.0, t, profile_b1_d1)
+             for t in (0.3, 1.0, 2.5)]
+    n = u0.values.size
+    seen = []
+    rfft = scipy.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.append(a.size >= n and np.allclose(a[1:n - 1], h * u0.values[1:-1])
+                    and not np.any(a[n:]))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", counting)
+    with shared_u0_transform(u0):
+        with shared_u0_transform(u0):  # a nested block keeps the outer one's
+            first = solve_fractional(u0, 1.0, 0.3, profile_b1_d1)
+        solved = [first] + [solve_fractional(u0, 1.0, t, profile_b1_d1)
+                            for t in (1.0, 2.5)]
+    assert sum(seen) == 1
+    assert u0._spectrum is None  # nothing outlives the block
+    for a, b in zip(solved, fresh):
+        assert np.array_equal(a.values, b.values)
+    seen.clear()
+    dt_log_u(u0, 1.0, 1.0, profile_b1_d1)  # four solves, one block
+    assert sum(seen) == 1
+
+
+def test_exceedance_computes_mass_once(monkeypatch):
+    prof = build_profile(1.0, 1)  # fresh: fixtures may hold a warm table
+    calls = []
+    mass = StableDensityProfile.mass
+
+    def counting(self):
+        calls.append(1)
+        return mass(self)
+
+    monkeypatch.setattr(StableDensityProfile, "mass", counting)
+    for r in (0.0, 1e-4, [0.5, 3.0], 1e9):
+        prof.exceedance(r)
+    assert len(calls) <= 1
+    assert prof.exceedance(0.0) == pytest.approx(mass(prof), rel=1e-12)
 
 
 # ---- time derivative of log u ----------------------------------------------
