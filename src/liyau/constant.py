@@ -11,7 +11,7 @@ pins down the constant in every dimension and anchors the numeric path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
@@ -181,13 +181,16 @@ def liyau_constant_beta1(d: int) -> float:
     return np.pi * d * (d + 1) * normalizing_constant(1.0, d) * ball_volume(d) / 2.0
 
 
-_CONSTANT_CACHE: dict[tuple[float, int], LiYauConstantResult] = {}
+_CONSTANT_CACHE: dict[tuple, LiYauConstantResult] = {}
 
 
 def constant_for(profile: StableDensityProfile,
                  search: SearchSpec | None = None) -> LiYauConstantResult:
-    """Memoized numeric constant for the profile's (beta, d)."""
-    key = (profile.beta, profile.d)
+    """Numeric constant memoized on everything the search reads: (beta, d),
+    the profile's table and tail model, and the spec (None: the default)."""
+    key = (profile.beta, profile.d, profile.r_table.tobytes(),
+           profile.values.tobytes(), profile.tail_coef, profile.error_estimate,
+           astuple(search or SearchSpec()))
     if key not in _CONSTANT_CACHE:
         _CONSTANT_CACHE[key] = liyau_constant_numeric(profile, search)
     return _CONSTANT_CACHE[key]

@@ -14,6 +14,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
+from .singular import grid_cell_edges
+
 FIELD_FORMAT = "liyau-field v1"
 QUAD_FORMAT = "liyau-quadspec v1"
 
@@ -42,6 +44,14 @@ class Extension:
             raise ValueError(f"unknown extension kind {self.kind!r}")
         if self.kind != "constant" and not self.exponent > 0:
             raise ValueError("power-law extensions need a positive exponent")
+
+    def model(self, edge: float, r: np.ndarray) -> np.ndarray:
+        """The rule's value at |y|/X = r for the edge value edge."""
+        if self.kind == "constant":
+            return np.full_like(r, edge)
+        if self.kind == "power":
+            return edge * r ** (-self.exponent)
+        return edge - self.exponent * np.log(r)
 
     def log_transformed(self) -> "Extension":
         """Extension rule for log(f) given this rule for a positive f."""
@@ -161,15 +171,8 @@ class GridField:
         if inside.any():
             out[inside] = self._get_spline()(p[inside])
         for side, edge_val in ((p > X, self.values[-1]), (p < -X, self.values[0])):
-            if not side.any():
-                continue
-            r = np.abs(p[side]) / X
-            if self.extension.kind == "constant":
-                out[side] = edge_val
-            elif self.extension.kind == "power":
-                out[side] = edge_val * r ** (-self.extension.exponent)
-            else:  # log-power
-                out[side] = edge_val - self.extension.exponent * np.log(r)
+            if side.any():
+                out[side] = self.extension.model(edge_val, np.abs(p[side]) / X)
         return out if np.ndim(pts) else float(out[0])
 
     def eval2(self, px, py) -> np.ndarray:
@@ -180,21 +183,22 @@ class GridField:
             raise ValueError("planar evaluation outside the grid is unsupported")
         return self._get_spline()(px, py, grid=False)
 
-    def point_expansion(self, x: float) -> "PointExpansion":
+    def point_expansion(self, x) -> "PointExpansion":
         return PointExpansion(self, x)
 
-    def tail_model_error_budget(self, beta: float, x: float) -> float:
+    def tail_model_error_budget(self, beta: float, x):
         """Tail-error bound for h^(-1-beta)-weighted integrals centered at x.
 
         Integrates the extension-model residual (both sides, safety-scaled)
         over the region the model covers: 2 * S * kappa * R^(-beta) / beta,
         R the distance from x to the nearest grid edge. Unscaled by any
-        kernel normalization; callers multiply by theirs.
+        kernel normalization; callers multiply by theirs. x may be an array
+        of base points, which share one tail_mismatch().
         """
         kappa = self.tail_mismatch()
+        r_edge = self.extent - np.abs(x)
         if kappa == 0.0:
-            return 0.0
-        r_edge = self.extent - abs(x)
+            return 0.0 * r_edge
         return 2.0 * TAIL_MODEL_SAFETY * kappa * r_edge ** (-beta) / beta
 
     def tail_mismatch(self) -> float:
@@ -211,13 +215,7 @@ class GridField:
         worst = 0.0
         for vals, edge in ((self.values[-n_band:], self.values[-1]),
                            (self.values[:n_band][::-1], self.values[0])):
-            r = np.abs(self.x[-n_band:]) / X
-            if self.extension.kind == "constant":
-                model = np.full_like(r, edge)
-            elif self.extension.kind == "power":
-                model = edge * r ** (-self.extension.exponent)
-            else:
-                model = edge - self.extension.exponent * np.log(r)
+            model = self.extension.model(edge, np.abs(self.x[-n_band:]) / X)
             worst = max(worst, float(np.max(np.abs(vals - model))))
         return worst
 
@@ -306,80 +304,67 @@ class GridField:
 
 
 class PointExpansion:
-    """Stable local differences of a 1-d GridField around a base point.
+    """Stable local differences of a 1-d GridField around base points.
 
     Provides f(x+s*h)-f(x) in forms that do not lose precision as h -> 0,
-    switching to a spline-derivative Taylor form below one grid cell.
+    switching to a spline-derivative Taylor form below one grid cell. x is
+    one point or a 1-d array of them; for an array every difference has one
+    row per point, shape (len(x),) + h.shape.
     """
 
-    def __init__(self, f: GridField, x: float):
+    def __init__(self, f: GridField, x):
         if f.dim != 1:
             raise NotImplementedError("point expansions are 1-d only")
         X = f.extent
-        if abs(x) > 0.8 * X:
+        if np.any(np.abs(x) > 0.8 * X):
             raise ValueError("base point must lie in the central 80% of the grid")
         self.field = f
-        self.x = float(x)
+        self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+        # base points as a column, so that rows broadcast against nodes h
+        self._col = np.asarray(x, dtype=float)[..., None]
         sp = f._get_spline()
-        self.f_x = float(sp(x))
-        self.d1 = float(sp(x, 1))
-        self.d2 = float(sp(x, 2))
-        self.d3 = float(sp(x, 3))
+        self.f_x, self.d1, self.d2, self.d3 = (sp(self._col, k) for k in range(4))
         self.h_taylor = f.spacing
-        # off-grid base points ride on the interpolant; callers may widen
-        # error estimates when this is set
-        self.off_grid = abs(x / f.spacing - round(x / f.spacing)) > 1e-9
 
-    def _taylor(self, s: int, h: np.ndarray) -> np.ndarray:
-        return h * (s * self.d1 + h * (self.d2 / 2.0 + s * h * self.d3 / 6.0))
+    def _split(self, h, taylor, far) -> np.ndarray:
+        """taylor(h) below one grid cell, far(h) at and beyond it."""
+        h = np.asarray(h, dtype=float)
+        small = h < self.h_taylor
+        out = np.empty(self._col.shape[:-1] + h.shape)
+        if small.any():
+            out[..., small] = taylor(h[small])
+        big = ~small
+        if big.any():
+            out[..., big] = far(h[big])
+        return out
+
+    def _taylor_over_h(self, s: int, h: np.ndarray) -> np.ndarray:
+        return s * self.d1 + h * (self.d2 / 2.0 + s * h * self.d3 / 6.0)
+
+    def _far_diff(self, s: int, h: np.ndarray) -> np.ndarray:
+        return self.field.eval(self._col + s * h) - self.f_x
+
+    def _far_even(self, h: np.ndarray) -> np.ndarray:
+        # both sides in one evaluation
+        both = self.field.eval(self._col + np.concatenate([h, -h]))
+        return both[..., :h.size] + both[..., h.size:] - 2.0 * self.f_x
 
     def diff(self, s: int, h: np.ndarray) -> np.ndarray:
         """f(x + s*h) - f(x) for h >= 0."""
-        h = np.asarray(h, dtype=float)
-        small = h < self.h_taylor
-        out = np.empty_like(h)
-        if small.any():
-            out[small] = self._taylor(s, h[small])
-        big = ~small
-        if big.any():
-            out[big] = self.field.eval(self.x + s * h[big]) - self.f_x
-        return out
+        return self._split(h, lambda hs: hs * self._taylor_over_h(s, hs),
+                           lambda hb: self._far_diff(s, hb))
 
     def diff_over_h(self, s: int, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        small = h < self.h_taylor
-        out = np.empty_like(h)
-        if small.any():
-            hs = h[small]
-            out[small] = s * self.d1 + hs * (self.d2 / 2.0 + s * hs * self.d3 / 6.0)
-        big = ~small
-        if big.any():
-            out[big] = (self.field.eval(self.x + s * h[big]) - self.f_x) / h[big]
-        return out
+        return self._split(h, lambda hs: self._taylor_over_h(s, hs),
+                           lambda hb: self._far_diff(s, hb) / hb)
 
     def diff_even(self, h: np.ndarray) -> np.ndarray:
         """f(x+h) + f(x-h) - 2 f(x)."""
-        h = np.asarray(h, dtype=float)
-        small = h < self.h_taylor
-        out = np.empty_like(h)
-        if small.any():
-            out[small] = self.d2 * h[small] ** 2
-        big = ~small
-        if big.any():
-            hb = h[big]
-            out[big] = (self.field.eval(self.x + hb) + self.field.eval(self.x - hb)
-                        - 2.0 * self.f_x)
-        return out
+        return self._split(h, lambda hs: self.d2 * hs ** 2, self._far_even)
 
     def diff_even_over_h2(self, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        small = h < self.h_taylor
-        out = np.empty_like(h)
-        out[small] = self.d2
-        big = ~small
-        if big.any():
-            out[big] = self.diff_even(h[big]) / h[big] ** 2
-        return out
+        return self._split(h, lambda hs: self.d2,
+                           lambda hb: self._far_even(hb) / hb ** 2)
 
 
 @dataclass
@@ -399,6 +384,19 @@ class QuadratureSpec:
     tail_panels: int = 48
     # cap on far-panel width; oscillatory fields need it below one period
     max_panel_width: float | None = None
+
+    def panels(self, f: GridField) -> tuple[float, np.ndarray]:
+        """(delta, panel edges) for point quadratures on the grid of f."""
+        delta = self.delta if self.delta is not None else f.spacing
+        cutoff = self.cutoff if self.cutoff is not None else f.extent
+        return delta, grid_cell_edges(delta, f.spacing, cutoff,
+                                      max_width=self.max_panel_width)
+
+    def rules(self) -> dict:
+        """The quadrature orders, as weighted_singular keywords."""
+        return {"inner_order": self.inner_order, "gauss_order": self.gauss_order,
+                "far_order": self.far_order, "near_cells": self.near_cells,
+                "tail_panels": self.tail_panels}
 
     def to_text(self) -> str:
         lines = [f"# {QUAD_FORMAT}"]

@@ -4,12 +4,13 @@ The pointwise operator uses the principal-value-free second-difference form
 
     (-Delta)^(beta/2) f(x) = -(c/2) int (f(x+y) + f(x-y) - 2 f(x)) |y|^(-d-beta) dy,
 
-the spectral route applies the Fourier multiplier |xi|^beta on a periodized
-grid, and solve_fractional realizes u(t) = G(t, .) * u0 as one linear
-convolution on the grid -- a real FFT of length next_fast_len(2n - 1) per
-axis, with the kernel sampled at its n non-negative offsets -- plus an end
-correction and explicit tail terms for the field's extension rule. Solves of
-one u0 inside shared_u0_transform transform u0 once.
+at one x or at all x of a sweep in one batched quadrature, the spectral
+route applies the Fourier multiplier |xi|^beta on a periodized grid, and
+solve_fractional realizes u(t) = G(t, .) * u0 as one linear convolution on
+the grid -- a real FFT of length next_fast_len(2n - 1) per axis, with the
+kernel sampled at its n non-negative offsets -- plus an end correction and
+explicit tail terms for the field's extension rule. Solves of one u0 inside
+shared_u0_transform transform u0 once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.fft
 
 from .fields import Extension, GridField, QuadratureSpec
-from .singular import QuadResult, grid_cell_edges, weighted_singular
+from .singular import QuadResult, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
 # box widening of the spectral route only
@@ -30,14 +31,16 @@ PAD_FACTOR = 4
 BOUNDARY_TOL = 1e-8
 
 
-def frac_laplacian_point(f: GridField, beta: float, x: float,
+def frac_laplacian_point(f: GridField, beta: float, x,
                          quad: QuadratureSpec | None = None,
                          normalization: float | None = None) -> QuadResult:
-    """(-Delta)^(beta/2) f at a single point of a 1-d field.
+    """(-Delta)^(beta/2) f at one point or a 1-d array of points of a 1-d field.
 
     The even second difference absorbs the principal value; the inner disc
     runs on the desingularized integrand f''-like ratio, the far tail follows
-    the field's extension rule. Returns value and error estimate.
+    the field's extension rule. Returns value and error estimate; all points
+    of an array share one panel layout and one field evaluation per
+    integrand call, and give per-point arrays.
     """
     if f.dim != 1:
         raise ValueError("pointwise fractional Laplacian needs a 1-d field")
@@ -45,18 +48,11 @@ def frac_laplacian_point(f: GridField, beta: float, x: float,
         raise ValueError("beta must lie in (0, 2)")
     c = normalization if normalization is not None else normalizing_constant(beta, 1)
     spec = quad or QuadratureSpec()
-    delta = spec.delta if spec.delta is not None else f.spacing
-    cutoff = spec.cutoff if spec.cutoff is not None else f.extent
-    exp = f.point_expansion(x)  # raises if x leaves the central 80%
-    edges = grid_cell_edges(delta, f.spacing, cutoff,
-                            max_width=spec.max_panel_width)
-    res = weighted_singular(
-        exp.diff_even, exp.diff_even_over_h2, beta, delta, edges,
-        prefactor=-c,
-        inner_order=spec.inner_order, gauss_order=spec.gauss_order,
-        far_order=spec.far_order, near_cells=spec.near_cells,
-        tail_panels=spec.tail_panels)
-    return res + QuadResult(0.0, c * f.tail_model_error_budget(beta, x))
+    exp = f.point_expansion(x)  # raises if a point leaves the central 80%
+    delta, edges = spec.panels(f)
+    res = weighted_singular(exp.diff_even, exp.diff_even_over_h2, beta, delta,
+                            edges, prefactor=-c, **spec.rules())
+    return res + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
 
 
 def frac_laplacian_spectral(f: GridField, beta: float,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridField, QuadratureSpec
-from .singular import QuadResult, grid_cell_edges, weighted_singular
+from .singular import QuadResult, weighted_singular
 from .stable import normalizing_constant
 
 # below this |z| the alternating rounding of expm1(z) - z dominates; use the
@@ -141,31 +141,6 @@ def psi_upsilon_discrete(f, kernel: JumpKernel, x: int) -> float:
     return float(np.dot(w, upsilon(diffs)))
 
 
-def _psi_sides(f: GridField, x: float, spec: QuadratureSpec):
-    """The two one-sided singular integrands of Psi_Upsilon at x.
-
-    Returns (delta, edges, [(F, F2) for s in (+1, -1)]). F(h) evaluates
-    Upsilon(f(x + s h) - f(x)) off-grid through the field's extension model;
-    F2 = F / h^2 stays bounded at h = 0 via the Taylor expansion at x.
-    """
-    delta = spec.delta if spec.delta is not None else f.spacing
-    cutoff = spec.cutoff if spec.cutoff is not None else f.extent
-    edges = grid_cell_edges(delta, f.spacing, cutoff,
-                            max_width=spec.max_panel_width)
-    exp = f.point_expansion(x)
-    sides = []
-    for s in (+1.0, -1.0):
-        def F(h, s=s):
-            return upsilon(exp.diff(s, h))
-
-        def F2(h, s=s):
-            d = exp.diff(s, h)
-            return upsilon_over_sq(d) * exp.diff_over_h(s, h) ** 2
-
-        sides.append((F, F2))
-    return delta, edges, sides
-
-
 def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
                            quad: QuadratureSpec | None = None) -> QuadResult:
     """Psi_Upsilon(f)(x) = c * int Upsilon(f(y) - f(x)) |y - x|^(-1-beta) dy.
@@ -182,15 +157,21 @@ def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
     if kernel.dim != 1:
         raise ValueError("kernel dimension must match the field (1-d)")
     spec = quad or QuadratureSpec()
-    delta, edges, sides = _psi_sides(f, x, spec)
+    delta, edges = spec.panels(f)
+    exp = f.point_expansion(x)
     total = QuadResult(0.0, 0.0)
-    for F, F2 in sides:
-        res = weighted_singular(
-            F, F2, kernel.beta, delta, edges,
-            inner_order=spec.inner_order, gauss_order=spec.gauss_order,
-            far_order=spec.far_order, near_cells=spec.near_cells,
-            tail_panels=spec.tail_panels)
-        total = total + res
+    # side s: F(h) = Upsilon(f(x + s h) - f(x)), off-grid through the field's
+    # extension model; F2 = F / h^2 stays bounded at h = 0 via the Taylor form
+    for s in (+1.0, -1.0):
+        def F(h, s=s):
+            return upsilon(exp.diff(s, h))
+
+        def F2(h, s=s):
+            d = exp.diff(s, h)
+            return upsilon_over_sq(d) * exp.diff_over_h(s, h) ** 2
+
+        total = total + weighted_singular(F, F2, kernel.beta, delta, edges,
+                                          **spec.rules())
     total = total + QuadResult(0.0, f.tail_model_error_budget(kernel.beta, x))
     return total.scaled(kernel.c)
 

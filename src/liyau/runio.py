@@ -1,4 +1,4 @@
-"""Run configuration, deterministic output files, and hashed manifests.
+"""Config files, deterministic output files, and hashed manifests.
 
 All file formats carry a version header line. CSV bodies are byte-identical
 across runs with the same config and seed: floats print as %.17g and no
@@ -22,27 +22,6 @@ OUTDIR_ENV = "LIYAU_OUTDIR"
 
 class ConfigError(ValueError):
     """Bad flags, unknown keys, or malformed config files (usage errors)."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict
-    outdir: Path
-    seed: int = 0
-
-    @classmethod
-    def assemble(cls, subcommand: str, file_params: dict, flag_params: dict,
-                 known_keys: set, outdir=None, seed: int = 0) -> "RunConfig":
-        """Merge config-file values under flag overrides; reject unknown keys."""
-        unknown = set(file_params) - known_keys
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        params = dict(file_params)
-        # flags override the file; None means the flag was not given
-        params.update({k: v for k, v in flag_params.items() if v is not None})
-        return cls(subcommand=subcommand, params=params,
-                   outdir=resolve_outdir(outdir), seed=seed)
 
 
 def resolve_outdir(flag_value=None) -> Path:

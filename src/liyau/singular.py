@@ -9,6 +9,10 @@ an inner disc handled by Gauss-Jacobi quadrature on the desingularized
 integrand F(h)/h^2, a middle zone of cell-wise Gauss panels, and an analytic
 far tail evaluated under the integrand's declared model via a power
 substitution. Each piece carries an error estimate from order halving.
+
+An integrand may return one row per base point, shape (m, k) for k nodes;
+the result then holds per-row arrays, and each row equals a lone call bit
+for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +24,12 @@ from scipy.special import roots_jacobi
 
 
 class QuadResult(NamedTuple):
-    """Value with an error estimate; diverged flags non-finite integrands."""
+    """Value with an error estimate; diverged flags non-finite integrands.
+
+    value and error are arrays for a batched quadrature, one entry per row;
+    diverged then says whether any row diverged, and a diverged row carries
+    an infinite error.
+    """
 
     value: float
     error: float
@@ -47,27 +56,33 @@ def _jacobi(order: int, one_minus_beta: float):
     return roots_jacobi(order, 0.0, one_minus_beta)
 
 
-def _inner_jacobi(F2: Callable, beta: float, delta: float, order: int) -> float:
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 1-d b, each row reduced like np.dot(row, b): one
+    matrix-vector product over all rows would round differently."""
+    return np.matmul(a[..., None, :], b)[..., 0]
+
+
+def _inner_jacobi(F2: Callable, beta: float, delta: float, order: int):
     x, w = _jacobi(order, 1.0 - beta)
     h = delta * (x + 1.0) / 2.0
-    return (delta / 2.0) ** (2.0 - beta) * float(np.dot(w, F2(h)))
+    return (delta / 2.0) ** (2.0 - beta) * _rowdot(F2(h), w)
 
 
 def _cells(F: Callable, beta: float, lo: np.ndarray, hi: np.ndarray,
-           order: int) -> float:
+           order: int):
     if len(lo) == 0:
         return 0.0
     x, w = _leggauss(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     H = mid[:, None] + half[:, None] * x[None, :]
-    vals = F(H.ravel()).reshape(H.shape)
-    integ = vals * H ** (-1.0 - beta)
-    return float(np.dot(integ @ w, half))
+    vals = F(H.ravel())  # rows of a row-valued F stay in front
+    integ = vals.reshape(vals.shape[:-1] + H.shape) * H ** (-1.0 - beta)
+    return _rowdot(integ @ w, half)
 
 
 def _mid_panels(F: Callable, beta: float, edges: np.ndarray,
-                order_near: int, order_far: int, near_cells: int) -> float:
+                order_near: int, order_far: int, near_cells: int):
     lo, hi = edges[:-1], edges[1:]
     k = min(near_cells, len(lo))
     return (_cells(F, beta, lo[:k], hi[:k], order_near)
@@ -75,12 +90,13 @@ def _mid_panels(F: Callable, beta: float, edges: np.ndarray,
 
 
 def tail_weighted(F: Callable, R: float, beta: float,
-                  panels: int = 48, order: int = 8) -> tuple[float, float]:
+                  panels: int = 48, order: int = 8):
     """int_R^inf F(h) h^(-1-beta) dh for F following its far-field model.
 
     Substituting v = (R/h)^beta maps the tail to (R^-beta/beta) int_0^1
     F(R v^(-1/beta)) dv, integrated on geometrically refined panels toward
-    v = 0 so logarithmically growing F converges cleanly.
+    v = 0 so logarithmically growing F converges cleanly. Returns (value,
+    remainder bound), per row for row-valued F.
     """
     x, w = _leggauss(order)
     v_hi = 2.0 ** -np.arange(panels)
@@ -89,12 +105,13 @@ def tail_weighted(F: Callable, R: float, beta: float,
     half = 0.5 * (v_hi - v_lo)
     V = mid[:, None] + half[:, None] * x[None, :]
     H = R * V ** (-1.0 / beta)
-    vals = F(H.ravel()).reshape(H.shape)
-    body = float(np.dot(vals @ w, half))
+    vals = F(H.ravel())
+    vals = vals.reshape(vals.shape[:-1] + H.shape)
+    body = _rowdot(vals @ w, half)
     # remainder below the last panel: F grows at most logarithmically there
     v_min = v_lo[-1]
-    f_last = float(np.mean(vals[-1]))
-    rem = abs(f_last) * v_min
+    f_last = np.mean(vals[..., -1, :], axis=-1)
+    rem = np.abs(f_last) * v_min
     return (R ** -beta / beta) * body, (R ** -beta / beta) * rem
 
 
@@ -110,6 +127,9 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
     F2    F(h)/h^2, stable as h -> 0 (used on the inner disc)
     tail  model integrand beyond edges[-1]; defaults to F itself, which is
           correct whenever F already applies the declared far-field rule
+
+    Integrands returning shape (m, k) for k nodes give per-row value and
+    error arrays, one row per base point; 1-d integrands give floats.
     """
     edges = np.asarray(edges, dtype=float)
     if edges[0] != delta:
@@ -127,13 +147,17 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
                              panels=tail_panels, order=4)
 
     pieces = np.array([inner, mid, tl])
-    diverged = not np.all(np.isfinite(pieces))
-    value = float(np.nansum(np.where(np.isfinite(pieces), pieces, 0.0)))
-    err = (abs(inner - inner_lo) + abs(mid - mid_lo) + abs(tl - tl_lo) + tl_rem
-           + 1e-15 * abs(value))
-    if diverged:
-        err = float("inf")
-    return QuadResult(prefactor * value, abs(prefactor) * err, diverged)
+    finite = np.isfinite(pieces)
+    diverged = ~np.all(finite, axis=0)
+    value = np.nansum(np.where(finite, pieces, 0.0), axis=0)
+    with np.errstate(invalid="ignore"):  # diverged rows: inf - inf
+        err = (np.abs(inner - inner_lo) + np.abs(mid - mid_lo)
+               + np.abs(tl - tl_lo) + tl_rem + 1e-15 * np.abs(value))
+    err = np.where(diverged, np.inf, err)
+    if value.ndim == 0:
+        value, err = float(value), float(err)
+    return QuadResult(prefactor * value, abs(prefactor) * err,
+                      bool(np.any(diverged)))
 
 
 def grid_cell_edges(delta: float, spacing: float, cutoff: float,

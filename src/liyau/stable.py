@@ -389,6 +389,8 @@ class StableDensityProfile:
         buf.write("# tail_fit_residual = %.17g\n" % self.tail_fit_residual)
         buf.write("# error_estimate = %.17g\n" % self.error_estimate)
         buf.write(f"# method = {self.method}\n")
+        for key, val in self.meta.items():  # numbers only
+            buf.write("# meta.%s = %.17g\n" % (key, val))
         for r, v in zip(self.r_table, self.values):
             buf.write("%.17g %.17g\n" % (r, v))
         return buf.getvalue()
@@ -412,12 +414,14 @@ class StableDensityProfile:
             r, v = line.split()
             rows.append((float(r), float(v)))
         arr = np.asarray(rows)
+        meta = {k[len("meta."):]: float(v) for k, v in header.items()
+                if k.startswith("meta.")}
         return cls(beta=float(header["beta"]), d=int(header["d"]),
                    r_table=arr[:, 0], values=arr[:, 1],
                    tail_coef=float(header["tail_coef"]),
                    tail_fit_residual=float(header["tail_fit_residual"]),
                    error_estimate=float(header["error_estimate"]),
-                   method=header["method"])
+                   method=header["method"], meta=meta)
 
 
 def _fit_tail(beta: float, d: int, r: np.ndarray,

@@ -227,16 +227,16 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
     return GridField(spacing, vals, Extension("constant"), positive=True)
 
 
-def liyau_margin_on_solution(u: GridField, beta: float, t: float, x: float,
+def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
                              profile: StableDensityProfile,
                              quad: QuadratureSpec | None = None,
                              constant: LiYauConstantResult | None = None,
                              u_log: GridField | None = None) -> QuadResult:
+    """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
     const = constant if constant is not None else constant_for(profile)
     logu = u_log if u_log is not None else u.log()
     lap = frac_laplacian_point(logu, beta, x, quad=quad)
-    return QuadResult(const.value / t - lap.value,
-                      const.error / t + lap.error, lap.diverged)
+    return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
 def fractional_liyau_margin(u0: GridField, beta: float, t: float, x: float,
@@ -252,10 +252,10 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 profile: StableDensityProfile,
                                 quad: QuadratureSpec | None = None,
                                 constant: LiYauConstantResult | None = None,
-                                u: GridField | None = None) -> QuadResult:
+                                u_log: GridField | None = None) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
 
-    u, when given, is the solution at t already solved from u0.
+    u_log, when given, is log u at t, u already solved from u0.
     """
     const = constant if constant is not None else constant_for(profile)
     dt_field = dt_log_u(u0, beta, t, profile)
@@ -263,10 +263,10 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
     i = int(round(x / dt_field.spacing)) + (dt_field.values.size - 1) // 2
     derr = dt_field.meta["dt_error"]
     dt_err = float(np.max(derr[max(0, i - 1):i + 2]))
-    if u is None:
-        u = solve_fractional(u0, beta, t, profile)
+    if u_log is None:
+        u_log = solve_fractional(u0, beta, t, profile).log()
     kernel = JumpKernel.continuous(beta, 1)
-    psi = psi_upsilon_continuous(u.log(), kernel, x, quad=quad)
+    psi = psi_upsilon_continuous(u_log, kernel, x, quad=quad)
     value = dt_val - psi.value + const.value / t
     error = dt_err + psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
@@ -292,11 +292,10 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
         with shared_u0_transform(u0):
             for t in t_grid:
                 u = solve_fractional(u0, beta, float(t), profile)
-                logu = u.log()
-                for x in x_grid:
-                    m = liyau_margin_on_solution(u, beta, float(t), float(x),
-                                                 profile, quad, const, u_log=logu)
-                    report.add_sample(m.value, m.error)
+                m = liyau_margin_on_solution(u, beta, float(t), x_grid,
+                                             profile, quad, const)
+                for value, error in zip(m.value, m.error):
+                    report.add_sample(value, error)
     report.runtime = time.perf_counter() - start
     return report
 
@@ -323,10 +322,11 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
             t = float(log_uniform(rng, *t_range))
             x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
             u = solve_fractional(u0, profile.beta, t, profile)
+            logu = u.log()
             ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
-                                          constant=const)
+                                          constant=const, u_log=logu)
             dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
-                                             constant=const, u=u)
+                                             constant=const, u_log=logu)
             gap = abs(dh.value - ly.value)
             combined = dh.error + ly.error
             report.add_sample(combined - gap, 0.0)

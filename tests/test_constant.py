@@ -5,6 +5,7 @@ import pytest
 from liyau.constant import (J_of_y, LiYauConstantResult, SearchSpec,
                             constant_for, heat_kernel_liyau_margin,
                             liyau_constant_beta1, liyau_constant_numeric)
+from liyau.stable import ProfileGridSpec, build_profile
 
 FOUR_PI = 12.566370614359172954  # J(0) at beta=1, d=1
 
@@ -46,6 +47,22 @@ def test_constant_for_memoizes_numeric_route(profile_b1_d1):
     assert res.method == "numeric"
     assert res.value == pytest.approx(liyau_constant_beta1(1), rel=1e-3)
     assert constant_for(profile_b1_d1) is res
+
+
+def test_constant_for_keys_on_search_spec_and_table(profile_b1_d1):
+    coarse = SearchSpec(y_max=5.0, nodes=9)
+    finer = SearchSpec(y_max=5.0, nodes=13)
+    a = constant_for(profile_b1_d1, coarse)
+    b = constant_for(profile_b1_d1, finer)
+    assert a is not b
+    assert len(a.j_table) == 9 and len(b.j_table) == 13
+    assert constant_for(profile_b1_d1, coarse) is a
+    assert constant_for(profile_b1_d1, SearchSpec(y_max=5.0, nodes=13)) is b
+    # same (beta, d) and spec, another table
+    other = build_profile(1.0, 1, ProfileGridSpec(per_decade=12))
+    assert constant_for(other, coarse) is not a
+    # no spec means the default spec
+    assert constant_for(profile_b1_d1) is constant_for(profile_b1_d1, SearchSpec())
 
 
 def test_numeric_constant_regression_values(profile_b05_d1, profile_b15_d1):

@@ -137,6 +137,20 @@ def test_point_expansion_second_difference():
                                                                        abs=5e-4)
 
 
+def test_point_expansion_rows_match_single_points():
+    f = bump(spacing=0.01)
+    xs = np.array([-1.3, 0.0, 0.257])
+    rows = f.point_expansion(xs)
+    h = np.array([1e-4, 0.003, 0.01, 0.5, 2.0, 1e3])  # Taylor, grid and tail
+    for i, x in enumerate(xs):
+        one = f.point_expansion(x)
+        for s in (1.0, -1.0):
+            assert np.array_equal(rows.diff(s, h)[i], one.diff(s, h))
+            assert np.array_equal(rows.diff_over_h(s, h)[i], one.diff_over_h(s, h))
+        assert np.array_equal(rows.diff_even(h)[i], one.diff_even(h))
+        assert np.array_equal(rows.diff_even_over_h2(h)[i], one.diff_even_over_h2(h))
+
+
 def test_point_expansion_boundary_guard():
     f = bump(extent=5.0)
     with pytest.raises(ValueError):

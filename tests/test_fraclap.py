@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField, QuadratureSpec
 from liyau.fraclap import (_tail_nodes, dt_log_u, frac_laplacian_point,
                            frac_laplacian_spectral, shared_u0_transform,
                            solve_fractional)
 from liyau.ops import JumpKernel, psi_upsilon_continuous
+from liyau.singular import grid_cell_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
 
 INV_PI = 0.31830988618379067154  # (-Delta)^{1/2} Phi_1 at 0 = -d/dt Poisson
@@ -65,6 +67,78 @@ def test_kernel_heat_equation_anchor(profile_b1_d1):
                   Extension("power", exponent=2.0), positive=True)
     res = frac_laplacian_point(f, 1.0, 0.0)
     assert res.value == pytest.approx(INV_PI, abs=1e-4)
+
+
+# ---- batched point route -----------------------------------------------------
+
+def _log_fields():
+    # a constant-extended bump and the log of a power-tailed field
+    # (log-power extension), X = 20
+    bump = GridField.from_function(lambda x: np.exp(-x ** 2) + 0.3 * np.sin(x),
+                                   0.02, 20.0, Extension("constant"))
+    tailed = GridField.from_function(lambda x: (1.0 + (x - 0.5) ** 2) ** -0.75,
+                                     0.02, 20.0, Extension("power", 1.5),
+                                     positive=True).log()
+    return bump, tailed
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"quad": QuadratureSpec(max_panel_width=0.25)},
+                                    {"normalization": 0.37}])
+def test_points_rows_match_lone_calls(kwargs):
+    for f in _log_fields():
+        edge = 0.8 * f.extent
+        # on-grid, off-grid and the ends of the central 80%
+        xs = np.array([-edge, -3.3, 0.0, 0.14, 1.2345, edge])
+        for beta in (0.5, 1.0, 1.5):
+            rows = frac_laplacian_point(f, beta, xs, **kwargs)
+            assert rows.value.shape == rows.error.shape == xs.shape
+            assert not rows.diverged
+            for i, x in enumerate(xs):
+                lone = frac_laplacian_point(f, beta, float(x), **kwargs)
+                assert isinstance(lone.value, float)
+                assert rows.value[i] == pytest.approx(lone.value, rel=1e-13, abs=0)
+                assert rows.error[i] == pytest.approx(lone.error, rel=1e-9, abs=0)
+                assert not lone.diverged
+
+
+def test_points_reject_a_point_outside_the_central_band():
+    f, _ = _log_fields()
+    xs = np.array([0.0, 1.0, 0.8 * f.extent + f.spacing])
+    with pytest.raises(ValueError):
+        frac_laplacian_point(f, 1.0, xs)
+
+
+def test_diverging_row_is_flagged_alone():
+    beta, delta = 1.0, 0.01
+    edges = grid_cell_edges(delta, delta, 20.0)
+    good = [lambda h: h ** 2 * np.exp(-h), lambda h: 2.0 * h ** 2 * np.exp(-h)]
+    bad = lambda h: h ** 2 * np.where(h > 5.0, np.inf, np.exp(-h))  # noqa: E731
+    rows_F = [good[0], bad, good[1]]
+    F = lambda h: np.stack([g(h) for g in rows_F])  # noqa: E731
+    F2 = lambda h: F(h) / h ** 2  # noqa: E731
+    res = weighted_singular(F, F2, beta, delta, edges)
+    # the diverged row shows as an infinite error bar
+    assert res.diverged
+    assert list(np.isinf(res.error)) == [False, True, False]
+    for i in (0, 2):
+        g = rows_F[i]
+        lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2, beta, delta, edges)
+        assert not lone.diverged
+        assert (res.value[i], res.error[i]) == (lone.value, lone.error)
+
+
+# J_of_y as recorded before the batched route existed: scalar integrands
+# keep their arithmetic bit for bit
+J_PINNED = [("profile_b1_d1", 0.0, 12.566370614358432, 5.216961237226831e-06),
+            ("profile_b1_d1", 1.7, 3.2304294638442155, 1.428489767559824e-06),
+            ("profile_b05_d1", 0.3, 30.659287760032953, 0.0070400979721770155),
+            ("profile_b15_d1", 5.0, -0.8542943941875868, 0.8542943941875868)]
+
+
+@pytest.mark.parametrize("profname,y,value,error", J_PINNED)
+def test_J_of_y_is_bit_identical(profname, y, value, error, request):
+    res = J_of_y(request.getfixturevalue(profname), y)
+    assert (res.value, res.error, res.diverged) == (value, error, False)
 
 
 # ---- spectral operator -----------------------------------------------------

@@ -139,6 +139,18 @@ def test_text_round_trip_bit_exact(profile_b05_d1):
     assert np.array_equal(again.eval(r), prof.eval(r))
 
 
+def test_text_round_trip_keeps_meta(profile_b05_d1):
+    # the next-order tail term in meta enters mass(); losing it costs
+    # two orders of magnitude in the mass defect
+    prof = profile_b05_d1
+    assert "tail_B" in prof.meta
+    again = StableDensityProfile.from_text(prof.to_text())
+    assert again.meta == prof.meta
+    assert again.mass() == prof.mass()
+    r = np.array([0.0, 0.02, 1.0, 77.0, 1e6])
+    assert np.array_equal(again.eval(r), prof.eval(r))
+
+
 def test_build_profile_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_profile(2.0, 1)

@@ -191,6 +191,30 @@ def test_margin_on_solution_matches_two_step(profile_b1_d1):
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def test_dh_margin_given_the_log_is_unchanged(profile_b1_d1):
+    from liyau.fraclap import solve_fractional
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
+                               extent=40.0)
+    u = solve_fractional(u0, 1.0, 1.5, profile_b1_d1)
+    plain = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1)
+    given = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1,
+                                        u_log=u.log())
+    assert given == plain
+
+
+def test_margins_at_many_points_match_one_at_a_time(profile_b1_d1):
+    from liyau.fraclap import solve_fractional
+    u0 = random_positive_field(np.random.default_rng(5), spacing=0.02,
+                               extent=40.0)
+    u = solve_fractional(u0, 1.0, 0.9, profile_b1_d1)
+    xs = np.array([-20.0, -0.37, 0.0, 11.0])
+    rows = liyau_margin_on_solution(u, 1.0, 0.9, xs, profile_b1_d1)
+    for i, x in enumerate(xs):
+        one = liyau_margin_on_solution(u, 1.0, 0.9, x, profile_b1_d1)
+        assert rows.value[i] == pytest.approx(one.value, rel=1e-13, abs=1e-15)
+        assert rows.error[i] == pytest.approx(one.error, rel=1e-9)
+
+
 def test_dh_margin_close_to_liyau_margin(profile_b1_d1):
     u0 = random_positive_field(np.random.default_rng(8), spacing=0.01,
                                extent=60.0)
