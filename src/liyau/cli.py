@@ -2,7 +2,9 @@
 
 Subcommands: density, fraclap, liyau-const, verify, markov-verify, harnack,
 sweep. Every run writes its tables (CSV), a JSON report, and a hashed
-manifest into the output directory (--outdir, else $LIYAU_OUTDIR, else cwd).
+manifest into the output directory (--outdir, else $LIYAU_OUTDIR, else cwd);
+main writes the manifest once the subcommand has returned, so a run that
+raised leaves none.
 
 Exit codes: 0 pass, 1 usage error, 2 computation error, 3 verification
 failure.
@@ -15,14 +17,14 @@ import sys
 import numpy as np
 
 from . import runio
-from .constant import J_of_y, SearchSpec, liyau_constant_beta1, liyau_constant_numeric
+from .constant import SearchSpec, liyau_constant_beta1, liyau_constant_numeric
 from .fields import Extension, GridField
-from .fraclap import frac_laplacian_point, frac_laplacian_spectral
+from .fraclap import PAD_FACTOR, frac_laplacian_point, frac_laplacian_spectral
 from .harnack import (gaussian_harnack_rhs, gaussian_kernel_log_ratio,
                       gaussian_sharp_source, harnack_check_fractional,
                       harnack_check_kn, harnack_m_form_bound)
 from .markov import (complete_graph, load_edge_list, neg_L_log, phi_kn,
-                     solve_markov, transition_kn, transition_matrix)
+                     transition_kn, transition_matrix)
 from .runio import ConfigError, RunManifest, read_config_file, resolve_outdir
 from .stable import ProfileGridSpec, build_profile
 from .verify import (VerificationReport, log_uniform,
@@ -88,7 +90,7 @@ def build_parser() -> _Parser:
     f.add_argument("--beta", type=_beta, required=True)
     f.add_argument("--spacing", type=_positive, default=0.02)
     f.add_argument("--extent", type=_positive, default=20.0)
-    f.add_argument("--pad-factor", type=int, default=4,
+    f.add_argument("--pad-factor", type=int, default=PAD_FACTOR,
                    help="periodic-box widening for the spectral route")
     f.add_argument("--points", default="0,0.5,1,2",
                    help="comma-separated evaluation points")
@@ -182,9 +184,7 @@ def _emit_report(manifest: RunManifest, outdir, name: str,
 
 # ---- subcommands ------------------------------------------------------------
 
-def cmd_density(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_density(args, outdir, manifest) -> int:
     grid = ProfileGridSpec(r_max=args.r_max) if args.r_max else None
     prof = build_profile(args.beta, args.dim, grid)
     name = f"profile_b{args.beta:g}_d{args.dim}"
@@ -197,14 +197,11 @@ def cmd_density(args) -> int:
                "tail_fit_residual": prof.tail_fit_residual,
                "error_estimate": prof.error_estimate, "method": prof.method}
     manifest.register(runio.write_json_report(outdir / f"{name}.json", payload))
-    manifest.write(outdir)
     print(f"{name}: mass {payload['mass']:.12f}, tail coef {prof.tail_coef:.6g}")
     return EXIT_PASS
 
 
-def cmd_fraclap(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_fraclap(args, outdir, manifest) -> int:
     f = GridField.from_function(lambda x: np.exp(-x ** 2), args.spacing,
                                 args.extent, Extension("constant"))
     spec = frac_laplacian_spectral(f, args.beta, pad_factor=args.pad_factor)
@@ -224,7 +221,6 @@ def cmd_fraclap(args) -> int:
     payload = {"beta": args.beta, "max_rel_gap": worst,
                "boundary_warning": spec.meta["boundary_warning"]}
     manifest.register(runio.write_json_report(outdir / "fraclap.json", payload))
-    manifest.write(outdir)
     print(f"fraclap: max relative gap quadrature vs spectral {worst:.3e}")
     return EXIT_PASS
 
@@ -250,9 +246,7 @@ def _constant_rows(betas, dim, y_max, nodes):
     return rows
 
 
-def cmd_liyau_const(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_liyau_const(args, outdir, manifest) -> int:
     if args.sweep:
         betas = _parse_sweep(args.sweep)
         rows = _constant_rows(betas, args.dim, args.y_max, args.nodes)
@@ -260,7 +254,6 @@ def cmd_liyau_const(args) -> int:
             outdir / "liyau_const_sweep.csv",
             ["beta", "d", "c_ly", "err", "y_star"], rows,
             comment="exploratory sweep; no claim about the beta->2 limit"))
-        manifest.write(outdir)
         print(f"sweep: {len(rows)} rows written")
         return EXIT_PASS
     if args.beta is None:
@@ -277,15 +270,12 @@ def cmd_liyau_const(args) -> int:
         payload["closed_form"] = liyau_constant_beta1(args.dim)
     manifest.register(runio.write_json_report(outdir / "liyau_const.json",
                                               payload))
-    manifest.write(outdir)
     print(f"C({res.beta:g}, {res.d}) = {res.value:.10g} +- {res.error:.2g} "
           f"at |y*| = {res.y_star:.4g}")
     return EXIT_PASS
 
 
-def cmd_verify(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_verify(args, outdir, manifest) -> int:
     if args.check == "key":
         report = sweep_key_inequality(args.samples or 1000, args.seed)
     elif args.check == "reduction":
@@ -300,23 +290,17 @@ def cmd_verify(args) -> int:
         prof = build_profile(args.beta, 1)
         report = sweep_dh_consistency(prof, n_points=args.samples or 20,
                                       seed=args.seed)
-    code = _emit_report(manifest, outdir, f"verify_{args.check}", report)
-    manifest.write(outdir)
-    return code
+    return _emit_report(manifest, outdir, f"verify_{args.check}", report)
 
 
-def cmd_markov_verify(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_markov_verify(args, outdir, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     if args.graph != "Kn":
         chain = load_edge_list(open(args.graph).read())
         u0 = log_uniform(rng, 1e-2, 1e2, size=chain.n)
         t = float(np.sqrt(args.t_min * args.t_max))
         report = reduction_theorem_check_discrete(chain, u0, t)
-        code = _emit_report(manifest, outdir, "markov_reduction", report)
-        manifest.write(outdir)
-        return code
+        return _emit_report(manifest, outdir, "markov_reduction", report)
     n = args.n
     if n < 2:
         raise ConfigError("--n must be >= 2")
@@ -347,23 +331,17 @@ def cmd_markov_verify(args) -> int:
     manifest.register(runio.write_csv(
         outdir / "markov_kn.csv",
         ["t", "transition_gap", "min_margin", "sharpness_gap"], rows))
-    code = _emit_report(manifest, outdir, "markov_kn", report)
-    manifest.write(outdir)
-    return code
+    return _emit_report(manifest, outdir, "markov_kn", report)
 
 
-def cmd_harnack(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_harnack(args, outdir, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     if not args.t1 < args.t2:
         raise ConfigError("need t1 < t2")
     if args.setting == "kn":
         u0 = log_uniform(rng, 1e-2, 1e2, size=args.n)
         report = harnack_check_kn(args.n, u0, args.t1, args.t2)
-        code = _emit_report(manifest, outdir, "harnack_kn", report)
-        manifest.write(outdir)
-        return code
+        return _emit_report(manifest, outdir, "harnack_kn", report)
     if args.setting == "gauss":
         rhs = gaussian_harnack_rhs(args.dim, args.t1, args.t2,
                                    args.x1, args.x2)
@@ -375,7 +353,6 @@ def cmd_harnack(args) -> int:
                    "sharpness_gap": rhs - lhs}
         manifest.register(runio.write_json_report(outdir / "harnack_gauss.json",
                                                   payload))
-        manifest.write(outdir)
         print(f"gaussian bound {rhs:.10g}, sharpness gap {rhs - lhs:.3e}")
         return EXIT_PASS
     from .verify import random_positive_field
@@ -392,21 +369,16 @@ def cmd_harnack(args) -> int:
                **report.params}
     manifest.register(runio.write_json_report(outdir / "harnack_frac.json",
                                               payload))
-    code = _emit_report(manifest, outdir, "harnack_frac", report)
-    manifest.write(outdir)
-    return code
+    return _emit_report(manifest, outdir, "harnack_frac", report)
 
 
-def cmd_sweep(args) -> int:
-    outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+def cmd_sweep(args, outdir, manifest) -> int:
     betas = np.linspace(args.beta_start, args.beta_stop, args.steps)
     rows = _constant_rows(betas, args.dim, 50.0, 49)
     manifest.register(runio.write_csv(
         outdir / "constant_sweep.csv",
         ["beta", "d", "c_ly", "err", "y_star"], rows,
         comment="exploratory sweep; no claim about the beta->2 limit"))
-    manifest.write(outdir)
     print(f"sweep: {len(rows)} rows written")
     return EXIT_PASS
 
@@ -422,8 +394,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"liyau: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    outdir = resolve_outdir(args.outdir)
+    manifest = RunManifest(config=_config_echo(args))
     try:
-        return args.func(args)
+        code = args.func(args, outdir, manifest)
+        manifest.write(outdir)
+        return code
     except ConfigError as exc:
         print(f"liyau: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

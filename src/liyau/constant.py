@@ -15,8 +15,8 @@ from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
-from .singular import (QuadResult, golden_section_max, log_panel_edges,
-                       weighted_singular)
+from .singular import (QuadResult, gauss_panels, golden_section_max,
+                       log_panel_edges, weighted_singular)
 from .stable import StableDensityProfile, ball_volume, normalizing_constant
 
 # angular resolutions; the integrand is entire in the angle
@@ -61,8 +61,9 @@ def _angular_rule(d: int):
         theta = (np.arange(THETA_NODES_D2) + 0.5) * 2.0 * np.pi / THETA_NODES_D2
         return np.cos(theta), np.full(THETA_NODES_D2, 2.0 * np.pi / THETA_NODES_D2)
     if d == 3:
-        mu, w = np.polynomial.legendre.leggauss(MU_ORDER_D3)
-        return mu, 2.0 * np.pi * w
+        # the Gauss rule on the one panel [-1, 1]
+        mu, _, w = gauss_panels(np.array([-1.0]), np.array([1.0]), MU_ORDER_D3)
+        return mu[0], 2.0 * np.pi * w
     raise ValueError("d must be 1, 2, or 3")
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import CubicSpline
 
+from .runio import read_table_text
 from .singular import grid_cell_edges
 
 FIELD_FORMAT = "liyau-field v1"
@@ -151,16 +152,13 @@ class GridField:
 
     def _get_spline(self):
         if self._spline is None:
-            if self.dim == 1:
-                self._spline = CubicSpline(self.x, self.values)
-            else:
-                self._spline = RectBivariateSpline(self.x, self.x, self.values)
+            self._spline = CubicSpline(self.x, self.values)
         return self._spline
 
     def eval(self, pts) -> np.ndarray:
         """Evaluate at arbitrary coordinates; extension rule applies outside.
 
-        1-d fields only; planar fields are sampled through eval2.
+        1-d fields only.
         """
         if self.dim != 1:
             raise NotImplementedError("pointwise eval with extension is 1-d only")
@@ -174,14 +172,6 @@ class GridField:
             if side.any():
                 out[side] = self.extension.model(edge_val, np.abs(p[side]) / X)
         return out if np.ndim(pts) else float(out[0])
-
-    def eval2(self, px, py) -> np.ndarray:
-        if self.dim != 2:
-            raise ValueError("eval2 is for planar fields")
-        X = self.extent
-        if np.any(np.abs(px) > X) or np.any(np.abs(py) > X):
-            raise ValueError("planar evaluation outside the grid is unsupported")
-        return self._get_spline()(px, py, grid=False)
 
     def point_expansion(self, x) -> "PointExpansion":
         return PointExpansion(self, x)
@@ -275,21 +265,7 @@ class GridField:
 
     @classmethod
     def from_text(cls, text: str) -> "GridField":
-        header = {}
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    header[k.strip()] = v.strip()
-                elif body != FIELD_FORMAT:
-                    raise ValueError(f"unrecognized field format line {body!r}")
-                continue
-            rows.append([float(tok) for tok in line.split()])
+        header, rows = read_table_text(text, FIELD_FORMAT)
         dim = int(header["dim"])
         spacing = float(header["spacing"])
         n = int(header["npoints"])

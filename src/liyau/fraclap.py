@@ -21,7 +21,7 @@ import numpy as np
 import scipy.fft
 
 from .fields import Extension, GridField, QuadratureSpec
-from .singular import QuadResult, weighted_singular
+from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
 # box widening of the spectral route only
@@ -56,14 +56,14 @@ def frac_laplacian_point(f: GridField, beta: float, x,
 
 
 def frac_laplacian_spectral(f: GridField, beta: float,
-                            pad_factor: int | None = None) -> GridField:
+                            pad_factor: int = PAD_FACTOR) -> GridField:
     """Apply the |xi|^beta multiplier on the DFT of the samples.
 
     Valid only for fields negligible at the boundary; the output carries a
     boundary_warning in meta when the edge samples exceed BOUNDARY_TOL of the
     peak amplitude. Works for 1-d and planar fields.
 
-    pad_factor widens the periodic box before the FFT (default PAD_FACTOR);
+    pad_factor widens the periodic box before the FFT;
     pass 1 for data that is exactly periodic on the grid, where the bare
     multiplier is already the right operator.
     """
@@ -71,8 +71,6 @@ def frac_laplacian_spectral(f: GridField, beta: float,
         raise ValueError("beta must lie in (0, 2)")
     v = f.values
     peak = float(np.max(np.abs(v))) or 1.0
-    if pad_factor is None:
-        pad_factor = PAD_FACTOR
     if f.dim == 1:
         edge = max(abs(v[0]), abs(v[-1]))
         # edge-pad into a pad_factor-wider periodic box: the periodization
@@ -108,12 +106,8 @@ def _tail_nodes(X: float, reach: float = 1e4, per_decade: int = 12,
     """Gauss nodes/weights for int_X^(X*reach) g(y) dy on log panels."""
     n = int(np.ceil(per_decade * np.log10(reach)))
     edges = np.geomspace(X, X * reach, n + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    nodes, half, wg = gauss_panels(edges[:-1], edges[1:], order)
+    return nodes.ravel(), (half[:, None] * wg[None, :]).ravel()
 
 
 def _wrapped(g: np.ndarray, length: int) -> np.ndarray:

@@ -26,11 +26,7 @@ KN_TOL = 1e-10
 
 def harnack_rhs_kn(n: int, t1: float, t2: float) -> float:
     """log-Harnack constant on K_n: int_t1^t2 phi(t) dt + 2/(t2 - t1)."""
-    if not 0 < t1 < t2:
-        raise ValueError("need 0 < t1 < t2")
-    integral, err = integrate.quad(lambda t: phi_kn(n, t), t1, t2,
-                                   epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(integral + 2.0 / (t2 - t1))
+    return harnack_integral_term_kn(n, t1, t2) + 2.0 / (t2 - t1)
 
 
 def harnack_integral_term_kn(n: int, t1: float, t2: float) -> float:
@@ -96,14 +92,10 @@ def factor_for_a1(t, t1: float, t2: float, alpha: float) -> np.ndarray:
             - eta_tail_integral(t, t1, t2, alpha))
 
 
-def fractional_m_constant(alpha: float, beta: float, d: int) -> float:
-    """M(alpha, d, beta) in the factored bound M (1 + (t2-t1)^(-1-d/beta)).
-
-    Assembled from the four-term time integral of the averaged-square
-    estimate divided by the weight mass; the two Delta^(alpha-d/beta) terms
-    supply the (t2-t1)^(-1-d/beta) coefficient, the two Delta^(1+alpha)
-    terms the constant one.
-    """
+def _averaged_square_terms(alpha: float, beta: float,
+                           d: int) -> tuple[float, float, float]:
+    """(K, p1, p2) with averaged-square term K (p1 Delta^(-1-d/beta) + p2)
+    for Delta = (t2 - t1)/2."""
     if not admissible_alpha(alpha, beta, d):
         raise ValueError("alpha must exceed max{0, d/beta - 1}/2")
     c = normalizing_constant(beta, d)
@@ -112,19 +104,28 @@ def fractional_m_constant(alpha: float, beta: float, d: int) -> float:
     p1 = ((1.0 + alpha) ** (1.0 + d / beta) / (w ** (1.0 + d / beta) * c ** (d / beta))
           * (1.0 / alpha + 1.0 / (2.0 * alpha - d / beta + 1.0)))
     p2 = 2.0 * c / alpha + c / (2.0 * alpha + 1.0)
+    return K, p1, p2
+
+
+def fractional_m_constant(alpha: float, beta: float, d: int) -> float:
+    """M(alpha, d, beta) in the factored bound M (1 + (t2-t1)^(-1-d/beta)).
+
+    Assembled from the four-term time integral of the averaged-square
+    estimate divided by the weight mass; the two Delta^(alpha-d/beta) terms
+    supply the (t2-t1)^(-1-d/beta) coefficient, the two Delta^(1+alpha)
+    terms the constant one.
+    """
+    K, p1, p2 = _averaged_square_terms(alpha, beta, d)
     return float(max(K * p2, K * p1 * 2.0 ** (1.0 + d / beta)))
 
 
-def _a2_term(alpha: float, beta: float, d: int, t1: float, t2: float) -> float:
-    # exact assembled average (tighter than the factored M form)
-    c = normalizing_constant(beta, d)
-    w = ball_volume(d)
-    delta = 0.5 * (t2 - t1)
-    K = 2.0 ** (d + beta - 2.0) / c * (1.0 + alpha) / 2.0
-    p1 = ((1.0 + alpha) ** (1.0 + d / beta) / (w ** (1.0 + d / beta) * c ** (d / beta))
-          * (1.0 / alpha + 1.0 / (2.0 * alpha - d / beta + 1.0)))
-    p2 = 2.0 * c / alpha + c / (2.0 * alpha + 1.0)
-    return float(K * (p1 * delta ** (-1.0 - d / beta) + p2))
+def _li_yau_constant(constant: LiYauConstantResult | None,
+                     profile: StableDensityProfile | None) -> float:
+    if constant is not None:
+        return constant.value
+    if profile is None:
+        raise ValueError("either a constant result or a profile is required")
+    return constant_for(profile).value
 
 
 def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
@@ -140,15 +141,12 @@ def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
     """
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    if not admissible_alpha(alpha, beta, d):
-        raise ValueError("alpha must exceed max{0, d/beta - 1}/2")
-    if constant is not None:
-        c_ly = constant.value
-    else:
-        if profile is None:
-            raise ValueError("either a constant result or a profile is required")
-        c_ly = constant_for(profile).value
-    return float(c_ly * np.log(t2 / t1) + 1.0 + _a2_term(alpha, beta, d, t1, t2))
+    K, p1, p2 = _averaged_square_terms(alpha, beta, d)
+    c_ly = _li_yau_constant(constant, profile)
+    delta = 0.5 * (t2 - t1)
+    # exact assembled average (tighter than the factored M form)
+    a2 = float(K * (p1 * delta ** (-1.0 - d / beta) + p2))
+    return float(c_ly * np.log(t2 / t1) + 1.0 + a2)
 
 
 def harnack_m_form_bound(alpha: float, beta: float, d: int, t1: float,
@@ -158,12 +156,7 @@ def harnack_m_form_bound(alpha: float, beta: float, d: int, t1: float,
     """The looser factored form C_LY log(t2/t1) + 1 + M (1 + (t2-t1)^(-1-d/beta))."""
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    if constant is not None:
-        c_ly = constant.value
-    else:
-        if profile is None:
-            raise ValueError("either a constant result or a profile is required")
-        c_ly = constant_for(profile).value
+    c_ly = _li_yau_constant(constant, profile)
     M = fractional_m_constant(alpha, beta, d)
     return float(c_ly * np.log(t2 / t1) + 1.0
                  + M * (1.0 + (t2 - t1) ** (-1.0 - d / beta)))
@@ -181,13 +174,9 @@ def harnack_check_fractional(u0: GridField, beta: float, t1: float, t2: float,
     start = time.perf_counter()
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    const = constant_for(profile)
-    lam = abs(x1 - x2)
-    if lam > 1.0:
-        bound = harnack_bound_fractional(alpha, beta, 1, t1 / lam ** beta,
-                                         t2 / lam ** beta, constant=const)
-    else:
-        bound = harnack_bound_fractional(alpha, beta, 1, t1, t2, constant=const)
+    scale = max(abs(x1 - x2), 1.0) ** beta
+    bound = harnack_bound_fractional(alpha, beta, 1, t1 / scale, t2 / scale,
+                                     constant=constant_for(profile))
     with shared_u0_transform(u0):
         ua = solve_fractional(u0, beta, t1, profile)
         ub = solve_fractional(u0, beta, t2, profile)

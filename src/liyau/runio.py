@@ -1,4 +1,4 @@
-"""Config files, deterministic output files, and hashed manifests.
+"""Config files, text tables, deterministic output files and hashed manifests.
 
 All file formats carry a version header line. CSV bodies are byte-identical
 across runs with the same config and seed: floats print as %.17g and no
@@ -41,6 +41,31 @@ def read_config_file(path) -> dict:
         k, v = line.split("=", 1)
         params[k.strip()] = v.strip()
     return params
+
+
+def read_table_text(text: str, fmt: str) -> tuple[dict, list]:
+    """Header and rows of a versioned text table.
+
+    '# key = value' lines fill the header, '# <fmt>' is the version line and
+    any other comment is rejected; every other non-blank line is one row of
+    whitespace-separated floats.
+    """
+    header = {}
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                k, v = body.split("=", 1)
+                header[k.strip()] = v.strip()
+            elif body != fmt:
+                raise ValueError(f"unrecognized {fmt} format line {body!r}")
+            continue
+        rows.append([float(tok) for tok in line.split()])
+    return header, rows
 
 
 def _fmt_cell(v) -> str:

@@ -50,6 +50,18 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+def gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre rule of the given order on each panel [lo, hi].
+
+    Returns (nodes, half-widths, weights): nodes has one row per panel, and
+    sum over panels of half * (f(nodes) @ weights) integrates f.
+    """
+    x, w = _leggauss(order)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * x[None, :], half, w
+
+
 @lru_cache(maxsize=64)
 def _jacobi(order: int, one_minus_beta: float):
     # weight (1+x)^(1-beta) on [-1, 1]; valid for beta < 2
@@ -72,10 +84,7 @@ def _cells(F: Callable, beta: float, lo: np.ndarray, hi: np.ndarray,
            order: int):
     if len(lo) == 0:
         return 0.0
-    x, w = _leggauss(order)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    H = mid[:, None] + half[:, None] * x[None, :]
+    H, half, w = gauss_panels(lo, hi, order)
     vals = F(H.ravel())  # rows of a row-valued F stay in front
     integ = vals.reshape(vals.shape[:-1] + H.shape) * H ** (-1.0 - beta)
     return _rowdot(integ @ w, half)
@@ -98,12 +107,9 @@ def tail_weighted(F: Callable, R: float, beta: float,
     v = 0 so logarithmically growing F converges cleanly. Returns (value,
     remainder bound), per row for row-valued F.
     """
-    x, w = _leggauss(order)
     v_hi = 2.0 ** -np.arange(panels)
     v_lo = v_hi / 2.0
-    mid = 0.5 * (v_lo + v_hi)
-    half = 0.5 * (v_hi - v_lo)
-    V = mid[:, None] + half[:, None] * x[None, :]
+    V, half, w = gauss_panels(v_lo, v_hi, order)
     H = R * V ** (-1.0 / beta)
     vals = F(H.ravel())
     vals = vals.reshape(vals.shape[:-1] + H.shape)

@@ -20,6 +20,9 @@ from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import gamma as _gamma, j0 as _j0
 
+from .runio import read_table_text
+from .singular import gauss_panels
+
 PROFILE_FORMAT = "liyau-profile v1"
 
 # integrand drops below 1e-16 once rho^beta > XI_DECAY
@@ -55,11 +58,15 @@ def ball_volume(d: int) -> float:
     return np.pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
 
 
+def _poisson_coef(d: int) -> float:
+    """C_d = Gamma((d+1)/2) / pi^((d+1)/2), the beta = 1 profile at r = 0."""
+    return _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
+
+
 def poisson_profile(d: int, r) -> np.ndarray:
     """Closed-form beta = 1 profile: C_d * (1 + r^2)^(-(d+1)/2)."""
     r = np.asarray(r, dtype=float)
-    cd = _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
-    out = cd * (1.0 + r ** 2) ** (-(d + 1) / 2.0)
+    out = _poisson_coef(d) * (1.0 + r ** 2) ** (-(d + 1) / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -89,50 +96,39 @@ def _default_r_max(beta: float, d: int) -> float:
     return r_max
 
 
-def _cos_transform(beta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trig_transform(beta: float, r: np.ndarray,
+                    d: int) -> tuple[np.ndarray, np.ndarray]:
     # d = 1: Phi(r) = (1/pi) int_0^inf exp(-rho^beta) cos(rho r) drho
-    f = lambda rho: np.exp(-rho ** beta)
-    rho_max = XI_DECAY ** (1.0 / beta)
-    vals = np.empty_like(r)
-    errs = np.empty_like(r)
-    for i, ri in enumerate(r):
-        if ri * rho_max < 30.0:
-            # few oscillations across the decay scale: the cycle-based
-            # oscillatory rule misbehaves here, a plain adaptive rule does not
-            v, e = _quiet_quad(lambda rho: np.exp(-rho ** beta) * np.cos(rho * ri),
-                                  0, rho_max, epsabs=1e-13, epsrel=1e-12,
-                                  limit=200)
-            e += np.exp(-XI_DECAY) * rho_max  # truncation
-        else:
-            v, e = _quiet_quad(f, 0, np.inf, weight="cos", wvar=ri,
-                                  epsabs=1e-13, limlst=120, limit=200)
-        vals[i] = v / np.pi
-        errs[i] = e / np.pi
-    return vals, errs
-
-
-def _sin_transform_d3(beta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d = 3: the half-integer Bessel kernel reduces to a sine transform,
     # Phi(r) = (1/(2 pi^2 r)) int_0^inf rho exp(-rho^beta) sin(rho r) drho
-    f = lambda rho: rho * np.exp(-rho ** beta)
-    rho_max = (XI_DECAY + 6.0 * np.log(XI_DECAY)) ** (1.0 / beta)
+    if d == 1:
+        f = lambda rho: np.exp(-rho ** beta)
+        trig, weight = np.cos, "cos"
+        rho_max = XI_DECAY ** (1.0 / beta)
+    else:
+        f = lambda rho: rho * np.exp(-rho ** beta)
+        trig, weight = np.sin, "sin"
+        rho_max = (XI_DECAY + 6.0 * np.log(XI_DECAY)) ** (1.0 / beta)
     vals = np.empty_like(r)
     errs = np.empty_like(r)
     for i, ri in enumerate(r):
-        if ri == 0:
+        if d == 3 and ri == 0:
             vals[i] = profile_at_zero(beta, 3)
             errs[i] = 0.0
             continue
         if ri * rho_max < 30.0:
-            v, e = _quiet_quad(lambda rho: f(rho) * np.sin(rho * ri),
-                                  0, rho_max, epsabs=1e-13, epsrel=1e-12,
-                                  limit=200)
+            # few oscillations across the decay scale: the cycle-based
+            # oscillatory rule misbehaves here, a plain adaptive rule does not
+            v, e = _quiet_quad(lambda rho: f(rho) * trig(rho * ri),
+                               0, rho_max, epsabs=1e-13, epsrel=1e-12,
+                               limit=200)
             e += np.exp(-XI_DECAY) * rho_max  # truncation, crude bound
         else:
-            v, e = _quiet_quad(f, 0, np.inf, weight="sin", wvar=ri,
-                                  epsabs=1e-13, limlst=120, limit=200)
-        vals[i] = v / (2.0 * np.pi ** 2 * ri)
-        errs[i] = e / (2.0 * np.pi ** 2 * ri)
+            v, e = _quiet_quad(f, 0, np.inf, weight=weight, wvar=ri,
+                               epsabs=1e-13, limlst=120, limit=200)
+        scale = np.pi if d == 1 else 2.0 * np.pi ** 2 * ri
+        vals[i] = v / scale
+        errs[i] = e / scale
     return vals, errs
 
 
@@ -142,7 +138,6 @@ def _j0_transform_d2(beta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # touching 0 is split dyadically so the rho^beta kink (beta < 1) cannot
     # poison the Gauss rule or its error probe
     rho_max = XI_DECAY ** (1.0 / beta)
-    x6, w6 = np.polynomial.legendre.leggauss(6)
     vals = np.empty_like(r)
     errs = np.empty_like(r)
 
@@ -150,9 +145,7 @@ def _j0_transform_d2(beta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
         n = int(np.ceil(rho_max / width))
         sub = width * 2.0 ** (-np.arange(26, 0, -1.0))
         edges = np.concatenate([[0.0], sub, np.arange(2, n + 1) * width])
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        P = mid[:, None] + half[:, None] * x6[None, :]
+        P, half, w6 = gauss_panels(edges[:-1], edges[1:], 6)
         fv = np.exp(-P ** beta) * P * _j0(P * ri)
         return float(np.sum((fv @ w6) * half))
 
@@ -213,99 +206,81 @@ class StableDensityProfile:
             self._small = (p0, c2, c4)
         return self._small
 
-    def eval(self, r) -> np.ndarray:
-        """Phi(r) for any r >= 0; tail model beyond the table."""
+    def _piecewise(self, r, closed, small, table, tail) -> tuple:
+        """Apply one rule per region of |r| and gather the rule's outputs.
+
+        closed(r) serves beta = 1. Otherwise small(r, p0, c2, c4) runs below
+        r_table[1] on the even quadratic, table(r) on the log-log spline up
+        to r_max, and tail(r) on the tail model beyond. Each rule returns a
+        tuple of arrays; a scalar r gives a tuple of floats.
+        """
         r = np.abs(np.asarray(r, dtype=float))
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         if self.beta == 1.0:
-            out = poisson_profile(self.d, r)
-            out = np.atleast_1d(out)
-            return float(out[0]) if scalar else out
-        out = np.empty_like(r)
-        r1 = self.r_table[1]
-        lo = r < r1
-        hi = r > self.r_max
-        mid = ~lo & ~hi
-        if lo.any():
-            p0, c2, c4 = self._small_r_coeffs()
-            rr = r[lo] ** 2
-            out[lo] = p0 + rr * (c2 + c4 * rr)
-        if mid.any():
-            out[mid] = np.exp(self._get_spline()(np.log(r[mid])))
-        if hi.any():
-            out[hi] = self.tail_coef * r[hi] ** (-self.d - self.beta)
-        return float(out[0]) if scalar else out
+            outs = closed(r)
+        else:
+            outs = None
+            lo = r < self.r_table[1]
+            hi = r > self.r_max
+            rules = ((lo, lambda s: small(s, *self._small_r_coeffs())),
+                     (~lo & ~hi, table), (hi, tail))
+            for mask, rule in rules:
+                # an empty r still needs its (empty) outputs: tail makes them
+                if mask.any() or (outs is None and rule is tail):
+                    vals = rule(r[mask])
+                    if outs is None:
+                        outs = tuple(np.empty_like(r) for _ in vals)
+                    for out, v in zip(outs, vals):
+                        out[mask] = v
+        if scalar:
+            return tuple(float(out[0]) for out in outs)
+        return outs
+
+    def eval(self, r) -> np.ndarray:
+        """Phi(r) for any r >= 0; tail model beyond the table."""
+        return self._piecewise(
+            r, lambda r: (poisson_profile(self.d, r),),
+            lambda r, p0, c2, c4: (p0 + r ** 2 * (c2 + c4 * r ** 2),),
+            lambda r: (np.exp(self._get_spline()(np.log(r))),),
+            lambda r: (self.tail_coef * r ** (-self.d - self.beta),))[0]
 
     def log_value(self, r) -> np.ndarray:
         """log Phi(r), evaluated without the exp/log round trip where possible."""
-        r = np.abs(np.asarray(r, dtype=float))
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        if self.beta == 1.0:
-            cd = _gamma((self.d + 1) / 2.0) / np.pi ** ((self.d + 1) / 2.0)
-            out = np.log(cd) - (self.d + 1) / 2.0 * np.log1p(r ** 2)
-            return float(out[0]) if scalar else out
-        out = np.empty_like(r)
-        r1 = self.r_table[1]
-        lo = r < r1
-        hi = r > self.r_max
-        mid = ~lo & ~hi
-        if lo.any():
-            p0, c2, c4 = self._small_r_coeffs()
-            rr = r[lo] ** 2
-            out[lo] = np.log(p0 + rr * (c2 + c4 * rr))
-        if mid.any():
-            out[mid] = self._get_spline()(np.log(r[mid]))
-        if hi.any():
-            out[hi] = np.log(self.tail_coef) - (self.d + self.beta) * np.log(r[hi])
-        return float(out[0]) if scalar else out
+        q = self.d + self.beta
+        return self._piecewise(
+            r, lambda r: (np.log(_poisson_coef(self.d))
+                          - (self.d + 1) / 2.0 * np.log1p(r ** 2),),
+            lambda r, p0, c2, c4: (np.log(p0 + r ** 2 * (c2 + c4 * r ** 2)),),
+            lambda r: (self._get_spline()(np.log(r)),),
+            lambda r: (np.log(self.tail_coef) - q * np.log(r),))[0]
 
     def log_derivs(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L, L', L'') for L(r) = log Phi(r), vectorized over r >= 0."""
-        r = np.abs(np.asarray(r, dtype=float))
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        if self.beta == 1.0:
-            cd = _gamma((self.d + 1) / 2.0) / np.pi ** ((self.d + 1) / 2.0)
+
+        def closed(r):
             q = (self.d + 1) / 2.0
-            L = np.log(cd) - q * np.log1p(r ** 2)
-            L1 = -2.0 * q * r / (1.0 + r ** 2)
-            L2 = -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2
-        else:
-            L = np.empty_like(r)
-            L1 = np.empty_like(r)
-            L2 = np.empty_like(r)
-            r1 = self.r_table[1]
-            lo = r < r1
-            hi = r > self.r_max
-            mid = ~lo & ~hi
-            if lo.any():
-                p0, c2, c4 = self._small_r_coeffs()
-                rr = r[lo]
-                phi = p0 + c2 * rr ** 2 + c4 * rr ** 4
-                dphi = 2 * c2 * rr + 4 * c4 * rr ** 3
-                d2phi = 2 * c2 + 12 * c4 * rr ** 2
-                L[lo] = np.log(phi)
-                L1[lo] = dphi / phi
-                L2[lo] = d2phi / phi - (dphi / phi) ** 2
-            if mid.any():
-                sp = self._get_spline()
-                u = np.log(r[mid])
-                s0 = sp(u)
-                s1 = sp(u, 1)
-                s2 = sp(u, 2)
-                L[mid] = s0
-                L1[mid] = s1 / r[mid]
-                L2[mid] = (s2 - s1) / r[mid] ** 2
-            if hi.any():
-                q = self.d + self.beta
-                L[hi] = np.log(self.tail_coef) - q * np.log(r[hi])
-                L1[hi] = -q / r[hi]
-                L2[hi] = q / r[hi] ** 2
-        if scalar:
-            return float(L[0]), float(L1[0]), float(L2[0])
-        return L, L1, L2
+            return (np.log(_poisson_coef(self.d)) - q * np.log1p(r ** 2),
+                    -2.0 * q * r / (1.0 + r ** 2),
+                    -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2)
+
+        def small(r, p0, c2, c4):
+            phi = p0 + c2 * r ** 2 + c4 * r ** 4
+            dphi = 2 * c2 * r + 4 * c4 * r ** 3
+            d2phi = 2 * c2 + 12 * c4 * r ** 2
+            return np.log(phi), dphi / phi, d2phi / phi - (dphi / phi) ** 2
+
+        def table(r):
+            sp = self._get_spline()
+            u = np.log(r)
+            s1 = sp(u, 1)
+            return sp(u), s1 / r, (sp(u, 2) - s1) / r ** 2
+
+        def tail(r):
+            q = self.d + self.beta
+            return np.log(self.tail_coef) - q * np.log(r), -q / r, q / r ** 2
+
+        return self._piecewise(r, closed, small, table, tail)
 
     def comparability_ratio(self) -> tuple[float, float]:
         """(lo, hi) bounds of Phi(r) * (1 + r^2)^((d+beta)/2) over the table."""
@@ -328,10 +303,7 @@ class StableDensityProfile:
                 lambda s: (p0 + c2 * s ** 2 + c4 * s ** 4) * s ** (d - 1), 0, r1)
         # log-spaced Gauss panels across the table
         edges = np.geomspace(r1, rm, 60 * max(1, int(np.log10(rm / r1))) + 1)
-        xg, wg = np.polynomial.legendre.leggauss(10)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        S = mid[:, None] + half[:, None] * xg[None, :]
+        S, half, wg = gauss_panels(edges[:-1], edges[1:], 10)
         fv = self.eval(S.ravel()).reshape(S.shape) * S ** (d - 1)
         body = float(np.dot(fv @ wg, half))
         tail = self.tail_coef * rm ** (-self.beta) / self.beta
@@ -346,10 +318,7 @@ class StableDensityProfile:
             d = self.d
             surf = d * ball_volume(d)
             grid = np.geomspace(max(self.r_table[1], 1e-3), self.r_max, 800)
-            xg, wg = np.polynomial.legendre.leggauss(8)
-            mid = 0.5 * (grid[:-1] + grid[1:])
-            half = 0.5 * np.diff(grid)
-            S = mid[:, None] + half[:, None] * xg[None, :]
+            S, half, wg = gauss_panels(grid[:-1], grid[1:], 8)
             fv = self.eval(S.ravel()).reshape(S.shape) * S ** (d - 1)
             seg = (fv @ wg) * half * surf
             tail0 = surf * self.tail_coef * self.r_max ** (-self.beta) / self.beta
@@ -397,22 +366,9 @@ class StableDensityProfile:
 
     @classmethod
     def from_text(cls, text: str) -> "StableDensityProfile":
-        header = {}
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    header[k.strip()] = v.strip()
-                elif body != PROFILE_FORMAT:
-                    raise ValueError(f"unrecognized profile format line {body!r}")
-                continue
-            r, v = line.split()
-            rows.append((float(r), float(v)))
+        header, rows = read_table_text(text, PROFILE_FORMAT)
+        if any(len(row) != 2 for row in rows):
+            raise ValueError("profile rows must hold exactly r and Phi(r)")
         arr = np.asarray(rows)
         meta = {k[len("meta."):]: float(v) for k, v in header.items()
                 if k.startswith("meta.")}
@@ -464,18 +420,14 @@ def build_profile(beta: float, d: int,
 
     if beta == 1.0:
         vals = poisson_profile(d, r)
-        cd = _gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
         return StableDensityProfile(
-            beta=1.0, d=d, r_table=r, values=vals, tail_coef=cd,
+            beta=1.0, d=d, r_table=r, values=vals, tail_coef=_poisson_coef(d),
             tail_fit_residual=0.0, error_estimate=1e-15,
             method="closed-form-beta1")
 
-    if d == 1:
-        vals, errs = _cos_transform(beta, r)
-        method = "fourier-cos"
-    elif d == 3:
-        vals, errs = _sin_transform_d3(beta, r)
-        method = "fourier-sin"
+    if d in (1, 3):
+        vals, errs = _trig_transform(beta, r, d)
+        method = "fourier-cos" if d == 1 else "fourier-sin"
     else:
         vals, errs = _j0_transform_d2(beta, r)
         vals[0] = profile_at_zero(beta, 2)

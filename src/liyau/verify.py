@@ -12,11 +12,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constant import LiYauConstantResult, SearchSpec, constant_for
+from .constant import LiYauConstantResult, constant_for
 from .fields import Extension, GridField, QuadratureSpec
 from .fraclap import (dt_log_u, frac_laplacian_point, shared_u0_transform,
                       solve_fractional)
-from .markov import MarkovChain, neg_L_log, solve_markov, transition_matrix
+from .markov import MarkovChain, neg_L_log, transition_matrix
 from .ops import JumpKernel, psi_upsilon_continuous, psi_upsilon_discrete, upsilon
 from .singular import QuadResult
 from .stable import StableDensityProfile

@@ -205,3 +205,13 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gaussian bound" in proc.stdout
+
+
+def test_failed_runs_write_no_manifest(tmp_path):
+    usage, compute = tmp_path / "usage", tmp_path / "compute"
+    # neither --beta nor --sweep
+    assert run(["liyau-const", "--outdir", usage]) == 1
+    assert not (usage / "manifest.json").exists()
+    assert run(["markov-verify", "--graph", tmp_path / "missing.txt",
+                "--outdir", compute]) == 2
+    assert not (compute / "manifest.json").exists()

@@ -192,3 +192,26 @@ def test_gaussian_other_sources_stay_below():
     for x0 in (-3.0, 0.0, 1.5, 4.0):
         lhs = gaussian_kernel_log_ratio(1, t1, t2, x1, x2, x0)
         assert lhs <= rhs + 1e-12
+
+
+# ---------------------------------------------------------------- folds
+
+@pytest.mark.parametrize("n, t1, t2", [(2, 0.1, 0.3), (3, 1.0, 2.0),
+                                       (7, 0.5, 4.0)])
+def test_rhs_kn_is_integral_term_plus_gap_term(n, t1, t2):
+    assert harnack_rhs_kn(n, t1, t2) == \
+        harnack_integral_term_kn(n, t1, t2) + 2.0 / (t2 - t1)
+
+
+@pytest.mark.parametrize("sep", [0.4, 2.5])
+def test_check_fractional_bound_at_rescaled_times(profile_b05_d1, sep):
+    # separations beyond 1 divide both times by |x1 - x2|^beta; nearer
+    # points keep the times
+    beta, alpha, t1, t2 = 0.5, 2.0, 0.8, 1.6
+    u0 = random_positive_field(np.random.default_rng(5), spacing=0.05,
+                               extent=30.0)
+    report = harnack_check_fractional(u0, beta, t1, t2, sep, 0.0, alpha,
+                                      profile_b05_d1)
+    scale = max(sep, 1.0) ** beta
+    assert report.params["bound"] == harnack_bound_fractional(
+        alpha, beta, 1, t1 / scale, t2 / scale, profile=profile_b05_d1)

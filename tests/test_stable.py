@@ -8,6 +8,8 @@ independently of this package):
 """
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.special import gamma
 
 from liyau.stable import (StableDensityProfile, build_profile, eval_G,
                           normalizing_constant, poisson_profile,
@@ -163,3 +165,91 @@ def test_node_validation_error_recorded(profile_b05_d1, profile_b15_d1):
     for prof in (profile_b05_d1, profile_b15_d1):
         assert 0.0 < prof.error_estimate < 1e-3
         assert prof.tail_fit_residual < 1e-3
+
+
+# ------------------------------------------------------------ region rule
+
+def _region_formula(prof, r):
+    """(Phi, L, L', L'') at one radius, each region's formula written out."""
+    d, beta = prof.d, prof.beta
+    if beta == 1.0:
+        q = (d + 1) / 2.0
+        cd = gamma(q) / np.pi ** q
+        return (cd * (1.0 + r * r) ** -q, np.log(cd) - q * np.log1p(r * r),
+                -2.0 * q * r / (1.0 + r * r),
+                -2.0 * q * (1.0 - r * r) / (1.0 + r * r) ** 2)
+    if r < prof.r_table[1]:
+        # even quadratic in r through Phi(0), Phi(r_1) and Phi(r_4)
+        p0 = prof.values[0]
+        rs = prof.r_table[[1, 4]]
+        c2, c4 = np.linalg.solve(np.column_stack([rs ** 2, rs ** 4]),
+                                 prof.values[[1, 4]] - p0)
+        phi = p0 + c2 * r ** 2 + c4 * r ** 4
+        dphi = 2.0 * c2 * r + 4.0 * c4 * r ** 3
+        d2phi = 2.0 * c2 + 12.0 * c4 * r ** 2
+        return phi, np.log(phi), dphi / phi, d2phi / phi - (dphi / phi) ** 2
+    if r <= prof.r_max:
+        # cubic spline of log Phi in log r through the table
+        sp = CubicSpline(np.log(prof.r_table[1:]), np.log(prof.values[1:]))
+        u = np.log(r)
+        return (np.exp(sp(u)), sp(u), sp(u, 1) / r,
+                (sp(u, 2) - sp(u, 1)) / r ** 2)
+    q = d + beta
+    return (prof.tail_coef * r ** -q, np.log(prof.tail_coef) - q * np.log(r),
+            -q / r, q / r ** 2)
+
+
+def _boundary_radii(prof):
+    r1, rm = prof.r_table[1], prof.r_max
+    return np.array([0.0, 0.5 * r1, np.nextafter(r1, 0.0), r1,
+                     np.nextafter(r1, np.inf), 2.0 * r1, 0.5 * rm,
+                     np.nextafter(rm, 0.0), rm, np.nextafter(rm, np.inf),
+                     2.0 * rm])
+
+
+@pytest.mark.parametrize("name", ["profile_b05_d1", "profile_b1_d1"])
+def test_region_rule_at_the_boundaries(name, request):
+    # r_table[1] belongs to the spline and r_max to the table; beyond r_max
+    # the tail model takes over. The regions' log-derivatives differ by
+    # 1e-5 or more at both boundaries, so a radius handled by the wrong
+    # region fails the tolerance.
+    prof = request.getfixturevalue(name)
+    radii = _boundary_radii(prof)
+    expect = np.array([[float(v) for v in _region_formula(prof, r)]
+                       for r in radii])
+    got = np.column_stack([prof.eval(radii), prof.log_value(radii),
+                           *prof.log_derivs(radii)])
+    # log_value and the first of log_derivs are both L
+    np.testing.assert_allclose(got, expect[:, [0, 1, 1, 2, 3]], rtol=1e-13,
+                               atol=0.0)
+    # negative radii are read as |r|
+    np.testing.assert_allclose(prof.eval(-radii), expect[:, 0], rtol=1e-13,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["profile_b05_d1", "profile_b1_d1"])
+def test_region_rule_scalar_and_empty_inputs(name, request):
+    prof = request.getfixturevalue(name)
+    for r in _boundary_radii(prof):
+        phi0, L, L1, L2 = (float(v) for v in _region_formula(prof, r))
+        phi, logphi = prof.eval(float(r)), prof.log_value(float(r))
+        derivs = prof.log_derivs(float(r))
+        assert type(phi) is float and type(logphi) is float
+        assert type(derivs) is tuple and len(derivs) == 3
+        assert all(type(v) is float for v in derivs)
+        np.testing.assert_allclose([phi, logphi, *derivs],
+                                   [phi0, L, L, L1, L2], rtol=1e-13, atol=0.0)
+    empty = np.array([])
+    for out in (prof.eval(empty), prof.log_value(empty),
+                *prof.log_derivs(empty)):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert len(prof.log_derivs(empty)) == 3
+
+
+def test_text_row_with_three_numbers_is_rejected(profile_b05_d1):
+    lines = profile_b05_d1.to_text().splitlines()
+    one_row = lines[:-1] + [lines[-1] + " 1.0"]
+    every_row = [ln if ln.startswith("#") else ln + " 1.0" for ln in lines]
+    for bad in (one_row, every_row):
+        with pytest.raises(ValueError):
+            StableDensityProfile.from_text("\n".join(bad) + "\n")
