@@ -12,6 +12,7 @@ pins down the constant in every dimension and anchors the numeric path.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,53 +53,73 @@ class LiYauConstantResult:
     warning: str | None = None
 
 
+@lru_cache(maxsize=None)
 def _angular_rule(d: int):
-    # returns (mu_nodes, weights) with sum(weights) = |S^(d-1)| so that
-    # W(rho) = sum_i w_i * pair(rho, mu_i) discretizes the sphere integral
+    """(mu_nodes, weights) with sum(weights) = |S^(d-1)|, built once per d.
+
+    W(rho) = sum_i w_i * pair(rho, mu_i) discretizes the sphere integral.
+    For d = 2, 3 the rule is folded by its +-mu symmetry: mu[::-1] == -mu
+    exactly and the weights are symmetric, so |Y - rho mu_i| is
+    |Y + rho mu_(n-1-i)|. d = 3 is the Gauss rule on [-1, 1], antisymmetric
+    as it stands. d = 2 is the midpoint rule in theta, whose cos theta_k
+    takes each value four times up to sign: kept are the N/4 values below
+    theta = pi/2 and their exact negatives, each weighted for its two nodes.
+    """
     if d == 1:
-        return np.array([1.0]), np.array([2.0])
-    if d == 2:
-        theta = (np.arange(THETA_NODES_D2) + 0.5) * 2.0 * np.pi / THETA_NODES_D2
-        return np.cos(theta), np.full(THETA_NODES_D2, 2.0 * np.pi / THETA_NODES_D2)
-    if d == 3:
+        mu, w = np.array([1.0]), np.array([2.0])
+    elif d == 2:
+        theta = (np.arange(THETA_NODES_D2 // 4) + 0.5) * 2.0 * np.pi / THETA_NODES_D2
+        half = np.cos(theta)
+        mu = np.concatenate([half, -half[::-1]])
+        w = np.full(mu.size, 4.0 * np.pi / THETA_NODES_D2)
+    elif d == 3:
         # the Gauss rule on the one panel [-1, 1]
-        mu, _, w = gauss_panels(np.array([-1.0]), np.array([1.0]), MU_ORDER_D3)
-        return mu[0], 2.0 * np.pi * w
-    raise ValueError("d must be 1, 2, or 3")
+        nodes, _, gw = gauss_panels(np.array([-1.0]), np.array([1.0]), MU_ORDER_D3)
+        mu, w = nodes[0], 2.0 * np.pi * gw
+    else:
+        raise ValueError("d must be 1, 2, or 3")
+    mu.flags.writeable = w.flags.writeable = False
+    return mu, w
 
 
 def _sphere_deficit(profile: StableDensityProfile, y: float, rho: np.ndarray,
                     desingularized: bool) -> np.ndarray:
     """W(rho) = int_{S^{d-1}} (2L(y) - L(|Y+rho w|) - L(|Y-rho w|)) dw.
 
-    The two displaced radii come from the cancellation-free form
+    The displaced radii come from the cancellation-free form
     a - y = (2 y rho mu + rho^2)/(a + y); once both displacements drop below
     the Taylor threshold the profile's log-derivatives at y take over, which
     keeps W/rho^2 meaningful down to rho = 0 (desingularized = True divides
     the quadratic vanishing out exactly).
+
+    The log-profile is evaluated once per distinct radius: for d = 2 and 3
+    the folded angular rule makes the minus side the column mirror
+    [:, ::-1] of the plus side (same floats as evaluating it), so only
+    |Y + rho mu_i| is evaluated; d = 1 evaluates both sides of its one node.
     """
     mu, w = _angular_rule(profile.d)
     Ly, L1, L2 = profile.log_derivs(y)
     P = rho[:, None]
-    M = mu[None, :]
-    tp = 2.0 * y * P * M + P * P
-    tm = -2.0 * y * P * M + P * P
-    ap = np.sqrt(np.maximum(y * y + tp, 0.0))
-    am = np.sqrt(np.maximum(y * y + tm, 0.0))
-    dap = np.where(ap + y > 0, tp / (ap + y), 0.0)
-    dam = np.where(am + y > 0, tm / (am + y), 0.0)
+
+    def side(M):
+        # displacement a - y and log-profile at a = |Y + rho M|
+        t = 2.0 * y * P * M + P * P
+        a = np.sqrt(np.maximum(y * y + t, 0.0))
+        return np.where(a + y > 0, t / (a + y), 0.0), profile.log_value(a)
+
+    dap, Lp = side(mu[None, :])
+    if profile.d == 1:
+        dam, Lm = side(-mu[None, :])
+    else:
+        dam, Lm = dap[:, ::-1], Lp[:, ::-1]
+    S = 2.0 * Ly - Lp - Lm
 
     thr = _TAYLOR_THR * (1.0 + y)
     small = (np.abs(dap) < thr) & (np.abs(dam) < thr)
-    S = np.empty_like(dap)
     if small.any():
         s1 = dap[small] + dam[small]
         s2 = dap[small] ** 2 + dam[small] ** 2
         S[small] = -(L1 * s1 + 0.5 * L2 * s2)
-    big = ~small
-    if big.any():
-        S[big] = (2.0 * Ly - profile.log_value(ap[big])
-                  - profile.log_value(am[big]))
     W = S @ w
     if desingularized:
         return W / (rho * rho)
@@ -152,7 +173,13 @@ def liyau_constant_numeric(profile: StableDensityProfile,
     spec = search or SearchSpec()
     c = normalizing_constant(profile.beta, profile.d)
     ys = np.concatenate([[0.0], np.geomspace(1e-2, spec.y_max, spec.nodes - 1)])
-    table = [(float(y),) + tuple(J_of_y(profile, y, spec)[:2]) for y in ys]
+    evals = {}  # every J the scan and the refinement compute, by y
+
+    def J(y):
+        evals[y] = J_of_y(profile, y, spec)
+        return evals[y]
+
+    table = [(float(y),) + tuple(J(y)[:2]) for y in ys]
     js = np.array([row[1] for row in table])
     k = int(np.argmax(js))
     lo = ys[k - 1] if k > 0 else 0.0
@@ -162,12 +189,13 @@ def liyau_constant_numeric(profile: StableDensityProfile,
     if k == len(ys) - 1:
         warning = "maximum sits on the search boundary; enlarge y_max"
     y_star, j_star = golden_section_max(
-        lambda y: J_of_y(profile, y, spec).value, lo, hi, tol=spec.refine_tol)
+        lambda y: J(y).value, lo, hi, tol=spec.refine_tol)
     if j_star < js[k]:
         # scan node wins: the maximum sits on a node (often y = 0, where the
         # even profile peaks); keep it, no pathology
         y_star, j_star = float(ys[k]), float(js[k])
-    err_star = J_of_y(profile, y_star, spec).error
+    # y_star is a node the scan or the refinement evaluated
+    err_star = evals[y_star].error
     value = 0.5 * c * j_star
     error = 0.5 * c * (err_star + abs(j_star) * 1e-6)
     return LiYauConstantResult(beta=profile.beta, d=profile.d, value=value,

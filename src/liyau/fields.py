@@ -265,12 +265,21 @@ class GridField:
 
     @classmethod
     def from_text(cls, text: str) -> "GridField":
-        header, rows = read_table_text(text, FIELD_FORMAT)
+        header, rows = read_table_text(
+            text, FIELD_FORMAT, required=("dim", "spacing", "npoints",
+                                          "extension"))
         dim = int(header["dim"])
         spacing = float(header["spacing"])
         n = int(header["npoints"])
         ext = _parse_extension(header["extension"])
         positive = bool(int(header.get("positive", "0")))
+        # each row is dim coordinates and the value, one per grid node
+        if any(len(row) != dim + 1 for row in rows):
+            raise ValueError(f"{dim}-d field rows must hold exactly "
+                             f"{dim + 1} numbers")
+        if len(rows) != n ** dim:
+            raise ValueError(f"npoints = {n} does not match the "
+                             f"{len(rows)} rows of a {dim}-d field")
         data = np.asarray(rows)
         if dim == 1:
             vals = data[:, 1]

@@ -119,13 +119,21 @@ def fractional_m_constant(alpha: float, beta: float, d: int) -> float:
     return float(max(K * p2, K * p1 * 2.0 ** (1.0 + d / beta)))
 
 
-def _li_yau_constant(constant: LiYauConstantResult | None,
-                     profile: StableDensityProfile | None) -> float:
-    if constant is not None:
-        return constant.value
-    if profile is None:
-        raise ValueError("either a constant result or a profile is required")
-    return constant_for(profile).value
+def _log_harnack_head(t1: float, t2: float,
+                      constant: LiYauConstantResult | None,
+                      profile: StableDensityProfile | None) -> float:
+    """C_LY log(t2/t1) + 1, the part both fractional bounds share.
+
+    C_LY is the given constant's value, else the profile's memoized numeric
+    constant.
+    """
+    if not 0 < t1 < t2:
+        raise ValueError("need 0 < t1 < t2")
+    if constant is None:
+        if profile is None:
+            raise ValueError("either a constant result or a profile is required")
+        constant = constant_for(profile)
+    return constant.value * np.log(t2 / t1) + 1.0
 
 
 def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
@@ -139,14 +147,12 @@ def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
     The +1 is the weighted first average's exact contribution; the assembled
     term is bounded by M(alpha,d,beta)(1 + (t2-t1)^(-1-d/beta)).
     """
-    if not 0 < t1 < t2:
-        raise ValueError("need 0 < t1 < t2")
+    head = _log_harnack_head(t1, t2, constant, profile)
     K, p1, p2 = _averaged_square_terms(alpha, beta, d)
-    c_ly = _li_yau_constant(constant, profile)
     delta = 0.5 * (t2 - t1)
     # exact assembled average (tighter than the factored M form)
     a2 = float(K * (p1 * delta ** (-1.0 - d / beta) + p2))
-    return float(c_ly * np.log(t2 / t1) + 1.0 + a2)
+    return float(head + a2)
 
 
 def harnack_m_form_bound(alpha: float, beta: float, d: int, t1: float,
@@ -154,12 +160,9 @@ def harnack_m_form_bound(alpha: float, beta: float, d: int, t1: float,
                          constant: LiYauConstantResult | None = None,
                          profile: StableDensityProfile | None = None) -> float:
     """The looser factored form C_LY log(t2/t1) + 1 + M (1 + (t2-t1)^(-1-d/beta))."""
-    if not 0 < t1 < t2:
-        raise ValueError("need 0 < t1 < t2")
-    c_ly = _li_yau_constant(constant, profile)
+    head = _log_harnack_head(t1, t2, constant, profile)
     M = fractional_m_constant(alpha, beta, d)
-    return float(c_ly * np.log(t2 / t1) + 1.0
-                 + M * (1.0 + (t2 - t1) ** (-1.0 - d / beta)))
+    return float(head + M * (1.0 + (t2 - t1) ** (-1.0 - d / beta)))
 
 
 def harnack_check_fractional(u0: GridField, beta: float, t1: float, t2: float,

@@ -43,12 +43,14 @@ def read_config_file(path) -> dict:
     return params
 
 
-def read_table_text(text: str, fmt: str) -> tuple[dict, list]:
+def read_table_text(text: str, fmt: str,
+                    required: tuple = ()) -> tuple[dict, list]:
     """Header and rows of a versioned text table.
 
     '# key = value' lines fill the header, '# <fmt>' is the version line and
     any other comment is rejected; every other non-blank line is one row of
-    whitespace-separated floats.
+    whitespace-separated floats. A header lacking a required key is
+    rejected, naming the key.
     """
     header = {}
     rows = []
@@ -65,6 +67,9 @@ def read_table_text(text: str, fmt: str) -> tuple[dict, list]:
                 raise ValueError(f"unrecognized {fmt} format line {body!r}")
             continue
         rows.append([float(tok) for tok in line.split()])
+    missing = [k for k in required if k not in header]
+    if missing:
+        raise ValueError(f"{fmt} header lacks {', '.join(missing)}")
     return header, rows
 
 

@@ -366,7 +366,12 @@ class StableDensityProfile:
 
     @classmethod
     def from_text(cls, text: str) -> "StableDensityProfile":
-        header, rows = read_table_text(text, PROFILE_FORMAT)
+        header, rows = read_table_text(
+            text, PROFILE_FORMAT, required=("beta", "d", "tail_coef",
+                                            "tail_fit_residual",
+                                            "error_estimate", "method"))
+        if not rows:
+            raise ValueError("profile text holds no rows")
         if any(len(row) != 2 for row in rows):
             raise ValueError("profile rows must hold exactly r and Phi(r)")
         arr = np.asarray(rows)

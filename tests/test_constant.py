@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from liyau import constant
 from liyau.constant import (J_of_y, LiYauConstantResult, SearchSpec,
-                            constant_for, heat_kernel_liyau_margin,
-                            liyau_constant_beta1, liyau_constant_numeric)
+                            _angular_rule, _sphere_deficit, constant_for,
+                            heat_kernel_liyau_margin, liyau_constant_beta1,
+                            liyau_constant_numeric)
 from liyau.stable import ProfileGridSpec, build_profile
 
 FOUR_PI = 12.566370614359172954  # J(0) at beta=1, d=1
@@ -106,3 +108,168 @@ def test_result_carries_j_table(profile_b15_d1):
     assert len(res.j_table) > 10
     ys = [row[0] for row in res.j_table]
     assert ys == sorted(ys)
+
+
+# --- the +-mu fold of the sphere deficit -----------------------------------
+
+def _two_sided_rule(d):
+    # the unfolded rules: 128 midpoints in theta at d = 2, 64 Gauss nodes in
+    # mu at d = 3, one node at d = 1
+    if d == 1:
+        return np.array([1.0]), np.array([2.0])
+    if d == 2:
+        theta = (np.arange(128) + 0.5) * 2.0 * np.pi / 128
+        return np.cos(theta), np.full(128, 2.0 * np.pi / 128)
+    x, w = np.polynomial.legendre.leggauss(64)
+    return 0.0 + 1.0 * x, 2.0 * np.pi * w
+
+
+def _two_sided_deficit(profile, y, rho, desingularized):
+    """W(rho) evaluating the log-profile at |Y + rho mu| and |Y - rho mu| for
+    every node, written out independently of the folded evaluator. Also
+    returns the sum of the magnitudes of the terms W adds up."""
+    mu, w = _two_sided_rule(profile.d)
+    Ly, L1, L2 = profile.log_derivs(y)
+    P, M = rho[:, None], mu[None, :]
+    tp = 2.0 * y * P * M + P * P
+    tm = -2.0 * y * P * M + P * P
+    ap = np.sqrt(np.maximum(y * y + tp, 0.0))
+    am = np.sqrt(np.maximum(y * y + tm, 0.0))
+    dap = np.where(ap + y > 0, tp / (ap + y), 0.0)
+    dam = np.where(am + y > 0, tm / (am + y), 0.0)
+    thr = constant._TAYLOR_THR * (1.0 + y)
+    small = (np.abs(dap) < thr) & (np.abs(dam) < thr)
+    S = np.empty_like(dap)
+    size = np.empty_like(dap)
+    s1, s2 = dap[small] + dam[small], dap[small] ** 2 + dam[small] ** 2
+    S[small] = -(L1 * s1 + 0.5 * L2 * s2)
+    size[small] = (abs(L1) * (np.abs(dap[small]) + np.abs(dam[small]))
+                   + abs(0.5 * L2) * s2)
+    Lp, Lm = profile.log_value(ap[~small]), profile.log_value(am[~small])
+    S[~small] = 2.0 * Ly - Lp - Lm
+    size[~small] = 2.0 * abs(Ly) + np.abs(Lp) + np.abs(Lm)
+    W, size = S @ w, size @ w
+    if desingularized:
+        return W / (rho * rho), size / (rho * rho)
+    return W, size
+
+
+DEFICIT_RHO = np.concatenate([[1e-7, 1e-5, 1e-3], np.geomspace(1e-2, 300.0, 60)])
+DEFICIT_Y = (0.0, 1e-5, 0.3, 2.0, 17.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_angular_rule_is_antisymmetric(d):
+    mu, w = _angular_rule(d)
+    assert np.array_equal(mu[::-1], -mu)
+    assert np.array_equal(w[::-1], w)
+    assert np.unique(mu).size == mu.size
+    sphere = {2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+    assert w.sum() == pytest.approx(sphere, rel=1e-14)
+    # built once per d and shared read-only
+    assert _angular_rule(d)[0] is mu
+    assert not mu.flags.writeable and not w.flags.writeable
+
+
+def test_folded_rule_at_d2_holds_the_distinct_nodes():
+    mu, w = _angular_rule(2)
+    old_mu, old_w = _two_sided_rule(2)
+    assert mu.size == 64
+    # every old node is one of the folded ones, up to the rounding of theta
+    gap = np.min(np.abs(old_mu[:, None] - mu[None, :]), axis=1)
+    assert np.max(gap) <= 1e-15
+    assert np.all(w == 2.0 * old_w[0])
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (1.0, 1), (1.3, 3), (1.0, 3)])
+def test_folded_deficit_is_bit_identical_at_d1_d3(beta, d):
+    prof = build_profile(beta, d)
+    for y in DEFICIT_Y:
+        for des in (False, True):
+            new = _sphere_deficit(prof, y, DEFICIT_RHO, des)
+            old, _ = _two_sided_deficit(prof, y, DEFICIT_RHO, des)
+            assert np.array_equal(new, old), (y, des)
+
+
+@pytest.mark.parametrize("beta", [0.7, 1.0])
+def test_folded_deficit_at_d2_moves_at_rounding_level(beta):
+    # W sums terms of either sign, so where they cancel its own relative
+    # change can be large; measured against the terms it sums, the fold
+    # moves W by rounding only
+    prof = build_profile(beta, 2)
+    for y in DEFICIT_Y:
+        for des in (False, True):
+            new = _sphere_deficit(prof, y, DEFICIT_RHO, des)
+            old, size = _two_sided_deficit(prof, y, DEFICIT_RHO, des)
+            assert np.all(np.abs(new - old) <= 1e-13 * size), (y, des)
+
+
+def _search_with_two_sided_rule(monkeypatch, prof):
+    with monkeypatch.context() as m:
+        m.setattr(constant, "_sphere_deficit",
+                  lambda p, y, rho, des: _two_sided_deficit(p, y, rho, des)[0])
+        return liyau_constant_numeric(prof)
+
+
+@pytest.mark.parametrize("beta,d", [(1.5, 1), (1.3, 3)])
+def test_constant_search_unchanged_by_the_fold_at_d1_d3(monkeypatch, beta, d):
+    prof = build_profile(beta, d)
+    old = _search_with_two_sided_rule(monkeypatch, prof)
+    new = liyau_constant_numeric(prof)
+    assert (new.value, new.error, new.y_star) == (old.value, old.error, old.y_star)
+    assert new.j_table == old.j_table
+
+
+def test_constant_search_at_d2_moves_at_rounding_level(monkeypatch):
+    prof = build_profile(0.7, 2)
+    old = _search_with_two_sided_rule(monkeypatch, prof)
+    new = liyau_constant_numeric(prof)
+    assert new.value == pytest.approx(old.value, rel=1e-13, abs=0.0)
+    assert new.error == pytest.approx(old.error, rel=1e-8, abs=0.0)
+    assert new.y_star == old.y_star
+    old_j, new_j = np.array(old.j_table), np.array(new.j_table)
+    assert np.array_equal(new_j[:, 0], old_j[:, 0])
+    np.testing.assert_allclose(new_j[:, 1], old_j[:, 1], rtol=1e-13, atol=0.0)
+
+
+# (value, error, y_star) as the unfolded rule computed them; the last bits
+# depend on the platform's log, so the pins carry a rounding-level tolerance
+# and bit-identity is checked against the written-out rule above
+PINNED_CONSTANTS = {
+    (0.5, 1): (5.457127398512484, 0.0012411259981473463, 0.0),
+    (1.5, 1): (1.0218827547759206, 1.7469018015982127e-05,
+               0.0011145618000168239),
+    (0.7, 2): (8.536247231538036, 0.011716994806316083, 0.0),
+    (1.3, 3): (4.767694351030536, 0.7872762573337954, 0.0),
+}
+
+
+@pytest.mark.parametrize("beta,d", sorted(PINNED_CONSTANTS))
+def test_constant_search_pinned_values(beta, d):
+    value, error, y_star = PINNED_CONSTANTS[(beta, d)]
+    res = liyau_constant_numeric(build_profile(beta, d))
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert res.error == pytest.approx(error, rel=1e-8, abs=0.0)
+    assert res.y_star == pytest.approx(y_star, rel=1e-12, abs=0.0)
+    assert res.warning is None
+
+
+def test_constant_search_reuses_the_j_it_computed(monkeypatch, profile_b1_d1):
+    seen = []
+
+    def counting(profile, y, spec=None):
+        seen.append(float(y))
+        return J_of_y(profile, y, spec)
+
+    monkeypatch.setattr(constant, "J_of_y", counting)
+    res = liyau_constant_numeric(profile_b1_d1)
+    # 49 scan nodes and 7 golden steps, no radius twice
+    assert len(seen) == 56
+    assert len(set(seen)) == len(seen)
+    assert res.y_star in seen
+    # the error bar is the one a fresh J at y_star gives
+    monkeypatch.undo()
+    c = constant.normalizing_constant(1.0, 1)
+    j_star = J_of_y(profile_b1_d1, res.y_star)
+    assert res.value == 0.5 * c * j_star.value
+    assert res.error == 0.5 * c * (j_star.error + abs(j_star.value) * 1e-6)

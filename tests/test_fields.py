@@ -116,6 +116,47 @@ def test_round_trip_random_grids(spacing, k):
     assert np.array_equal(g.values, f.values)
 
 
+def _edit_rows(text, edit):
+    return "\n".join(ln if ln.startswith("#") else edit(ln)
+                     for ln in text.splitlines()) + "\n"
+
+
+def test_text_reader_rejects_rows_of_the_wrong_width():
+    text = bump(spacing=0.5, extent=3.0).to_text()
+    lines = text.splitlines()
+    one_row = "\n".join(lines[:-1] + [lines[-1] + " 1.0"]) + "\n"
+    for bad in (one_row, _edit_rows(text, lambda ln: ln + " 1.0"),
+                _edit_rows(text, lambda ln: ln.split()[0])):
+        with pytest.raises(ValueError, match="exactly 2 numbers"):
+            GridField.from_text(bad)
+    planar = GridField.from_function(lambda x, y: np.exp(-x ** 2 - y ** 2),
+                                     0.5, 1.0, Extension("constant"), dim=2)
+    with pytest.raises(ValueError, match="exactly 3 numbers"):
+        GridField.from_text(_edit_rows(planar.to_text(),
+                                       lambda ln: " ".join(ln.split()[1:])))
+
+
+def test_text_reader_rejects_a_wrong_point_count():
+    f = bump(spacing=0.5, extent=3.0)
+    n = f.values.shape[0]
+    text = f.to_text()
+    lines = text.splitlines()
+    for bad in (text.replace(f"# npoints = {n}", "# npoints = 99"),
+                "\n".join(lines[:-1]) + "\n"):
+        with pytest.raises(ValueError, match="npoints"):
+            GridField.from_text(bad)
+    planar = GridField.from_function(lambda x, y: np.exp(-x ** 2 - y ** 2),
+                                     0.5, 1.0, Extension("constant"), dim=2)
+    with pytest.raises(ValueError, match="npoints"):
+        GridField.from_text("\n".join(planar.to_text().splitlines()[:-1]))
+
+
+def test_text_reader_names_a_missing_header_key():
+    text = bump(spacing=0.5, extent=3.0).to_text()
+    with pytest.raises(ValueError, match="lacks spacing$"):
+        GridField.from_text(text.replace("# spacing =", "# spacings ="))
+
+
 def test_quadrature_spec_round_trip():
     s = QuadratureSpec(delta=0.01, cutoff=15.0, inner_order=10,
                        max_panel_width=0.25)

@@ -253,3 +253,18 @@ def test_text_row_with_three_numbers_is_rejected(profile_b05_d1):
     for bad in (one_row, every_row):
         with pytest.raises(ValueError):
             StableDensityProfile.from_text("\n".join(bad) + "\n")
+
+
+def test_text_with_no_rows_is_rejected(profile_b05_d1):
+    header = [ln for ln in profile_b05_d1.to_text().splitlines()
+              if ln.startswith("#")]
+    with pytest.raises(ValueError, match="no rows"):
+        StableDensityProfile.from_text("\n".join(header) + "\n")
+
+
+@pytest.mark.parametrize("key", ["beta", "d", "tail_coef", "tail_fit_residual",
+                                 "error_estimate", "method"])
+def test_text_missing_header_key_is_named(profile_b05_d1, key):
+    text = profile_b05_d1.to_text().replace(f"# {key} =", f"# renamed_{key} =")
+    with pytest.raises(ValueError, match=f"lacks {key}$"):
+        StableDensityProfile.from_text(text)
