@@ -237,30 +237,27 @@ def _parse_sweep(spec: str):
     return np.linspace(start, stop, steps)
 
 
-def _constant_rows(betas, dim, y_max, nodes):
+def _constant_sweep(manifest, path, betas, dim, search: SearchSpec) -> int:
+    """The sharp constant at each beta, one CSV row per beta."""
     rows = []
     for b in betas:
-        prof = build_profile(float(b), dim)
-        res = liyau_constant_numeric(prof, SearchSpec(y_max=y_max, nodes=nodes))
+        res = liyau_constant_numeric(build_profile(float(b), dim), search)
         rows.append((float(b), dim, res.value, res.error, res.y_star))
-    return rows
+    manifest.register(runio.write_csv(
+        path, ["beta", "d", "c_ly", "err", "y_star"], rows,
+        comment="exploratory sweep; no claim about the beta->2 limit"))
+    print(f"sweep: {len(rows)} rows written")
+    return EXIT_PASS
 
 
 def cmd_liyau_const(args, outdir, manifest) -> int:
+    search = SearchSpec(y_max=args.y_max, nodes=args.nodes)
     if args.sweep:
-        betas = _parse_sweep(args.sweep)
-        rows = _constant_rows(betas, args.dim, args.y_max, args.nodes)
-        manifest.register(runio.write_csv(
-            outdir / "liyau_const_sweep.csv",
-            ["beta", "d", "c_ly", "err", "y_star"], rows,
-            comment="exploratory sweep; no claim about the beta->2 limit"))
-        print(f"sweep: {len(rows)} rows written")
-        return EXIT_PASS
+        return _constant_sweep(manifest, outdir / "liyau_const_sweep.csv",
+                               _parse_sweep(args.sweep), args.dim, search)
     if args.beta is None:
         raise ConfigError("either --beta or --sweep is required")
-    prof = build_profile(args.beta, args.dim)
-    res = liyau_constant_numeric(prof, SearchSpec(y_max=args.y_max,
-                                                  nodes=args.nodes))
+    res = liyau_constant_numeric(build_profile(args.beta, args.dim), search)
     manifest.register(runio.write_csv(
         outdir / "j_table.csv", ["y", "J", "err"], res.j_table))
     payload = {"beta": res.beta, "d": res.d, "c_ly": res.value,
@@ -373,14 +370,9 @@ def cmd_harnack(args, outdir, manifest) -> int:
 
 
 def cmd_sweep(args, outdir, manifest) -> int:
-    betas = np.linspace(args.beta_start, args.beta_stop, args.steps)
-    rows = _constant_rows(betas, args.dim, 50.0, 49)
-    manifest.register(runio.write_csv(
-        outdir / "constant_sweep.csv",
-        ["beta", "d", "c_ly", "err", "y_star"], rows,
-        comment="exploratory sweep; no claim about the beta->2 limit"))
-    print(f"sweep: {len(rows)} rows written")
-    return EXIT_PASS
+    return _constant_sweep(manifest, outdir / "constant_sweep.csv",
+                           np.linspace(args.beta_start, args.beta_stop,
+                                       args.steps), args.dim, SearchSpec())
 
 
 def main(argv=None) -> int:

@@ -85,8 +85,7 @@ class GridField:
     spacing : float
         Grid step h > 0.
     values : ndarray
-        1-d array of odd length 2K+1 (node i sits at (i-K)*h), or a 2-d square
-        array for planar fields.
+        1-d array of odd length 2K+1 (node i sits at (i-K)*h).
     extension : Extension
         Far-field rule applied outside the grid.
     positive : bool
@@ -105,12 +104,10 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
-        if self.values.ndim not in (1, 2):
-            raise ValueError("values must be 1-d or 2-d")
-        if any(n % 2 == 0 or n < 5 for n in self.values.shape):
-            raise ValueError("each grid axis needs odd length >= 5")
-        if self.values.ndim == 2 and self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("planar grids must be square")
+        if self.values.ndim != 1:
+            raise ValueError("values must be 1-d")
+        if self.values.size % 2 == 0 or self.values.size < 5:
+            raise ValueError("the grid needs odd length >= 5")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
         if self.positive and np.any(self.values <= 0):
@@ -121,7 +118,7 @@ class GridField:
 
     @property
     def dim(self) -> int:
-        return self.values.ndim
+        return 1
 
     @property
     def extent(self) -> float:
@@ -135,18 +132,11 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn: Callable, spacing: float, extent: float,
-                      extension: Extension | None = None, positive: bool = False,
-                      dim: int = 1) -> "GridField":
+                      extension: Extension | None = None,
+                      positive: bool = False) -> "GridField":
         k = int(round(extent / spacing))
         x = (np.arange(2 * k + 1) - k) * spacing
-        if dim == 1:
-            vals = np.asarray(fn(x), dtype=float)
-        elif dim == 2:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            vals = np.asarray(fn(xx, yy), dtype=float)
-        else:
-            raise ValueError("dim must be 1 or 2")
-        return cls(spacing, vals, extension or Extension(), positive)
+        return cls(spacing, fn(x), extension or Extension(), positive)
 
     # ---- evaluation -----------------------------------------------------
 
@@ -156,12 +146,7 @@ class GridField:
         return self._spline
 
     def eval(self, pts) -> np.ndarray:
-        """Evaluate at arbitrary coordinates; extension rule applies outside.
-
-        1-d fields only.
-        """
-        if self.dim != 1:
-            raise NotImplementedError("pointwise eval with extension is 1-d only")
+        """Evaluate at arbitrary coordinates; extension rule applies outside."""
         p = np.atleast_1d(np.asarray(pts, dtype=float))
         out = np.empty_like(p)
         X = self.extent
@@ -198,8 +183,6 @@ class GridField:
         the boundary (outer 10% band, both sides) is the observable proxy for
         its error just outside. Consumers scale this into tail-error terms.
         """
-        if self.dim != 1:
-            raise NotImplementedError("tail_mismatch is 1-d only")
         X = self.extent
         n_band = max(2, int(0.1 * (len(self.values) // 2)))
         worst = 0.0
@@ -220,23 +203,18 @@ class GridField:
         return out
 
     def mass(self) -> float:
-        """Integral of the field over R^d under its extension model.
+        """Integral of the field over R under its extension model.
 
         A precomputed meta['tail_mass'] (set by solvers that know the exact
         off-grid contribution) takes precedence over the extension model.
         """
-        if self.dim == 1:
-            body = float(np.trapezoid(self.values, dx=self.spacing))
-        else:
-            body = float(np.sum(self.values)) * self.spacing ** 2
+        body = float(np.trapezoid(self.values, dx=self.spacing))
         if "tail_mass" in self.meta:
             return body + float(self.meta["tail_mass"])
         ext = self.extension
         if ext.kind == "constant":
-            edge = abs(self.values[0]) + abs(self.values[-1]) if self.dim == 1 else 1.0
+            edge = abs(self.values[0]) + abs(self.values[-1])
             return body if edge == 0 else float("inf")
-        if self.dim != 1:
-            return body
         X = self.extent
         if ext.kind == "power" and ext.exponent > 1:
             tail = (self.values[0] + self.values[-1]) * X / (ext.exponent - 1)
@@ -248,19 +226,13 @@ class GridField:
     def to_text(self) -> str:
         buf = io.StringIO()
         buf.write(f"# {FIELD_FORMAT}\n")
-        buf.write(f"# dim = {self.dim}\n")
+        buf.write("# dim = 1\n")
         buf.write("# spacing = %.17g\n" % self.spacing)
         buf.write(f"# npoints = {self.values.shape[0]}\n")
         buf.write(f"# extension = {_format_extension(self.extension)}\n")
         buf.write(f"# positive = {int(self.positive)}\n")
-        x = self.x
-        if self.dim == 1:
-            for xi, v in zip(x, self.values):
-                buf.write("%.17g %.17g\n" % (xi, v))
-        else:
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(x):
-                    buf.write("%.17g %.17g %.17g\n" % (xi, yj, self.values[i, j]))
+        for xi, v in zip(self.x, self.values):
+            buf.write("%.17g %.17g\n" % (xi, v))
         return buf.getvalue()
 
     @classmethod
@@ -268,24 +240,19 @@ class GridField:
         header, rows = read_table_text(
             text, FIELD_FORMAT, required=("dim", "spacing", "npoints",
                                           "extension"))
-        dim = int(header["dim"])
+        if int(header["dim"]) != 1:
+            raise ValueError(f"fields are 1-d, not dim = {header['dim']}")
         spacing = float(header["spacing"])
         n = int(header["npoints"])
         ext = _parse_extension(header["extension"])
         positive = bool(int(header.get("positive", "0")))
-        # each row is dim coordinates and the value, one per grid node
-        if any(len(row) != dim + 1 for row in rows):
-            raise ValueError(f"{dim}-d field rows must hold exactly "
-                             f"{dim + 1} numbers")
-        if len(rows) != n ** dim:
+        # each row is the coordinate and the value, one per grid node
+        if any(len(row) != 2 for row in rows):
+            raise ValueError("field rows must hold exactly 2 numbers")
+        if len(rows) != n:
             raise ValueError(f"npoints = {n} does not match the "
-                             f"{len(rows)} rows of a {dim}-d field")
-        data = np.asarray(rows)
-        if dim == 1:
-            vals = data[:, 1]
-        else:
-            vals = data[:, 2].reshape(n, n)
-        return cls(spacing, vals, ext, positive)
+                             f"{len(rows)} rows")
+        return cls(spacing, [row[1] for row in rows], ext, positive)
 
 
 class PointExpansion:
@@ -298,8 +265,6 @@ class PointExpansion:
     """
 
     def __init__(self, f: GridField, x):
-        if f.dim != 1:
-            raise NotImplementedError("point expansions are 1-d only")
         X = f.extent
         if np.any(np.abs(x) > 0.8 * X):
             raise ValueError("base point must lie in the central 80% of the grid")
@@ -399,12 +364,15 @@ class QuadratureSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "QuadratureSpec":
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not lines or lines[0] != f"# {QUAD_FORMAT}":
+            raise ValueError(f"text does not start with '# {QUAD_FORMAT}'")
         kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, val = (tok.strip() for tok in line.split("=", 1))
+        for line in lines[1:]:
+            # a line without '=' has no known key, or an empty value
+            key, _, val = (tok.strip() for tok in line.partition("="))
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"unrecognized {QUAD_FORMAT} line {line!r}")
             if key in ("delta", "cutoff", "max_panel_width"):
                 kwargs[key] = None if val == "none" else float(val)
             else:

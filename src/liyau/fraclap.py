@@ -7,15 +7,14 @@ The pointwise operator uses the principal-value-free second-difference form
 at one x or at all x of a sweep in one batched quadrature, the spectral
 route applies the Fourier multiplier |xi|^beta on a periodized grid, and
 solve_fractional realizes u(t) = G(t, .) * u0 as one linear convolution on
-the grid -- a real FFT of length next_fast_len(2n - 1) per axis, with the
-kernel sampled at its n non-negative offsets -- plus an end correction and
+the grid -- a real FFT of length next_fast_len(2n - 1), with the kernel
+sampled at its n non-negative offsets -- plus an end correction and
 explicit tail terms for the field's extension rule. Solves of one u0 inside
 shared_u0_transform transform u0 once.
 """
 from __future__ import annotations
 
 import contextlib
-import itertools
 
 import numpy as np
 import scipy.fft
@@ -34,7 +33,7 @@ BOUNDARY_TOL = 1e-8
 def frac_laplacian_point(f: GridField, beta: float, x,
                          quad: QuadratureSpec | None = None,
                          normalization: float | None = None) -> QuadResult:
-    """(-Delta)^(beta/2) f at one point or a 1-d array of points of a 1-d field.
+    """(-Delta)^(beta/2) f at one point or a 1-d array of points of a field.
 
     The even second difference absorbs the principal value; the inner disc
     runs on the desingularized integrand f''-like ratio, the far tail follows
@@ -42,8 +41,6 @@ def frac_laplacian_point(f: GridField, beta: float, x,
     of an array share one panel layout and one field evaluation per
     integrand call, and give per-point arrays.
     """
-    if f.dim != 1:
-        raise ValueError("pointwise fractional Laplacian needs a 1-d field")
     if not 0 < beta < 2:
         raise ValueError("beta must lie in (0, 2)")
     c = normalization if normalization is not None else normalizing_constant(beta, 1)
@@ -61,7 +58,7 @@ def frac_laplacian_spectral(f: GridField, beta: float,
 
     Valid only for fields negligible at the boundary; the output carries a
     boundary_warning in meta when the edge samples exceed BOUNDARY_TOL of the
-    peak amplitude. Works for 1-d and planar fields.
+    peak amplitude.
 
     pad_factor widens the periodic box before the FFT;
     pass 1 for data that is exactly periodic on the grid, where the bare
@@ -71,24 +68,15 @@ def frac_laplacian_spectral(f: GridField, beta: float,
         raise ValueError("beta must lie in (0, 2)")
     v = f.values
     peak = float(np.max(np.abs(v))) or 1.0
-    if f.dim == 1:
-        edge = max(abs(v[0]), abs(v[-1]))
-        # edge-pad into a pad_factor-wider periodic box: the periodization
-        # error of the |xi|^beta multiplier scales like 1/L^2, and edge
-        # values (not zeros) keep constants exactly in the multiplier's
-        # kernel
-        pad = (pad_factor - 1) * (v.size // 2)
-        vp = np.concatenate([np.full(pad, v[0]), v, np.full(pad, v[-1])])
-        xi = 2.0 * np.pi * np.fft.fftfreq(vp.size, d=f.spacing)
-        outp = np.fft.ifft(np.fft.fft(vp) * np.abs(xi) ** beta).real
-        out = outp[pad:pad + v.size]
-    else:
-        edge = float(np.max(np.abs(np.concatenate(
-            [v[0], v[-1], v[:, 0], v[:, -1]]))))
-        n = v.shape[0]
-        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=f.spacing)
-        mult = (xi[:, None] ** 2 + xi[None, :] ** 2) ** (beta / 2.0)
-        out = np.fft.ifft2(np.fft.fft2(v) * mult).real
+    edge = max(abs(v[0]), abs(v[-1]))
+    # edge-pad into a pad_factor-wider periodic box: the periodization error
+    # of the |xi|^beta multiplier scales like 1/L^2, and edge values (not
+    # zeros) keep constants exactly in the multiplier's kernel
+    pad = (pad_factor - 1) * (v.size // 2)
+    vp = np.concatenate([np.full(pad, v[0]), v, np.full(pad, v[-1])])
+    xi = 2.0 * np.pi * np.fft.fftfreq(vp.size, d=f.spacing)
+    outp = np.fft.ifft(np.fft.fft(vp) * np.abs(xi) ** beta).real
+    out = outp[pad:pad + v.size]
     warn = edge > BOUNDARY_TOL * peak
     return GridField(f.spacing, out, Extension("constant"), positive=False,
                      meta={"boundary_warning": bool(warn),
@@ -111,16 +99,12 @@ def _tail_nodes(X: float, reach: float = 1e4, per_decade: int = 12,
 
 
 def _wrapped(g: np.ndarray, length: int) -> np.ndarray:
-    """Even kernel samples at offsets 0..n-1 per axis, laid out for a
-    circular convolution of the given length (offset -k sits at length - k)."""
-    n = g.shape[0]
-    out = np.zeros((length,) * g.ndim)
-    # (destination, source) per axis: offsets 0..n-1, then -(n-1)..-1
-    halves = ((slice(0, n), slice(0, n)),
-              (slice(length - n + 1, length), slice(n - 1, 0, -1)))
-    for combo in itertools.product(halves, repeat=g.ndim):
-        dst, src = zip(*combo)
-        out[dst] = g[src]
+    """Even kernel samples at offsets 0..n-1, laid out for a circular
+    convolution of the given length (offset -k sits at length - k)."""
+    n = g.size
+    out = np.zeros(length)
+    out[:n] = g
+    out[length - n + 1:] = g[n - 1:0:-1]
     return out
 
 
@@ -147,27 +131,20 @@ def _convolve_body(u0: GridField, weighted: np.ndarray, g: np.ndarray) -> np.nda
     """Sum over the grid of G(t, x_i - y_j) times the weighted u0(y_j), all i.
 
     weighted holds u0 times its quadrature weights; g holds the kernel at
-    the non-negative offsets k h (k = 0..n-1 per axis). A linear convolution
+    the non-negative offsets k h (k = 0..n-1). A linear convolution
     of n samples needs 2n - 1 points, so one real FFT of that length, padded
     to a fast size, suffices.
     """
-    n = g.shape[0]
+    n = g.size
     length = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    body = (slice(0, n),) * g.ndim
     memo = u0._spectrum  # a dict inside shared_u0_transform, else None
     spec = memo.get(length) if memo is not None else None
-    if g.ndim == 1:
-        if spec is None:
-            spec = scipy.fft.rfft(weighted, n=length)
-        conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
-    else:
-        if spec is None:
-            spec = scipy.fft.rfft2(weighted, s=(length, length))
-        conv = scipy.fft.irfft2(spec * scipy.fft.rfft2(_wrapped(g, length)),
-                                (length, length))
+    if spec is None:
+        spec = scipy.fft.rfft(weighted, n=length)
+    conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
     if memo is not None:
         memo[length] = spec
-    return conv[body]
+    return conv[:n]
 
 
 def _trapezoid_end_correction(u0: GridField, g: np.ndarray,
@@ -204,10 +181,6 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     power-law ones. Output fields carry a power(d + beta) extension and
     meta['tail_mass'] with the solution mass beyond the grid, so that mass()
     is conserved.
-
-    Planar (2-d) grids run the same plan per axis (plain cell weights, no
-    end correction) and assume the field is negligible at the boundary; no
-    tail corrections are applied there.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -218,17 +191,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
 
     h = u0.spacing
     v = u0.values
-    n = v.shape[0]
+    n = v.size
     offsets = h * np.arange(n)
-    if u0.dim == 2:
-        if profile.d != 2:
-            raise ValueError("planar grids need a d = 2 profile")
-        radii = np.hypot(offsets[:, None], offsets[None, :])
-        g = eval_G(profile, t, radii.ravel()).reshape(radii.shape)
-        out = _convolve_body(u0, v * (h * h), g)
-        return GridField(h, np.maximum(out, 1e-300), Extension("power", 2 + beta),
-                         positive=True, meta={"t": float(t)})
-
     if profile.d != 1:
         raise ValueError("1-d grids need a d = 1 profile")
     # trapezoid weights: the body integral ends exactly at +-X, where the
@@ -261,7 +225,7 @@ def solve_fractional(u0: GridField, beta: float, t: float,
             u0_ext = edge * (nodes / X) ** (-q)
             # kernel matrix G(t, x_i - sign * y_k), vectorized over the grid
             # (raveled: eval_G reads trailing axes of >=2-d input as vector
-            # components for planar fields)
+            # components)
             D = x[:, None] - sign * nodes[None, :]
             Kmat = eval_G(profile, t, D.ravel()).reshape(D.shape)
             out = out + Kmat @ (weights * u0_ext)

@@ -152,8 +152,6 @@ def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
     """
     if kernel.kind != "continuous":
         raise ValueError("psi_upsilon_continuous needs a continuous kernel")
-    if f.dim != 1:
-        raise ValueError("pointwise Psi_Upsilon is implemented for 1-d fields")
     if kernel.dim != 1:
         raise ValueError("kernel dimension must match the field (1-d)")
     spec = quad or QuadratureSpec()

@@ -71,6 +71,17 @@ def test_csv_bodies_are_byte_identical_across_runs(tmp_path):
         json.loads((a / "manifest.json").read_text())["files"]["verify_key_margins.csv"]
 
 
+def test_both_sweep_commands_write_the_same_table(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["sweep", "--beta-start", "1.4", "--beta-stop", "1.6",
+                "--steps", "2", "--outdir", a]) == 0
+    assert run(["liyau-const", "--sweep", "beta:1.4:1.6:2",
+                "--outdir", b]) == 0
+    body = (a / "constant_sweep.csv").read_bytes()
+    assert len(body.splitlines()) == 5  # version, comment, header, 2 rows
+    assert body == (b / "liyau_const_sweep.csv").read_bytes()
+
+
 def test_seed_changes_the_table(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["verify", "--check", "key", "--samples", "60", "--seed", "1",

@@ -97,14 +97,6 @@ def test_text_round_trip_is_bit_exact():
     assert g.to_text() == f.to_text()
 
 
-def test_text_round_trip_planar():
-    f = GridField.from_function(lambda x, y: np.exp(-x ** 2 - y ** 2),
-                                0.5, 2.0, Extension("constant"), dim=2)
-    g = GridField.from_text(f.to_text())
-    assert g.dim == 2
-    assert np.array_equal(g.values, f.values)
-
-
 @given(st.floats(0.01, 2.0), st.integers(3, 30))
 @settings(max_examples=60)
 def test_round_trip_random_grids(spacing, k):
@@ -129,11 +121,6 @@ def test_text_reader_rejects_rows_of_the_wrong_width():
                 _edit_rows(text, lambda ln: ln.split()[0])):
         with pytest.raises(ValueError, match="exactly 2 numbers"):
             GridField.from_text(bad)
-    planar = GridField.from_function(lambda x, y: np.exp(-x ** 2 - y ** 2),
-                                     0.5, 1.0, Extension("constant"), dim=2)
-    with pytest.raises(ValueError, match="exactly 3 numbers"):
-        GridField.from_text(_edit_rows(planar.to_text(),
-                                       lambda ln: " ".join(ln.split()[1:])))
 
 
 def test_text_reader_rejects_a_wrong_point_count():
@@ -145,10 +132,15 @@ def test_text_reader_rejects_a_wrong_point_count():
                 "\n".join(lines[:-1]) + "\n"):
         with pytest.raises(ValueError, match="npoints"):
             GridField.from_text(bad)
-    planar = GridField.from_function(lambda x, y: np.exp(-x ** 2 - y ** 2),
-                                     0.5, 1.0, Extension("constant"), dim=2)
-    with pytest.raises(ValueError, match="npoints"):
-        GridField.from_text("\n".join(planar.to_text().splitlines()[:-1]))
+
+
+def test_fields_reject_values_and_files_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-d"):
+        GridField(0.5, np.ones((5, 5)))
+    text = bump(spacing=0.5, extent=3.0).to_text()
+    assert "# dim = 1\n" in text
+    with pytest.raises(ValueError, match="dim = 2"):
+        GridField.from_text(text.replace("# dim = 1", "# dim = 2"))
 
 
 def test_text_reader_names_a_missing_header_key():
@@ -164,6 +156,14 @@ def test_quadrature_spec_round_trip():
     assert t == s
     # defaults survive the none spelling
     assert QuadratureSpec.from_text(QuadratureSpec().to_text()) == QuadratureSpec()
+
+
+def test_quadrature_spec_reader_rejects_foreign_text():
+    version = QuadratureSpec().to_text().splitlines()[0]
+    for bad in ("", "# liyau-field v1\n", "bogus = 3\n",
+                version + "\nbogus = 3\n", version + "\ninner_order 12\n"):
+        with pytest.raises(ValueError):
+            QuadratureSpec.from_text(bad)
 
 
 def test_point_expansion_second_difference():

@@ -326,19 +326,6 @@ def test_solve_matches_direct_sum(profile_b05_d1, ext, t):
     assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_planar_solve_matches_direct_sum(profile_b1_d2):
-    h, X, t = 0.25, 2.5, 0.4
-    u0 = GridField.from_function(lambda x, y: np.exp(-(x - 0.3) ** 2 - y ** 2)
-                                 + 1e-3, h, X, positive=True, dim=2)
-    u = solve_fractional(u0, 1.0, t, profile_b1_d2)
-    xx, yy = np.meshgrid(u0.x, u0.x, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    D = pts[:, None, :] - pts[None, :, :]
-    ref = (eval_G(profile_b1_d2, t, D) @ u0.values.ravel() * h * h).reshape(xx.shape)
-    assert u.values.shape == u0.values.shape
-    assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(ref)
-
-
 def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
     h, X = 0.05, 20.0
     u0 = GridField.from_function(lambda x: 1.0 + np.exp(-x ** 2), h, X,
