@@ -11,6 +11,13 @@ the grid -- a real FFT of length next_fast_len(2n - 1), with the kernel
 sampled at its n non-negative offsets -- plus an end correction and
 explicit tail terms for the field's extension rule. Solves of one u0 inside
 shared_u0_transform transform u0 once.
+
+solve_fractional_at reads the same solution at one x: it solves only the
+nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
+interpolates them as the grid solve's spline would. A cubic spline's
+dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
+k = 40, so the window's spline equals the whole grid's to rounding. The end
+correction and tail terms are one code path for both routes.
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ import contextlib
 
 import numpy as np
 import scipy.fft
+from scipy.interpolate import CubicSpline
 
 from .fields import Extension, GridField, QuadratureSpec
 from .singular import QuadResult, gauss_panels, weighted_singular
@@ -28,6 +36,8 @@ PAD_FACTOR = 4
 # boundary samples above this fraction of the peak make the periodic
 # multiplier untrustworthy
 BOUNDARY_TOL = 1e-8
+# nodes on each side of x's cell that solve_fractional_at solves
+SPLINE_REACH = 40
 
 
 def frac_laplacian_point(f: GridField, beta: float, x,
@@ -147,23 +157,100 @@ def _convolve_body(u0: GridField, weighted: np.ndarray, g: np.ndarray) -> np.nda
     return conv[:n]
 
 
-def _trapezoid_end_correction(u0: GridField, g: np.ndarray,
-                              dg: np.ndarray) -> np.ndarray:
+def _check_solve_args(u0: GridField, beta: float, t: float,
+                      profile: StableDensityProfile) -> None:
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if profile.beta != beta:
+        raise ValueError("profile was built for a different beta")
+    if np.any(u0.values <= 0):
+        raise ValueError("u0 must be positive everywhere")
+    if profile.d != 1:
+        raise ValueError("1-d grids need a d = 1 profile")
+    if u0.extension.kind not in ("constant", "power"):
+        raise ValueError("u0 extension must be constant or power for the solver")
+
+
+def _trapezoid_weighted(u0: GridField) -> np.ndarray:
+    """u0 times its trapezoid weights.
+
+    The body integral ends exactly at +-X, where the tail terms take over;
+    full edge weights would double-count half a cell of density on each side.
+    """
+    h = u0.spacing
+    w_trap = np.full(u0.values.size, h)
+    w_trap[0] = w_trap[-1] = 0.5 * h
+    return u0.values * w_trap
+
+
+def _kernel_ends(profile: StableDensityProfile, t: float, h: float,
+                 k: np.ndarray, g: np.ndarray) -> tuple:
+    """(G, dG/dr, one-sided mass beyond r) of the kernel at r = k h.
+
+    g holds G(t, k h). On the symmetric grid node i lies i h from -X and
+    (n-1-i) h from X: the end correction and the tail terms read the
+    kernel at those two distances only.
+    """
+    tf = t ** (-1.0 / profile.beta)
+    r = h * k
+    dg = tf * g * profile.log_slope(r * tf)
+    return g, dg, _one_sided_exceedance(profile, t, r)
+
+
+def _trapezoid_end_correction(u0: GridField, left: tuple,
+                              right: tuple) -> np.ndarray:
     """Euler-Maclaurin h^2/12 end terms for the body convolution.
 
     The composite trapezoid over [-X, X] errs by -h^2/12 (F'(X) - F'(-X))
     with F(y) = G(t, x-y) u0(y); the kernel slope at the window ends is
-    not small when x sits near an edge. g and dg are the kernel and its
-    radial slope at the offsets k h: on the symmetric grid |x_i + X| = i h
-    and |x_i - X| = (n-1-i) h, so both window ends read them, one reversed.
+    not small when x sits near an edge. left and right are _kernel_ends at
+    each node's distance from -X and from X.
     """
     h = u0.spacing
     v = u0.values
     dv_r = (v[-1] - v[-2]) / h
     dv_l = (v[1] - v[0]) / h
-    Fp_right = dg[::-1] * v[-1] + g[::-1] * dv_r
-    Fp_left = -dg * v[0] + g * dv_l
+    Fp_right = right[1] * v[-1] + right[0] * dv_r
+    Fp_left = -left[1] * v[0] + left[0] * dv_l
     return -h ** 2 / 12.0 * (Fp_right - Fp_left)
+
+
+def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
+                    body: np.ndarray, idx: np.ndarray, left: tuple,
+                    right: tuple) -> tuple[np.ndarray, float]:
+    """u(t) at the nodes idx from the body convolution there.
+
+    Adds the end correction and the mass reaching the grid from beyond its
+    edges under u0's extension rule -- an exceedance integral for constant
+    extensions, log-panel quadrature against the kernel for power-law ones.
+    left and right are _kernel_ends at the nodes' distances from -X and X.
+    Returns the values and a bound on the power-law quadrature's truncation.
+    """
+    v = u0.values
+    out = body + _trapezoid_end_correction(u0, left, right)
+    ext = u0.extension
+    tail_err = 0.0
+    if ext.kind == "constant":
+        # exact for a literally constant-extended field
+        out = out + v[-1] * right[2] + v[0] * left[2]
+    else:
+        q = ext.exponent
+        X = u0.extent
+        x = u0.x[idx]
+        nodes, weights = _tail_nodes(X)
+        for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
+            u0_ext = edge * (nodes / X) ** (-q)
+            # kernel matrix G(t, x_i - sign * y_k), vectorized over the nodes
+            # (raveled: eval_G reads trailing axes of >=2-d input as vector
+            # components)
+            D = x[:, None] - sign * nodes[None, :]
+            Kmat = eval_G(profile, t, D.ravel()).reshape(D.shape)
+            out = out + Kmat @ (weights * u0_ext)
+            # beyond the last node: bound by sup u0 times one-sided kernel mass
+            r_end = nodes[-1]
+            tail_err += edge * (r_end / X) ** (-q) * float(
+                _one_sided_exceedance(profile, t, r_end - X))
+    return np.maximum(out, 1e-300), tail_err
 
 
 def solve_fractional(u0: GridField, beta: float, t: float,
@@ -175,74 +262,38 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
     and multiplied with u0's weighted spectrum, which solves inside
     shared_u0_transform(u0) compute once. An Euler-Maclaurin end correction
-    reuses the same kernel samples. Mass reaching the grid from beyond its
-    edges is restored from u0's extension rule -- an exceedance integral for
-    constant extensions, log-panel quadrature against the kernel for
-    power-law ones. Output fields carry a power(d + beta) extension and
-    meta['tail_mass'] with the solution mass beyond the grid, so that mass()
-    is conserved.
+    reuses the same kernel samples, and _add_edge_terms restores the mass
+    from beyond the grid. Output fields carry a power(d + beta) extension
+    and meta['tail_mass'] with the solution mass beyond the grid, so that
+    mass() is conserved.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if profile.beta != beta:
-        raise ValueError("profile was built for a different beta")
-    if np.any(u0.values <= 0):
-        raise ValueError("u0 must be positive everywhere")
-
+    _check_solve_args(u0, beta, t, profile)
     h = u0.spacing
     v = u0.values
     n = v.size
-    offsets = h * np.arange(n)
-    if profile.d != 1:
-        raise ValueError("1-d grids need a d = 1 profile")
-    # trapezoid weights: the body integral ends exactly at +-X, where the
-    # tail terms take over; full edge weights would double-count half a cell
-    # of density on each side
-    w_trap = np.full(n, h)
-    w_trap[0] = w_trap[-1] = 0.5 * h
-    weighted = v * w_trap
-    g = eval_G(profile, t, offsets)
-    tf = t ** (-1.0 / beta)
-    _, L1, _ = profile.log_derivs(offsets * tf)
-    dg = tf * g * L1  # d/dr G(t, r) at r = k h
-    out = _convolve_body(u0, weighted, g) + _trapezoid_end_correction(u0, g, dg)
-    # one-sided kernel mass beyond X + x_i (= i h), and beyond X - x_i reversed
-    exceed = _one_sided_exceedance(profile, t, offsets)
+    k = np.arange(n)
+    weighted = _trapezoid_weighted(u0)
+    g = eval_G(profile, t, h * k)
+    ends = _kernel_ends(profile, t, h, k, g)
+    exceed = ends[2]
+    out, tail_err = _add_edge_terms(
+        u0, profile, t, _convolve_body(u0, weighted, g), k, ends,
+        tuple(a[::-1] for a in ends))
 
     ext = u0.extension
-    tail_err = 0.0
     if ext.kind == "constant":
-        # exact for a literally constant-extended field; mass bookkeeping
-        # below treats the exterior as empty (it is infinite otherwise)
-        out = out + v[-1] * exceed[::-1] + v[0] * exceed
+        # mass bookkeeping treats the exterior as empty (it is infinite
+        # otherwise)
         u0_tail_mass = 0.0
-    elif ext.kind == "power":
-        q = ext.exponent
-        X = u0.extent
-        x = u0.x
-        nodes, weights = _tail_nodes(X)
-        for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
-            u0_ext = edge * (nodes / X) ** (-q)
-            # kernel matrix G(t, x_i - sign * y_k), vectorized over the grid
-            # (raveled: eval_G reads trailing axes of >=2-d input as vector
-            # components)
-            D = x[:, None] - sign * nodes[None, :]
-            Kmat = eval_G(profile, t, D.ravel()).reshape(D.shape)
-            out = out + Kmat @ (weights * u0_ext)
-            # beyond the last node: bound by sup u0 times one-sided kernel mass
-            r_end = nodes[-1]
-            tail_err += edge * (r_end / X) ** (-q) * float(
-                _one_sided_exceedance(profile, t, r_end - X))
-        u0_tail_mass = (v[0] + v[-1]) * X / (q - 1.0) if q > 1 else float("inf")
     else:
-        raise ValueError("u0 extension must be constant or power for the solver")
-
+        q = ext.exponent
+        u0_tail_mass = ((v[0] + v[-1]) * u0.extent / (q - 1.0) if q > 1
+                        else float("inf"))
     # mass of the solution beyond the grid: exterior initial mass stays
     # counted as exterior, interior mass leaks by the exceedance law
     leak = float(np.dot(weighted, exceed + exceed[::-1]))
     meta = {"t": float(t), "tail_mass": leak + u0_tail_mass,
             "tail_error": tail_err}
-    out = np.maximum(out, 1e-300)
     # far field of the solution: a power-tailed u0 keeps the heavier of its
     # own tail and the kernel's 1+beta tail; a constant-extended u0 relaxes
     # to its background level unless that background is negligible against
@@ -258,6 +309,38 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     else:
         ext_out = Extension("power", min(ext.exponent, 1.0 + beta))
     return GridField(h, out, ext_out, positive=True, meta=meta)
+
+
+def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
+                        profile: StableDensityProfile) -> float:
+    """solve_fractional(u0, beta, t, profile).eval(x), to rounding.
+
+    Solves the nodes within SPLINE_REACH of x's cell, each body by a direct
+    correlation, and interpolates them with the grid solve's not-a-knot
+    spline; a window clipped at a grid end keeps that end's condition.
+    x must lie on the grid, |x| <= X.
+    """
+    _check_solve_args(u0, beta, t, profile)
+    X = u0.extent
+    if not abs(x) <= X:
+        raise ValueError(f"x = {x:g} lies outside the grid's extent X = {X:g}")
+    h = u0.spacing
+    n = u0.values.size
+    cell = min(int((x + X) // h), n - 2)
+    lo = max(cell - SPLINE_REACH, 0)
+    hi = min(cell + 1 + SPLINE_REACH, n - 1)
+    idx = np.arange(lo, hi + 1)
+    # the window reads the kernel at offsets up to m - 1 only
+    m = max(hi, n - 1 - lo) + 1
+    g = eval_G(profile, t, h * np.arange(m))
+    kernel = np.concatenate([g[:0:-1], g])  # offsets -(m-1) .. m-1
+    # entry k is sum_j g(|j - (hi - k)| h) weighted_j: the window reversed
+    body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n],
+                        _trapezoid_weighted(u0))[::-1]
+    left = _kernel_ends(profile, t, h, idx, g[idx])
+    right = _kernel_ends(profile, t, h, n - 1 - idx, g[n - 1 - idx])
+    u, _ = _add_edge_terms(u0, profile, t, body, idx, left, right)
+    return float(CubicSpline(u0.x[idx], u)(x))
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import GridField
-from .fraclap import shared_u0_transform, solve_fractional
+from .fraclap import solve_fractional_at
 from .markov import complete_graph, phi_kn, solve_markov
 from .stable import StableDensityProfile, ball_volume, normalizing_constant
 from .verify import VerificationReport
@@ -172,7 +172,8 @@ def harnack_check_fractional(u0: GridField, beta: float, t1: float, t2: float,
 
     Separations beyond 1 are handled by the exact rescaling u(lambda^beta t,
     lambda x), which shrinks |x1 - x2| to 1 and divides the times by
-    lambda^beta; the bound is then evaluated at the rescaled times.
+    lambda^beta; the bound is then evaluated at the rescaled times. Both
+    points must lie on u0's grid, |x| <= X.
     """
     start = time.perf_counter()
     if not 0 < t1 < t2:
@@ -180,10 +181,10 @@ def harnack_check_fractional(u0: GridField, beta: float, t1: float, t2: float,
     scale = max(abs(x1 - x2), 1.0) ** beta
     bound = harnack_bound_fractional(alpha, beta, 1, t1 / scale, t2 / scale,
                                      constant=constant_for(profile))
-    with shared_u0_transform(u0):
-        ua = solve_fractional(u0, beta, t1, profile)
-        ub = solve_fractional(u0, beta, t2, profile)
-    lhs = float(np.log(ua.eval(x1)) - np.log(ub.eval(x2)))
+    # u at two points only: windowed solves, see solve_fractional_at
+    ua = solve_fractional_at(u0, beta, t1, x1, profile)
+    ub = solve_fractional_at(u0, beta, t2, x2, profile)
+    lhs = float(np.log(ua) - np.log(ub))
     report = VerificationReport(
         name="harnack-fractional",
         params={"beta": beta, "alpha": alpha, "t1": t1, "t2": t2,

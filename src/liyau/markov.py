@@ -16,11 +16,13 @@ from scipy.linalg import expm
 # entries of e^{tQ} in [-CLIP_NEG, 0) are rounding dust and get clipped
 CLIP_NEG = 1e-14
 ROWSUM_TOL = 1e-12
+# e^{tQ} matrices a chain keeps; the oldest t is dropped first
+CACHE_SIZE = 64
 
 
 @dataclass
 class MarkovChain:
-    """Generator matrix with a write-once semigroup cache."""
+    """Generator matrix with a bounded semigroup cache (CACHE_SIZE t values)."""
 
     Q: np.ndarray
     _cache: dict = dc_field(default_factory=dict, repr=False)
@@ -88,8 +90,10 @@ def transition_matrix(chain: MarkovChain, t: float) -> np.ndarray:
         P = np.where(P < 0, 0.0, P)
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > ROWSUM_TOL:
         raise RuntimeError("rows of e^{tQ} failed to sum to 1")
-    chain._cache.setdefault(key, P)
-    return chain._cache[key]
+    if len(chain._cache) >= CACHE_SIZE:
+        del chain._cache[next(iter(chain._cache))]
+    chain._cache[key] = P
+    return P
 
 
 def transition_kn(n: int, t: float) -> np.ndarray:

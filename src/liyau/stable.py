@@ -255,32 +255,49 @@ class StableDensityProfile:
             lambda r: (self._get_spline()(np.log(r)),),
             lambda r: (np.log(self.tail_coef) - q * np.log(r),))[0]
 
-    def log_derivs(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(L, L', L'') for L(r) = log Phi(r), vectorized over r >= 0."""
+    def _log_rules(self, slope_only: bool) -> tuple:
+        """The _piecewise rules for (L, L', L''), or for (L',) alone.
+
+        Each region writes L' once; the full rules add L and L'' around it.
+        """
 
         def closed(r):
             q = (self.d + 1) / 2.0
-            return (np.log(_poisson_coef(self.d)) - q * np.log1p(r ** 2),
-                    -2.0 * q * r / (1.0 + r ** 2),
-                    -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2)
+            slope = -2.0 * q * r / (1.0 + r ** 2)
+            return (slope,) if slope_only else (
+                np.log(_poisson_coef(self.d)) - q * np.log1p(r ** 2), slope,
+                -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2)
 
         def small(r, p0, c2, c4):
             phi = p0 + c2 * r ** 2 + c4 * r ** 4
-            dphi = 2 * c2 * r + 4 * c4 * r ** 3
-            d2phi = 2 * c2 + 12 * c4 * r ** 2
-            return np.log(phi), dphi / phi, d2phi / phi - (dphi / phi) ** 2
+            slope = (2 * c2 * r + 4 * c4 * r ** 3) / phi
+            return (slope,) if slope_only else (
+                np.log(phi), slope,
+                (2 * c2 + 12 * c4 * r ** 2) / phi - slope ** 2)
 
         def table(r):
             sp = self._get_spline()
             u = np.log(r)
             s1 = sp(u, 1)
-            return sp(u), s1 / r, (sp(u, 2) - s1) / r ** 2
+            slope = s1 / r
+            return (slope,) if slope_only else (
+                sp(u), slope, (sp(u, 2) - s1) / r ** 2)
 
         def tail(r):
             q = self.d + self.beta
-            return np.log(self.tail_coef) - q * np.log(r), -q / r, q / r ** 2
+            slope = -q / r
+            return (slope,) if slope_only else (
+                np.log(self.tail_coef) - q * np.log(r), slope, q / r ** 2)
 
-        return self._piecewise(r, closed, small, table, tail)
+        return closed, small, table, tail
+
+    def log_derivs(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L, L', L'') for L(r) = log Phi(r), vectorized over r >= 0."""
+        return self._piecewise(r, *self._log_rules(slope_only=False))
+
+    def log_slope(self, r) -> np.ndarray:
+        """L'(r) alone, bit for bit log_derivs(r)[1], without L and L''."""
+        return self._piecewise(r, *self._log_rules(slope_only=True))[0]
 
     def comparability_ratio(self) -> tuple[float, float]:
         """(lo, hi) bounds of Phi(r) * (1 + r^2)^((d+beta)/2) over the table."""

@@ -5,9 +5,10 @@ import scipy.fft
 
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField, QuadratureSpec
-from liyau.fraclap import (_tail_nodes, dt_log_u, frac_laplacian_point,
-                           frac_laplacian_spectral, shared_u0_transform,
-                           solve_fractional)
+from liyau.fraclap import (SPLINE_REACH, _tail_nodes, dt_log_u,
+                           frac_laplacian_point, frac_laplacian_spectral,
+                           shared_u0_transform, solve_fractional,
+                           solve_fractional_at)
 from liyau.ops import JumpKernel, psi_upsilon_continuous
 from liyau.singular import grid_cell_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
@@ -324,6 +325,48 @@ def test_solve_matches_direct_sum(profile_b05_d1, ext, t):
     u = solve_fractional(u0, 0.5, t, profile_b05_d1)
     ref = _direct_solve(u0, 0.5, t, profile_b05_d1)
     assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ext", [Extension("constant"), Extension("power", 1.5)])
+@pytest.mark.parametrize("t", [0.05, 1.0])
+@pytest.mark.parametrize("beta,profname", [(0.5, "profile_b05_d1"),
+                                           (1.0, "profile_b1_d1"),
+                                           (1.5, "profile_b15_d1")])
+def test_solve_at_matches_grid_solve(beta, profname, t, ext, request):
+    # n = 801, wide enough for interior windows and for windows clipped at
+    # either end; edges carry a value and a slope, so every term is live
+    prof = request.getfixturevalue(profname)
+    h, X = 0.05, 20.0
+    xs = np.arange(-X, X + h / 2, h)
+    vals = 0.5 + np.exp(-(xs - 1.0) ** 2) + 0.2 * (1.0 + xs / X)
+    u0 = GridField(h, vals, ext, positive=True)
+    u = solve_fractional(u0, beta, t, prof)
+    rng = np.random.default_rng(11)
+    nodes = u0.x
+    pts = np.concatenate([
+        nodes[[0, 1, 37, 400, 401, 650, -2, -1]],     # nodes, both ends too
+        rng.uniform(-X, X, 8),                        # off grid
+        [-X + 0.3 * h, -X + 0.99 * h, X - 0.5 * h, X - 0.01 * h],
+        [nodes[SPLINE_REACH] + 0.4 * h, nodes[-SPLINE_REACH] - 0.6 * h]])
+    for x in pts:
+        want = u.eval(x)
+        got = solve_fractional_at(u0, beta, t, x, prof)
+        assert abs(got - want) <= 1e-13 * want, x
+
+
+def test_solve_at_rejects_what_the_grid_solve_rejects(profile_b1_d1):
+    u0 = gaussian_bump(0.05, 10.0)
+    with pytest.raises(ValueError, match="t must be positive"):
+        solve_fractional_at(u0, 1.0, 0.0, 0.0, profile_b1_d1)
+    with pytest.raises(ValueError, match="different beta"):
+        solve_fractional_at(u0, 0.5, 1.0, 0.0, profile_b1_d1)
+    bad = GridField(0.05, np.ones(401), Extension("constant"))
+    bad.values[3] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        solve_fractional_at(bad, 1.0, 1.0, 0.0, profile_b1_d1)
+    for x in (10.0 + 1e-9, -10.5, np.nan):
+        with pytest.raises(ValueError, match=r"extent X = 10"):
+            solve_fractional_at(u0, 1.0, 1.0, x, profile_b1_d1)
 
 
 def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):

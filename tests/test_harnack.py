@@ -1,9 +1,11 @@
 """Harnack bounds: complete graph, fractional (explicit constants), Gaussian."""
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import integrate
 
-from liyau.constant import LiYauConstantResult
+from liyau import fraclap
+from liyau.constant import LiYauConstantResult, constant_for
 from liyau.harnack import (admissible_alpha, default_alpha, eta_tail_integral,
                            eta_weight, factor_for_a1, fractional_m_constant,
                            gaussian_harnack_rhs, gaussian_kernel_log_ratio,
@@ -165,6 +167,45 @@ def test_harnack_check_rescales_wide_separation(profile_b1_d1):
                                       profile=profile_b1_d1)
     assert report.params["bound"] == pytest.approx(expect, rel=1e-12)
     assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize("beta,profname", [(0.5, "profile_b05_d1"),
+                                           (1.5, "profile_b15_d1")])
+def test_harnack_check_solves_no_whole_grid(beta, profname, request,
+                                            monkeypatch):
+    # two whole-grid solves read at (t1, x1) and (t2, x2) give the check's
+    # numbers; with the grid solve and its FFT patched out the check still
+    # runs and reproduces them
+    prof = request.getfixturevalue(profname)
+    u0 = random_positive_field(np.random.default_rng(8), spacing=0.02,
+                               extent=30.0)
+    alpha, t1, t2, x1, x2 = default_alpha(beta, 1), 0.31, 0.9, 1.37, -2.05
+    ua = fraclap.solve_fractional(u0, beta, t1, prof)
+    ub = fraclap.solve_fractional(u0, beta, t2, prof)
+    lhs = float(np.log(ua.eval(x1)) - np.log(ub.eval(x2)))
+    scale = max(abs(x1 - x2), 1.0) ** beta
+    bound = harnack_bound_fractional(alpha, beta, 1, t1 / scale, t2 / scale,
+                                     constant=constant_for(prof))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-grid solve in a Harnack check")
+
+    monkeypatch.setattr(fraclap, "solve_fractional", refuse)
+    monkeypatch.setattr(scipy.fft, "rfft", refuse)
+    report = harnack_check_fractional(u0, beta, t1, t2, x1, x2, alpha, prof)
+    (margin, _), = report.samples
+    for got, want in ((report.params["bound"], bound),
+                      (report.params["lhs"], lhs), (margin, bound - lhs)):
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_harnack_check_rejects_points_beyond_the_grid(profile_b1_d1):
+    u0 = random_positive_field(np.random.default_rng(12), spacing=0.05,
+                               extent=20.0)
+    for x1, x2 in ((20.5, 0.0), (0.0, -21.0)):
+        with pytest.raises(ValueError, match=r"extent X = 20"):
+            harnack_check_fractional(u0, 1.0, 0.8, 1.6, x1, x2, 1.0,
+                                     profile_b1_d1)
 
 
 # ------------------------------------------------------------- Gaussian

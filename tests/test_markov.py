@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liyau.markov import (MarkovChain, cd_function_F, complete_graph,
-                          L_log_p_kn, load_edge_list, neg_L_log, phi_kn,
-                          phi_prime_kn, relaxation_residual, solve_markov,
-                          transition_kn, transition_matrix)
+from liyau.markov import (CACHE_SIZE, MarkovChain, cd_function_F,
+                          complete_graph, L_log_p_kn, load_edge_list,
+                          neg_L_log, phi_kn, phi_prime_kn, relaxation_residual,
+                          solve_markov, transition_kn, transition_matrix)
 
 # frozen by hand: F(3, 2) = 2(e - 2/e + 1)
 F_3_AT_2 = 5.9650458922323211843
@@ -89,6 +89,14 @@ def test_transition_cache_hit():
     chain = complete_graph(3)
     P1 = transition_matrix(chain, 0.7)
     assert transition_matrix(chain, 0.7) is P1
+
+
+def test_transition_cache_stays_bounded():
+    chain = complete_graph(3)
+    for t in np.linspace(0.01, 10.0, 1000):
+        P = transition_matrix(chain, t)
+        assert transition_matrix(chain, t) is P
+    assert len(chain._cache) <= CACHE_SIZE
 
 
 def test_asymmetric_chain_uses_pade_route():

@@ -95,6 +95,19 @@ def test_log_value_consistent_with_eval(profile_b05_d1):
         np.log(profile_b05_d1.eval(r)), abs=1e-10)
 
 
+@pytest.mark.parametrize("profname", ["profile_b05_d1", "profile_b15_d1",
+                                      "profile_b1_d1"])
+def test_log_slope_is_log_derivs_slope(profname, request):
+    # the even quadratic below r_table[1], the table, the tail model beyond
+    # r_max, and the beta = 1 closed form, each bit for bit
+    prof = request.getfixturevalue(profname)
+    r1, rm = prof.r_table[1], prof.r_max
+    r = np.concatenate([[0.0, 0.3 * r1, 0.99 * r1], np.geomspace(r1, rm, 97),
+                        [1.01 * rm, 10.0 * rm, 1e3 * rm]])
+    assert np.array_equal(prof.log_slope(r), prof.log_derivs(r)[1])
+    assert prof.log_slope(2.5) == prof.log_derivs(2.5)[1]
+
+
 def test_log_derivs_match_finite_differences(profile_b15_d1):
     eps = 1e-5
     for r in (0.5, 2.0, 30.0):
