@@ -10,9 +10,9 @@ from .constant import (J_of_y, LiYauConstantResult, SearchSpec, constant_for,
                        heat_kernel_liyau_margin, liyau_constant_beta1,
                        liyau_constant_numeric)
 from .fields import Extension, GridField, PointExpansion, QuadratureSpec
-from .fraclap import (dt_log_u, frac_laplacian_point, frac_laplacian_spectral,
-                      shared_u0_transform, solve_fractional,
-                      solve_fractional_at)
+from .fraclap import (dt_log_u, dt_log_u_at, frac_laplacian_point,
+                      frac_laplacian_spectral, shared_u0_transform,
+                      solve_fractional, solve_fractional_at)
 from .harnack import (admissible_alpha, default_alpha, eta_weight,
                       factor_for_a1, fractional_m_constant,
                       gaussian_harnack_rhs, gaussian_kernel_log_ratio,

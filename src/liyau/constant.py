@@ -210,6 +210,8 @@ def liyau_constant_beta1(d: int) -> float:
     return np.pi * d * (d + 1) * normalizing_constant(1.0, d) * ball_volume(d) / 2.0
 
 
+# constant_for keeps at most this many results, oldest dropped first
+CACHE_SIZE = 64
 _CONSTANT_CACHE: dict[tuple, LiYauConstantResult] = {}
 
 
@@ -220,9 +222,13 @@ def constant_for(profile: StableDensityProfile,
     key = (profile.beta, profile.d, profile.r_table.tobytes(),
            profile.values.tobytes(), profile.tail_coef, profile.error_estimate,
            astuple(search or SearchSpec()))
-    if key not in _CONSTANT_CACHE:
-        _CONSTANT_CACHE[key] = liyau_constant_numeric(profile, search)
-    return _CONSTANT_CACHE[key]
+    if key in _CONSTANT_CACHE:
+        return _CONSTANT_CACHE[key]
+    result = liyau_constant_numeric(profile, search)
+    if len(_CONSTANT_CACHE) >= CACHE_SIZE:
+        del _CONSTANT_CACHE[next(iter(_CONSTANT_CACHE))]
+    _CONSTANT_CACHE[key] = result
+    return result
 
 
 def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float, x,

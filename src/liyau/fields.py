@@ -158,6 +158,11 @@ class GridField:
                 out[side] = self.extension.model(edge_val, np.abs(p[side]) / X)
         return out if np.ndim(pts) else float(out[0])
 
+    def require_central(self, x) -> None:
+        """Raise ValueError unless every point of x lies in the central 80%."""
+        if np.any(np.abs(x) > 0.8 * self.extent):
+            raise ValueError("base point must lie in the central 80% of the grid")
+
     def point_expansion(self, x) -> "PointExpansion":
         return PointExpansion(self, x)
 
@@ -265,9 +270,7 @@ class PointExpansion:
     """
 
     def __init__(self, f: GridField, x):
-        X = f.extent
-        if np.any(np.abs(x) > 0.8 * X):
-            raise ValueError("base point must lie in the central 80% of the grid")
+        f.require_central(x)
         self.field = f
         self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         # base points as a column, so that rows broadcast against nodes h

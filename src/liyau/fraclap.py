@@ -18,6 +18,8 @@ interpolates them as the grid solve's spline would. A cubic spline's
 dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
 k = 40, so the window's spline equals the whole grid's to rounding. The end
 correction and tail terms are one code path for both routes.
+dt_log_u_at reads d/dt log u at one x on the same 82-node window: its four
+solves share u0's weights, and their Richardson combination is dt_log_u's.
 """
 from __future__ import annotations
 
@@ -311,16 +313,17 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     return GridField(h, out, ext_out, positive=True, meta=meta)
 
 
-def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
-                        profile: StableDensityProfile) -> float:
-    """solve_fractional(u0, beta, t, profile).eval(x), to rounding.
+def _solve_window(u0: GridField, beta: float, ts, x: float,
+                  profile: StableDensityProfile) -> tuple[np.ndarray, list]:
+    """The nodes within SPLINE_REACH of x's cell, and u(t) there for each t.
 
-    Solves the nodes within SPLINE_REACH of x's cell, each body by a direct
-    correlation, and interpolates them with the grid solve's not-a-knot
-    spline; a window clipped at a grid end keeps that end's condition.
-    x must lie on the grid, |x| <= X.
+    The window is clipped at a grid end. Each body is one direct correlation
+    of the mirrored kernel samples against u0's trapezoid-weighted values,
+    which all times share; the end correction and tail terms are the grid
+    solve's own. x must lie on the grid, |x| <= X.
     """
-    _check_solve_args(u0, beta, t, profile)
+    # every check but t > 0 is t-independent, and the smallest t decides that
+    _check_solve_args(u0, beta, min(ts), profile)
     X = u0.extent
     if not abs(x) <= X:
         raise ValueError(f"x = {x:g} lies outside the grid's extent X = {X:g}")
@@ -332,15 +335,52 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
     idx = np.arange(lo, hi + 1)
     # the window reads the kernel at offsets up to m - 1 only
     m = max(hi, n - 1 - lo) + 1
-    g = eval_G(profile, t, h * np.arange(m))
-    kernel = np.concatenate([g[:0:-1], g])  # offsets -(m-1) .. m-1
-    # entry k is sum_j g(|j - (hi - k)| h) weighted_j: the window reversed
-    body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n],
-                        _trapezoid_weighted(u0))[::-1]
-    left = _kernel_ends(profile, t, h, idx, g[idx])
-    right = _kernel_ends(profile, t, h, n - 1 - idx, g[n - 1 - idx])
-    u, _ = _add_edge_terms(u0, profile, t, body, idx, left, right)
+    r = h * np.arange(m)
+    weighted = _trapezoid_weighted(u0)
+    sols = []
+    for t in ts:
+        g = eval_G(profile, t, r)
+        kernel = np.concatenate([g[:0:-1], g])  # offsets -(m-1) .. m-1
+        # entry k is sum_j g(|j - (hi - k)| h) weighted_j: the window reversed
+        body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n], weighted)[::-1]
+        left = _kernel_ends(profile, t, h, idx, g[idx])
+        right = _kernel_ends(profile, t, h, n - 1 - idx, g[n - 1 - idx])
+        sols.append(_add_edge_terms(u0, profile, t, body, idx, left, right)[0])
+    return idx, sols
+
+
+def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
+                        profile: StableDensityProfile) -> float:
+    """solve_fractional(u0, beta, t, profile).eval(x), to rounding.
+
+    Solves the nodes within SPLINE_REACH of x's cell, each body by a direct
+    correlation, and interpolates them with the grid solve's not-a-knot
+    spline; a window clipped at a grid end keeps that end's condition.
+    x must lie on the grid, |x| <= X.
+    """
+    idx, (u,) = _solve_window(u0, beta, (t,), x, profile)
     return float(CubicSpline(u0.x[idx], u)(x))
+
+
+def _dt_times(t: float, dt_rel: float) -> tuple[float, tuple]:
+    """The step dt and the four solve times t +- dt, t +- dt/2."""
+    if not 0 < dt_rel <= 0.1:
+        raise ValueError("dt_rel must lie in (0, 0.1]")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    dt = dt_rel * t
+    return dt, (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0)
+
+
+def _richardson(logs: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """d/dt from log u at the _dt_times, and the defect between step sizes.
+
+    The central differences at dt and dt/2 combine to a fourth-order
+    estimate; a third of their difference bounds its error.
+    """
+    d1 = (logs[0] - logs[1]) / (2.0 * dt)
+    d2 = (logs[2] - logs[3]) / (2.0 * (dt / 2.0))
+    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
@@ -351,23 +391,30 @@ def dt_log_u(u0: GridField, beta: float, t: float,
     estimate; the pointwise defect between the two step sizes lands in
     meta['dt_error'] (array) and meta['dt_error_max'].
     """
-    if not 0 < dt_rel <= 0.1:
-        raise ValueError("dt_rel must lie in (0, 0.1]")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    dt = dt_rel * t
-
-    def central(step):
-        up = solve_fractional(u0, beta, t + step, profile)
-        dn = solve_fractional(u0, beta, t - step, profile)
-        return (np.log(up.values) - np.log(dn.values)) / (2.0 * step)
-
+    dt, times = _dt_times(t, dt_rel)
     with shared_u0_transform(u0):
-        d1 = central(dt)
-        d2 = central(dt / 2.0)
-    vals = (4.0 * d2 - d1) / 3.0
-    err = np.abs(d2 - d1) / 3.0
+        logs = [np.log(solve_fractional(u0, beta, s, profile).values)
+                for s in times]
+    vals, err = _richardson(logs, dt)
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
     return GridField(u0.spacing, vals, Extension("constant"), positive=False,
                      meta={"t": float(t), "dt": dt, "dt_error": err,
                            "dt_error_max": float(err.max())})
+
+
+def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
+                profile: StableDensityProfile,
+                dt_rel: float = 0.02) -> QuadResult:
+    """dt_log_u(u0, beta, t, profile) read at x, to rounding.
+
+    The value is the field's spline at x; the error is the max of
+    meta['dt_error'] over x's nearest node and its two neighbours. The four
+    solves run on solve_fractional_at's window only. x must lie on the
+    grid, |x| <= X.
+    """
+    dt, times = _dt_times(t, dt_rel)
+    idx, sols = _solve_window(u0, beta, times, x, profile)
+    vals, err = _richardson([np.log(u) for u in sols], dt)
+    i = int(round(x / u0.spacing)) + (u0.values.size - 1) // 2 - idx[0]
+    return QuadResult(float(CubicSpline(u0.x[idx], vals)(x)),
+                      float(np.max(err[max(0, i - 1):i + 2])))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import Extension, GridField, QuadratureSpec
-from .fraclap import (dt_log_u, frac_laplacian_point, shared_u0_transform,
+from .fraclap import (dt_log_u_at, frac_laplacian_point, shared_u0_transform,
                       solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
 from .ops import JumpKernel, psi_upsilon_continuous, psi_upsilon_discrete, upsilon
@@ -255,20 +255,20 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 u_log: GridField | None = None) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
 
-    u_log, when given, is log u at t, u already solved from u0.
+    d/dt log u comes from dt_log_u_at: four solves on the 82-node window
+    around x, no whole-grid solve. u_log, when given, is log u at t, u
+    already solved from u0. x must lie in the central 80% of the grid; it
+    is checked before any solve.
     """
+    u0.require_central(x)
     const = constant if constant is not None else constant_for(profile)
-    dt_field = dt_log_u(u0, beta, t, profile)
-    dt_val = float(dt_field.eval(x))
-    i = int(round(x / dt_field.spacing)) + (dt_field.values.size - 1) // 2
-    derr = dt_field.meta["dt_error"]
-    dt_err = float(np.max(derr[max(0, i - 1):i + 2]))
+    dt = dt_log_u_at(u0, beta, t, x, profile)
     if u_log is None:
         u_log = solve_fractional(u0, beta, t, profile).log()
     kernel = JumpKernel.continuous(beta, 1)
     psi = psi_upsilon_continuous(u_log, kernel, x, quad=quad)
-    value = dt_val - psi.value + const.value / t
-    error = dt_err + psi.error + const.error / t
+    value = dt.value - psi.value + const.value / t
+    error = dt.error + psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
 
 

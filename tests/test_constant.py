@@ -273,3 +273,25 @@ def test_constant_search_reuses_the_j_it_computed(monkeypatch, profile_b1_d1):
     j_star = J_of_y(profile_b1_d1, res.y_star)
     assert res.value == 0.5 * c * j_star.value
     assert res.error == 0.5 * c * (j_star.error + abs(j_star.value) * 1e-6)
+
+
+def test_constant_for_cache_is_bounded(profile_b1_d1, monkeypatch):
+    calls = []
+
+    def stub(profile, search=None):
+        calls.append(search)
+        return object()
+
+    monkeypatch.setattr(constant, "_CONSTANT_CACHE", {})
+    monkeypatch.setattr(constant, "liyau_constant_numeric", stub)
+    specs = [SearchSpec(nodes=9 + k) for k in range(70)]
+    results = [constant_for(profile_b1_d1, s) for s in specs]
+    assert len(calls) == 70
+    assert len(constant._CONSTANT_CACHE) == constant.CACHE_SIZE
+    # the newest entries are hits, returned as the same object
+    assert constant_for(profile_b1_d1, SearchSpec(nodes=9 + 69)) is results[-1]
+    assert len(calls) == 70
+    # the oldest went first
+    assert constant_for(profile_b1_d1, specs[0]) is not results[0]
+    assert len(calls) == 71
+    assert len(constant._CONSTANT_CACHE) == constant.CACHE_SIZE

@@ -9,6 +9,7 @@ from liyau.fraclap import (SPLINE_REACH, _tail_nodes, dt_log_u,
                            frac_laplacian_point, frac_laplacian_spectral,
                            shared_u0_transform, solve_fractional,
                            solve_fractional_at)
+from liyau.fraclap import _dt_times, _richardson, dt_log_u_at
 from liyau.ops import JumpKernel, psi_upsilon_continuous
 from liyau.singular import grid_cell_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
@@ -465,3 +466,63 @@ def test_chain_rule_three_way_identity(beta, profname, request):
         resid = lhs.values[i] - (-lap.value + psi.value)
         budget = lhs.meta["dt_error"][i] + lap.error + psi.error + 1e-6
         assert abs(resid) <= budget
+
+
+@pytest.mark.parametrize("ext", [Extension("constant"), Extension("power", 1.5)])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("beta,profname", [(0.5, "profile_b05_d1"),
+                                           (1.0, "profile_b1_d1"),
+                                           (1.5, "profile_b15_d1")])
+def test_dt_log_u_at_matches_grid_route(beta, profname, t, ext, request):
+    # the window route against the whole-grid field read the way the DH
+    # margin read it: the field's spline at x, dt_error's max over the
+    # nearest node and its neighbours (measured worst: 9.7e-14 in the
+    # value, 2.2e-14 in the error)
+    prof = request.getfixturevalue(profname)
+    h, X = 0.05, 20.0
+    xs = np.arange(-X, X + h / 2, h)
+    vals = 0.5 + np.exp(-(xs - 1.0) ** 2) + 0.2 * (1.0 + xs / X)
+    u0 = GridField(h, vals, ext, positive=True)
+    grid = dt_log_u(u0, beta, t, prof)
+    derr = grid.meta["dt_error"]
+    n = xs.size
+    rng = np.random.default_rng(12)
+    nodes = u0.x
+    pts = np.concatenate([
+        nodes[[0, 1, 37, 400, 401, 650, -2, -1]],     # nodes, both ends too
+        rng.uniform(-X, X, 8),                        # off grid
+        [-X + 0.3 * h, -X + 0.99 * h, X - 0.5 * h, X - 0.01 * h],
+        [nodes[SPLINE_REACH] + 0.4 * h, nodes[-SPLINE_REACH] - 0.6 * h]])
+    for x in pts:
+        got = dt_log_u_at(u0, beta, t, x, prof)
+        i = int(round(x / h)) + (n - 1) // 2
+        assert abs(got.value - float(grid.eval(x))) <= 1e-11, x
+        assert abs(got.error - np.max(derr[max(0, i - 1):i + 2])) <= 1e-11, x
+
+
+def test_dt_log_u_at_rejects_what_the_grid_route_rejects(profile_b1_d1):
+    u0 = gaussian_bump(0.05, 10.0)
+    with pytest.raises(ValueError, match="dt_rel"):
+        dt_log_u_at(u0, 1.0, 1.0, 0.0, profile_b1_d1, dt_rel=0.5)
+    with pytest.raises(ValueError, match="t must be positive"):
+        dt_log_u_at(u0, 1.0, 0.0, 0.0, profile_b1_d1)
+    with pytest.raises(ValueError, match="different beta"):
+        dt_log_u_at(u0, 0.5, 1.0, 0.0, profile_b1_d1)
+    with pytest.raises(ValueError, match=r"extent X = 10"):
+        dt_log_u_at(u0, 1.0, 1.0, 10.5, profile_b1_d1)
+
+
+def test_richardson_step_is_exact_on_quartics():
+    # both routes share this step, so the two cannot check it against each
+    # other: the fourth-order combination differentiates a quartic exactly,
+    # and its defect is then the dt/2 difference's own error, dt^2 |f^(3)|/24
+    def f(s):
+        return 1.0 - s + 0.5 * s ** 3 - 2.0 * s ** 4
+
+    for t in (0.5, 2.0):
+        dt, times = _dt_times(t, 0.02)
+        val, err = _richardson([np.array([f(s)]) for s in times], dt)
+        assert val[0] == pytest.approx(-1.0 + 1.5 * t ** 2 - 8.0 * t ** 3,
+                                       rel=1e-10)
+        assert err[0] == pytest.approx(dt ** 2 * abs(3.0 - 48.0 * t) / 24.0,
+                                       rel=1e-6)

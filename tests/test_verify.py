@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.fft
+
+from liyau import fraclap, verify
 from liyau.markov import MarkovChain, complete_graph
 from liyau.ops import JumpKernel
 from liyau.verify import (VerificationReport, differential_harnack_margin,
@@ -222,3 +225,42 @@ def test_dh_margin_close_to_liyau_margin(profile_b1_d1):
         ly = fractional_liyau_margin(u0, 1.0, t, x, profile_b1_d1)
         dh = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1)
         assert abs(dh.value - ly.value) <= dh.error + ly.error
+
+
+def test_dh_margin_solves_no_whole_grid(profile_b1_d1, monkeypatch):
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
+                               extent=40.0)
+    t, x = 1.5, 2.0
+    logu = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1).log()
+    # the whole-grid route, assembled before the solver is switched off
+    grid = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1)
+    i = int(round(x / 0.02)) + (u0.values.size - 1) // 2
+    psi = verify.psi_upsilon_continuous(logu, JumpKernel.continuous(1.0, 1), x)
+    const = verify.constant_for(profile_b1_d1)
+    want_value = float(grid.eval(x)) - psi.value + const.value / t
+    want_error = (float(np.max(grid.meta["dt_error"][i - 1:i + 2]))
+                  + psi.error + const.error / t)
+
+    def no_grid_solve(*args, **kwargs):
+        raise AssertionError("whole-grid solve")
+
+    monkeypatch.setattr(fraclap, "solve_fractional", no_grid_solve)
+    monkeypatch.setattr(verify, "solve_fractional", no_grid_solve)
+    monkeypatch.setattr(scipy.fft, "rfft", no_grid_solve)
+    m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u_log=logu)
+    assert abs(m.value - want_value) <= 1e-11
+    assert abs(m.error - want_error) <= 1e-11
+
+
+def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
+                               extent=40.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking x")
+
+    monkeypatch.setattr(verify, "solve_fractional", no_solve)
+    monkeypatch.setattr(verify, "dt_log_u_at", no_solve)
+    for x in (0.85 * 40.0, -0.85 * 40.0, 40.5):
+        with pytest.raises(ValueError, match="central 80%"):
+            differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1)
