@@ -160,7 +160,8 @@ class GridField:
 
     def require_central(self, x) -> None:
         """Raise ValueError unless every point of x lies in the central 80%."""
-        if np.any(np.abs(x) > 0.8 * self.extent):
+        # written so that NaN fails it
+        if not np.all(np.abs(x) <= 0.8 * self.extent):
             raise ValueError("base point must lie in the central 80% of the grid")
 
     def point_expansion(self, x) -> "PointExpansion":

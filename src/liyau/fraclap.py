@@ -362,6 +362,10 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
     return float(CubicSpline(u0.x[idx], u)(x))
 
 
+# the time step of dt_log_u and dt_log_u_at, relative to t
+DT_REL = 0.02
+
+
 def _dt_times(t: float, dt_rel: float) -> tuple[float, tuple]:
     """The step dt and the four solve times t +- dt, t +- dt/2."""
     if not 0 < dt_rel <= 0.1:
@@ -384,7 +388,7 @@ def _richardson(logs: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
-             profile: StableDensityProfile, dt_rel: float = 0.02) -> GridField:
+             profile: StableDensityProfile, dt_rel: float = DT_REL) -> GridField:
     """d/dt log u(t, .) by Richardson-extrapolated central differences.
 
     Four kernel solves (t +- dt, t +- dt/2) combine to a fourth-order
@@ -403,8 +407,7 @@ def dt_log_u(u0: GridField, beta: float, t: float,
 
 
 def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
-                profile: StableDensityProfile,
-                dt_rel: float = 0.02) -> QuadResult:
+                profile: StableDensityProfile) -> QuadResult:
     """dt_log_u(u0, beta, t, profile) read at x, to rounding.
 
     The value is the field's spline at x; the error is the max of
@@ -412,7 +415,7 @@ def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
     solves run on solve_fractional_at's window only. x must lie on the
     grid, |x| <= X.
     """
-    dt, times = _dt_times(t, dt_rel)
+    dt, times = _dt_times(t, DT_REL)
     idx, sols = _solve_window(u0, beta, times, x, profile)
     vals, err = _richardson([np.log(u) for u in sols], dt)
     i = int(round(x / u0.spacing)) + (u0.values.size - 1) // 2 - idx[0]

@@ -198,6 +198,13 @@ def test_point_expansion_boundary_guard():
         f.point_expansion(4.5)  # outside the central 80%
 
 
+def test_point_expansion_rejects_nan():
+    f = bump(extent=5.0)
+    for x in (np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="central 80%"):
+            f.point_expansion(x)
+
+
 def test_tail_mismatch_flags_wrong_extension_model():
     # exact power field declared with the right exponent: tiny mismatch
     good = GridField.from_function(lambda x: (1.0 + x ** 2) ** -1.5, 0.02, 30.0,

@@ -502,8 +502,6 @@ def test_dt_log_u_at_matches_grid_route(beta, profname, t, ext, request):
 
 def test_dt_log_u_at_rejects_what_the_grid_route_rejects(profile_b1_d1):
     u0 = gaussian_bump(0.05, 10.0)
-    with pytest.raises(ValueError, match="dt_rel"):
-        dt_log_u_at(u0, 1.0, 1.0, 0.0, profile_b1_d1, dt_rel=0.5)
     with pytest.raises(ValueError, match="t must be positive"):
         dt_log_u_at(u0, 1.0, 0.0, 0.0, profile_b1_d1)
     with pytest.raises(ValueError, match="different beta"):

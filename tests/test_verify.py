@@ -194,6 +194,14 @@ def test_margin_on_solution_matches_two_step(profile_b1_d1):
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def test_margin_on_solution_rejects_nan(profile_b1_d1):
+    # a NaN point used to pass the central-80% check and score as a pass
+    u = random_positive_field(np.random.default_rng(4), spacing=0.05,
+                              extent=40.0)
+    with pytest.raises(ValueError, match="central 80%"):
+        liyau_margin_on_solution(u, 1.0, 1.0, np.nan, profile_b1_d1)
+
+
 def test_dh_margin_given_the_log_is_unchanged(profile_b1_d1):
     from liyau.fraclap import solve_fractional
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
@@ -261,6 +269,6 @@ def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
 
     monkeypatch.setattr(verify, "solve_fractional", no_solve)
     monkeypatch.setattr(verify, "dt_log_u_at", no_solve)
-    for x in (0.85 * 40.0, -0.85 * 40.0, 40.5):
+    for x in (0.85 * 40.0, -0.85 * 40.0, 40.5, np.nan):
         with pytest.raises(ValueError, match="central 80%"):
             differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1)
