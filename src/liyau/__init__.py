@@ -9,7 +9,7 @@ Harnack inequalities on random instances.
 from .constant import (J_of_y, LiYauConstantResult, SearchSpec, constant_for,
                        heat_kernel_liyau_margin, liyau_constant_beta1,
                        liyau_constant_numeric)
-from .fields import Extension, GridField, PointExpansion, QuadratureSpec
+from .fields import Extension, GridField, PointExpansion
 from .fraclap import (dt_log_u, dt_log_u_at, frac_laplacian_point,
                       frac_laplacian_spectral, shared_u0_transform,
                       solve_fractional, solve_fractional_at)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -20,9 +21,10 @@ from . import runio
 from .constant import SearchSpec, liyau_constant_beta1, liyau_constant_numeric
 from .fields import Extension, GridField
 from .fraclap import PAD_FACTOR, frac_laplacian_point, frac_laplacian_spectral
-from .harnack import (gaussian_harnack_rhs, gaussian_kernel_log_ratio,
-                      gaussian_sharp_source, harnack_check_fractional,
-                      harnack_check_kn, harnack_m_form_bound)
+from .harnack import (default_alpha, gaussian_harnack_rhs,
+                      gaussian_kernel_log_ratio, gaussian_sharp_source,
+                      harnack_check_fractional, harnack_check_kn,
+                      harnack_m_form_bound)
 from .markov import (complete_graph, load_edge_list, neg_L_log, phi_kn,
                      transition_kn, transition_matrix)
 from .runio import ConfigError, RunManifest, read_config_file, resolve_outdir
@@ -68,6 +70,13 @@ def _positive(value: str) -> float:
     return v
 
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {n}")
+    return n
+
+
 def _common(sub):
     sub.add_argument("--outdir", default=None, help="output directory")
     sub.add_argument("--seed", type=int, default=0)
@@ -90,7 +99,7 @@ def build_parser() -> _Parser:
     f.add_argument("--beta", type=_beta, required=True)
     f.add_argument("--spacing", type=_positive, default=0.02)
     f.add_argument("--extent", type=_positive, default=20.0)
-    f.add_argument("--pad-factor", type=int, default=PAD_FACTOR,
+    f.add_argument("--pad-factor", type=_positive_int, default=PAD_FACTOR,
                    help="periodic-box widening for the spectral route")
     f.add_argument("--points", default="0,0.5,1,2",
                    help="comma-separated evaluation points")
@@ -103,16 +112,16 @@ def build_parser() -> _Parser:
     c.add_argument("--sweep", default=None,
                    help="beta:START:STOP:STEPS sweep specification")
     c.add_argument("--y-max", type=_positive, default=50.0)
-    c.add_argument("--nodes", type=int, default=49)
+    c.add_argument("--nodes", type=_positive_int, default=49)
     _common(c)
     c.set_defaults(func=cmd_liyau_const)
 
     v = subs.add_parser("verify", help="inequality verification sweeps")
     v.add_argument("--check", choices=["key", "reduction", "liyau", "dh"],
                    required=True)
-    v.add_argument("--samples", type=int, default=None)
+    v.add_argument("--samples", type=_positive_int, default=None)
     v.add_argument("--beta", type=_beta, default=1.0)
-    v.add_argument("--n-fields", type=int, default=3)
+    v.add_argument("--n-fields", type=_positive_int, default=3)
     _common(v)
     v.set_defaults(func=cmd_verify)
 
@@ -122,7 +131,7 @@ def build_parser() -> _Parser:
     m.add_argument("--n", type=int, default=3)
     m.add_argument("--t-min", type=_positive, default=1e-2)
     m.add_argument("--t-max", type=_positive, default=10.0)
-    m.add_argument("--per-decade", type=int, default=60)
+    m.add_argument("--per-decade", type=_positive_int, default=60)
     _common(m)
     m.set_defaults(func=cmd_markov_verify)
 
@@ -142,7 +151,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("sweep", help="constant versus beta (exploratory)")
     s.add_argument("--beta-start", type=_beta, default=0.5)
     s.add_argument("--beta-stop", type=_beta, default=1.9)
-    s.add_argument("--steps", type=int, default=8)
+    s.add_argument("--steps", type=_positive_int, default=8)
     s.add_argument("--dim", type=_dim, default=1)
     _common(s)
     s.set_defaults(func=cmd_sweep)
@@ -273,10 +282,12 @@ def cmd_liyau_const(args, outdir, manifest) -> int:
 
 
 def cmd_verify(args, outdir, manifest) -> int:
+    # without --samples each sweep keeps its own default count
+    n = () if args.samples is None else (args.samples,)
     if args.check == "key":
-        report = sweep_key_inequality(args.samples or 1000, args.seed)
+        report = sweep_key_inequality(*n, seed=args.seed)
     elif args.check == "reduction":
-        report = sweep_reduction(args.samples or 500, args.seed)
+        report = sweep_reduction(*n, seed=args.seed)
     elif args.check == "liyau":
         prof = build_profile(args.beta, 1)
         t_grid = np.geomspace(1.0, 5.0, 3)
@@ -285,15 +296,14 @@ def cmd_verify(args, outdir, manifest) -> int:
                                         seed=args.seed)
     else:
         prof = build_profile(args.beta, 1)
-        report = sweep_dh_consistency(prof, n_points=args.samples or 20,
-                                      seed=args.seed)
+        report = sweep_dh_consistency(prof, *n, seed=args.seed)
     return _emit_report(manifest, outdir, f"verify_{args.check}", report)
 
 
 def cmd_markov_verify(args, outdir, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     if args.graph != "Kn":
-        chain = load_edge_list(open(args.graph).read())
+        chain = load_edge_list(Path(args.graph).read_text())
         u0 = log_uniform(rng, 1e-2, 1e2, size=chain.n)
         t = float(np.sqrt(args.t_min * args.t_max))
         report = reduction_theorem_check_discrete(chain, u0, t)
@@ -355,7 +365,7 @@ def cmd_harnack(args, outdir, manifest) -> int:
     from .verify import random_positive_field
 
     prof = build_profile(args.beta, 1)
-    alpha = args.alpha if args.alpha is not None else 1.0 / args.beta
+    alpha = args.alpha if args.alpha is not None else default_alpha(args.beta, 1)
     u0 = random_positive_field(rng)
     report = harnack_check_fractional(u0, args.beta, args.t1, args.t2,
                                       args.x1, args.x2, alpha, prof)

@@ -18,7 +18,6 @@ from .runio import read_table_text
 from .singular import grid_cell_edges
 
 FIELD_FORMAT = "liyau-field v1"
-QUAD_FORMAT = "liyau-quadspec v1"
 
 # the boundary-band residual underestimates the off-grid model error (the
 # residual keeps growing outward); factor calibrated on kernels with known
@@ -167,6 +166,12 @@ class GridField:
     def point_expansion(self, x) -> "PointExpansion":
         return PointExpansion(self, x)
 
+    def panel_edges(self, max_width: float | None = None) -> np.ndarray:
+        """Point-quadrature panel edges from one grid cell (the inner
+        radius) out to X; max_width caps the width of the far panels."""
+        return grid_cell_edges(self.spacing, self.spacing, self.extent,
+                               max_width=max_width)
+
     def tail_model_error_budget(self, beta: float, x):
         """Tail-error bound for h^(-1-beta)-weighted integrals centered at x.
 
@@ -278,12 +283,11 @@ class PointExpansion:
         self._col = np.asarray(x, dtype=float)[..., None]
         sp = f._get_spline()
         self.f_x, self.d1, self.d2, self.d3 = (sp(self._col, k) for k in range(4))
-        self.h_taylor = f.spacing
 
     def _split(self, h, taylor, far) -> np.ndarray:
         """taylor(h) below one grid cell, far(h) at and beyond it."""
         h = np.asarray(h, dtype=float)
-        small = h < self.h_taylor
+        small = h < self.field.spacing
         out = np.empty(self._col.shape[:-1] + h.shape)
         if small.any():
             out[..., small] = taylor(h[small])
@@ -319,66 +323,3 @@ class PointExpansion:
     def diff_even_over_h2(self, h: np.ndarray) -> np.ndarray:
         return self._split(h, lambda hs: self.d2,
                            lambda hb: self._far_even(hb) / hb ** 2)
-
-
-@dataclass
-class QuadratureSpec:
-    """Tunables for the split singular quadrature.
-
-    delta    inner Taylor/Jacobi radius (default: one grid cell)
-    cutoff   outer radius where the analytic tail takes over (default: grid extent)
-    """
-
-    delta: float | None = None
-    cutoff: float | None = None
-    inner_order: int = 12
-    gauss_order: int = 8
-    far_order: int = 4
-    near_cells: int = 32
-    tail_panels: int = 48
-    # cap on far-panel width; oscillatory fields need it below one period
-    max_panel_width: float | None = None
-
-    def panels(self, f: GridField) -> tuple[float, np.ndarray]:
-        """(delta, panel edges) for point quadratures on the grid of f."""
-        delta = self.delta if self.delta is not None else f.spacing
-        cutoff = self.cutoff if self.cutoff is not None else f.extent
-        return delta, grid_cell_edges(delta, f.spacing, cutoff,
-                                      max_width=self.max_panel_width)
-
-    def rules(self) -> dict:
-        """The quadrature orders, as weighted_singular keywords."""
-        return {"inner_order": self.inner_order, "gauss_order": self.gauss_order,
-                "far_order": self.far_order, "near_cells": self.near_cells,
-                "tail_panels": self.tail_panels}
-
-    def to_text(self) -> str:
-        lines = [f"# {QUAD_FORMAT}"]
-        for key in ("delta", "cutoff", "inner_order", "gauss_order",
-                    "far_order", "near_cells", "tail_panels",
-                    "max_panel_width"):
-            val = getattr(self, key)
-            if val is None:
-                lines.append(f"{key} = none")
-            elif isinstance(val, int):
-                lines.append(f"{key} = {val}")
-            else:
-                lines.append("%s = %.17g" % (key, val))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "QuadratureSpec":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != f"# {QUAD_FORMAT}":
-            raise ValueError(f"text does not start with '# {QUAD_FORMAT}'")
-        kwargs = {}
-        for line in lines[1:]:
-            # a line without '=' has no known key, or an empty value
-            key, _, val = (tok.strip() for tok in line.partition("="))
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"unrecognized {QUAD_FORMAT} line {line!r}")
-            if key in ("delta", "cutoff", "max_panel_width"):
-                kwargs[key] = None if val == "none" else float(val)
-            else:
-                kwargs[key] = int(val)
-        return cls(**kwargs)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 from scipy.interpolate import CubicSpline
 
-from .fields import Extension, GridField, QuadratureSpec
+from .fields import Extension, GridField
 from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
@@ -42,25 +42,24 @@ BOUNDARY_TOL = 1e-8
 SPLINE_REACH = 40
 
 
-def frac_laplacian_point(f: GridField, beta: float, x,
-                         quad: QuadratureSpec | None = None,
-                         normalization: float | None = None) -> QuadResult:
+def frac_laplacian_point(f: GridField, beta: float, x, *,
+                         normalization: float | None = None,
+                         max_panel_width: float | None = None) -> QuadResult:
     """(-Delta)^(beta/2) f at one point or a 1-d array of points of a field.
 
     The even second difference absorbs the principal value; the inner disc
     runs on the desingularized integrand f''-like ratio, the far tail follows
     the field's extension rule. Returns value and error estimate; all points
     of an array share one panel layout and one field evaluation per
-    integrand call, and give per-point arrays.
+    integrand call, and give per-point arrays. An oscillating field needs
+    max_panel_width below its period, which its samples cannot reveal.
     """
     if not 0 < beta < 2:
         raise ValueError("beta must lie in (0, 2)")
     c = normalization if normalization is not None else normalizing_constant(beta, 1)
-    spec = quad or QuadratureSpec()
     exp = f.point_expansion(x)  # raises if a point leaves the central 80%
-    delta, edges = spec.panels(f)
-    res = weighted_singular(exp.diff_even, exp.diff_even_over_h2, beta, delta,
-                            edges, prefactor=-c, **spec.rules())
+    res = weighted_singular(exp.diff_even, exp.diff_even_over_h2, beta, f.spacing,
+                            f.panel_edges(max_panel_width), prefactor=-c)
     return res + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
 
 
@@ -366,13 +365,11 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
 DT_REL = 0.02
 
 
-def _dt_times(t: float, dt_rel: float) -> tuple[float, tuple]:
-    """The step dt and the four solve times t +- dt, t +- dt/2."""
-    if not 0 < dt_rel <= 0.1:
-        raise ValueError("dt_rel must lie in (0, 0.1]")
+def _dt_times(t: float) -> tuple[float, tuple]:
+    """The step dt = DT_REL t and the four solve times t +- dt, t +- dt/2."""
     if not t > 0:
         raise ValueError("t must be positive")
-    dt = dt_rel * t
+    dt = DT_REL * t
     return dt, (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0)
 
 
@@ -388,14 +385,14 @@ def _richardson(logs: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
-             profile: StableDensityProfile, dt_rel: float = DT_REL) -> GridField:
+             profile: StableDensityProfile) -> GridField:
     """d/dt log u(t, .) by Richardson-extrapolated central differences.
 
     Four kernel solves (t +- dt, t +- dt/2) combine to a fourth-order
     estimate; the pointwise defect between the two step sizes lands in
     meta['dt_error'] (array) and meta['dt_error_max'].
     """
-    dt, times = _dt_times(t, dt_rel)
+    dt, times = _dt_times(t)
     with shared_u0_transform(u0):
         logs = [np.log(solve_fractional(u0, beta, s, profile).values)
                 for s in times]
@@ -415,7 +412,7 @@ def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
     solves run on solve_fractional_at's window only. x must lie on the
     grid, |x| <= X.
     """
-    dt, times = _dt_times(t, DT_REL)
+    dt, times = _dt_times(t)
     idx, sols = _solve_window(u0, beta, times, x, profile)
     vals, err = _richardson([np.log(u) for u in sols], dt)
     i = int(round(x / u0.spacing)) + (u0.values.size - 1) // 2 - idx[0]

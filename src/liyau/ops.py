@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridField, QuadratureSpec
+from .fields import GridField
 from .singular import QuadResult, weighted_singular
 from .stable import normalizing_constant
 
@@ -141,8 +141,8 @@ def psi_upsilon_discrete(f, kernel: JumpKernel, x: int) -> float:
     return float(np.dot(w, upsilon(diffs)))
 
 
-def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
-                           quad: QuadratureSpec | None = None) -> QuadResult:
+def psi_upsilon_continuous(f: GridField, kernel: JumpKernel,
+                           x: float) -> QuadResult:
     """Psi_Upsilon(f)(x) = c * int Upsilon(f(y) - f(x)) |y - x|^(-1-beta) dy.
 
     One-dimensional fields only; each side of x is handled by the weighted
@@ -154,8 +154,7 @@ def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
         raise ValueError("psi_upsilon_continuous needs a continuous kernel")
     if kernel.dim != 1:
         raise ValueError("kernel dimension must match the field (1-d)")
-    spec = quad or QuadratureSpec()
-    delta, edges = spec.panels(f)
+    edges = f.panel_edges()
     exp = f.point_expansion(x)
     total = QuadResult(0.0, 0.0)
     # side s: F(h) = Upsilon(f(x + s h) - f(x)), off-grid through the field's
@@ -168,14 +167,12 @@ def psi_upsilon_continuous(f: GridField, kernel: JumpKernel, x: float,
             d = exp.diff(s, h)
             return upsilon_over_sq(d) * exp.diff_over_h(s, h) ** 2
 
-        total = total + weighted_singular(F, F2, kernel.beta, delta, edges,
-                                          **spec.rules())
+        total = total + weighted_singular(F, F2, kernel.beta, f.spacing, edges)
     total = total + QuadResult(0.0, f.tail_model_error_budget(kernel.beta, x))
     return total.scaled(kernel.c)
 
 
-def chain_rule_residual(f, kernel: JumpKernel, x,
-                        quad: QuadratureSpec | None = None):
+def chain_rule_residual(f, kernel: JumpKernel, x):
     """Residual of L(log f) - Lf/f + Psi_Upsilon(log f) at x.
 
     Discrete kernels: exact arithmetic identity, returns a float that should
@@ -205,13 +202,12 @@ def chain_rule_residual(f, kernel: JumpKernel, x,
     if not f.positive:
         raise ValueError("f must be a positive field")
     logf = f.log()
-    L_log = frac_laplacian_point(logf, kernel.beta, x, quad=quad,
-                                 normalization=kernel.c)
+    L_log = frac_laplacian_point(logf, kernel.beta, x, normalization=kernel.c)
     L_log = L_log.scaled(-1.0)  # generator L = -(-Delta)^(beta/2)
-    Lf = frac_laplacian_point(f, kernel.beta, x, quad=quad,
+    Lf = frac_laplacian_point(f, kernel.beta, x,
                               normalization=kernel.c).scaled(-1.0)
     fx = float(f.eval(x))
-    psi = psi_upsilon_continuous(logf, kernel, x, quad=quad)
+    psi = psi_upsilon_continuous(logf, kernel, x)
     value = L_log.value - Lf.value / fx + psi.value
     error = L_log.error + Lf.error / abs(fx) + psi.error
     return QuadResult(value, error, L_log.diverged or Lf.diverged or psi.diverged)

@@ -123,16 +123,14 @@ def tail_weighted(F: Callable, R: float, beta: float,
 
 def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
                       edges: Sequence[float], *, prefactor: float = 1.0,
-                      tail: Callable | None = None,
                       inner_order: int = 12, gauss_order: int = 8,
                       far_order: int = 4, near_cells: int = 32,
                       tail_panels: int = 48) -> QuadResult:
     """Assemble int_0^inf F(h) h^(-1-beta) dh times prefactor.
 
-    F     integrand numerator on [delta, infinity), vectorized
+    F     integrand numerator on [delta, infinity), vectorized; it must
+          apply the declared far-field rule beyond edges[-1]
     F2    F(h)/h^2, stable as h -> 0 (used on the inner disc)
-    tail  model integrand beyond edges[-1]; defaults to F itself, which is
-          correct whenever F already applies the declared far-field rule
 
     Integrands returning shape (m, k) for k nodes give per-row value and
     error arrays, one row per base point; 1-d integrands give floats.
@@ -140,16 +138,15 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
     edges = np.asarray(edges, dtype=float)
     if edges[0] != delta:
         raise ValueError("edges must start at delta")
-    tail_fn = tail if tail is not None else F
 
     inner = _inner_jacobi(F2, beta, delta, inner_order)
     inner_lo = _inner_jacobi(F2, beta, delta, max(4, inner_order - 4))
     mid = _mid_panels(F, beta, edges, gauss_order, far_order, near_cells)
     mid_lo = _mid_panels(F, beta, edges, max(4, gauss_order // 2),
                          max(2, far_order // 2), near_cells)
-    tl, tl_rem = tail_weighted(tail_fn, float(edges[-1]), beta,
+    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta,
                                panels=tail_panels, order=8)
-    tl_lo, _ = tail_weighted(tail_fn, float(edges[-1]), beta,
+    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta,
                              panels=tail_panels, order=4)
 
     pieces = np.array([inner, mid, tl])

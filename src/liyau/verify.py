@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
-from .fields import Extension, GridField, QuadratureSpec
+from .fields import Extension, GridField
 from .fraclap import (dt_log_u_at, frac_laplacian_point, shared_u0_transform,
                       solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
@@ -229,28 +229,25 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
 
 def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
                              profile: StableDensityProfile,
-                             quad: QuadratureSpec | None = None,
                              constant: LiYauConstantResult | None = None,
                              u_log: GridField | None = None) -> QuadResult:
     """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
     const = constant if constant is not None else constant_for(profile)
     logu = u_log if u_log is not None else u.log()
-    lap = frac_laplacian_point(logu, beta, x, quad=quad)
+    lap = frac_laplacian_point(logu, beta, x)
     return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
 def fractional_liyau_margin(u0: GridField, beta: float, t: float, x: float,
                             profile: StableDensityProfile,
-                            quad: QuadratureSpec | None = None,
                             constant: LiYauConstantResult | None = None) -> QuadResult:
     """C_LY/t minus the fractional Laplacian of log u(t, .) at x."""
     u = solve_fractional(u0, beta, t, profile)
-    return liyau_margin_on_solution(u, beta, t, x, profile, quad, constant)
+    return liyau_margin_on_solution(u, beta, t, x, profile, constant)
 
 
 def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 profile: StableDensityProfile,
-                                quad: QuadratureSpec | None = None,
                                 constant: LiYauConstantResult | None = None,
                                 u_log: GridField | None = None) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
@@ -266,16 +263,15 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
     if u_log is None:
         u_log = solve_fractional(u0, beta, t, profile).log()
     kernel = JumpKernel.continuous(beta, 1)
-    psi = psi_upsilon_continuous(u_log, kernel, x, quad=quad)
+    psi = psi_upsilon_continuous(u_log, kernel, x)
     value = dt.value - psi.value + const.value / t
     error = dt.error + psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
 
 
 def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
-                           t_grid, x_grid, seed: int = 0,
-                           spacing: float = 0.02, extent: float = 100.0,
-                           quad: QuadratureSpec | None = None) -> VerificationReport:
+                           t_grid, x_grid, seed: int = 0, spacing: float = 0.02,
+                           extent: float = 100.0) -> VerificationReport:
     """Margins over seeded initial data and a (t, x) product grid."""
     start = time.perf_counter()
     beta = profile.beta
@@ -293,7 +289,7 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
             for t in t_grid:
                 u = solve_fractional(u0, beta, float(t), profile)
                 m = liyau_margin_on_solution(u, beta, float(t), x_grid,
-                                             profile, quad, const)
+                                             profile, const)
                 for value, error in zip(m.value, m.error):
                     report.add_sample(value, error)
     report.runtime = time.perf_counter() - start

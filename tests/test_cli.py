@@ -24,6 +24,20 @@ def test_missing_required_flag_is_usage_error():
     assert run(["density"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "key", "--samples", "0"],
+    ["verify", "--check", "dh", "--samples", "-3"],
+    ["verify", "--check", "liyau", "--n-fields", "0"],
+    ["fraclap", "--beta", "1", "--pad-factor", "0"],
+    ["liyau-const", "--beta", "1", "--nodes", "0"],
+    ["sweep", "--steps", "0"],
+    ["markov-verify", "--per-decade", "0"],
+])
+def test_non_positive_count_is_usage_error(argv, tmp_path):
+    assert run(argv + ["--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_bad_beta_is_usage_error():
     assert run(["density", "--beta", "2.5"]) == 1
     assert run(["density", "--beta", "0"]) == 1

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liyau.fields import Extension, GridField, QuadratureSpec
+from liyau.fields import Extension, GridField
 
 
 def bump(spacing=0.1, extent=5.0, ext=None):
@@ -147,23 +147,6 @@ def test_text_reader_names_a_missing_header_key():
     text = bump(spacing=0.5, extent=3.0).to_text()
     with pytest.raises(ValueError, match="lacks spacing$"):
         GridField.from_text(text.replace("# spacing =", "# spacings ="))
-
-
-def test_quadrature_spec_round_trip():
-    s = QuadratureSpec(delta=0.01, cutoff=15.0, inner_order=10,
-                       max_panel_width=0.25)
-    t = QuadratureSpec.from_text(s.to_text())
-    assert t == s
-    # defaults survive the none spelling
-    assert QuadratureSpec.from_text(QuadratureSpec().to_text()) == QuadratureSpec()
-
-
-def test_quadrature_spec_reader_rejects_foreign_text():
-    version = QuadratureSpec().to_text().splitlines()[0]
-    for bad in ("", "# liyau-field v1\n", "bogus = 3\n",
-                version + "\nbogus = 3\n", version + "\ninner_order 12\n"):
-        with pytest.raises(ValueError):
-            QuadratureSpec.from_text(bad)
 
 
 def test_point_expansion_second_difference():

@@ -4,7 +4,7 @@ import pytest
 import scipy.fft
 
 from liyau.constant import J_of_y
-from liyau.fields import Extension, GridField, QuadratureSpec
+from liyau.fields import Extension, GridField
 from liyau.fraclap import (SPLINE_REACH, _tail_nodes, dt_log_u,
                            frac_laplacian_point, frac_laplacian_spectral,
                            shared_u0_transform, solve_fractional,
@@ -53,11 +53,10 @@ def test_cos_mode_multiplier_identity_point_route():
     X, h = 47.25, 0.005
     xs = np.arange(-X, X + h / 2, h)
     f = GridField(h, np.cos(xi * xs), Extension("constant"))
-    quad = QuadratureSpec(max_panel_width=0.25)
     for beta in (0.5, 1.0, 1.5):
         amp = xi ** beta
         for x in (0.0, 0.125, 0.3):
-            res = frac_laplacian_point(f, beta, x, quad=quad)
+            res = frac_laplacian_point(f, beta, x, max_panel_width=0.25)
             assert abs(res.value - amp * np.cos(xi * x)) <= 1e-4 * amp
 
 
@@ -84,7 +83,7 @@ def _log_fields():
     return bump, tailed
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"quad": QuadratureSpec(max_panel_width=0.25)},
+@pytest.mark.parametrize("kwargs", [{}, {"max_panel_width": 0.25},
                                     {"normalization": 0.37}])
 def test_points_rows_match_lone_calls(kwargs):
     for f in _log_fields():
@@ -141,6 +140,37 @@ J_PINNED = [("profile_b1_d1", 0.0, 12.566370614358432, 5.216961237226831e-06),
 def test_J_of_y_is_bit_identical(profname, y, value, error, request):
     res = J_of_y(request.getfixturevalue(profname), y)
     assert (res.value, res.error, res.diverged) == (value, error, False)
+
+
+# (beta, x, (-Delta)^(beta/2) value and error, Psi_Upsilon value and error)
+# of log (1 + (x - 0.3)^2)^(-(1 + beta)/2), as recorded while the panel
+# layout and rule orders still came from a separate settings object
+POINT_PINNED = [
+    (0.5, 0.0, 2.5746767519201073, 0.0025400412433307187,
+     1.8274491784009228, 0.002540033699608652),
+    (0.5, 1.2345, 2.1141800844544925, 0.002624779874786948,
+     1.6476250750819927, 0.0026247291888905886),
+    (0.5, -3.3, 1.095413430917534, 0.002781832400554526,
+     1.2898562355054797, 0.002781666933866941),
+    (1.5, 0.0, 1.881583369002605, 0.00010586253985841434,
+     0.7643165913611358, 0.00010584604747638682),
+    (1.5, 1.2345, 0.5936986628562354, 0.00011649710860542142,
+     1.2360306900799716, 0.00011650569022995689),
+    (1.5, -3.3, -0.11347838895283563, 0.00013877813187661476,
+     1.0599547021858444, 0.0001388076419365853)]
+
+
+@pytest.mark.parametrize("beta,x,lap_value,lap_error,psi_value,psi_error",
+                         POINT_PINNED)
+def test_point_operators_are_bit_identical(beta, x, lap_value, lap_error,
+                                           psi_value, psi_error):
+    f = GridField.from_function(
+        lambda y: (1.0 + (y - 0.3) ** 2) ** (-(1.0 + beta) / 2.0), 0.02,
+        20.0, Extension("power", 1.0 + beta), positive=True).log()
+    lap = frac_laplacian_point(f, beta, x)
+    psi = psi_upsilon_continuous(f, JumpKernel.continuous(beta, 1), x)
+    assert (lap.value, lap.error, lap.diverged) == (lap_value, lap_error, False)
+    assert (psi.value, psi.error, psi.diverged) == (psi_value, psi_error, False)
 
 
 # ---- spectral operator -----------------------------------------------------
@@ -438,12 +468,6 @@ def test_dt_log_constant_is_zero(profile_b1_d1):
     assert np.max(np.abs(g.values)) < 1e-6
 
 
-def test_dt_log_rejects_bad_step(profile_b1_d1):
-    u0 = spike(0.05, 20.0)
-    with pytest.raises(ValueError):
-        dt_log_u(u0, 1.0, 1.0, profile_b1_d1, dt_rel=0.5)
-
-
 @pytest.mark.parametrize("beta,profname", [(1.0, "profile_b1_d1"),
                                            (0.5, "profile_b05_d1")])
 def test_chain_rule_three_way_identity(beta, profname, request):
@@ -518,7 +542,7 @@ def test_richardson_step_is_exact_on_quartics():
         return 1.0 - s + 0.5 * s ** 3 - 2.0 * s ** 4
 
     for t in (0.5, 2.0):
-        dt, times = _dt_times(t, 0.02)
+        dt, times = _dt_times(t)
         val, err = _richardson([np.array([f(s)]) for s in times], dt)
         assert val[0] == pytest.approx(-1.0 + 1.5 * t ** 2 - 8.0 * t ** 3,
                                        rel=1e-10)
