@@ -70,16 +70,25 @@ def _positive(value: str) -> float:
     return v
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need a positive integer, got {n}")
-    return n
+def _int_at_least(lo: int, what: str):
+    """argparse type for an integer flag of at least lo."""
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"need {what}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse's message for a non-integer names it
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+_graph_size = _int_at_least(2, "a complete graph of n >= 2")
 
 
 def _common(sub):
     sub.add_argument("--outdir", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--config", default=None,
                      help="key=value file; flags override file values")
 
@@ -128,7 +137,7 @@ def build_parser() -> _Parser:
     m = subs.add_parser("markov-verify", help="complete-graph closed forms")
     m.add_argument("--graph", default="Kn",
                    help="'Kn' or a path to an edge-list file")
-    m.add_argument("--n", type=int, default=3)
+    m.add_argument("--n", type=_graph_size, default=3)
     m.add_argument("--t-min", type=_positive, default=1e-2)
     m.add_argument("--t-max", type=_positive, default=10.0)
     m.add_argument("--per-decade", type=_positive_int, default=60)
@@ -137,7 +146,7 @@ def build_parser() -> _Parser:
 
     h = subs.add_parser("harnack", help="Harnack bounds and checks")
     h.add_argument("--setting", choices=["kn", "frac", "gauss"], required=True)
-    h.add_argument("--n", type=int, default=3)
+    h.add_argument("--n", type=_graph_size, default=3)
     h.add_argument("--beta", type=_beta, default=1.0)
     h.add_argument("--alpha", type=_positive, default=None)
     h.add_argument("--dim", type=_dim, default=1)
@@ -309,8 +318,6 @@ def cmd_markov_verify(args, outdir, manifest) -> int:
         report = reduction_theorem_check_discrete(chain, u0, t)
         return _emit_report(manifest, outdir, "markov_reduction", report)
     n = args.n
-    if n < 2:
-        raise ConfigError("--n must be >= 2")
     chain = complete_graph(n)
     decades = np.log10(args.t_max / args.t_min)
     ts = np.geomspace(args.t_min, args.t_max,

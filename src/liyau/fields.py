@@ -4,15 +4,24 @@ A GridField stores samples of a function on a uniform, origin-centered grid
 together with an extension rule describing the field beyond the last node.
 Singular-integral operators need values arbitrarily far from the grid, so the
 extension rule is part of the field's definition, not an afterthought.
+
+Inside the grid a field is its not-a-knot cubic spline, equal bit for bit to
+scipy's CubicSpline. The spline's slope system depends on the grid alone, so
+it is factored once per grid and each field costs one tridiagonal solve; reads
+locate their cell by index. Point quadratures build one spline of log u per
+(u, t) on grids of 10^4 nodes and more, which is what this pays for. The
+82-node window splines in fraclap and the stable profile's log-log table keep
+scipy: they are small, and a window's nodes move with its point.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .runio import read_table_text
 from .singular import grid_cell_edges
@@ -75,6 +84,100 @@ def _format_extension(ext: Extension) -> str:
     return "%s %.17g" % (ext.kind, ext.exponent)
 
 
+def _nodes(spacing: float, n: int) -> np.ndarray:
+    """Coordinates of the n nodes of an origin-centered grid."""
+    return (np.arange(n) - (n - 1) // 2) * spacing
+
+
+# a margins sweep reads three grids; an entry holds about 5.5 n floats
+@lru_cache(maxsize=4)
+def _slope_system(spacing: float, n: int):
+    """LU factors of a cubic spline's not-a-knot slope system on a grid.
+
+    The tridiagonal matrix and its two end rows are scipy CubicSpline's,
+    entry for entry. They depend on the nodes only, so one factorization
+    serves every field on the grid. Returns the dgttrs factors, the cell
+    widths and the end rows' spans x[2] - x[0] and x[-1] - x[-3]; the arrays
+    are read-only, since every caller shares them.
+    """
+    x = _nodes(spacing, n)
+    dx = np.diff(x)
+    d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    *factors, info = dgttrf(np.append(dx[1:], d_hi), diag,
+                            np.append(d_lo, dx[:-1]))
+    if info != 0:
+        raise np.linalg.LinAlgError("singular spline system")
+    for a in factors + [dx]:
+        a.flags.writeable = False
+    return factors, dx, d_lo, d_hi
+
+
+class _GridSpline:
+    """scipy's default (not-a-knot) CubicSpline of samples on a uniform
+    origin-centered grid: the same coefficients and the same reads, bit for
+    bit, for a field that costs one dgttrs solve on the grid's cached factors.
+
+    A read takes a point's cell from its grid coordinate, corrected by one
+    step so that x[j] <= p < x[j+1]; points beyond the end nodes read the end
+    cells' cubics (PPoly's searchsorted('right') - 1, clamped). Sums follow
+    PPoly's term order, which starts from 0.0 (so -0.0 reads +0.0).
+    """
+
+    def __init__(self, spacing: float, y: np.ndarray):
+        n = y.size
+        factors, dx, d_lo, d_hi = _slope_system(spacing, n)
+        slope = np.diff(y) / dx
+        b = np.empty(n)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0]
+                + dx[0] ** 2 * slope[1]) / d_lo
+        b[-1] = (dx[-1] ** 2 * slope[-2]
+                 + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi
+        s, _ = dgttrs(*factors, b, overwrite_b=1)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        # rows c0..c3 of PPoly's coefficients, one column per cell; the two
+        # low-order rows carry PPoly's leading 0.0 + (a -0.0 sums to +0.0)
+        self.c = c = np.empty((4, n - 1))
+        np.divide(t, dx, out=c[0])
+        np.subtract(slope, s[:-1], out=c[1])
+        c[1] /= dx
+        c[1] -= t
+        np.add(s[:-1], 0.0, out=c[2])
+        np.add(y[:-1], 0.0, out=c[3])
+        self.spacing = spacing
+        self.half = (n - 1) // 2
+
+    def __call__(self, p, nu: int = 0) -> np.ndarray:
+        """Value (nu = 0) or nu-th derivative, nu <= 3, at the points p."""
+        p = np.asarray(p, dtype=float)
+        h, K = self.spacing, self.half
+        j = np.floor(p / h)  # node j sits at j * h, the float GridField.x holds
+        j -= p < j * h
+        j += p >= (j + 1) * h
+        # fmax and fmin pass over NaN: a NaN point gets a cell and reads NaN
+        j = np.fmin(np.fmax(j, -K), K - 1)
+        s = p - j * h
+        c0, c1, c2, c3 = self.c.take((j + K).astype(np.intp), axis=1)
+        if nu == 0:
+            ss = s * s
+            return c3 + c2 * s + c1 * ss + c0 * (ss * s)
+        if nu == 1:
+            return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
+        if nu == 2:
+            return 0.0 + c1 * 2.0 + c0 * s * 6.0
+        # the third derivative is constant on a cell, so NaN is set by hand
+        return np.where(np.isnan(p), np.nan, 0.0 + c0 * 6.0)
+
+
+@lru_cache(maxsize=64)
+def _panel_edges(spacing: float, extent: float,
+                 max_width: float | None) -> np.ndarray:
+    edges = grid_cell_edges(spacing, spacing, extent, max_width=max_width)
+    edges.flags.writeable = False  # shared by every field on the grid
+    return edges
+
+
 @dataclass
 class GridField:
     """Samples of a scalar field on a uniform symmetric grid.
@@ -126,8 +229,7 @@ class GridField:
 
     @property
     def x(self) -> np.ndarray:
-        n = self.values.shape[0]
-        return (np.arange(n) - (n - 1) // 2) * self.spacing
+        return _nodes(self.spacing, self.values.shape[0])
 
     @classmethod
     def from_function(cls, fn: Callable, spacing: float, extent: float,
@@ -141,15 +243,16 @@ class GridField:
 
     def _get_spline(self):
         if self._spline is None:
-            self._spline = CubicSpline(self.x, self.values)
+            self._spline = _GridSpline(self.spacing, self.values)
         return self._spline
 
     def eval(self, pts) -> np.ndarray:
-        """Evaluate at arbitrary coordinates; extension rule applies outside."""
+        """Evaluate at arbitrary coordinates; extension rule applies outside.
+        A NaN point reads NaN."""
         p = np.atleast_1d(np.asarray(pts, dtype=float))
         out = np.empty_like(p)
         X = self.extent
-        inside = np.abs(p) <= X
+        inside = ~(np.abs(p) > X)  # NaN lies on no side; the spline reads NaN
         if inside.any():
             out[inside] = self._get_spline()(p[inside])
         for side, edge_val in ((p > X, self.values[-1]), (p < -X, self.values[0])):
@@ -168,9 +271,9 @@ class GridField:
 
     def panel_edges(self, max_width: float | None = None) -> np.ndarray:
         """Point-quadrature panel edges from one grid cell (the inner
-        radius) out to X; max_width caps the width of the far panels."""
-        return grid_cell_edges(self.spacing, self.spacing, self.extent,
-                               max_width=max_width)
+        radius) out to X; max_width caps the width of the far panels. The
+        array is built once per grid and is read-only."""
+        return _panel_edges(self.spacing, self.extent, max_width)
 
     def tail_model_error_budget(self, beta: float, x):
         """Tail-error bound for h^(-1-beta)-weighted integrals centered at x.

@@ -38,6 +38,17 @@ def test_non_positive_count_is_usage_error(argv, tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["harnack", "--setting", "kn", "--n", "0"],
+    ["harnack", "--setting", "kn", "--n", "1"],
+    ["markov-verify", "--n", "1"],
+    ["verify", "--check", "key", "--seed", "-1"],
+])
+def test_out_of_range_graph_size_or_seed_is_usage_error(argv, tmp_path):
+    assert run(argv + ["--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_bad_beta_is_usage_error():
     assert run(["density", "--beta", "2.5"]) == 1
     assert run(["density", "--beta", "0"]) == 1

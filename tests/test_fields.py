@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
+from liyau import fields
 from liyau.fields import Extension, GridField
+from liyau.singular import grid_cell_edges
 
 
 def bump(spacing=0.1, extent=5.0, ext=None):
@@ -40,6 +43,15 @@ def test_eval_inside_matches_samples_and_interpolates():
     assert f.eval(0.0) == pytest.approx(1.0, rel=1e-12)
     # cubic spline on a smooth function: ~h^4 interpolation error
     assert f.eval(0.05) == pytest.approx(np.exp(-0.05 ** 2), abs=1e-5)
+
+
+def test_eval_reads_nan_at_nan_points():
+    f = GridField.from_function(lambda x: 10.0 + x ** 2, 0.5, 5.0)
+    for _ in range(2):  # a stale buffer must not leak into a NaN slot
+        out = f.eval([0.3, np.nan, 1.0])
+        assert np.isnan(out[1])
+        assert out[0] == pytest.approx(10.09) and out[2] == pytest.approx(11.0)
+    assert np.isnan(f.eval(np.nan))
 
 
 def test_eval_outside_follows_extension_rule():
@@ -207,3 +219,81 @@ def test_tail_model_error_budget_scales_with_edge_distance():
     b_near_edge = f.tail_model_error_budget(1.0, 8.0)
     assert b0 > 0.0
     assert b_near_edge > b0
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _spline_matches_scipy(f: GridField, rng) -> None:
+    """Coefficients and reads of orders 0-3 equal CubicSpline's bit for bit."""
+    x, X = f.x, f.extent
+    ref = CubicSpline(x, f.values)
+    sp = f._get_spline()
+    for k in range(4):
+        # PPoly's sums start from 0.0; the low-order rows carry that addition
+        assert _same_bytes(sp.c[k], ref.c[k] + 0.0 if k >= 2 else ref.c[k])
+    pts = np.concatenate([rng.uniform(-1.5 * X, 1.5 * X, 4000), x,
+                          np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                          [X, -X, np.nan]])
+    for nu in range(4):
+        assert _same_bytes(sp(pts, nu), ref(pts, nu)), nu
+
+
+@pytest.mark.parametrize("n,spacing", [(5, 0.37), (7, 1.0 / 3.0), (83, 0.1),
+                                       (2001, 0.02), (10001, 0.01),
+                                       (40001, 0.005)])
+def test_grid_spline_is_scipy_cubic_spline_bit_for_bit(n, spacing):
+    rng = np.random.default_rng(n)
+    k = (n - 1) // 2
+    for vals in (rng.standard_normal(n),
+                 np.log1p((np.arange(-k, k + 1) * spacing) ** 2),
+                 np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n))):
+        _spline_matches_scipy(GridField(spacing, vals), rng)
+
+
+def test_slope_factors_are_keyed_on_spacing_and_n_and_bounded():
+    fields._slope_system.cache_clear()
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal(401)
+    a, b = GridField(0.02, vals), GridField(0.03, vals)
+    a._get_spline(), b._get_spline()
+    assert fields._slope_system.cache_info().currsize == 2
+    # same n, different spacing: different cell widths and factors
+    assert not np.array_equal(fields._slope_system(0.02, 401)[1],
+                              fields._slope_system(0.03, 401)[1])
+    limit = fields._slope_system.cache_info().maxsize
+    for i in range(limit + 2):
+        GridField(0.05 + 0.01 * i, vals[:301])._get_spline()
+    assert fields._slope_system.cache_info().currsize == limit
+    # the first grid's factors were evicted; a rebuilt spline is still exact
+    _spline_matches_scipy(GridField(0.02, vals), rng)
+
+
+def test_sweep_over_t_factors_its_grid_once(monkeypatch, profile_b1_d1):
+    from liyau.verify import sweep_fractional_liyau
+
+    calls, real = [], fields.dgttrf
+
+    def counting(dl, d, du):
+        calls.append(d.size)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(fields, "dgttrf", counting)
+    fields._slope_system.cache_clear()
+    rep = sweep_fractional_liyau(profile_b1_d1, 1, np.geomspace(0.5, 5.0, 10),
+                                 [0.0, 3.0], seed=1, spacing=0.05, extent=20.0)
+    assert len(rep.samples) == 20
+    assert calls == [801]
+
+
+@pytest.mark.parametrize("max_width", [None, 0.25])
+def test_panel_edges_are_built_once_per_grid_and_read_only(max_width):
+    f = bump(spacing=0.02, extent=10.0)
+    g = GridField(f.spacing, 2.0 * f.values)
+    edges = f.panel_edges(max_width)
+    assert np.array_equal(edges, grid_cell_edges(0.02, 0.02, 10.0,
+                                                 max_width=max_width))
+    assert g.panel_edges(max_width) is edges
+    with pytest.raises(ValueError):
+        edges[1] = 0.0
