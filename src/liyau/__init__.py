@@ -2,7 +2,7 @@
 
 The package computes symmetric stable densities and discrete heat kernels,
 evaluates the completely-nonlinear operator Psi_Upsilon and the fractional
-Laplacian by two independent routes, locates the sharp Li-Yau constant
+Laplacian by singular quadrature, locates the sharp Li-Yau constant
 C(beta, d), and verifies the resulting differential-Harnack and parabolic
 Harnack inequalities on random instances.
 """
@@ -11,7 +11,7 @@ from .constant import (J_of_y, LiYauConstantResult, SearchSpec, constant_for,
                        liyau_constant_numeric)
 from .fields import Extension, GridField, PointExpansion
 from .fraclap import (dt_log_u, dt_log_u_at, frac_laplacian_point,
-                      frac_laplacian_spectral, shared_u0_transform,
+                      gaussian_frac_laplacian, shared_u0_transform,
                       solve_fractional, solve_fractional_at)
 from .harnack import (admissible_alpha, default_alpha, eta_weight,
                       factor_for_a1, fractional_m_constant,

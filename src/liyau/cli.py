@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: density, fraclap, liyau-const, verify, markov-verify, harnack,
-sweep. Every run writes its tables (CSV), a JSON report, and a hashed
-manifest into the output directory (--outdir, else $LIYAU_OUTDIR, else cwd);
-main writes the manifest once the subcommand has returned, so a run that
-raised leaves none.
+Subcommands: density, fraclap, liyau-const, verify, markov-verify, harnack.
+Every run writes its tables (CSV), a JSON report, and a hashed manifest
+into the output directory (--outdir, else $LIYAU_OUTDIR, else cwd); main
+writes the manifest once the subcommand has returned, so a run that raised
+leaves none.
 
 Exit codes: 0 pass, 1 usage error, 2 computation error, 3 verification
 failure.
@@ -20,7 +20,7 @@ import numpy as np
 from . import runio
 from .constant import SearchSpec, liyau_constant_beta1, liyau_constant_numeric
 from .fields import Extension, GridField
-from .fraclap import PAD_FACTOR, frac_laplacian_point, frac_laplacian_spectral
+from .fraclap import frac_laplacian_point, gaussian_frac_laplacian
 from .harnack import (default_alpha, gaussian_harnack_rhs,
                       gaussian_kernel_log_ratio, gaussian_sharp_source,
                       harnack_check_fractional, harnack_check_kn,
@@ -104,14 +104,13 @@ def build_parser() -> _Parser:
     _common(d)
     d.set_defaults(func=cmd_density)
 
-    f = subs.add_parser("fraclap", help="pointwise vs spectral operator check")
+    f = subs.add_parser("fraclap", help="point quadrature vs closed form")
     f.add_argument("--beta", type=_beta, required=True)
     f.add_argument("--spacing", type=_positive, default=0.02)
     f.add_argument("--extent", type=_positive, default=20.0)
-    f.add_argument("--pad-factor", type=_positive_int, default=PAD_FACTOR,
-                   help="periodic-box widening for the spectral route")
     f.add_argument("--points", default="0,0.5,1,2",
-                   help="comma-separated evaluation points")
+                   help="comma-separated evaluation points in the central "
+                        "80%% of [-extent, extent]")
     _common(f)
     f.set_defaults(func=cmd_fraclap)
 
@@ -156,14 +155,6 @@ def build_parser() -> _Parser:
     h.add_argument("--x2", type=float, default=0.0)
     _common(h)
     h.set_defaults(func=cmd_harnack)
-
-    s = subs.add_parser("sweep", help="constant versus beta (exploratory)")
-    s.add_argument("--beta-start", type=_beta, default=0.5)
-    s.add_argument("--beta-stop", type=_beta, default=1.9)
-    s.add_argument("--steps", type=_positive_int, default=8)
-    s.add_argument("--dim", type=_dim, default=1)
-    _common(s)
-    s.set_defaults(func=cmd_sweep)
     return p
 
 
@@ -203,6 +194,9 @@ def _emit_report(manifest: RunManifest, outdir, name: str,
 # ---- subcommands ------------------------------------------------------------
 
 def cmd_density(args, outdir, manifest) -> int:
+    if args.r_max is not None and not args.r_max > ProfileGridSpec.r_min:
+        raise ConfigError(f"--r-max must exceed the table's r_min = "
+                          f"{ProfileGridSpec.r_min:g}")
     grid = ProfileGridSpec(r_max=args.r_max) if args.r_max else None
     prof = build_profile(args.beta, args.dim, grid)
     name = f"profile_b{args.beta:g}_d{args.dim}"
@@ -222,24 +216,28 @@ def cmd_density(args, outdir, manifest) -> int:
 def cmd_fraclap(args, outdir, manifest) -> int:
     f = GridField.from_function(lambda x: np.exp(-x ** 2), args.spacing,
                                 args.extent, Extension("constant"))
-    spec = frac_laplacian_spectral(f, args.beta, pad_factor=args.pad_factor)
-    pts = [float(s) for s in args.points.split(",") if s.strip()]
+    try:
+        pts = [float(s) for s in args.points.split(",") if s.strip()]
+        if not pts:
+            raise ValueError("no evaluation point given")
+        f.require_central(pts)
+    except ValueError as exc:
+        raise ConfigError(f"--points: {exc}") from None
     rows = []
     worst = 0.0
-    # gaps are measured against the field's operator amplitude, not the
+    # gaps are measured against the operator's peak, at x = 0, not the
     # local value, which vanishes at sign changes
-    amp = float(np.abs(spec.values).max())
+    amp = float(gaussian_frac_laplacian(args.beta, 0.0))
     for x in pts:
         q = frac_laplacian_point(f, args.beta, x)
-        s = float(spec.eval(x))
-        rows.append((x, q.value, q.error, s))
-        worst = max(worst, abs(q.value - s) / max(amp, 1e-30))
+        exact = float(gaussian_frac_laplacian(args.beta, x))
+        rows.append((x, q.value, q.error, exact))
+        worst = max(worst, abs(q.value - exact) / amp)
     manifest.register(runio.write_csv(
-        outdir / "fraclap.csv", ["x", "quadrature", "error", "spectral"], rows))
-    payload = {"beta": args.beta, "max_rel_gap": worst,
-               "boundary_warning": spec.meta["boundary_warning"]}
+        outdir / "fraclap.csv", ["x", "quadrature", "error", "exact"], rows))
+    payload = {"beta": args.beta, "max_rel_gap": worst}
     manifest.register(runio.write_json_report(outdir / "fraclap.json", payload))
-    print(f"fraclap: max relative gap quadrature vs spectral {worst:.3e}")
+    print(f"fraclap: max relative gap quadrature vs exact {worst:.3e}")
     return EXIT_PASS
 
 
@@ -255,24 +253,21 @@ def _parse_sweep(spec: str):
     return np.linspace(start, stop, steps)
 
 
-def _constant_sweep(manifest, path, betas, dim, search: SearchSpec) -> int:
-    """The sharp constant at each beta, one CSV row per beta."""
-    rows = []
-    for b in betas:
-        res = liyau_constant_numeric(build_profile(float(b), dim), search)
-        rows.append((float(b), dim, res.value, res.error, res.y_star))
-    manifest.register(runio.write_csv(
-        path, ["beta", "d", "c_ly", "err", "y_star"], rows,
-        comment="exploratory sweep; no claim about the beta->2 limit"))
-    print(f"sweep: {len(rows)} rows written")
-    return EXIT_PASS
-
-
 def cmd_liyau_const(args, outdir, manifest) -> int:
     search = SearchSpec(y_max=args.y_max, nodes=args.nodes)
     if args.sweep:
-        return _constant_sweep(manifest, outdir / "liyau_const_sweep.csv",
-                               _parse_sweep(args.sweep), args.dim, search)
+        # the sharp constant at each beta, one CSV row per beta
+        rows = []
+        for b in _parse_sweep(args.sweep):
+            res = liyau_constant_numeric(build_profile(float(b), args.dim),
+                                         search)
+            rows.append((float(b), args.dim, res.value, res.error, res.y_star))
+        manifest.register(runio.write_csv(
+            outdir / "liyau_const_sweep.csv",
+            ["beta", "d", "c_ly", "err", "y_star"], rows,
+            comment="exploratory sweep; no claim about the beta->2 limit"))
+        print(f"sweep: {len(rows)} rows written")
+        return EXIT_PASS
     if args.beta is None:
         raise ConfigError("either --beta or --sweep is required")
     res = liyau_constant_numeric(build_profile(args.beta, args.dim), search)
@@ -310,6 +305,8 @@ def cmd_verify(args, outdir, manifest) -> int:
 
 
 def cmd_markov_verify(args, outdir, manifest) -> int:
+    if not args.t_min <= args.t_max:
+        raise ConfigError("need t-min <= t-max")
     rng = np.random.default_rng(args.seed)
     if args.graph != "Kn":
         chain = load_edge_list(Path(args.graph).read_text())
@@ -371,9 +368,12 @@ def cmd_harnack(args, outdir, manifest) -> int:
         return EXIT_PASS
     from .verify import random_positive_field
 
+    u0 = random_positive_field(rng)
+    if not (abs(args.x1) <= u0.extent and abs(args.x2) <= u0.extent):
+        raise ConfigError(f"--x1 and --x2 must lie on the grid, "
+                          f"|x| <= {u0.extent:g}")
     prof = build_profile(args.beta, 1)
     alpha = args.alpha if args.alpha is not None else default_alpha(args.beta, 1)
-    u0 = random_positive_field(rng)
     report = harnack_check_fractional(u0, args.beta, args.t1, args.t2,
                                       args.x1, args.x2, alpha, prof)
     payload = {"setting": "frac", "alpha": alpha,
@@ -384,12 +384,6 @@ def cmd_harnack(args, outdir, manifest) -> int:
     manifest.register(runio.write_json_report(outdir / "harnack_frac.json",
                                               payload))
     return _emit_report(manifest, outdir, "harnack_frac", report)
-
-
-def cmd_sweep(args, outdir, manifest) -> int:
-    return _constant_sweep(manifest, outdir / "constant_sweep.csv",
-                           np.linspace(args.beta_start, args.beta_stop,
-                                       args.steps), args.dim, SearchSpec())
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,10 @@ depends on |Y| only; the constant equals (c_{beta,d}/2) sup_y J(y), and the
 self-similar structure of the kernel turns the time-t inequality into the
 t = 1 functional evaluated at |x| t^(-1/beta). For beta = 1 a closed form
 pins down the constant in every dimension and anchors the numeric path.
+
+The search's two settings are SearchSpec's radial scan, y_max and nodes
+(the liyau-const flags). J's panel layout and the refinement's tolerance
+are fixed: default_inner_radius, J_PER_DECADE and REFINE_TOL.
 """
 from __future__ import annotations
 
@@ -27,18 +31,18 @@ MU_ORDER_D3 = 64
 # below this displacement the log-profile is replaced by its second-order
 # Taylor expansion at y (relative to 1 + y to stay scale-aware)
 _TAYLOR_THR = 1e-4
+# J's log panels per decade of rho, from the inner radius to the tail start
+J_PER_DECADE = 24
+# interval width at which the golden-section refinement of sup J stops
+REFINE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Radial maximization layout for the constant."""
+    """Radial scan of the constant's search: nodes radii from 0 to y_max."""
 
     y_max: float = 50.0
     nodes: int = 49
-    refine_tol: float = 1e-3
-    delta: float | None = None
-    per_decade: int = 24
-    tail_start: float | None = None
 
 
 @dataclass
@@ -133,25 +137,24 @@ def default_inner_radius(y: float) -> float:
     return min(0.1, max(y / 4.0, 1e-3))
 
 
-def J_of_y(profile: StableDensityProfile, y_norm: float,
-           quad: SearchSpec | None = None) -> QuadResult:
+def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     """J at radius |y| = y_norm, with error estimate.
 
-    Inner disc: Gauss-Jacobi on W/rho^2 (the integrand vanishes
-    quadratically). Middle: log panels refined around rho = y_norm, where the
-    second displaced radius crosses zero. Tail: power substitution under the
-    profile's far-field model, which the log-derivative evaluator applies
-    automatically beyond its table.
+    Inner disc of radius default_inner_radius(y_norm): Gauss-Jacobi on
+    W/rho^2 (the integrand vanishes quadratically). Middle: J_PER_DECADE
+    log panels per decade out to max(100, 8 (1 + y_norm)), refined around
+    rho = y_norm, where the second displaced radius crosses zero. Tail:
+    power substitution under the profile's far-field model, which the
+    log-derivative evaluator applies automatically beyond its table.
     """
     if y_norm < 0:
         raise ValueError("y_norm must be non-negative")
     if not profile.tail_coef > 0:
         raise ValueError("profile carries no usable tail model")
-    spec = quad or SearchSpec()
     y = float(y_norm)
-    delta = spec.delta if spec.delta is not None else default_inner_radius(y)
-    R = spec.tail_start if spec.tail_start is not None else max(100.0, 8.0 * (1.0 + y))
-    edges = log_panel_edges(delta, R, per_decade=spec.per_decade,
+    delta = default_inner_radius(y)
+    R = max(100.0, 8.0 * (1.0 + y))
+    edges = log_panel_edges(delta, R, per_decade=J_PER_DECADE,
                             refine_center=y if y > delta else None)
 
     F = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), False)
@@ -176,7 +179,7 @@ def liyau_constant_numeric(profile: StableDensityProfile,
     evals = {}  # every J the scan and the refinement compute, by y
 
     def J(y):
-        evals[y] = J_of_y(profile, y, spec)
+        evals[y] = J_of_y(profile, y)
         return evals[y]
 
     table = [(float(y),) + tuple(J(y)[:2]) for y in ys]
@@ -189,7 +192,7 @@ def liyau_constant_numeric(profile: StableDensityProfile,
     if k == len(ys) - 1:
         warning = "maximum sits on the search boundary; enlarge y_max"
     y_star, j_star = golden_section_max(
-        lambda y: J(y).value, lo, hi, tol=spec.refine_tol)
+        lambda y: J(y).value, lo, hi, tol=REFINE_TOL)
     if j_star < js[k]:
         # scan node wins: the maximum sits on a node (often y = 0, where the
         # even profile peaks); keep it, no pathology
@@ -232,7 +235,6 @@ def constant_for(profile: StableDensityProfile,
 
 
 def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float, x,
-                             quad: SearchSpec | None = None,
                              constant: LiYauConstantResult | None = None) -> QuadResult:
     """Slack of the kernel inequality at (t, x): C/t - (-Delta)^(beta/2) log G.
 
@@ -244,9 +246,9 @@ def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float, x,
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     r = float(np.sqrt(np.sum(x ** 2))) if x.ndim else float(abs(x))
-    const = constant if constant is not None else constant_for(profile, quad)
+    const = constant if constant is not None else constant_for(profile)
     c = normalizing_constant(profile.beta, profile.d)
-    j = J_of_y(profile, r * t ** (-1.0 / profile.beta), quad)
+    j = J_of_y(profile, r * t ** (-1.0 / profile.beta))
     value = (const.value - 0.5 * c * j.value) / t
     error = (const.error + 0.5 * c * j.error) / t
     return QuadResult(value, error, j.diverged)

@@ -1,16 +1,16 @@
-"""Fractional Laplacian (quadrature and spectral) and the heat-flow engine.
+"""Fractional Laplacian by point quadrature, and the heat-flow engine.
 
 The pointwise operator uses the principal-value-free second-difference form
 
     (-Delta)^(beta/2) f(x) = -(c/2) int (f(x+y) + f(x-y) - 2 f(x)) |y|^(-d-beta) dy,
 
-at one x or at all x of a sweep in one batched quadrature, the spectral
-route applies the Fourier multiplier |xi|^beta on a periodized grid, and
-solve_fractional realizes u(t) = G(t, .) * u0 as one linear convolution on
-the grid -- a real FFT of length next_fast_len(2n - 1), with the kernel
-sampled at its n non-negative offsets -- plus an end correction and
-explicit tail terms for the field's extension rule. Solves of one u0 inside
-shared_u0_transform transform u0 once.
+at one x or at all x of a sweep in one batched quadrature;
+gaussian_frac_laplacian is its closed form on exp(-x^2). solve_fractional
+realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
+real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
+non-negative offsets -- plus an end correction and explicit tail terms for
+the field's extension rule. Solves of one u0 inside shared_u0_transform
+transform u0 once.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -18,8 +18,11 @@ interpolates them as the grid solve's spline would. A cubic spline's
 dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
 k = 40, so the window's spline equals the whole grid's to rounding. The end
 correction and tail terms are one code path for both routes.
-dt_log_u_at reads d/dt log u at one x on the same 82-node window: its four
-solves share u0's weights, and their Richardson combination is dt_log_u's.
+
+d/dt u is the same sum with the kernel replaced by its time derivative.
+Self-similarity, G(t, r) = t^(-1/beta) Phi(r t^(-1/beta)), gives that
+derivative from r-derivatives alone: dG/dt = -(G + r G_r)/(beta t).
+dt_log_u divides it by u on the whole grid, dt_log_u_at on x's window.
 """
 from __future__ import annotations
 
@@ -27,17 +30,13 @@ import contextlib
 
 import numpy as np
 import scipy.fft
+import scipy.special
 from scipy.interpolate import CubicSpline
 
 from .fields import Extension, GridField
 from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
-# box widening of the spectral route only
-PAD_FACTOR = 4
-# boundary samples above this fraction of the peak make the periodic
-# multiplier untrustworthy
-BOUNDARY_TOL = 1e-8
 # nodes on each side of x's cell that solve_fractional_at solves
 SPLINE_REACH = 40
 
@@ -63,35 +62,15 @@ def frac_laplacian_point(f: GridField, beta: float, x, *,
     return res + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
 
 
-def frac_laplacian_spectral(f: GridField, beta: float,
-                            pad_factor: int = PAD_FACTOR) -> GridField:
-    """Apply the |xi|^beta multiplier on the DFT of the samples.
+def gaussian_frac_laplacian(beta: float, x) -> np.ndarray:
+    """(-Delta)^(beta/2) exp(-x^2), exact: the point quadrature's reference.
 
-    Valid only for fields negligible at the boundary; the output carries a
-    boundary_warning in meta when the edge samples exceed BOUNDARY_TOL of the
-    peak amplitude.
-
-    pad_factor widens the periodic box before the FFT;
-    pass 1 for data that is exactly periodic on the grid, where the bare
-    multiplier is already the right operator.
+    The inverse Fourier transform of |xi|^beta sqrt(pi) exp(-xi^2/4) is
+    2^beta Gamma((1 + beta)/2)/sqrt(pi) 1F1((1 + beta)/2; 1/2; -x^2).
     """
-    if not 0 < beta < 2:
-        raise ValueError("beta must lie in (0, 2)")
-    v = f.values
-    peak = float(np.max(np.abs(v))) or 1.0
-    edge = max(abs(v[0]), abs(v[-1]))
-    # edge-pad into a pad_factor-wider periodic box: the periodization error
-    # of the |xi|^beta multiplier scales like 1/L^2, and edge values (not
-    # zeros) keep constants exactly in the multiplier's kernel
-    pad = (pad_factor - 1) * (v.size // 2)
-    vp = np.concatenate([np.full(pad, v[0]), v, np.full(pad, v[-1])])
-    xi = 2.0 * np.pi * np.fft.fftfreq(vp.size, d=f.spacing)
-    outp = np.fft.ifft(np.fft.fft(vp) * np.abs(xi) ** beta).real
-    out = outp[pad:pad + v.size]
-    warn = edge > BOUNDARY_TOL * peak
-    return GridField(f.spacing, out, Extension("constant"), positive=False,
-                     meta={"boundary_warning": bool(warn),
-                           "boundary_edge_ratio": float(edge / peak)})
+    a = 0.5 * (1.0 + beta)
+    return (2.0 ** beta * scipy.special.gamma(a) / np.sqrt(np.pi)
+            * scipy.special.hyp1f1(a, 0.5, -np.square(x)))
 
 
 def _one_sided_exceedance(profile: StableDensityProfile, t: float, r) -> np.ndarray:
@@ -139,7 +118,7 @@ def shared_u0_transform(u0: GridField):
 
 
 def _convolve_body(u0: GridField, weighted: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum over the grid of G(t, x_i - y_j) times the weighted u0(y_j), all i.
+    """Sum over the grid of K(x_i - y_j) times the weighted u0(y_j), all i.
 
     weighted holds u0 times its quadrature weights; g holds the kernel at
     the non-negative offsets k h (k = 0..n-1). A linear convolution
@@ -184,18 +163,26 @@ def _trapezoid_weighted(u0: GridField) -> np.ndarray:
     return u0.values * w_trap
 
 
-def _kernel_ends(profile: StableDensityProfile, t: float, h: float,
-                 k: np.ndarray, g: np.ndarray) -> tuple:
-    """(G, dG/dr, one-sided mass beyond r) of the kernel at r = k h.
+def _kernel_ends(profile: StableDensityProfile, t: float, r: np.ndarray,
+                 g: np.ndarray, dt: bool = False) -> tuple:
+    """(K, dK/dr, one-sided mass of K beyond r) at offsets r >= 0, for the
+    kernel K = G(t, .) or, when dt, its time derivative. g holds G(t, r).
 
-    g holds G(t, k h). On the symmetric grid node i lies i h from -X and
-    (n-1-i) h from X: the end correction and the tail terms read the
-    kernel at those two distances only.
+    On the symmetric grid node i lies i h from -X and (n-1-i) h from X:
+    the end correction and the tail terms read the kernel at those two
+    distances only. Self-similarity gives the time derivatives from
+    r-derivatives: dG/dt = -(G + r G_r)/(beta t), its r-slope
+    -(2 G_r + r G_rr)/(beta t), and d/dt of the mass beyond r, r G/(beta t).
     """
     tf = t ** (-1.0 / profile.beta)
-    r = h * k
-    dg = tf * g * profile.log_slope(r * tf)
-    return g, dg, _one_sided_exceedance(profile, t, r)
+    if not dt:
+        dg = tf * g * profile.log_slope(r * tf)
+        return g, dg, _one_sided_exceedance(profile, t, r)
+    _, l1, l2 = profile.log_derivs(r * tf)
+    g_r = tf * g * l1
+    g_rr = tf * (g_r * l1 + tf * g * l2)
+    bt = profile.beta * t
+    return -(g + r * g_r) / bt, -(2.0 * g_r + r * g_rr) / bt, r * g / bt
 
 
 def _trapezoid_end_correction(u0: GridField, left: tuple,
@@ -203,7 +190,7 @@ def _trapezoid_end_correction(u0: GridField, left: tuple,
     """Euler-Maclaurin h^2/12 end terms for the body convolution.
 
     The composite trapezoid over [-X, X] errs by -h^2/12 (F'(X) - F'(-X))
-    with F(y) = G(t, x-y) u0(y); the kernel slope at the window ends is
+    with F(y) = K(x-y) u0(y); the kernel slope at the window ends is
     not small when x sits near an edge. left and right are _kernel_ends at
     each node's distance from -X and from X.
     """
@@ -218,40 +205,50 @@ def _trapezoid_end_correction(u0: GridField, left: tuple,
 
 def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
                     body: np.ndarray, idx: np.ndarray, left: tuple,
-                    right: tuple) -> tuple[np.ndarray, float]:
-    """u(t) at the nodes idx from the body convolution there.
+                    right: tuple, dt: bool = False) -> np.ndarray:
+    """int K(x - y) u0(y) dy at the nodes idx from the body sum there, for
+    K = G(t, .) or, when dt, its time derivative.
 
-    Adds the end correction and the mass reaching the grid from beyond its
-    edges under u0's extension rule -- an exceedance integral for constant
-    extensions, log-panel quadrature against the kernel for power-law ones.
-    left and right are _kernel_ends at the nodes' distances from -X and X.
-    Returns the values and a bound on the power-law quadrature's truncation.
+    Adds the end correction and the part of the integral beyond the grid's
+    edges under u0's extension rule -- the kernel's mass beyond the edge for
+    constant extensions, log-panel quadrature against the kernel for
+    power-law ones. left and right are the kernel's _kernel_ends at the
+    nodes' distances from -X and X.
     """
     v = u0.values
     out = body + _trapezoid_end_correction(u0, left, right)
     ext = u0.extension
-    tail_err = 0.0
     if ext.kind == "constant":
         # exact for a literally constant-extended field
-        out = out + v[-1] * right[2] + v[0] * left[2]
-    else:
-        q = ext.exponent
-        X = u0.extent
-        x = u0.x[idx]
-        nodes, weights = _tail_nodes(X)
-        for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
-            u0_ext = edge * (nodes / X) ** (-q)
-            # kernel matrix G(t, x_i - sign * y_k), vectorized over the nodes
-            # (raveled: eval_G reads trailing axes of >=2-d input as vector
-            # components)
-            D = x[:, None] - sign * nodes[None, :]
-            Kmat = eval_G(profile, t, D.ravel()).reshape(D.shape)
-            out = out + Kmat @ (weights * u0_ext)
-            # beyond the last node: bound by sup u0 times one-sided kernel mass
-            r_end = nodes[-1]
-            tail_err += edge * (r_end / X) ** (-q) * float(
-                _one_sided_exceedance(profile, t, r_end - X))
-    return np.maximum(out, 1e-300), tail_err
+        return out + v[-1] * right[2] + v[0] * left[2]
+    q = ext.exponent
+    X = u0.extent
+    x = u0.x[idx]
+    nodes, weights = _tail_nodes(X)
+    for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
+        u0_ext = edge * (nodes / X) ** (-q)
+        # kernel matrix K(x_i - sign * y_k), vectorized over the nodes
+        # (raveled: eval_G reads trailing axes of >=2-d input as vector
+        # components)
+        D = (x[:, None] - sign * nodes[None, :]).ravel()
+        K = eval_G(profile, t, D)
+        if dt:
+            K = _kernel_ends(profile, t, np.abs(D), K, dt=True)[0]
+        out = out + K.reshape(x.size, -1) @ (weights * u0_ext)
+    return out
+
+
+def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
+              dt: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """u(t) at every node, or du/dt when dt, and the kernel's one-sided
+    mass beyond each offset k h; the body is one FFT convolution."""
+    h = u0.spacing
+    k = np.arange(u0.values.size)
+    ends = _kernel_ends(profile, t, h * k, eval_G(profile, t, h * k), dt)
+    body = _convolve_body(u0, _trapezoid_weighted(u0), ends[0])
+    out = _add_edge_terms(u0, profile, t, body, k, ends,
+                          tuple(a[::-1] for a in ends), dt)
+    return out, ends[2]
 
 
 def solve_fractional(u0: GridField, beta: float, t: float,
@@ -269,17 +266,9 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     mass() is conserved.
     """
     _check_solve_args(u0, beta, t, profile)
-    h = u0.spacing
     v = u0.values
-    n = v.size
-    k = np.arange(n)
-    weighted = _trapezoid_weighted(u0)
-    g = eval_G(profile, t, h * k)
-    ends = _kernel_ends(profile, t, h, k, g)
-    exceed = ends[2]
-    out, tail_err = _add_edge_terms(
-        u0, profile, t, _convolve_body(u0, weighted, g), k, ends,
-        tuple(a[::-1] for a in ends))
+    out, exceed = _grid_sum(u0, profile, t)
+    out = np.maximum(out, 1e-300)
 
     ext = u0.extension
     if ext.kind == "constant":
@@ -292,9 +281,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
                         else float("inf"))
     # mass of the solution beyond the grid: exterior initial mass stays
     # counted as exterior, interior mass leaks by the exceedance law
-    leak = float(np.dot(weighted, exceed + exceed[::-1]))
-    meta = {"t": float(t), "tail_mass": leak + u0_tail_mass,
-            "tail_error": tail_err}
+    leak = float(np.dot(_trapezoid_weighted(u0), exceed + exceed[::-1]))
+    meta = {"t": float(t), "tail_mass": leak + u0_tail_mass}
     # far field of the solution: a power-tailed u0 keeps the heavier of its
     # own tail and the kernel's 1+beta tail; a constant-extended u0 relaxes
     # to its background level unless that background is negligible against
@@ -309,20 +297,21 @@ def solve_fractional(u0: GridField, beta: float, t: float,
             ext_out = Extension("power", 1.0 + beta)
     else:
         ext_out = Extension("power", min(ext.exponent, 1.0 + beta))
-    return GridField(h, out, ext_out, positive=True, meta=meta)
+    return GridField(u0.spacing, out, ext_out, positive=True, meta=meta)
 
 
-def _solve_window(u0: GridField, beta: float, ts, x: float,
-                  profile: StableDensityProfile) -> tuple[np.ndarray, list]:
-    """The nodes within SPLINE_REACH of x's cell, and u(t) there for each t.
+def _solve_window(u0: GridField, beta: float, t: float, x: float,
+                  profile: StableDensityProfile,
+                  dt: bool = False) -> tuple[np.ndarray, list]:
+    """The nodes within SPLINE_REACH of x's cell, and [u(t)] there, or
+    [u(t), du/dt] when dt.
 
     The window is clipped at a grid end. Each body is one direct correlation
-    of the mirrored kernel samples against u0's trapezoid-weighted values,
-    which all times share; the end correction and tail terms are the grid
-    solve's own. x must lie on the grid, |x| <= X.
+    of the mirrored kernel samples against u0's trapezoid-weighted values;
+    the end correction and tail terms are the grid sum's own. x must lie on
+    the grid, |x| <= X.
     """
-    # every check but t > 0 is t-independent, and the smallest t decides that
-    _check_solve_args(u0, beta, min(ts), profile)
+    _check_solve_args(u0, beta, t, profile)
     X = u0.extent
     if not abs(x) <= X:
         raise ValueError(f"x = {x:g} lies outside the grid's extent X = {X:g}")
@@ -336,16 +325,22 @@ def _solve_window(u0: GridField, beta: float, ts, x: float,
     m = max(hi, n - 1 - lo) + 1
     r = h * np.arange(m)
     weighted = _trapezoid_weighted(u0)
-    sols = []
-    for t in ts:
-        g = eval_G(profile, t, r)
-        kernel = np.concatenate([g[:0:-1], g])  # offsets -(m-1) .. m-1
-        # entry k is sum_j g(|j - (hi - k)| h) weighted_j: the window reversed
+
+    def window_sum(samples, left, right, deriv=False):
+        kernel = np.concatenate([samples[:0:-1], samples])  # offsets -(m-1) .. m-1
+        # entry k is sum_j K(|j - (hi - k)| h) weighted_j: the window reversed
         body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n], weighted)[::-1]
-        left = _kernel_ends(profile, t, h, idx, g[idx])
-        right = _kernel_ends(profile, t, h, n - 1 - idx, g[n - 1 - idx])
-        sols.append(_add_edge_terms(u0, profile, t, body, idx, left, right)[0])
-    return idx, sols
+        return _add_edge_terms(u0, profile, t, body, idx, left, right, deriv)
+
+    g = eval_G(profile, t, r)
+    u = window_sum(g, _kernel_ends(profile, t, h * idx, g[idx]),
+                   _kernel_ends(profile, t, h * (n - 1 - idx), g[n - 1 - idx]))
+    sums = [np.maximum(u, 1e-300)]
+    if dt:
+        ends = _kernel_ends(profile, t, r, g, dt=True)
+        sums.append(window_sum(ends[0], tuple(a[idx] for a in ends),
+                               tuple(a[n - 1 - idx] for a in ends), deriv=True))
+    return idx, sums
 
 
 def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
@@ -357,64 +352,32 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
     spline; a window clipped at a grid end keeps that end's condition.
     x must lie on the grid, |x| <= X.
     """
-    idx, (u,) = _solve_window(u0, beta, (t,), x, profile)
+    idx, (u,) = _solve_window(u0, beta, t, x, profile)
     return float(CubicSpline(u0.x[idx], u)(x))
-
-
-# the time step of dt_log_u and dt_log_u_at, relative to t
-DT_REL = 0.02
-
-
-def _dt_times(t: float) -> tuple[float, tuple]:
-    """The step dt = DT_REL t and the four solve times t +- dt, t +- dt/2."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    dt = DT_REL * t
-    return dt, (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0)
-
-
-def _richardson(logs: list, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """d/dt from log u at the _dt_times, and the defect between step sizes.
-
-    The central differences at dt and dt/2 combine to a fourth-order
-    estimate; a third of their difference bounds its error.
-    """
-    d1 = (logs[0] - logs[1]) / (2.0 * dt)
-    d2 = (logs[2] - logs[3]) / (2.0 * (dt / 2.0))
-    return (4.0 * d2 - d1) / 3.0, np.abs(d2 - d1) / 3.0
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
              profile: StableDensityProfile) -> GridField:
-    """d/dt log u(t, .) by Richardson-extrapolated central differences.
+    """d/dt log u(t, .) = (du/dt) / u on the grid of u0.
 
-    Four kernel solves (t +- dt, t +- dt/2) combine to a fourth-order
-    estimate; the pointwise defect between the two step sizes lands in
-    meta['dt_error'] (array) and meta['dt_error_max'].
+    du/dt is the heat solve's own sum with dG/dt in place of G; inside one
+    shared_u0_transform block the two sums transform u0 once.
     """
-    dt, times = _dt_times(t)
     with shared_u0_transform(u0):
-        logs = [np.log(solve_fractional(u0, beta, s, profile).values)
-                for s in times]
-    vals, err = _richardson(logs, dt)
+        u = solve_fractional(u0, beta, t, profile)
+        du = _grid_sum(u0, profile, t, dt=True)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
-    return GridField(u0.spacing, vals, Extension("constant"), positive=False,
-                     meta={"t": float(t), "dt": dt, "dt_error": err,
-                           "dt_error_max": float(err.max())})
+    return GridField(u0.spacing, du / u.values, Extension("constant"),
+                     positive=False, meta={"t": float(t)})
 
 
 def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
-                profile: StableDensityProfile) -> QuadResult:
-    """dt_log_u(u0, beta, t, profile) read at x, to rounding.
+                profile: StableDensityProfile) -> float:
+    """dt_log_u(u0, beta, t, profile).eval(x), to rounding.
 
-    The value is the field's spline at x; the error is the max of
-    meta['dt_error'] over x's nearest node and its two neighbours. The four
-    solves run on solve_fractional_at's window only. x must lie on the
-    grid, |x| <= X.
+    The sums for u and du/dt run on solve_fractional_at's window only, and
+    their ratio is read with the grid field's not-a-knot spline. x must lie
+    on the grid, |x| <= X.
     """
-    dt, times = _dt_times(t)
-    idx, sols = _solve_window(u0, beta, times, x, profile)
-    vals, err = _richardson([np.log(u) for u in sols], dt)
-    i = int(round(x / u0.spacing)) + (u0.values.size - 1) // 2 - idx[0]
-    return QuadResult(float(CubicSpline(u0.x[idx], vals)(x)),
-                      float(np.max(err[max(0, i - 1):i + 2])))
+    idx, (u, du) = _solve_window(u0, beta, t, x, profile, dt=True)
+    return float(CubicSpline(u0.x[idx], du / u)(x))

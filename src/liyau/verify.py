@@ -252,10 +252,10 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 u_log: GridField | None = None) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
 
-    d/dt log u comes from dt_log_u_at: four solves on the 82-node window
-    around x, no whole-grid solve. u_log, when given, is log u at t, u
-    already solved from u0. x must lie in the central 80% of the grid; it
-    is checked before any solve.
+    d/dt log u comes from dt_log_u_at: the sums for u and du/dt on the
+    82-node window around x, no whole-grid solve. u_log, when given, is
+    log u at t, u already solved from u0. x must lie in the central 80% of
+    the grid; it is checked before any solve.
     """
     u0.require_central(x)
     const = constant if constant is not None else constant_for(profile)
@@ -264,8 +264,8 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
         u_log = solve_fractional(u0, beta, t, profile).log()
     kernel = JumpKernel.continuous(beta, 1)
     psi = psi_upsilon_continuous(u_log, kernel, x)
-    value = dt.value - psi.value + const.value / t
-    error = dt.error + psi.error + const.error / t
+    value = dt - psi.value + const.value / t
+    error = psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
 
 
@@ -303,7 +303,7 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     """|DH margin - Li-Yau margin| <= combined error at random (t, x).
 
     The two margins are connected by the logarithmic chain rule; their gap
-    measures the stacked quadrature and time-differencing errors, so the
+    measures the stacked quadrature and heat-solve errors, so the
     sample margin recorded here is (combined error) - |gap|.
     """
     start = time.perf_counter()

@@ -226,9 +226,9 @@ def test_c09_kernel_property_suite(profile_b05_d1, profile_b1_d1,
 
 
 def test_c10_constant_beta_sweep(tmp_path):
-    code = cli_main(["sweep", "--beta-start", "0.5", "--beta-stop", "1.9",
-                     "--steps", "6", "--outdir", str(tmp_path)])
-    lines = (tmp_path / "constant_sweep.csv").read_text().splitlines()
+    code = cli_main(["liyau-const", "--sweep", "beta:0.5:1.9:6",
+                     "--outdir", str(tmp_path)])
+    lines = (tmp_path / "liyau_const_sweep.csv").read_text().splitlines()
     annotated = any("no claim" in ln for ln in lines if ln.startswith("#"))
     rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
     betas = [float(r[0]) for r in rows]
@@ -238,7 +238,7 @@ def test_c10_constant_beta_sweep(tmp_path):
     ok = (code == 0 and len(rows) == 6 and monotone
           and all(e > 0 for e in errs) and annotated)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    ok = ok and "constant_sweep.csv" in manifest["files"]
+    ok = ok and "liyau_const_sweep.csv" in manifest["files"]
     _criterion("c10 constant-vs-beta sweep", ok,
                f"C({betas[0]:g},1)={vals[0]:.4f} ... C({betas[-1]:g},1)="
                f"{vals[-1]:.4f}, monotone={monotone}, error bars present, "

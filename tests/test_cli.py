@@ -28,9 +28,7 @@ def test_missing_required_flag_is_usage_error():
     ["verify", "--check", "key", "--samples", "0"],
     ["verify", "--check", "dh", "--samples", "-3"],
     ["verify", "--check", "liyau", "--n-fields", "0"],
-    ["fraclap", "--beta", "1", "--pad-factor", "0"],
     ["liyau-const", "--beta", "1", "--nodes", "0"],
-    ["sweep", "--steps", "0"],
     ["markov-verify", "--per-decade", "0"],
 ])
 def test_non_positive_count_is_usage_error(argv, tmp_path):
@@ -45,6 +43,19 @@ def test_non_positive_count_is_usage_error(argv, tmp_path):
     ["verify", "--check", "key", "--seed", "-1"],
 ])
 def test_out_of_range_graph_size_or_seed_is_usage_error(argv, tmp_path):
+    assert run(argv + ["--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fraclap", "--beta", "1", "--points", "0,x"],
+    ["fraclap", "--beta", "1", "--points", ","],
+    ["fraclap", "--beta", "1", "--points", "19"],  # beyond 0.8 * extent 20
+    ["markov-verify", "--t-min", "10", "--t-max", "1"],
+    ["density", "--beta", "1", "--r-max", "1e-4"],  # below r_min = 1e-3
+    ["harnack", "--setting", "frac", "--x1", "150"],  # beyond the grid's 100
+])
+def test_flag_value_outside_its_domain_is_usage_error(argv, tmp_path):
     assert run(argv + ["--outdir", tmp_path]) == 1
     assert not (tmp_path / "manifest.json").exists()
 
@@ -94,17 +105,6 @@ def test_csv_bodies_are_byte_identical_across_runs(tmp_path):
     assert fa == fb
     assert sha256_of(a / "verify_key_margins.csv") == \
         json.loads((a / "manifest.json").read_text())["files"]["verify_key_margins.csv"]
-
-
-def test_both_sweep_commands_write_the_same_table(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["sweep", "--beta-start", "1.4", "--beta-stop", "1.6",
-                "--steps", "2", "--outdir", a]) == 0
-    assert run(["liyau-const", "--sweep", "beta:1.4:1.6:2",
-                "--outdir", b]) == 0
-    body = (a / "constant_sweep.csv").read_bytes()
-    assert len(body.splitlines()) == 5  # version, comment, header, 2 rows
-    assert body == (b / "liyau_const_sweep.csv").read_bytes()
 
 
 def test_seed_changes_the_table(tmp_path):
@@ -182,14 +182,14 @@ def test_density_artifacts(tmp_path):
 
 def test_fraclap_artifacts(tmp_path):
     assert run(["fraclap", "--beta", "1", "--spacing", "0.05", "--extent",
-                "10", "--points", "0,1", "--pad-factor", "2",
-                "--outdir", tmp_path]) == 0
+                "10", "--points", "0,1", "--outdir", tmp_path]) == 0
     lines = (tmp_path / "fraclap.csv").read_text().splitlines()
     assert lines[0] == "# liyau-csv v1"
-    assert lines[1] == "x,quadrature,error,spectral"
+    assert lines[1] == "x,quadrature,error,exact"
     assert len(lines) == 4
     payload = json.loads((tmp_path / "fraclap.json").read_text())
-    # coarse demo grid: the two routes agree to the h^2 sampling error
+    # coarse demo grid: the quadrature meets the closed form to the h^2
+    # sampling error
     assert payload["max_rel_gap"] < 2e-3
 
 

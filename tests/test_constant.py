@@ -94,7 +94,7 @@ def test_margin_sharp_at_origin(profile_b1_d1):
     assert abs(res.value) <= 2.0 * res.error + 1e-8
 
 
-def test_search_boundary_warning(profile_b1_d1):
+def test_small_search_window_stays_below_closed_form(profile_b1_d1):
     # a y-window that the maximizer would leave gets flagged; the profile's
     # J decays, so force the boundary case with a tiny window away from 0
     res = liyau_constant_numeric(profile_b1_d1,
@@ -257,9 +257,9 @@ def test_constant_search_pinned_values(beta, d):
 def test_constant_search_reuses_the_j_it_computed(monkeypatch, profile_b1_d1):
     seen = []
 
-    def counting(profile, y, spec=None):
+    def counting(profile, y):
         seen.append(float(y))
-        return J_of_y(profile, y, spec)
+        return J_of_y(profile, y)
 
     monkeypatch.setattr(constant, "J_of_y", counting)
     res = liyau_constant_numeric(profile_b1_d1)

@@ -242,22 +242,30 @@ def test_dh_margin_solves_no_whole_grid(profile_b1_d1, monkeypatch):
     logu = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1).log()
     # the whole-grid route, assembled before the solver is switched off
     grid = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1)
-    i = int(round(x / 0.02)) + (u0.values.size - 1) // 2
     psi = verify.psi_upsilon_continuous(logu, JumpKernel.continuous(1.0, 1), x)
     const = verify.constant_for(profile_b1_d1)
     want_value = float(grid.eval(x)) - psi.value + const.value / t
-    want_error = (float(np.max(grid.meta["dt_error"][i - 1:i + 2]))
-                  + psi.error + const.error / t)
+    want_error = psi.error + const.error / t
 
     def no_grid_solve(*args, **kwargs):
         raise AssertionError("whole-grid solve")
 
+    bodies = []
+    correlate = np.correlate
+
+    def counting(*args, **kwargs):
+        bodies.append(1)
+        return correlate(*args, **kwargs)
+
     monkeypatch.setattr(fraclap, "solve_fractional", no_grid_solve)
     monkeypatch.setattr(verify, "solve_fractional", no_grid_solve)
     monkeypatch.setattr(scipy.fft, "rfft", no_grid_solve)
+    monkeypatch.setattr(np, "correlate", counting)
     m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u_log=logu)
+    # one window body for u and one for du/dt
+    assert len(bodies) == 2
     assert abs(m.value - want_value) <= 1e-11
-    assert abs(m.error - want_error) <= 1e-11
+    assert m.error == want_error
 
 
 def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
