@@ -11,8 +11,8 @@ from .constant import (J_of_y, LiYauConstantResult, SearchSpec, constant_for,
                        liyau_constant_numeric)
 from .fields import Extension, GridField, PointExpansion
 from .fraclap import (dt_log_u, dt_log_u_at, frac_laplacian_point,
-                      gaussian_frac_laplacian, shared_u0_transform,
-                      solve_fractional, solve_fractional_at)
+                      gaussian_frac_laplacian, solve_fractional,
+                      solve_fractional_at)
 from .harnack import (admissible_alpha, default_alpha, eta_weight,
                       factor_for_a1, fractional_m_constant,
                       gaussian_harnack_rhs, gaussian_kernel_log_ratio,
@@ -24,13 +24,12 @@ from .markov import (MarkovChain, cd_function_F, complete_graph,
                      load_edge_list, neg_L_log, phi_kn, phi_prime_kn,
                      relaxation_residual, solve_markov, transition_kn,
                      transition_matrix, L_log_p_kn)
-from .ops import (JumpKernel, chain_rule_residual, lambda_log,
-                  psi_upsilon_continuous, psi_upsilon_discrete, upsilon,
-                  upsilon_over_sq)
+from .ops import (chain_rule_residual, lambda_log, psi_upsilon_continuous,
+                  psi_upsilon_discrete, upsilon, upsilon_over_sq)
 from .singular import QuadResult, golden_section_max, weighted_singular
-from .stable import (ProfileGridSpec, StableDensityProfile, ball_volume,
-                     build_profile, eval_G, normalizing_constant,
-                     poisson_profile, profile_at_zero)
+from .stable import (StableDensityProfile, ball_volume, build_profile,
+                     eval_G, normalizing_constant, poisson_profile,
+                     profile_at_zero)
 from .verify import (VerificationReport, key_inequality_margin_discrete,
                      reduction_theorem_check_discrete, sweep_dh_consistency,
                      sweep_fractional_liyau, sweep_key_inequality,

@@ -28,7 +28,7 @@ from .harnack import (default_alpha, gaussian_harnack_rhs,
 from .markov import (complete_graph, load_edge_list, neg_L_log, phi_kn,
                      transition_kn, transition_matrix)
 from .runio import ConfigError, RunManifest, read_config_file, resolve_outdir
-from .stable import ProfileGridSpec, build_profile
+from .stable import build_profile
 from .verify import (VerificationReport, log_uniform,
                      reduction_theorem_check_discrete, sweep_dh_consistency,
                      sweep_fractional_liyau, sweep_key_inequality,
@@ -100,7 +100,6 @@ def build_parser() -> _Parser:
     d = subs.add_parser("density", parents=[], help="tabulate a stable profile")
     d.add_argument("--beta", type=_beta, required=True)
     d.add_argument("--dim", type=_dim, default=1)
-    d.add_argument("--r-max", type=_positive, default=None)
     _common(d)
     d.set_defaults(func=cmd_density)
 
@@ -194,11 +193,7 @@ def _emit_report(manifest: RunManifest, outdir, name: str,
 # ---- subcommands ------------------------------------------------------------
 
 def cmd_density(args, outdir, manifest) -> int:
-    if args.r_max is not None and not args.r_max > ProfileGridSpec.r_min:
-        raise ConfigError(f"--r-max must exceed the table's r_min = "
-                          f"{ProfileGridSpec.r_min:g}")
-    grid = ProfileGridSpec(r_max=args.r_max) if args.r_max else None
-    prof = build_profile(args.beta, args.dim, grid)
+    prof = build_profile(args.beta, args.dim)
     name = f"profile_b{args.beta:g}_d{args.dim}"
     path = outdir / f"{name}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ pins down the constant in every dimension and anchors the numeric path.
 
 The search's two settings are SearchSpec's radial scan, y_max and nodes
 (the liyau-const flags). J's panel layout and the refinement's tolerance
-are fixed: default_inner_radius, J_PER_DECADE and REFINE_TOL.
+are fixed: default_inner_radius, singular.LOG_PER_DECADE and REFINE_TOL.
 """
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ MU_ORDER_D3 = 64
 # below this displacement the log-profile is replaced by its second-order
 # Taylor expansion at y (relative to 1 + y to stay scale-aware)
 _TAYLOR_THR = 1e-4
-# J's log panels per decade of rho, from the inner radius to the tail start
-J_PER_DECADE = 24
 # interval width at which the golden-section refinement of sup J stops
 REFINE_TOL = 1e-3
 
@@ -141,7 +139,7 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     """J at radius |y| = y_norm, with error estimate.
 
     Inner disc of radius default_inner_radius(y_norm): Gauss-Jacobi on
-    W/rho^2 (the integrand vanishes quadratically). Middle: J_PER_DECADE
+    W/rho^2 (the integrand vanishes quadratically). Middle: LOG_PER_DECADE
     log panels per decade out to max(100, 8 (1 + y_norm)), refined around
     rho = y_norm, where the second displaced radius crosses zero. Tail:
     power substitution under the profile's far-field model, which the
@@ -154,8 +152,7 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     y = float(y_norm)
     delta = default_inner_radius(y)
     R = max(100.0, 8.0 * (1.0 + y))
-    edges = log_panel_edges(delta, R, per_decade=J_PER_DECADE,
-                            refine_center=y if y > delta else None)
+    edges = log_panel_edges(delta, R, refine_center=y if y > delta else None)
 
     F = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), False)
     F2 = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), True)

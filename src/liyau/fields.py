@@ -187,7 +187,9 @@ class GridField:
     spacing : float
         Grid step h > 0.
     values : ndarray
-        1-d array of odd length 2K+1 (node i sits at (i-K)*h).
+        1-d array of odd length 2K+1 (node i sits at (i-K)*h). The field
+        keeps a read-only copy, so the caches built from it cannot go
+        stale.
     extension : Extension
         Far-field rule applied outside the grid.
     positive : bool
@@ -203,7 +205,8 @@ class GridField:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
+        self.values.flags.writeable = False
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
         if self.values.ndim != 1:
@@ -215,12 +218,9 @@ class GridField:
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
         self._spline = None
-        # u0's weighted spectrum, kept only inside fraclap.shared_u0_transform
+        # u0's weighted spectrum, set by fraclap's first whole-grid sum of
+        # the field and read by every later one
         self._spectrum = None
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def extent(self) -> float:

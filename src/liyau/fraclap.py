@@ -9,8 +9,9 @@ gaussian_frac_laplacian is its closed form on exp(-x^2). solve_fractional
 realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
 real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
 non-negative offsets -- plus an end correction and explicit tail terms for
-the field's extension rule. Solves of one u0 inside shared_u0_transform
-transform u0 once.
+the field's extension rule. u0's weighted spectrum is computed by its
+first whole-grid sum and kept on the field, whose values are read-only, so
+every later solve of u0 reuses it.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -26,8 +27,6 @@ dt_log_u divides it by u on the whole grid, dt_log_u_at on x's window.
 """
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import scipy.fft
 import scipy.special
@@ -39,10 +38,14 @@ from .stable import StableDensityProfile, eval_G, normalizing_constant
 
 # nodes on each side of x's cell that solve_fractional_at solves
 SPLINE_REACH = 40
+# power-law tails beyond the grid: Gauss panels of TAIL_ORDER nodes,
+# TAIL_PER_DECADE per decade from X out to TAIL_REACH * X
+TAIL_REACH = 1e4
+TAIL_PER_DECADE = 12
+TAIL_ORDER = 6
 
 
 def frac_laplacian_point(f: GridField, beta: float, x, *,
-                         normalization: float | None = None,
                          max_panel_width: float | None = None) -> QuadResult:
     """(-Delta)^(beta/2) f at one point or a 1-d array of points of a field.
 
@@ -53,9 +56,7 @@ def frac_laplacian_point(f: GridField, beta: float, x, *,
     integrand call, and give per-point arrays. An oscillating field needs
     max_panel_width below its period, which its samples cannot reveal.
     """
-    if not 0 < beta < 2:
-        raise ValueError("beta must lie in (0, 2)")
-    c = normalization if normalization is not None else normalizing_constant(beta, 1)
+    c = normalizing_constant(beta, 1)  # rejects beta outside (0, 2)
     exp = f.point_expansion(x)  # raises if a point leaves the central 80%
     res = weighted_singular(exp.diff_even, exp.diff_even_over_h2, beta, f.spacing,
                             f.panel_edges(max_panel_width), prefactor=-c)
@@ -79,12 +80,11 @@ def _one_sided_exceedance(profile: StableDensityProfile, t: float, r) -> np.ndar
     return 0.5 * profile.exceedance(np.asarray(r, dtype=float) * s)
 
 
-def _tail_nodes(X: float, reach: float = 1e4, per_decade: int = 12,
-                order: int = 6):
-    """Gauss nodes/weights for int_X^(X*reach) g(y) dy on log panels."""
-    n = int(np.ceil(per_decade * np.log10(reach)))
-    edges = np.geomspace(X, X * reach, n + 1)
-    nodes, half, wg = gauss_panels(edges[:-1], edges[1:], order)
+def _tail_nodes(X: float):
+    """Gauss nodes/weights for int_X^(X*TAIL_REACH) g(y) dy on log panels."""
+    n = int(np.ceil(TAIL_PER_DECADE * np.log10(TAIL_REACH)))
+    edges = np.geomspace(X, X * TAIL_REACH, n + 1)
+    nodes, half, wg = gauss_panels(edges[:-1], edges[1:], TAIL_ORDER)
     return nodes.ravel(), (half[:, None] * wg[None, :]).ravel()
 
 
@@ -98,42 +98,22 @@ def _wrapped(g: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-@contextlib.contextmanager
-def shared_u0_transform(u0: GridField):
-    """Solves of u0 inside the block transform u0 once.
+def _convolve_body(u0: GridField, g: np.ndarray) -> np.ndarray:
+    """Sum over the grid of K(x_i - y_j) u0(y_j) w_j, all i, for the
+    trapezoid weights w.
 
-    The weighted spectrum lives in the field's _spectrum slot while the
-    block is open; a lone solve transforms u0 afresh and leaves the field as
-    it found it, so fields that outlive a sweep carry no spectrum. Nested
-    blocks on one field share the outermost one's.
-    """
-    if u0._spectrum is not None:
-        yield
-        return
-    u0._spectrum = {}
-    try:
-        yield
-    finally:
-        u0._spectrum = None
-
-
-def _convolve_body(u0: GridField, weighted: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum over the grid of K(x_i - y_j) times the weighted u0(y_j), all i.
-
-    weighted holds u0 times its quadrature weights; g holds the kernel at
-    the non-negative offsets k h (k = 0..n-1). A linear convolution
-    of n samples needs 2n - 1 points, so one real FFT of that length, padded
-    to a fast size, suffices.
+    g holds the kernel at the non-negative offsets k h (k = 0..n-1). A
+    linear convolution of n samples needs 2n - 1 points, so one real FFT of
+    that length, padded to a fast size, suffices. The length depends on n
+    alone, so u0's first call stores u0's weighted spectrum on the field
+    and every later call reuses it.
     """
     n = g.size
     length = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    memo = u0._spectrum  # a dict inside shared_u0_transform, else None
-    spec = memo.get(length) if memo is not None else None
-    if spec is None:
-        spec = scipy.fft.rfft(weighted, n=length)
-    conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
-    if memo is not None:
-        memo[length] = spec
+    if u0._spectrum is None:
+        u0._spectrum = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
+    conv = scipy.fft.irfft(u0._spectrum * scipy.fft.rfft(_wrapped(g, length)),
+                           length)
     return conv[:n]
 
 
@@ -245,7 +225,7 @@ def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
     h = u0.spacing
     k = np.arange(u0.values.size)
     ends = _kernel_ends(profile, t, h * k, eval_G(profile, t, h * k), dt)
-    body = _convolve_body(u0, _trapezoid_weighted(u0), ends[0])
+    body = _convolve_body(u0, ends[0])
     out = _add_edge_terms(u0, profile, t, body, k, ends,
                           tuple(a[::-1] for a in ends), dt)
     return out, ends[2]
@@ -258,8 +238,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     The body of the convolution is a trapezoid sum evaluated as one linear
     convolution: the kernel is sampled at the n non-negative offsets k h,
     mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
-    and multiplied with u0's weighted spectrum, which solves inside
-    shared_u0_transform(u0) compute once. An Euler-Maclaurin end correction
+    and multiplied with u0's weighted spectrum, which u0's first whole-grid
+    sum computes and keeps. An Euler-Maclaurin end correction
     reuses the same kernel samples, and _add_edge_terms restores the mass
     from beyond the grid. Output fields carry a power(d + beta) extension
     and meta['tail_mass'] with the solution mass beyond the grid, so that
@@ -360,12 +340,11 @@ def dt_log_u(u0: GridField, beta: float, t: float,
              profile: StableDensityProfile) -> GridField:
     """d/dt log u(t, .) = (du/dt) / u on the grid of u0.
 
-    du/dt is the heat solve's own sum with dG/dt in place of G; inside one
-    shared_u0_transform block the two sums transform u0 once.
+    du/dt is the heat solve's own sum with dG/dt in place of G; both sums
+    read u0's one weighted spectrum.
     """
-    with shared_u0_transform(u0):
-        u = solve_fractional(u0, beta, t, profile)
-        du = _grid_sum(u0, profile, t, dt=True)[0]
+    u = solve_fractional(u0, beta, t, profile)
+    du = _grid_sum(u0, profile, t, dt=True)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
     return GridField(u0.spacing, du / u.values, Extension("constant"),
                      positive=False, meta={"t": float(t)})

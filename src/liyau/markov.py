@@ -58,6 +58,14 @@ class MarkovChain:
         np.fill_diagonal(Q, -Q.sum(axis=1))
         return cls(Q)
 
+    def jump_rates(self, x: int) -> np.ndarray:
+        """Rates of the jumps out of state x: row x of Q, diagonal zeroed."""
+        if not 0 <= x < self.n:
+            raise IndexError(f"state {x} outside 0..{self.n - 1}")
+        w = self.Q[x].copy()
+        w[x] = 0.0
+        return w
+
 
 def complete_graph(n: int) -> MarkovChain:
     """Unweighted K_n: unit rate between every pair of distinct states."""

@@ -8,7 +8,9 @@ where F vanishes at least quadratically at h = 0. The integral is split into
 an inner disc handled by Gauss-Jacobi quadrature on the desingularized
 integrand F(h)/h^2, a middle zone of cell-wise Gauss panels, and an analytic
 far tail evaluated under the integrand's declared model via a power
-substitution. Each piece carries an error estimate from order halving.
+substitution. Each piece carries an error estimate from a lower-order
+rule. The rule orders, panel counts and panel-growth settings are module
+constants: every caller uses the same ones.
 
 An integrand may return one row per base point, shape (m, k) for k nodes;
 the result then holds per-row arrays, and each row equals a lone call bit
@@ -21,6 +23,27 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
+
+# weighted_singular's rules, each paired with a lower order for its error
+# estimate: Gauss-Jacobi on the inner disc, Gauss-Legendre on the first
+# NEAR_CELLS middle panels and a lower order beyond them, and TAIL_PANELS
+# dyadic panels in the tail's substituted variable
+INNER_ORDER = 12
+GAUSS_ORDER = 8
+FAR_ORDER = 4
+NEAR_CELLS = 32
+TAIL_PANELS = 48
+# grid_cell_edges: one panel per cell for the first EXACT_CELLS cells, then
+# widths growing by GROWTH per panel
+EXACT_CELLS = 128
+GROWTH = 1.06
+# log_panel_edges: panels per decade, and the linear refinement's half-width
+# and step around its feature
+LOG_PER_DECADE = 24
+REFINE_HALFWIDTH = 3.0
+REFINE_STEP = 0.125
+# golden_section_max's iteration cap
+GOLDEN_ITERATIONS = 200
 
 
 class QuadResult(NamedTuple):
@@ -91,15 +114,14 @@ def _cells(F: Callable, beta: float, lo: np.ndarray, hi: np.ndarray,
 
 
 def _mid_panels(F: Callable, beta: float, edges: np.ndarray,
-                order_near: int, order_far: int, near_cells: int):
+                order_near: int, order_far: int):
     lo, hi = edges[:-1], edges[1:]
-    k = min(near_cells, len(lo))
+    k = min(NEAR_CELLS, len(lo))
     return (_cells(F, beta, lo[:k], hi[:k], order_near)
             + _cells(F, beta, lo[k:], hi[k:], order_far))
 
 
-def tail_weighted(F: Callable, R: float, beta: float,
-                  panels: int = 48, order: int = 8):
+def tail_weighted(F: Callable, R: float, beta: float, order: int):
     """int_R^inf F(h) h^(-1-beta) dh for F following its far-field model.
 
     Substituting v = (R/h)^beta maps the tail to (R^-beta/beta) int_0^1
@@ -107,7 +129,7 @@ def tail_weighted(F: Callable, R: float, beta: float,
     v = 0 so logarithmically growing F converges cleanly. Returns (value,
     remainder bound), per row for row-valued F.
     """
-    v_hi = 2.0 ** -np.arange(panels)
+    v_hi = 2.0 ** -np.arange(TAIL_PANELS)
     v_lo = v_hi / 2.0
     V, half, w = gauss_panels(v_lo, v_hi, order)
     H = R * V ** (-1.0 / beta)
@@ -122,10 +144,8 @@ def tail_weighted(F: Callable, R: float, beta: float,
 
 
 def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
-                      edges: Sequence[float], *, prefactor: float = 1.0,
-                      inner_order: int = 12, gauss_order: int = 8,
-                      far_order: int = 4, near_cells: int = 32,
-                      tail_panels: int = 48) -> QuadResult:
+                      edges: Sequence[float], *,
+                      prefactor: float = 1.0) -> QuadResult:
     """Assemble int_0^inf F(h) h^(-1-beta) dh times prefactor.
 
     F     integrand numerator on [delta, infinity), vectorized; it must
@@ -139,15 +159,12 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
     if edges[0] != delta:
         raise ValueError("edges must start at delta")
 
-    inner = _inner_jacobi(F2, beta, delta, inner_order)
-    inner_lo = _inner_jacobi(F2, beta, delta, max(4, inner_order - 4))
-    mid = _mid_panels(F, beta, edges, gauss_order, far_order, near_cells)
-    mid_lo = _mid_panels(F, beta, edges, max(4, gauss_order // 2),
-                         max(2, far_order // 2), near_cells)
-    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta,
-                               panels=tail_panels, order=8)
-    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta,
-                             panels=tail_panels, order=4)
+    inner = _inner_jacobi(F2, beta, delta, INNER_ORDER)
+    inner_lo = _inner_jacobi(F2, beta, delta, INNER_ORDER - 4)
+    mid = _mid_panels(F, beta, edges, GAUSS_ORDER, FAR_ORDER)
+    mid_lo = _mid_panels(F, beta, edges, GAUSS_ORDER // 2, FAR_ORDER // 2)
+    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta, 8)
+    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta, 4)
 
     pieces = np.array([inner, mid, tl])
     finite = np.isfinite(pieces)
@@ -164,7 +181,6 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
 
 
 def grid_cell_edges(delta: float, spacing: float, cutoff: float,
-                    exact_cells: int = 128, growth: float = 1.06,
                     max_width: float | None = None) -> np.ndarray:
     """Panel edges from delta to cutoff.
 
@@ -183,36 +199,34 @@ def grid_cell_edges(delta: float, spacing: float, cutoff: float,
     if max_width is not None:
         w_cap = max(min(w_cap, max_width), spacing)
     while edges[-1] < cutoff:
-        if k >= exact_cells:
-            w = min(w * growth, w_cap)
+        if k >= EXACT_CELLS:
+            w = min(w * GROWTH, w_cap)
         edges.append(min(edges[-1] + w, cutoff))
         k += 1
     return np.asarray(edges)
 
 
-def log_panel_edges(delta: float, R: float, per_decade: int = 24,
-                    refine_center: float | None = None,
-                    refine_halfwidth: float = 3.0,
-                    refine_step: float = 0.125) -> np.ndarray:
+def log_panel_edges(delta: float, R: float,
+                    refine_center: float | None = None) -> np.ndarray:
     """Log-spaced panel edges on [delta, R], linearly refined near a feature.
 
     Used for smooth radial integrands whose only structure away from the
     origin sits near |h| = refine_center (an argument sign change).
     """
-    n = max(2, int(np.ceil(per_decade * np.log10(R / delta))))
+    n = max(2, int(np.ceil(LOG_PER_DECADE * np.log10(R / delta))))
     edges = np.geomspace(delta, R, n + 1)
     if refine_center is not None and refine_center > 0:
-        lo = max(delta, refine_center - refine_halfwidth)
-        hi = min(R, refine_center + refine_halfwidth)
+        lo = max(delta, refine_center - REFINE_HALFWIDTH)
+        hi = min(R, refine_center + REFINE_HALFWIDTH)
         if hi > lo:
-            k = int(np.ceil((hi - lo) / refine_step))
+            k = int(np.ceil((hi - lo) / REFINE_STEP))
             extra = np.linspace(lo, hi, k + 1)
             edges = np.unique(np.concatenate([edges, extra]))
     return edges
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-3, max_iter: int = 200) -> tuple[float, float]:
+                       tol: float = 1e-3) -> tuple[float, float]:
     """Locate the maximum of a unimodal f on [a, b].
 
     Returns (x_star, f(x_star)). Iteration count follows from the bracket
@@ -226,7 +240,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
         return xm, f(xm)
     c, d = a + invphi2 * h, a + invphi * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_ITERATIONS):
         if h <= tol:
             break
         if fc > fd:

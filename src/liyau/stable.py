@@ -1,10 +1,13 @@
 """Radial profiles of rotationally invariant stable densities.
 
 The kernel G(t, x) = t^(-d/beta) * Phi(|x| t^(-1/beta)) is generated by a
-single radial profile Phi per (beta, d). Profiles are tabulated on a
-log-spaced radius grid by Fourier inversion of exp(-|xi|^beta) and carry a
-fitted power tail A * r^(-d-beta) beyond the table; the true tail constant
-equals the jump-kernel normalization, which the fit is validated against.
+single radial profile Phi per (beta, d). Profiles are tabulated by Fourier
+inversion of exp(-|xi|^beta) at r = 0 and on one log-spaced grid per
+(beta, d), PER_DECADE nodes per decade from R_MIN out to a radius chosen
+for the tail model, and carry a fitted power tail A * r^(-d-beta) beyond
+the table; the true tail constant equals the jump-kernel normalization,
+which the fit is validated against. A profile's table arrays are
+read-only, so the caches built from them cannot go stale.
 
 For beta = 1 the profile is the closed-form Poisson kernel and every
 evaluation bypasses the table.
@@ -27,6 +30,9 @@ PROFILE_FORMAT = "liyau-profile v1"
 
 # integrand drops below 1e-16 once rho^beta > XI_DECAY
 XI_DECAY = 37.0
+# the table's first non-zero radius and its log-spaced nodes per decade
+R_MIN = 1e-3
+PER_DECADE = 24
 
 
 def _quiet_quad(*args, **kwargs):
@@ -74,13 +80,6 @@ def profile_at_zero(beta: float, d: int) -> float:
     """Phi(0) = d * omega_d * Gamma(d/beta) / ((2 pi)^d * beta)."""
     return (d * ball_volume(d) * _gamma(d / beta)
             / ((2.0 * np.pi) ** d * beta))
-
-
-@dataclass
-class ProfileGridSpec:
-    r_min: float = 1e-3
-    r_max: float | None = None
-    per_decade: int = 24
 
 
 def _default_r_max(beta: float, d: int) -> float:
@@ -163,7 +162,9 @@ class StableDensityProfile:
     """Tabulated radial profile with a fitted far tail.
 
     r_table starts at 0; values are Phi at the nodes. Beyond r_table[-1] the
-    profile follows tail_coef * r^(-d-beta).
+    profile follows tail_coef * r^(-d-beta). The profile keeps read-only
+    copies of both arrays, which its spline, small-r and exceedance caches
+    and constant_for's key are built from.
     """
 
     beta: float
@@ -177,8 +178,10 @@ class StableDensityProfile:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.r_table = np.asarray(self.r_table, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.r_table = np.array(self.r_table, dtype=float)
+        self.values = np.array(self.values, dtype=float)
+        self.r_table.flags.writeable = False
+        self.values.flags.writeable = False
         self._spline = None
         self._small = None
         self._exceed = None
@@ -421,24 +424,23 @@ def _fit_tail(beta: float, d: int, r: np.ndarray,
     return float(np.exp(logA)), float(resid), float(B)
 
 
-def build_profile(beta: float, d: int,
-                  grid: ProfileGridSpec | None = None) -> StableDensityProfile:
+def build_profile(beta: float, d: int) -> StableDensityProfile:
     """Tabulate Phi_beta for d in {1, 2, 3}.
 
-    beta = 1 short-circuits to the Poisson closed form. Otherwise the table
-    is filled by the dimension-appropriate Fourier inversion, the far tail is
-    fitted against r^(-d-beta), and any non-positive or non-monotone trailing
-    nodes are replaced by the tail model (recorded in meta).
+    The table holds r = 0 and PER_DECADE log-spaced radii per decade from
+    R_MIN to _default_r_max(beta, d). beta = 1 short-circuits to the
+    Poisson closed form. Otherwise the table is filled by the
+    dimension-appropriate Fourier inversion, the far tail is fitted against
+    r^(-d-beta), and any non-positive or non-monotone trailing nodes are
+    replaced by the tail model (recorded in meta).
     """
     if not 0 < beta < 2:
         raise ValueError("beta must lie in (0, 2)")
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2, or 3")
-    grid = grid or ProfileGridSpec()
-    r_max = grid.r_max or _default_r_max(beta, d)
-    decades = np.log10(r_max / grid.r_min)
-    n = int(np.ceil(grid.per_decade * decades)) + 1
-    r = np.concatenate([[0.0], np.geomspace(grid.r_min, r_max, n)])
+    r_max = _default_r_max(beta, d)
+    n = int(np.ceil(PER_DECADE * np.log10(r_max / R_MIN))) + 1
+    r = np.concatenate([[0.0], np.geomspace(R_MIN, r_max, n)])
 
     if beta == 1.0:
         vals = poisson_profile(d, r)

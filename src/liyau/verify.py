@@ -14,10 +14,9 @@ import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import Extension, GridField
-from .fraclap import (dt_log_u_at, frac_laplacian_point, shared_u0_transform,
-                      solve_fractional)
+from .fraclap import dt_log_u_at, frac_laplacian_point, solve_fractional
 from .markov import MarkovChain, neg_L_log, transition_matrix
-from .ops import JumpKernel, psi_upsilon_continuous, psi_upsilon_discrete, upsilon
+from .ops import psi_upsilon_continuous, psi_upsilon_discrete, upsilon
 from .singular import QuadResult
 from .stable import StableDensityProfile
 
@@ -26,6 +25,9 @@ REPORT_SCHEMA = "liyau-report v1"
 # exact discrete inequalities are allowed this much rounding slack
 EXACT_TOL = 1e-12
 REDUCTION_TOL = 1e-10
+# size bounds of random_key_instance's chains and atom sets
+KEY_MAX_STATES = 8
+KEY_MAX_ATOMS = 6
 
 
 @dataclass
@@ -72,36 +74,32 @@ class VerificationReport:
 
 # ---- discrete: the key inequality and the reduction principle --------------
 
-def key_inequality_margin_discrete(H, f, kernel: JumpKernel, nu_weights,
+def key_inequality_margin_discrete(H, f, chain: MarkovChain, nu_weights,
                                    x: int) -> float:
     """LHS - RHS of the averaging inequality at state x.
 
     With Pf(z) = sum_y H(z,y) f(y) nu_y, the inequality bounds
     Psi_Upsilon(log Pf)(x) Pf(x) by the nu-average of
-    Psi_Upsilon(log H(., y))(x) H(x,y) f(y). Exact in exact arithmetic.
+    Psi_Upsilon(log H(., y))(x) H(x,y) f(y), Psi_Upsilon taken with the
+    chain's jump rates. Exact in exact arithmetic.
     """
-    if kernel.kind != "discrete":
-        raise ValueError("discrete kernel required")
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
     nu = np.asarray(nu_weights, dtype=float)
     if np.any(H <= 0) or np.any(f <= 0) or np.any(nu <= 0):
         raise ValueError("H, f, and nu_weights must be positive")
-    n = kernel.n_states
+    n = chain.n
     if H.ndim != 2 or H.shape[0] != n:
         raise ValueError(f"H must have {n} rows")
     if f.shape != (H.shape[1],) or nu.shape != (H.shape[1],):
         raise ValueError("f and nu_weights must match H's atom count")
-    if not 0 <= x < n:
-        raise IndexError(f"state {x} outside 0..{n - 1}")
 
-    w = kernel.rates[x].copy()
-    w[x] = 0.0
+    w = chain.jump_rates(x)
     logH = np.log(H)
     per_atom = w @ upsilon(logH - logH[x])  # Psi_Upsilon(log H(., y))(x)
     lhs = float(np.dot(per_atom, H[x] * f * nu))
     Pf = H @ (f * nu)
-    rhs = psi_upsilon_discrete(np.log(Pf), kernel, x) * Pf[x]
+    rhs = psi_upsilon_discrete(np.log(Pf), chain, x) * Pf[x]
     return lhs - rhs
 
 
@@ -155,17 +153,17 @@ def random_connected_chain(rng: np.random.Generator, n: int) -> MarkovChain:
     return MarkovChain.from_rates(R)
 
 
-def random_key_instance(rng: np.random.Generator, max_states: int = 8,
-                        max_atoms: int = 6):
-    """(H, f, kernel, nu, x) tuple for one averaging-inequality trial."""
-    n = int(rng.integers(2, max_states + 1))
-    m = int(rng.integers(1, max_atoms + 1))
+def random_key_instance(rng: np.random.Generator):
+    """(H, f, chain, nu, x) tuple for one averaging-inequality trial: up to
+    KEY_MAX_STATES states and KEY_MAX_ATOMS atoms."""
+    n = int(rng.integers(2, KEY_MAX_STATES + 1))
+    m = int(rng.integers(1, KEY_MAX_ATOMS + 1))
     H = log_uniform(rng, 1e-2, 1e2, size=(n, m))
     f = log_uniform(rng, 1e-2, 1e2, size=m)
     nu = rng.uniform(0.1, 2.0, size=m)
-    kernel = JumpKernel.discrete(random_rate_matrix(rng, n))
+    chain = MarkovChain.from_rates(random_rate_matrix(rng, n))
     x = int(rng.integers(0, n))
-    return H, f, kernel, nu, x
+    return H, f, chain, nu, x
 
 
 def sweep_key_inequality(n_samples: int = 1000, seed: int = 0) -> VerificationReport:
@@ -174,8 +172,8 @@ def sweep_key_inequality(n_samples: int = 1000, seed: int = 0) -> VerificationRe
     report = VerificationReport(name="key-inequality",
                                 params={"n_samples": n_samples}, seed=seed)
     for _ in range(n_samples):
-        H, f, kernel, nu, x = random_key_instance(rng)
-        report.add_sample(key_inequality_margin_discrete(H, f, kernel, nu, x),
+        H, f, chain, nu, x = random_key_instance(rng)
+        report.add_sample(key_inequality_margin_discrete(H, f, chain, nu, x),
                           EXACT_TOL)
     report.runtime = time.perf_counter() - start
     return report
@@ -262,8 +260,7 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
     dt = dt_log_u_at(u0, beta, t, x, profile)
     if u_log is None:
         u_log = solve_fractional(u0, beta, t, profile).log()
-    kernel = JumpKernel.continuous(beta, 1)
-    psi = psi_upsilon_continuous(u_log, kernel, x)
+    psi = psi_upsilon_continuous(u_log, beta, x)
     value = dt - psi.value + const.value / t
     error = psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
@@ -285,13 +282,12 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
         seed=seed)
     for _ in range(n_fields):
         u0 = random_positive_field(rng, spacing=spacing, extent=extent)
-        with shared_u0_transform(u0):
-            for t in t_grid:
-                u = solve_fractional(u0, beta, float(t), profile)
-                m = liyau_margin_on_solution(u, beta, float(t), x_grid,
-                                             profile, const)
-                for value, error in zip(m.value, m.error):
-                    report.add_sample(value, error)
+        for t in t_grid:
+            u = solve_fractional(u0, beta, float(t), profile)
+            m = liyau_margin_on_solution(u, beta, float(t), x_grid, profile,
+                                         const)
+            for value, error in zip(m.value, m.error):
+                report.add_sample(value, error)
     report.runtime = time.perf_counter() - start
     return report
 
@@ -313,18 +309,17 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     report = VerificationReport(
         name="dh-consistency", params={"beta": profile.beta,
                                        "n_points": n_points}, seed=seed)
-    with shared_u0_transform(u0):
-        for _ in range(n_points):
-            t = float(log_uniform(rng, *t_range))
-            x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
-            u = solve_fractional(u0, profile.beta, t, profile)
-            logu = u.log()
-            ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
-                                          constant=const, u_log=logu)
-            dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
-                                             constant=const, u_log=logu)
-            gap = abs(dh.value - ly.value)
-            combined = dh.error + ly.error
-            report.add_sample(combined - gap, 0.0)
+    for _ in range(n_points):
+        t = float(log_uniform(rng, *t_range))
+        x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
+        u = solve_fractional(u0, profile.beta, t, profile)
+        logu = u.log()
+        ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
+                                      constant=const, u_log=logu)
+        dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
+                                         constant=const, u_log=logu)
+        gap = abs(dh.value - ly.value)
+        combined = dh.error + ly.error
+        report.add_sample(combined - gap, 0.0)
     report.runtime = time.perf_counter() - start
     return report

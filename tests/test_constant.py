@@ -1,4 +1,6 @@
 """The sharp constant C(beta, d) and the radial deficit integral J."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from liyau.constant import (J_of_y, LiYauConstantResult, SearchSpec,
                             _angular_rule, _sphere_deficit, constant_for,
                             heat_kernel_liyau_margin, liyau_constant_beta1,
                             liyau_constant_numeric)
-from liyau.stable import ProfileGridSpec, build_profile
+from liyau.stable import build_profile
 
 FOUR_PI = 12.566370614359172954  # J(0) at beta=1, d=1
 
@@ -60,8 +62,10 @@ def test_constant_for_keys_on_search_spec_and_table(profile_b1_d1):
     assert len(a.j_table) == 9 and len(b.j_table) == 13
     assert constant_for(profile_b1_d1, coarse) is a
     assert constant_for(profile_b1_d1, SearchSpec(y_max=5.0, nodes=13)) is b
-    # same (beta, d) and spec, another table
-    other = build_profile(1.0, 1, ProfileGridSpec(per_decade=12))
+    # same (beta, d) and spec, another table: one value changed
+    values = profile_b1_d1.values.copy()
+    values[5] *= 2.0
+    other = dataclasses.replace(profile_b1_d1, values=values)
     assert constant_for(other, coarse) is not a
     # no spec means the default spec
     assert constant_for(profile_b1_d1) is constant_for(profile_b1_d1, SearchSpec())

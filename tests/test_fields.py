@@ -31,11 +31,20 @@ def test_construction_validation():
 
 def test_grid_geometry():
     f = bump(spacing=0.5, extent=4.0)
-    assert f.dim == 1
     assert f.extent == pytest.approx(4.0)
     assert f.x[0] == pytest.approx(-4.0)
     assert f.x[-1] == pytest.approx(4.0)
     assert f.values.size == 17
+
+
+def test_values_are_a_read_only_copy():
+    # the spline and the heat solve's spectrum are built from the values
+    vals = np.ones(9)
+    f = GridField(0.5, vals)
+    vals[4] = 2.0
+    assert f.values[4] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[4] = 2.0
 
 
 def test_eval_inside_matches_samples_and_interpolates():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liyau.fields import Extension, GridField
-from liyau.ops import (JumpKernel, chain_rule_residual, lambda_log,
+from liyau.markov import MarkovChain
+from liyau.ops import (chain_rule_residual, lambda_log,
                        psi_upsilon_continuous, psi_upsilon_discrete, upsilon,
                        upsilon_over_sq)
 
@@ -84,8 +85,7 @@ def test_lambda_log_closed_form(w, z):
 @settings(max_examples=100)
 def test_psi_discrete_shift_invariance(c):
     rates = np.array([[0.0, 1.0, 2.0], [0.5, 0.0, 1.5], [2.0, 1.0, 0.0]])
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-    k = JumpKernel.discrete(rates)
+    k = MarkovChain.from_rates(rates)
     f = np.array([0.3, -1.2, 2.0])
     base = psi_upsilon_discrete(f, k, 1)
     assert psi_upsilon_discrete(f + c, k, 1) == pytest.approx(base, abs=1e-13)
@@ -93,18 +93,19 @@ def test_psi_discrete_shift_invariance(c):
 
 def test_psi_discrete_nonnegative_and_zero_on_constants():
     rates = np.array([[-3.0, 1.0, 2.0], [0.5, -2.0, 1.5], [2.0, 1.0, -3.0]])
-    k = JumpKernel.discrete(rates)
+    k = MarkovChain(rates)
     assert psi_upsilon_discrete(np.zeros(3), k, 0) == 0.0
     assert psi_upsilon_discrete(np.array([0.1, -0.4, 0.7]), k, 2) >= 0.0
 
 
-def test_jump_kernel_validation():
-    with pytest.raises(ValueError):
-        JumpKernel.continuous(2.0, 1)
-    with pytest.raises(ValueError):
-        JumpKernel.continuous(0.0, 1)
-    with pytest.raises(ValueError):
-        JumpKernel.discrete(np.array([[0.0, -1.0], [1.0, 0.0]]))
+def test_psi_continuous_rejects_order_outside_0_2(profile_b1_d1):
+    h, X = 0.02, 40.0
+    xs = np.arange(-X, X + h / 2, h)
+    flog = GridField(h, profile_b1_d1.log_value(np.abs(xs)),
+                     extension=Extension("log-power", exponent=2.0))
+    for beta in (0.0, 2.0):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            psi_upsilon_continuous(flog, beta, 0.0)
 
 
 def test_chain_rule_discrete_is_arithmetic_identity():
@@ -112,9 +113,7 @@ def test_chain_rule_discrete_is_arithmetic_identity():
     for _ in range(20):
         n = int(rng.integers(2, 8))
         rates = rng.uniform(0.0, 3.0, (n, n))
-        np.fill_diagonal(rates, 0.0)
-        np.fill_diagonal(rates, -rates.sum(axis=1))
-        k = JumpKernel.discrete(rates)
+        k = MarkovChain.from_rates(rates)
         f = np.exp(rng.normal(0.0, 1.0, n))
         x = int(rng.integers(0, n))
         assert abs(chain_rule_residual(f, k, x)) < 1e-12
@@ -127,8 +126,7 @@ def test_psi_continuous_heat_kernel_anchor(profile_b1_d1):
     xs = np.arange(-X, X + h / 2, h)
     flog = GridField(h, profile_b1_d1.log_value(np.abs(xs)),
                      extension=Extension("log-power", exponent=2.0))
-    k = JumpKernel.continuous(1.0, 1)
-    res = psi_upsilon_continuous(flog, k, 0.0)
+    res = psi_upsilon_continuous(flog, 1.0, 0.0)
     assert res.value == pytest.approx(1.0, abs=max(2.0 * res.error, 2e-5))
 
 
@@ -137,7 +135,6 @@ def test_chain_rule_continuous_within_combined_error(profile_b1_d1):
     xs = np.arange(-X, X + h / 2, h)
     f = GridField(h, profile_b1_d1.eval(np.abs(xs)),
                   extension=Extension("power", exponent=2.0), positive=True)
-    k = JumpKernel.continuous(1.0, 1)
     for x in (0.0, 0.5, 1.5):
-        res = chain_rule_residual(f, k, x)
+        res = chain_rule_residual(f, 1.0, x)
         assert abs(res.value) <= 2.0 * res.error + 5e-6

@@ -6,6 +6,8 @@ independently of this package):
   c_{beta,d}      = 2^beta Gamma((d+beta)/2) / (pi^{d/2} |Gamma(-beta/2)|)
   beta = 1        -> Poisson kernel C_d (1+r^2)^{-(d+1)/2}
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -164,6 +166,19 @@ def test_text_round_trip_keeps_meta(profile_b05_d1):
     assert again.mass() == prof.mass()
     r = np.array([0.0, 0.02, 1.0, 77.0, 1e6])
     assert np.array_equal(again.eval(r), prof.eval(r))
+
+
+def test_profile_arrays_are_read_only_copies(profile_b05_d1):
+    # the spline, small-r and exceedance caches and constant_for's key read
+    # both arrays
+    prof = profile_b05_d1
+    values = prof.values.copy()
+    again = dataclasses.replace(prof, values=values)
+    values[3] = 0.0
+    assert again.values[3] == prof.values[3]
+    for a in (prof.r_table, prof.values, again.r_table, again.values):
+        with pytest.raises(ValueError, match="read-only"):
+            a[3] = 0.0
 
 
 def test_build_profile_rejects_bad_arguments():

@@ -8,7 +8,6 @@ import scipy.fft
 
 from liyau import fraclap, verify
 from liyau.markov import MarkovChain, complete_graph
-from liyau.ops import JumpKernel
 from liyau.verify import (VerificationReport, differential_harnack_margin,
                           fractional_liyau_margin,
                           key_inequality_margin_discrete,
@@ -52,16 +51,16 @@ def _basic_instance():
     H = np.exp(rng.normal(size=(3, 4)))
     f = np.exp(rng.normal(size=4))
     nu = rng.uniform(0.5, 1.5, size=4)
-    kernel = JumpKernel.discrete([[0.0, 1.0, 0.5],
-                                  [1.0, 0.0, 2.0],
-                                  [0.5, 2.0, 0.0]])
-    return H, f, kernel, nu
+    chain = MarkovChain.from_rates([[0.0, 1.0, 0.5],
+                                    [1.0, 0.0, 2.0],
+                                    [0.5, 2.0, 0.0]])
+    return H, f, chain, nu
 
 
 def test_key_inequality_basic_instance():
-    H, f, kernel, nu = _basic_instance()
+    H, f, chain, nu = _basic_instance()
     for x in range(3):
-        assert key_inequality_margin_discrete(H, f, kernel, nu, x) >= -1e-12
+        assert key_inequality_margin_discrete(H, f, chain, nu, x) >= -1e-12
 
 
 def test_key_inequality_equality_for_rank_one():
@@ -71,42 +70,39 @@ def test_key_inequality_equality_for_rank_one():
     H = np.outer(a, b)
     f = np.array([2.0, 1.0, 0.5, 3.0])
     nu = np.array([1.0, 1.0, 0.5, 2.0])
-    kernel = JumpKernel.discrete([[0.0, 1.0, 0.5],
-                                  [1.0, 0.0, 2.0],
-                                  [0.5, 2.0, 0.0]])
+    chain = MarkovChain.from_rates([[0.0, 1.0, 0.5],
+                                    [1.0, 0.0, 2.0],
+                                    [0.5, 2.0, 0.0]])
     for x in range(3):
-        m = key_inequality_margin_discrete(H, f, kernel, nu, x)
+        m = key_inequality_margin_discrete(H, f, chain, nu, x)
         assert abs(m) <= 1e-12 * np.abs(H @ (f * nu)).max()
 
 
 def test_key_inequality_validation():
-    H, f, kernel, nu = _basic_instance()
-    with pytest.raises(ValueError, match="discrete"):
-        key_inequality_margin_discrete(H, f, JumpKernel.continuous(1.0, 1),
-                                       nu, 0)
+    H, f, chain, nu = _basic_instance()
     with pytest.raises(ValueError, match="positive"):
-        key_inequality_margin_discrete(-H, f, kernel, nu, 0)
+        key_inequality_margin_discrete(-H, f, chain, nu, 0)
     with pytest.raises(ValueError, match="rows"):
-        key_inequality_margin_discrete(H[:2], f, kernel, nu, 0)
+        key_inequality_margin_discrete(H[:2], f, chain, nu, 0)
     with pytest.raises(ValueError, match="atom count"):
-        key_inequality_margin_discrete(H, f[:3], kernel, nu, 0)
+        key_inequality_margin_discrete(H, f[:3], chain, nu, 0)
     with pytest.raises(IndexError):
-        key_inequality_margin_discrete(H, f, kernel, nu, 3)
+        key_inequality_margin_discrete(H, f, chain, nu, 3)
 
 
 def test_key_inequality_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        H, f, kernel, nu, x = random_key_instance(rng)
-        assert key_inequality_margin_discrete(H, f, kernel, nu, x) >= -1e-12
+        H, f, chain, nu, x = random_key_instance(rng)
+        assert key_inequality_margin_discrete(H, f, chain, nu, x) >= -1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(1e-3, 1e3))
 def test_key_inequality_margin_is_linear_in_f(scale):
-    H, f, kernel, nu = _basic_instance()
-    base = key_inequality_margin_discrete(H, f, kernel, nu, 1)
-    scaled = key_inequality_margin_discrete(H, scale * f, kernel, nu, 1)
+    H, f, chain, nu = _basic_instance()
+    base = key_inequality_margin_discrete(H, f, chain, nu, 1)
+    scaled = key_inequality_margin_discrete(H, scale * f, chain, nu, 1)
     assert scaled == pytest.approx(scale * base, rel=1e-9)
 
 
@@ -242,7 +238,7 @@ def test_dh_margin_solves_no_whole_grid(profile_b1_d1, monkeypatch):
     logu = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1).log()
     # the whole-grid route, assembled before the solver is switched off
     grid = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1)
-    psi = verify.psi_upsilon_continuous(logu, JumpKernel.continuous(1.0, 1), x)
+    psi = verify.psi_upsilon_continuous(logu, 1.0, x)
     const = verify.constant_for(profile_b1_d1)
     want_value = float(grid.eval(x)) - psi.value + const.value / t
     want_error = psi.error + const.error / t
