@@ -218,8 +218,8 @@ class GridField:
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
         self._spline = None
-        # u0's weighted spectrum, set by fraclap's first whole-grid sum of
-        # the field and read by every later one
+        # None, or after fraclap._keep_spectrum a list that holds u0's
+        # weighted spectrum once the field's first whole-grid sum stored it
         self._spectrum = None
 
     @property

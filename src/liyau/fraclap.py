@@ -9,9 +9,10 @@ gaussian_frac_laplacian is its closed form on exp(-x^2). solve_fractional
 realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
 real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
 non-negative offsets -- plus an end correction and explicit tail terms for
-the field's extension rule. u0's weighted spectrum is computed by its
-first whole-grid sum and kept on the field, whose values are read-only, so
-every later solve of u0 reuses it.
+the field's extension rule. A lone solve transforms u0 and keeps
+nothing; after _keep_spectrum(u0), which dt_log_u and verify's sweeps call,
+the field keeps u0's weighted spectrum and every later solve of u0 reuses
+it. The field's values are read-only, so the kept spectrum cannot go stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -98,22 +99,35 @@ def _wrapped(g: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _keep_spectrum(u0: GridField) -> None:
+    """Make u0 keep its weighted spectrum: the next whole-grid sum of u0
+    stores it on the field, and every later one reads it instead of
+    transforming u0 again. The FFT length depends on n alone, so one array
+    serves every t."""
+    if u0._spectrum is None:
+        u0._spectrum = []
+
+
 def _convolve_body(u0: GridField, g: np.ndarray) -> np.ndarray:
     """Sum over the grid of K(x_i - y_j) u0(y_j) w_j, all i, for the
     trapezoid weights w.
 
     g holds the kernel at the non-negative offsets k h (k = 0..n-1). A
     linear convolution of n samples needs 2n - 1 points, so one real FFT of
-    that length, padded to a fast size, suffices. The length depends on n
-    alone, so u0's first call stores u0's weighted spectrum on the field
-    and every later call reuses it.
+    that length, padded to a fast size, suffices. u0's spectrum is the one
+    the field keeps after _keep_spectrum, or else a fresh one that it does
+    not keep.
     """
     n = g.size
     length = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    if u0._spectrum is None:
-        u0._spectrum = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
-    conv = scipy.fft.irfft(u0._spectrum * scipy.fft.rfft(_wrapped(g, length)),
-                           length)
+    kept = u0._spectrum  # a list after _keep_spectrum, else None
+    if kept:
+        spec = kept[0]
+    else:
+        spec = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
+        if kept is not None:
+            kept.append(spec)
+    conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
     return conv[:n]
 
 
@@ -238,8 +252,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     The body of the convolution is a trapezoid sum evaluated as one linear
     convolution: the kernel is sampled at the n non-negative offsets k h,
     mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
-    and multiplied with u0's weighted spectrum, which u0's first whole-grid
-    sum computes and keeps. An Euler-Maclaurin end correction
+    and multiplied with u0's weighted spectrum, computed afresh unless
+    _keep_spectrum(u0) has stored it. An Euler-Maclaurin end correction
     reuses the same kernel samples, and _add_edge_terms restores the mass
     from beyond the grid. Output fields carry a power(d + beta) extension
     and meta['tail_mass'] with the solution mass beyond the grid, so that
@@ -341,8 +355,9 @@ def dt_log_u(u0: GridField, beta: float, t: float,
     """d/dt log u(t, .) = (du/dt) / u on the grid of u0.
 
     du/dt is the heat solve's own sum with dG/dt in place of G; both sums
-    read u0's one weighted spectrum.
+    read u0's one weighted spectrum, which u0 keeps afterwards.
     """
+    _keep_spectrum(u0)
     u = solve_fractional(u0, beta, t, profile)
     du = _grid_sum(u0, profile, t, dt=True)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there

@@ -27,12 +27,13 @@ from scipy.special import roots_jacobi
 # weighted_singular's rules, each paired with a lower order for its error
 # estimate: Gauss-Jacobi on the inner disc, Gauss-Legendre on the first
 # NEAR_CELLS middle panels and a lower order beyond them, and TAIL_PANELS
-# dyadic panels in the tail's substituted variable
+# dyadic panels of TAIL_ORDER nodes in the tail's substituted variable
 INNER_ORDER = 12
 GAUSS_ORDER = 8
 FAR_ORDER = 4
 NEAR_CELLS = 32
 TAIL_PANELS = 48
+TAIL_ORDER = 8
 # grid_cell_edges: one panel per cell for the first EXACT_CELLS cells, then
 # widths growing by GROWTH per panel
 EXACT_CELLS = 128
@@ -163,8 +164,8 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
     inner_lo = _inner_jacobi(F2, beta, delta, INNER_ORDER - 4)
     mid = _mid_panels(F, beta, edges, GAUSS_ORDER, FAR_ORDER)
     mid_lo = _mid_panels(F, beta, edges, GAUSS_ORDER // 2, FAR_ORDER // 2)
-    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta, 8)
-    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta, 4)
+    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta, TAIL_ORDER)
+    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta, TAIL_ORDER // 2)
 
     pieces = np.array([inner, mid, tl])
     finite = np.isfinite(pieces)
@@ -226,11 +227,12 @@ def log_panel_edges(delta: float, R: float,
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-3) -> tuple[float, float]:
-    """Locate the maximum of a unimodal f on [a, b].
+                       tol: float) -> tuple[float, float]:
+    """Locate the maximum of a unimodal f on [a, b] to a bracket of tol.
 
     Returns (x_star, f(x_star)). Iteration count follows from the bracket
-    contraction rate log(tol/(b-a)) / log(invphi).
+    contraction rate log(tol/(b-a)) / log(invphi), capped at
+    GOLDEN_ITERATIONS.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - np.sqrt(5.0)) / 2.0

@@ -14,7 +14,8 @@ import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import Extension, GridField
-from .fraclap import dt_log_u_at, frac_laplacian_point, solve_fractional
+from .fraclap import (_keep_spectrum, dt_log_u_at, frac_laplacian_point,
+                      solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
 from .ops import psi_upsilon_continuous, psi_upsilon_discrete, upsilon
 from .singular import QuadResult
@@ -282,6 +283,7 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
         seed=seed)
     for _ in range(n_fields):
         u0 = random_positive_field(rng, spacing=spacing, extent=extent)
+        _keep_spectrum(u0)  # one transform of u0 for every t
         for t in t_grid:
             u = solve_fractional(u0, beta, float(t), profile)
             m = liyau_margin_on_solution(u, beta, float(t), x_grid, profile,
@@ -306,6 +308,7 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     rng = np.random.default_rng(seed)
     const = constant_for(profile)
     u0 = random_positive_field(rng, spacing=spacing, extent=extent)
+    _keep_spectrum(u0)  # one transform of u0 for every t
     report = VerificationReport(
         name="dh-consistency", params={"beta": profile.beta,
                                        "n_points": n_points}, seed=seed)

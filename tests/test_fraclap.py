@@ -6,10 +6,10 @@ from scipy.interpolate import CubicSpline
 
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField
-from liyau.fraclap import (SPLINE_REACH, _solve_window, _tail_nodes,
-                           dt_log_u, dt_log_u_at, frac_laplacian_point,
-                           gaussian_frac_laplacian, solve_fractional,
-                           solve_fractional_at)
+from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
+                           _tail_nodes, dt_log_u, dt_log_u_at,
+                           frac_laplacian_point, gaussian_frac_laplacian,
+                           solve_fractional, solve_fractional_at)
 from liyau.ops import psi_upsilon_continuous
 from liyau.singular import grid_cell_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
@@ -403,14 +403,16 @@ def test_solve_at_rejects_what_the_grid_solve_rejects(profile_b1_d1):
 
 def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
     h, X = 0.05, 20.0
-    u0 = GridField.from_function(lambda x: 1.0 + np.exp(-x ** 2), h, X,
-                                 positive=True)
+
+    def fresh():
+        return GridField.from_function(lambda x: 1.0 + np.exp(-x ** 2), h, X,
+                                       positive=True)
+
+    ts = (0.3, 1.0, 2.5)
     # each t on a field of its own, so each solve transforms its u0 afresh
-    fresh = [solve_fractional(GridField(h, u0.values, Extension("constant"),
-                                        positive=True), 1.0, t, profile_b1_d1)
-             for t in (0.3, 1.0, 2.5)]
-    fresh_dt = dt_log_u(GridField(h, u0.values, Extension("constant"),
-                                  positive=True), 1.0, 1.0, profile_b1_d1)
+    alone = [solve_fractional(fresh(), 1.0, t, profile_b1_d1) for t in ts]
+    alone_dt = dt_log_u(fresh(), 1.0, 1.0, profile_b1_d1)
+    u0 = fresh()
     n = u0.values.size
     seen = []
     rfft = scipy.fft.rfft
@@ -422,13 +424,20 @@ def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "rfft", counting)
-    solved = [solve_fractional(u0, 1.0, t, profile_b1_d1)
-              for t in (0.3, 1.0, 2.5)]
+    lone = [solve_fractional(u0, 1.0, t, profile_b1_d1) for t in ts]
+    assert sum(seen) == 3 and u0._spectrum is None  # a lone solve keeps nothing
+    seen.clear()
+    _keep_spectrum(u0)
+    kept = [solve_fractional(u0, 1.0, t, profile_b1_d1) for t in ts]
     dt = dt_log_u(u0, 1.0, 1.0, profile_b1_d1)  # the sums for u and du/dt
     assert sum(seen) == 1
-    for a, b in zip(solved, fresh):
+    for a, b, c in zip(alone, lone, kept):
         assert np.array_equal(a.values, b.values)
-    assert np.array_equal(dt.values, fresh_dt.values)
+        assert np.array_equal(a.values, c.values)
+    assert np.array_equal(dt.values, alone_dt.values)
+    seen.clear()
+    dt_log_u(fresh(), 1.0, 0.7, profile_b1_d1)  # same samples as u0
+    assert sum(seen) == 1  # dt_log_u's two sums share one transform
 
 
 def test_exceedance_computes_mass_once(monkeypatch):
