@@ -274,8 +274,9 @@ def solve_fractional(u0: GridField, beta: float, t: float,
         u0_tail_mass = ((v[0] + v[-1]) * u0.extent / (q - 1.0) if q > 1
                         else float("inf"))
     # mass of the solution beyond the grid: exterior initial mass stays
-    # counted as exterior, interior mass leaks by the exceedance law
-    leak = float(np.dot(_trapezoid_weighted(u0), exceed + exceed[::-1]))
+    # counted as exterior, interior mass leaks by the exceedance law; summed
+    # outside BLAS, whose ddot rounds differently at each thread count
+    leak = float(np.sum(_trapezoid_weighted(u0) * (exceed + exceed[::-1])))
     meta = {"t": float(t), "tail_mass": leak + u0_tail_mass}
     # far field of the solution: a power-tailed u0 keeps the heavier of its
     # own tail and the kernel's 1+beta tail; a constant-extended u0 relaxes

@@ -1,9 +1,15 @@
 """Fractional Laplacian by point quadrature, and the solution engine."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.interpolate import CubicSpline
 
+import liyau
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField
 from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
@@ -269,6 +275,33 @@ def test_mass_conservation_compact_support(profile_b05_d1):
     assert u.mass() == pytest.approx(m0, rel=1e-4)
     # the solution's own mass splits between grid body and recorded tail
     assert u.meta["tail_mass"] > 0.0
+
+
+TAIL_MASS_SCRIPT = """
+import numpy as np
+from liyau.fraclap import solve_fractional
+from liyau.stable import build_profile
+from liyau.verify import random_positive_field
+u0 = random_positive_field(np.random.default_rng(11))  # n = 10001
+u = solve_fractional(u0, 1.0, 2.0, build_profile(1.0, 1))
+print(u0.values.size, u.meta["tail_mass"].hex())
+"""
+
+
+def test_tail_mass_does_not_depend_on_blas_threads():
+    # OpenBLAS threads ddot above n = 10000, and each thread count rounds
+    # the split sum differently
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(liyau.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", TAIL_MASS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        out.append(proc.stdout.split())
+    assert out[0][0] == "10001"
+    assert out[0] == out[1]
 
 
 def test_linearity_to_rounding(profile_b1_d1, rng):

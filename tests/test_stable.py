@@ -7,15 +7,16 @@ independently of this package):
   beta = 1        -> Poisson kernel C_d (1+r^2)^{-(d+1)/2}
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma
 
-from liyau.stable import (StableDensityProfile, build_profile, eval_G,
-                          normalizing_constant, poisson_profile,
-                          profile_at_zero)
+from liyau.stable import (StableDensityProfile, _j0_transform_d2,
+                          build_profile, eval_G, normalizing_constant,
+                          poisson_profile, profile_at_zero)
 
 # frozen oracles
 PHI0_B05_D1 = 0.63661977236758134308  # 2/pi
@@ -53,12 +54,37 @@ def test_beta_one_d3_poisson():
 
 
 @pytest.mark.parametrize("beta,d,tol", [(0.5, 1, 1e-6), (1.5, 1, 1e-6),
-                                        (1.0, 2, 1e-6)])
+                                        (1.0, 2, 1e-6), (0.7, 2, 1e-4)])
 def test_mass_is_one(beta, d, tol, request):
+    # (0.7, 2): the table stops at r = 300, and with its single-term tail
+    # model the mass reads 1 + 9.2e-6
     cache = {(0.5, 1): "profile_b05_d1", (1.5, 1): "profile_b15_d1",
-             (1.0, 2): "profile_b1_d2"}
+             (1.0, 2): "profile_b1_d2", (0.7, 2): "profile_b07_d2"}
     prof = request.getfixturevalue(cache[(beta, d)])
     assert prof.mass() == pytest.approx(1.0, abs=tol)
+
+
+def test_d2_inversion_matches_poisson_kernel(profile_b07_d2):
+    # the Hankel panels at beta = 1, on the (0.7, 2) table's radii, against
+    # the closed form; r >= 1 reads the shared J0 table, r < 1 its own J0
+    r = profile_b07_d2.r_table
+    vals, errs = _j0_transform_d2(1.0, r)
+    exact = poisson_profile(2, r)
+    gap = np.abs(vals - exact)
+    assert np.all(gap <= errs)
+    assert np.all(gap <= 1e-9 * exact)
+
+
+def test_d2_inversion_memory_stays_bounded():
+    # each radius sums its panels J0_BLOCK at a time: 10.7 MB peak, against
+    # 13.8 MB when every radius evaluated all its panels at once
+    tracemalloc.start()
+    try:
+        build_profile(0.7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_value_at_zero_matches_closed_form(profile_b05_d1, profile_b15_d1):
