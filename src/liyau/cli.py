@@ -89,7 +89,8 @@ _graph_size = _int_at_least(2, "a complete graph of n >= 2")
 def _common(sub):
     sub.add_argument("--outdir", default=None, help="output directory")
     sub.add_argument("--seed", type=_non_negative_int, default=0)
-    sub.add_argument("--config", default=None,
+    # appended, so that a second --config, in any spelling, shows
+    sub.add_argument("--config", action="append", default=None,
                      help="key=value file; flags override file values")
 
 
@@ -114,10 +115,11 @@ def build_parser() -> _Parser:
     f.set_defaults(func=cmd_fraclap)
 
     c = subs.add_parser("liyau-const", help="the sharp constant for (beta, d)")
-    c.add_argument("--beta", type=_beta, default=None)
+    one_or_sweep = c.add_mutually_exclusive_group(required=True)
+    one_or_sweep.add_argument("--beta", type=_beta, default=None)
+    one_or_sweep.add_argument("--sweep", default=None,
+                              help="beta:START:STOP:STEPS sweep specification")
     c.add_argument("--dim", type=_dim, default=1)
-    c.add_argument("--sweep", default=None,
-                   help="beta:START:STOP:STEPS sweep specification")
     c.add_argument("--y-max", type=_positive, default=50.0)
     c.add_argument("--nodes", type=_positive_int, default=49)
     _common(c)
@@ -157,18 +159,21 @@ def build_parser() -> _Parser:
     return p
 
 
-def _expand_config(argv: list) -> list:
-    """Inject file params as flags before the explicit ones (file < flags)."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv  # argparse reports the missing value
-    params = read_config_file(argv[i + 1])
+def _expand_config(argv: list) -> tuple[list, list | None]:
+    """Inject the params of the file that --config FILE or --config=FILE
+    names as flags before the explicit ones (file < flags).
+
+    Returns the expanded argv and [FILE], or None without --config; a
+    second file is left unread for main to reject.
+    """
+    paths = [b for a, b in zip(argv, argv[1:]) if a == "--config"]
+    paths += [a[len("--config="):] for a in argv if a.startswith("--config=")]
+    if not paths:
+        return argv, None
     inject = []
-    for k, v in params.items():
+    for k, v in read_config_file(paths[0]).items():
         inject += [f"--{k.replace('_', '-')}", v]
-    return argv[:1] + inject + argv[1:]
+    return argv[:1] + inject + argv[1:], paths[:1]
 
 
 def _config_echo(args) -> dict:
@@ -263,8 +268,6 @@ def cmd_liyau_const(args, outdir, manifest) -> int:
             comment="exploratory sweep; no claim about the beta->2 limit"))
         print(f"sweep: {len(rows)} rows written")
         return EXIT_PASS
-    if args.beta is None:
-        raise ConfigError("either --beta or --sweep is required")
     res = liyau_constant_numeric(build_profile(args.beta, args.dim), search)
     manifest.register(runio.write_csv(
         outdir / "j_table.csv", ["y", "J", "err"], res.j_table))
@@ -283,6 +286,9 @@ def cmd_liyau_const(args, outdir, manifest) -> int:
 def cmd_verify(args, outdir, manifest) -> int:
     # without --samples each sweep keeps its own default count
     n = () if args.samples is None else (args.samples,)
+    if args.check == "liyau" and n:
+        raise ConfigError("--check liyau counts its samples by --n-fields, "
+                          "not --samples")
     if args.check == "key":
         report = sweep_key_inequality(*n, seed=args.seed)
     elif args.check == "reduction":
@@ -385,8 +391,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _expand_config(argv)
+        argv, config = _expand_config(argv)
         args = parser.parse_args(argv)
+        if args.config != config:
+            # a second file, an abbreviated flag, or a config key naming one
+            raise ConfigError("--config takes one file, given in full as "
+                              "--config FILE or --config=FILE")
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -156,7 +156,7 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
 
     F = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), False)
     F2 = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), True)
-    res = weighted_singular(F, F2, profile.beta, delta, edges)
+    res = weighted_singular(F, F2, profile.beta, edges)
     # profile tabulation error enters linearly through the log values
     res = QuadResult(res.value,
                      res.error + 4.0 * profile.error_estimate * (1.0 + abs(res.value)),

@@ -12,6 +12,10 @@ locate their cell by index. Point quadratures build one spline of log u per
 (u, t) on grids of 10^4 nodes and more, which is what this pays for. The
 82-node window splines in fraclap and the stable profile's log-log table keep
 scipy: they are small, and a window's nodes move with its point.
+
+A point quadrature around x splits at one grid cell, where panel_edges
+starts: PointExpansion reads the spline's Taylor data at x inside that
+cell and the field itself beyond it.
 """
 from __future__ import annotations
 
@@ -173,7 +177,7 @@ class _GridSpline:
 @lru_cache(maxsize=64)
 def _panel_edges(spacing: float, extent: float,
                  max_width: float | None) -> np.ndarray:
-    edges = grid_cell_edges(spacing, spacing, extent, max_width=max_width)
+    edges = grid_cell_edges(spacing, extent, max_width=max_width)
     edges.flags.writeable = False  # shared by every field on the grid
     return edges
 
@@ -370,12 +374,15 @@ class GridField:
 
 
 class PointExpansion:
-    """Stable local differences of a 1-d GridField around base points.
+    """A 1-d GridField read around base points x, on either side of one
+    grid cell.
 
-    Provides f(x+s*h)-f(x) in forms that do not lose precision as h -> 0,
-    switching to a spline-derivative Taylor form below one grid cell. x is
-    one point or a 1-d array of them; for an array every difference has one
-    row per point, shape (len(x),) + h.shape.
+    Every point quadrature splits at its first panel edge, one grid cell
+    (weighted_singular, GridField.panel_edges), and each side has one
+    reader: near_over_h, the spline's cubic at x (the Taylor data f_x, d1,
+    d2, d3), which keeps its precision as h -> 0, and far, the field itself,
+    extension rule included. x is one point or a 1-d array of them; for an
+    array every reading has one row per point, shape (len(x),) + h.shape.
     """
 
     def __init__(self, f: GridField, x):
@@ -387,42 +394,11 @@ class PointExpansion:
         sp = f._get_spline()
         self.f_x, self.d1, self.d2, self.d3 = (sp(self._col, k) for k in range(4))
 
-    def _split(self, h, taylor, far) -> np.ndarray:
-        """taylor(h) below one grid cell, far(h) at and beyond it."""
-        h = np.asarray(h, dtype=float)
-        small = h < self.field.spacing
-        out = np.empty(self._col.shape[:-1] + h.shape)
-        if small.any():
-            out[..., small] = taylor(h[small])
-        big = ~small
-        if big.any():
-            out[..., big] = far(h[big])
-        return out
-
-    def _taylor_over_h(self, s: int, h: np.ndarray) -> np.ndarray:
+    def near_over_h(self, s: float, h: np.ndarray) -> np.ndarray:
+        """(f(x + s h) - f(x)) / h for 0 < h < one grid cell, s = +-1."""
         return s * self.d1 + h * (self.d2 / 2.0 + s * h * self.d3 / 6.0)
 
-    def _far_diff(self, s: int, h: np.ndarray) -> np.ndarray:
-        return self.field.eval(self._col + s * h) - self.f_x
-
-    def _far_even(self, h: np.ndarray) -> np.ndarray:
-        # both sides in one evaluation
+    def far(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(x + h) and f(x - h) for h >= one grid cell, from one field read."""
         both = self.field.eval(self._col + np.concatenate([h, -h]))
-        return both[..., :h.size] + both[..., h.size:] - 2.0 * self.f_x
-
-    def diff(self, s: int, h: np.ndarray) -> np.ndarray:
-        """f(x + s*h) - f(x) for h >= 0."""
-        return self._split(h, lambda hs: hs * self._taylor_over_h(s, hs),
-                           lambda hb: self._far_diff(s, hb))
-
-    def diff_over_h(self, s: int, h: np.ndarray) -> np.ndarray:
-        return self._split(h, lambda hs: self._taylor_over_h(s, hs),
-                           lambda hb: self._far_diff(s, hb) / hb)
-
-    def diff_even(self, h: np.ndarray) -> np.ndarray:
-        """f(x+h) + f(x-h) - 2 f(x)."""
-        return self._split(h, lambda hs: self.d2 * hs ** 2, self._far_even)
-
-    def diff_even_over_h2(self, h: np.ndarray) -> np.ndarray:
-        return self._split(h, lambda hs: self.d2,
-                           lambda hb: self._far_even(hb) / hb ** 2)
+        return both[..., :h.size], both[..., h.size:]

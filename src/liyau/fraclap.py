@@ -59,9 +59,16 @@ def frac_laplacian_point(f: GridField, beta: float, x, *,
     """
     c = normalizing_constant(beta, 1)  # rejects beta outside (0, 2)
     exp = f.point_expansion(x)  # raises if a point leaves the central 80%
-    res = weighted_singular(exp.diff_even, exp.diff_even_over_h2, beta, f.spacing,
-                            f.panel_edges(max_panel_width), prefactor=-c)
-    return res + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
+
+    def F(h):
+        plus, minus = exp.far(h)
+        return plus + minus - 2.0 * exp.f_x
+
+    # inside the inner disc the spline's second difference over h^2 is
+    # f''(x), repeated: a broadcast view would round the inner sum otherwise
+    F2 = lambda h: np.repeat(exp.d2, h.size, axis=-1)
+    res = weighted_singular(F, F2, beta, f.panel_edges(max_panel_width))
+    return res.scaled(-c) + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
 
 
 def gaussian_frac_laplacian(beta: float, x) -> np.ndarray:

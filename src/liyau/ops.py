@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import GridField
+from .fraclap import frac_laplacian_point
 from .markov import MarkovChain
 from .singular import QuadResult, weighted_singular
 from .stable import normalizing_constant
@@ -89,29 +90,29 @@ def psi_upsilon_continuous(f: GridField, beta: float, x: float) -> QuadResult:
     """Psi_Upsilon(f)(x) = c * int Upsilon(f(y) - f(x)) |y - x|^(-1-beta) dy.
 
     c = normalizing_constant(beta, 1) makes c |y - x|^(-1-beta) the jump
-    weight of L = -(-Delta)^(beta/2), beta in (0, 2). Each side of x is
-    handled by the weighted
-    singular engine, with the tail following the field's extension model.
+    weight of L = -(-Delta)^(beta/2), beta in (0, 2). The two sides of x
+    are the two rows of one weighted_singular call, with the tail following
+    the field's extension model.
     Diverging tails (e.g. growing f under a constant extension) come back
     with error = inf rather than raising.
     """
     c = normalizing_constant(beta, 1)
-    edges = f.panel_edges()
     exp = f.point_expansion(x)
-    total = QuadResult(0.0, 0.0)
-    # side s: F(h) = Upsilon(f(x + s h) - f(x)), off-grid through the field's
-    # extension model; F2 = F / h^2 stays bounded at h = 0 via the Taylor form
-    for s in (+1.0, -1.0):
-        def F(h, s=s):
-            return upsilon(exp.diff(s, h))
 
-        def F2(h, s=s):
-            d = exp.diff(s, h)
-            return upsilon_over_sq(d) * exp.diff_over_h(s, h) ** 2
+    # rows x + h and x - h: F(h) = Upsilon(f(x +- h) - f(x)), off-grid
+    # through the field's extension model; F2 = F / h^2 stays bounded at
+    # h = 0 via the Taylor form
+    F = lambda h: upsilon(np.stack(exp.far(h)) - exp.f_x)
 
-        total = total + weighted_singular(F, F2, beta, f.spacing, edges)
-    total = total + QuadResult(0.0, f.tail_model_error_budget(beta, x))
-    return total.scaled(c)
+    def F2(h):
+        d_over_h = np.stack([exp.near_over_h(s, h) for s in (1.0, -1.0)])
+        return upsilon_over_sq(h * d_over_h) * d_over_h ** 2
+
+    sides = weighted_singular(F, F2, beta, f.panel_edges())
+    # the rows are added in turn: summed inside F, they would round otherwise
+    plus, minus = (QuadResult(v, e) for v, e in zip(sides.value, sides.error))
+    budget = QuadResult(0.0, f.tail_model_error_budget(beta, x), sides.diverged)
+    return (plus + minus + budget).scaled(c)
 
 
 def chain_rule_residual(f, generator, x):
@@ -133,8 +134,6 @@ def chain_rule_residual(f, generator, x):
         Lf_over_f = float(np.dot(w, f - f[x])) / f[x]
         psi = psi_upsilon_discrete(logf, generator, x)
         return L_log - Lf_over_f + psi
-
-    from .fraclap import frac_laplacian_point  # local: avoids an import cycle
 
     if not isinstance(f, GridField):
         raise TypeError("continuous chain_rule_residual expects a GridField")

@@ -31,8 +31,12 @@ def resolve_outdir(flag_value=None) -> Path:
 
 def read_config_file(path) -> dict:
     """key=value lines; # starts a comment; values stay strings."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     params = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

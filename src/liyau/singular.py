@@ -4,13 +4,16 @@ Every non-local operator here reduces to one-sided integrals
 
     I = int_0^inf F(h) h^(-1-beta) dh,       0 < beta < 2,
 
-where F vanishes at least quadratically at h = 0. The integral is split into
-an inner disc handled by Gauss-Jacobi quadrature on the desingularized
-integrand F(h)/h^2, a middle zone of cell-wise Gauss panels, and an analytic
-far tail evaluated under the integrand's declared model via a power
-substitution. Each piece carries an error estimate from a lower-order
-rule. The rule orders, panel counts and panel-growth settings are module
-constants: every caller uses the same ones.
+where F vanishes at least quadratically at h = 0. The panel edges decide
+the one split of the integral: the inner disc (0, delta), delta = edges[0],
+runs Gauss-Jacobi on the desingularized integrand F2(h) = F(h)/h^2, and
+everything from delta on reads F alone -- Gauss panels out to edges[-1],
+then an analytic far tail under the integrand's declared model via a power
+substitution. All nodes are interior to their panels, so F2 sees only
+0 < h < delta and F only h >= delta, and an integrand may read each side
+of delta its own way. Each piece carries an error estimate from a
+lower-order rule. The rule orders, panel counts and panel-growth settings
+are module constants: every caller uses the same ones.
 
 An integrand may return one row per base point, shape (m, k) for k nodes;
 the result then holds per-row arrays, and each row equals a lone call bit
@@ -144,21 +147,20 @@ def tail_weighted(F: Callable, R: float, beta: float, order: int):
     return (R ** -beta / beta) * body, (R ** -beta / beta) * rem
 
 
-def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
-                      edges: Sequence[float], *,
-                      prefactor: float = 1.0) -> QuadResult:
-    """Assemble int_0^inf F(h) h^(-1-beta) dh times prefactor.
+def weighted_singular(F: Callable, F2: Callable, beta: float,
+                      edges: Sequence[float]) -> QuadResult:
+    """Assemble int_0^inf F(h) h^(-1-beta) dh.
 
-    F     integrand numerator on [delta, infinity), vectorized; it must
-          apply the declared far-field rule beyond edges[-1]
-    F2    F(h)/h^2, stable as h -> 0 (used on the inner disc)
+    F      integrand numerator on [edges[0], infinity), vectorized; it must
+           apply the declared far-field rule beyond edges[-1]
+    F2     F(h)/h^2 on the inner disc (0, edges[0]), stable as h -> 0
+    edges  increasing panel edges; edges[0] > 0 is the inner disc's radius
 
     Integrands returning shape (m, k) for k nodes give per-row value and
     error arrays, one row per base point; 1-d integrands give floats.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges[0] != delta:
-        raise ValueError("edges must start at delta")
+    delta = float(edges[0])
 
     inner = _inner_jacobi(F2, beta, delta, INNER_ORDER)
     inner_lo = _inner_jacobi(F2, beta, delta, INNER_ORDER - 4)
@@ -177,13 +179,12 @@ def weighted_singular(F: Callable, F2: Callable, beta: float, delta: float,
     err = np.where(diverged, np.inf, err)
     if value.ndim == 0:
         value, err = float(value), float(err)
-    return QuadResult(prefactor * value, abs(prefactor) * err,
-                      bool(np.any(diverged)))
+    return QuadResult(value, err, bool(np.any(diverged)))
 
 
-def grid_cell_edges(delta: float, spacing: float, cutoff: float,
+def grid_cell_edges(spacing: float, cutoff: float,
                     max_width: float | None = None) -> np.ndarray:
-    """Panel edges from delta to cutoff.
+    """Panel edges from one grid cell, spacing, out to cutoff > spacing.
 
     One panel per grid cell near the singularity (where the weight varies
     fastest), then geometrically widening panels so that wide grids do not
@@ -191,9 +192,7 @@ def grid_cell_edges(delta: float, spacing: float, cutoff: float,
     caller passes a tighter max_width (oscillatory fields need panels that
     resolve the oscillation period out to the cutoff).
     """
-    if cutoff <= delta:
-        return np.array([delta, max(cutoff, delta * (1 + 1e-12))])
-    edges = [delta]
+    edges = [spacing]
     w = spacing
     k = 0
     w_cap = max(cutoff / 16.0, spacing)

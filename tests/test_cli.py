@@ -153,6 +153,45 @@ def test_malformed_config_line_is_usage_error(tmp_path):
                 "--outdir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_is_usage_error(kind, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    out = tmp_path / "out"
+    assert run(["verify", "--check", "key", "--config", cfg,
+                "--outdir", out]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=abc\n")
+    assert run(["verify", "--check", "key", f"--config={cfg}",
+                "--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("second", [["--config"], ["--conf"]])
+def test_config_given_twice_is_usage_error(second, tmp_path):
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("samples=25\n")
+    b.write_text("seed=4\n")
+    assert run(["verify", "--check", "key", "--config", a, *second, b,
+                "--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["liyau-const", "--beta", "1.0", "--sweep", "beta:0.5:0.6:1"],
+    ["verify", "--check", "liyau", "--samples", "1"],
+])
+def test_flag_the_mode_ignores_is_usage_error(argv, tmp_path):
+    assert run(argv + ["--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_read_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment only\na = 1\nb=x y  # trailing\n\n")

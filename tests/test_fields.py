@@ -175,11 +175,13 @@ def test_point_expansion_second_difference():
     exp = f.point_expansion(0.0)
     # f(h) + f(-h) - 2 f(0) for the Gaussian: 2(e^{-h^2} - 1)
     h = np.array([0.1, 0.5])
-    assert exp.diff_even(h) == pytest.approx(2.0 * (np.exp(-h ** 2) - 1.0),
-                                             abs=1e-8)
+    plus, minus = exp.far(h)
+    assert plus + minus - 2.0 * exp.f_x == pytest.approx(
+        2.0 * (np.exp(-h ** 2) - 1.0), abs=1e-8)
     # desingularized form tends to f''(0) = -2 (spline curvature: ~h^2 error)
-    assert exp.diff_even_over_h2(np.array([1e-6]))[0] == pytest.approx(-2.0,
-                                                                       abs=5e-4)
+    h = np.array([1e-6])
+    even_over_h2 = (exp.near_over_h(1.0, h) + exp.near_over_h(-1.0, h)) / h
+    assert even_over_h2[0] == pytest.approx(-2.0, abs=5e-4)
 
 
 def test_point_expansion_rows_match_single_points():
@@ -190,10 +192,9 @@ def test_point_expansion_rows_match_single_points():
     for i, x in enumerate(xs):
         one = f.point_expansion(x)
         for s in (1.0, -1.0):
-            assert np.array_equal(rows.diff(s, h)[i], one.diff(s, h))
-            assert np.array_equal(rows.diff_over_h(s, h)[i], one.diff_over_h(s, h))
-        assert np.array_equal(rows.diff_even(h)[i], one.diff_even(h))
-        assert np.array_equal(rows.diff_even_over_h2(h)[i], one.diff_even_over_h2(h))
+            assert np.array_equal(rows.near_over_h(s, h)[i], one.near_over_h(s, h))
+        for side_rows, side_one in zip(rows.far(h), one.far(h)):
+            assert np.array_equal(side_rows[i], side_one)
 
 
 def test_point_expansion_boundary_guard():
@@ -301,7 +302,7 @@ def test_panel_edges_are_built_once_per_grid_and_read_only(max_width):
     f = bump(spacing=0.02, extent=10.0)
     g = GridField(f.spacing, 2.0 * f.values)
     edges = f.panel_edges(max_width)
-    assert np.array_equal(edges, grid_cell_edges(0.02, 0.02, 10.0,
+    assert np.array_equal(edges, grid_cell_edges(0.02, 10.0,
                                                  max_width=max_width))
     assert g.panel_edges(max_width) is edges
     with pytest.raises(ValueError):

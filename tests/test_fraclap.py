@@ -10,6 +10,7 @@ import scipy.fft
 from scipy.interpolate import CubicSpline
 
 import liyau
+from liyau import constant, fraclap, ops
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField
 from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
@@ -117,21 +118,58 @@ def test_points_reject_a_point_outside_the_central_band():
 
 def test_diverging_row_is_flagged_alone():
     beta, delta = 1.0, 0.01
-    edges = grid_cell_edges(delta, delta, 20.0)
+    edges = grid_cell_edges(delta, 20.0)
     good = [lambda h: h ** 2 * np.exp(-h), lambda h: 2.0 * h ** 2 * np.exp(-h)]
     bad = lambda h: h ** 2 * np.where(h > 5.0, np.inf, np.exp(-h))  # noqa: E731
     rows_F = [good[0], bad, good[1]]
     F = lambda h: np.stack([g(h) for g in rows_F])  # noqa: E731
     F2 = lambda h: F(h) / h ** 2  # noqa: E731
-    res = weighted_singular(F, F2, beta, delta, edges)
+    res = weighted_singular(F, F2, beta, edges)
     # the diverged row shows as an infinite error bar
     assert res.diverged
     assert list(np.isinf(res.error)) == [False, True, False]
     for i in (0, 2):
         g = rows_F[i]
-        lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2, beta, delta, edges)
+        lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2, beta, edges)
         assert not lone.diverged
         assert (res.value[i], res.error[i]) == (lone.value, lone.error)
+
+
+def test_integrands_meet_only_at_the_first_panel_edge(monkeypatch,
+                                                     profile_b1_d1):
+    # weighted_singular hands F2 the inner disc (0, edges[0]) and F the rest;
+    # PointExpansion reads each side of one grid cell its own way on this,
+    # and a rule with nodes on panel ends would break it silently
+    calls = []
+
+    def recording(F, F2, beta, edges):
+        seen = {"F": [], "F2": []}
+
+        def record(g, key):
+            def integrand(h):
+                seen[key].append(np.ravel(h))
+                return g(h)
+            return integrand
+
+        calls.append((float(edges[0]), seen))
+        return weighted_singular(record(F, "F"), record(F2, "F2"), beta, edges)
+
+    for module in (fraclap, ops, constant):
+        monkeypatch.setattr(module, "weighted_singular", recording)
+    f = GridField.from_function(lambda y: 1.0 / (1.0 + y ** 2), 0.02, 20.0,
+                                Extension("power", 2.0), positive=True).log()
+    frac_laplacian_point(f, 1.0, np.array([0.0, 1.3]))  # GridField.panel_edges
+    frac_laplacian_point(f, 0.5, 0.3, max_panel_width=0.25)
+    psi_upsilon_continuous(f, 1.5, -2.1)
+    for y in (0.0, 0.003, 1.7):  # log_panel_edges, refined around y > delta
+        J_of_y(profile_b1_d1, y)
+    assert len(calls) == 6
+    for delta, seen in calls:
+        far = np.concatenate(seen["F"])
+        near = np.concatenate(seen["F2"])
+        assert far.size and near.size
+        assert np.all(far >= delta)
+        assert np.all((near > 0.0) & (near < delta))
 
 
 # J_of_y as recorded before the batched route existed: scalar integrands
