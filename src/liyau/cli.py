@@ -128,9 +128,10 @@ def build_parser() -> _Parser:
     v = subs.add_parser("verify", help="inequality verification sweeps")
     v.add_argument("--check", choices=["key", "reduction", "liyau", "dh"],
                    required=True)
+    # None until cmd_verify resolves it for the check (_resolve_mode)
     v.add_argument("--samples", type=_positive_int, default=None)
-    v.add_argument("--beta", type=_beta, default=1.0)
-    v.add_argument("--n-fields", type=_positive_int, default=3)
+    v.add_argument("--beta", type=_beta, default=None)
+    v.add_argument("--n-fields", type=_positive_int, default=None)
     _common(v)
     v.set_defaults(func=cmd_verify)
 
@@ -146,10 +147,11 @@ def build_parser() -> _Parser:
 
     h = subs.add_parser("harnack", help="Harnack bounds and checks")
     h.add_argument("--setting", choices=["kn", "frac", "gauss"], required=True)
-    h.add_argument("--n", type=_graph_size, default=3)
-    h.add_argument("--beta", type=_beta, default=1.0)
+    # None until cmd_harnack resolves it for the setting (_resolve_mode)
+    h.add_argument("--n", type=_graph_size, default=None)
+    h.add_argument("--beta", type=_beta, default=None)
     h.add_argument("--alpha", type=_positive, default=None)
-    h.add_argument("--dim", type=_dim, default=1)
+    h.add_argument("--dim", type=_dim, default=None)
     h.add_argument("--t1", type=_positive, default=1.0)
     h.add_argument("--t2", type=_positive, default=2.0)
     h.add_argument("--x1", type=float, default=0.5)
@@ -174,6 +176,18 @@ def _expand_config(argv: list) -> tuple[list, list | None]:
     for k, v in read_config_file(paths[0]).items():
         inject += [f"--{k.replace('_', '-')}", v]
     return argv[:1] + inject + argv[1:], paths[:1]
+
+
+def _resolve_mode(args, mode: str, ignored: tuple, **defaults) -> None:
+    """Reject the flags in ignored that were given: mode does not read them.
+    Then fill in the defaults of the flags it reads that were not given."""
+    given = ["--" + k.replace("_", "-") for k in ignored
+             if getattr(args, k) is not None]
+    if given:
+        raise ConfigError(f"{mode} ignores {', '.join(given)}")
+    for k, v in defaults.items():
+        if k not in ignored and getattr(args, k) is None:
+            setattr(args, k, v)
 
 
 def _config_echo(args) -> dict:
@@ -284,11 +298,12 @@ def cmd_liyau_const(args, outdir, manifest) -> int:
 
 
 def cmd_verify(args, outdir, manifest) -> int:
+    # --check liyau counts its samples by --n-fields, the others by --samples
+    ignored = {"key": ("beta", "n_fields"), "reduction": ("beta", "n_fields"),
+               "liyau": ("samples",), "dh": ("n_fields",)}[args.check]
+    _resolve_mode(args, f"--check {args.check}", ignored, beta=1.0, n_fields=3)
     # without --samples each sweep keeps its own default count
     n = () if args.samples is None else (args.samples,)
-    if args.check == "liyau" and n:
-        raise ConfigError("--check liyau counts its samples by --n-fields, "
-                          "not --samples")
     if args.check == "key":
         report = sweep_key_inequality(*n, seed=args.seed)
     elif args.check == "reduction":
@@ -350,6 +365,10 @@ def cmd_harnack(args, outdir, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     if not args.t1 < args.t2:
         raise ConfigError("need t1 < t2")
+    ignored = {"kn": ("beta", "alpha", "dim"), "gauss": ("n", "beta", "alpha"),
+               "frac": ("n", "dim")}[args.setting]
+    _resolve_mode(args, f"--setting {args.setting}", ignored, n=3, beta=1.0,
+                  dim=1)
     if args.setting == "kn":
         u0 = log_uniform(rng, 1e-2, 1e2, size=args.n)
         report = harnack_check_kn(args.n, u0, args.t1, args.t2)
@@ -403,9 +422,11 @@ def main(argv=None) -> int:
         print(f"liyau: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     outdir = resolve_outdir(args.outdir)
-    manifest = RunManifest(config=_config_echo(args))
+    manifest = RunManifest(config={})
     try:
         code = args.func(args, outdir, manifest)
+        # echoed once the subcommand has filled in the defaults it reads
+        manifest.config = _config_echo(args)
         manifest.write(outdir)
         return code
     except ConfigError as exc:

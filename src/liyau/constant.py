@@ -84,44 +84,53 @@ def _angular_rule(d: int):
     return mu, w
 
 
-def _sphere_deficit(profile: StableDensityProfile, y: float, rho: np.ndarray,
-                    desingularized: bool) -> np.ndarray:
+def _sphere_deficit(profile: StableDensityProfile, y: float, derivs: tuple,
+                    rho: np.ndarray, desingularized: bool) -> np.ndarray:
     """W(rho) = int_{S^{d-1}} (2L(y) - L(|Y+rho w|) - L(|Y-rho w|)) dw.
 
-    The displaced radii come from the cancellation-free form
-    a - y = (2 y rho mu + rho^2)/(a + y); once both displacements drop below
-    the Taylor threshold the profile's log-derivatives at y take over, which
+    derivs is profile.log_derivs(y), (L, L', L'') at y, which the caller
+    reads once per y. The displaced radii come from the cancellation-free
+    form a - y = (2 y rho mu + rho^2)/(a + y); once both displacements drop
+    below the Taylor threshold thr the log-derivatives at y take over, which
     keeps W/rho^2 meaningful down to rho = 0 (desingularized = True divides
-    the quadratic vanishing out exactly).
+    the quadratic vanishing out exactly). By the parallelogram law,
+    rho^2 = y (d+ + d-) + (d+^2 + d-^2)/2 for the displacements d+- of one
+    node, so a row with rho^2 >= 2 y thr + thr^2 holds no Taylor point; the
+    displacements and the threshold mask are formed only on the rows below
+    twice that bound.
 
     The log-profile is evaluated once per distinct radius: for d = 2 and 3
     the folded angular rule makes the minus side the column mirror
     [:, ::-1] of the plus side (same floats as evaluating it), so only
-    |Y + rho mu_i| is evaluated; d = 1 evaluates both sides of its one node.
+    |Y + rho mu_i| is evaluated; d = 1 evaluates both sides of its one node
+    in one call, as the columns of mu and -mu.
     """
     mu, w = _angular_rule(profile.d)
-    Ly, L1, L2 = profile.log_derivs(y)
+    Ly, L1, L2 = derivs
     P = rho[:, None]
+    M = np.array([1.0, -1.0]) if profile.d == 1 else mu
 
-    def side(M):
-        # displacement a - y and log-profile at a = |Y + rho M|
-        t = 2.0 * y * P * M + P * P
-        a = np.sqrt(np.maximum(y * y + t, 0.0))
-        return np.where(a + y > 0, t / (a + y), 0.0), profile.log_value(a)
+    def sides(X):
+        # the plus side and the minus side of the columns of X
+        return (X[:, :1], X[:, 1:]) if profile.d == 1 else (X, X[:, ::-1])
 
-    dap, Lp = side(mu[None, :])
-    if profile.d == 1:
-        dam, Lm = side(-mu[None, :])
-    else:
-        dam, Lm = dap[:, ::-1], Lp[:, ::-1]
+    # t = a^2 - y^2 for a = |Y + rho M|, so that a - y = t / (a + y)
+    t = 2.0 * y * P * M + P * P
+    a = np.sqrt(np.maximum(y * y + t, 0.0))
+    Lp, Lm = sides(profile.log_value(a))
     S = 2.0 * Ly - Lp - Lm
 
     thr = _TAYLOR_THR * (1.0 + y)
-    small = (np.abs(dap) < thr) & (np.abs(dam) < thr)
-    if small.any():
-        s1 = dap[small] + dam[small]
-        s2 = dap[small] ** 2 + dam[small] ** 2
-        S[small] = -(L1 * s1 + 0.5 * L2 * s2)
+    rows = rho * rho < 2.0 * (2.0 * y * thr + thr * thr)
+    if rows.any():
+        ay = a[rows] + y
+        dap, dam = sides(np.where(ay > 0, t[rows] / ay, 0.0))
+        small = (np.abs(dap) < thr) & (np.abs(dam) < thr)
+        if small.any():
+            s1 = dap[small] + dam[small]
+            s2 = dap[small] ** 2 + dam[small] ** 2
+            i, j = np.nonzero(small)
+            S[np.flatnonzero(rows)[i], j] = -(L1 * s1 + 0.5 * L2 * s2)
     W = S @ w
     if desingularized:
         return W / (rho * rho)
@@ -154,8 +163,11 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     R = max(100.0, 8.0 * (1.0 + y))
     edges = log_panel_edges(delta, R, refine_center=y if y > delta else None)
 
-    F = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), False)
-    F2 = lambda rho: _sphere_deficit(profile, y, np.asarray(rho, float), True)
+    derivs = profile.log_derivs(y)
+    F = lambda rho: _sphere_deficit(profile, y, derivs,
+                                    np.asarray(rho, float), False)
+    F2 = lambda rho: _sphere_deficit(profile, y, derivs,
+                                     np.asarray(rho, float), True)
     res = weighted_singular(F, F2, profile.beta, edges)
     # profile tabulation error enters linearly through the log values
     res = QuadResult(res.value,

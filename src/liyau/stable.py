@@ -241,6 +241,11 @@ class StableDensityProfile:
         r_table[1] on the even quadratic, table(r) on the log-log spline up
         to r_max, and tail(r) on the tail model beyond. Each rule returns a
         tuple of arrays; a scalar r gives a tuple of floats.
+
+        When one region holds every point, its rule runs on r as it stands,
+        with no gather and scatter: each rule is elementwise, so the values
+        are the masked path's bit for bit. An empty r takes the tail rule,
+        which makes its (empty) outputs.
         """
         r = np.abs(np.asarray(r, dtype=float))
         scalar = r.ndim == 0
@@ -248,14 +253,16 @@ class StableDensityProfile:
         if self.beta == 1.0:
             outs = closed(r)
         else:
-            outs = None
             lo = r < self.r_table[1]
             hi = r > self.r_max
-            rules = ((lo, lambda s: small(s, *self._small_r_coeffs())),
-                     (~lo & ~hi, table), (hi, tail))
-            for mask, rule in rules:
-                # an empty r still needs its (empty) outputs: tail makes them
-                if mask.any() or (outs is None and rule is tail):
+            rules = [(mask, rule) for mask, rule in (
+                (lo, lambda s: small(s, *self._small_r_coeffs())),
+                (~lo & ~hi, table), (hi, tail)) if mask.any()]
+            if len(rules) <= 1:
+                outs = (rules[0][1] if rules else tail)(r)
+            else:
+                outs = None
+                for mask, rule in rules:
                     vals = rule(r[mask])
                     if outs is None:
                         outs = tuple(np.empty_like(r) for _ in vals)

@@ -36,5 +36,10 @@ def profile_b1_d3():
 
 
 @pytest.fixture(scope="session")
+def profile_b13_d3():
+    return build_profile(1.3, 3)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)

@@ -186,10 +186,30 @@ def test_config_given_twice_is_usage_error(second, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["liyau-const", "--beta", "1.0", "--sweep", "beta:0.5:0.6:1"],
     ["verify", "--check", "liyau", "--samples", "1"],
+    ["verify", "--check", "key", "--samples", "10", "--n-fields", "7",
+     "--beta", "0.3"],
+    ["harnack", "--setting", "gauss", "--n", "9", "--beta", "0.5",
+     "--alpha", "3"],
 ])
 def test_flag_the_mode_ignores_is_usage_error(argv, tmp_path):
     assert run(argv + ["--outdir", tmp_path]) == 1
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv,echo", [
+    (["verify", "--check", "key", "--samples", "10"],
+     {"samples": 10, "beta": None, "n_fields": None}),
+    (["harnack", "--setting", "kn"],
+     {"n": 3, "beta": None, "alpha": None, "dim": None}),
+    (["harnack", "--setting", "gauss", "--dim", "2"],
+     {"n": None, "beta": None, "alpha": None, "dim": 2}),
+])
+def test_manifest_echoes_the_flags_the_mode_reads(argv, echo, tmp_path):
+    # a flag the mode reads shows its value, default or given; one it
+    # ignores shows null
+    assert run(argv + ["--outdir", tmp_path]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert {k: config[k] for k in echo} == echo
 
 
 def test_read_config_file_parsing(tmp_path):

@@ -128,12 +128,10 @@ def _two_sided_rule(d):
     return 0.0 + 1.0 * x, 2.0 * np.pi * w
 
 
-def _two_sided_deficit(profile, y, rho, desingularized):
-    """W(rho) evaluating the log-profile at |Y + rho mu| and |Y - rho mu| for
-    every node, written out independently of the folded evaluator. Also
-    returns the sum of the magnitudes of the terms W adds up."""
-    mu, w = _two_sided_rule(profile.d)
-    Ly, L1, L2 = profile.log_derivs(y)
+def _two_sided_taylor_mask(y, rho, mu):
+    """(|Y + rho mu|, |Y - rho mu|, their displacements from y, and the mask
+    of the nodes where both displacements lie below the Taylor threshold),
+    on the whole rho x mu block."""
     P, M = rho[:, None], mu[None, :]
     tp = 2.0 * y * P * M + P * P
     tm = -2.0 * y * P * M + P * P
@@ -143,6 +141,16 @@ def _two_sided_deficit(profile, y, rho, desingularized):
     dam = np.where(am + y > 0, tm / (am + y), 0.0)
     thr = constant._TAYLOR_THR * (1.0 + y)
     small = (np.abs(dap) < thr) & (np.abs(dam) < thr)
+    return ap, am, dap, dam, small
+
+
+def _two_sided_deficit(profile, y, rho, desingularized):
+    """W(rho) evaluating the log-profile at |Y + rho mu| and |Y - rho mu| for
+    every node, written out independently of the folded evaluator. Also
+    returns the sum of the magnitudes of the terms W adds up."""
+    mu, w = _two_sided_rule(profile.d)
+    Ly, L1, L2 = profile.log_derivs(y)
+    ap, am, dap, dam, small = _two_sided_taylor_mask(y, rho, mu)
     S = np.empty_like(dap)
     size = np.empty_like(dap)
     s1, s2 = dap[small] + dam[small], dap[small] ** 2 + dam[small] ** 2
@@ -190,7 +198,7 @@ def test_folded_deficit_is_bit_identical_at_d1_d3(beta, d):
     prof = build_profile(beta, d)
     for y in DEFICIT_Y:
         for des in (False, True):
-            new = _sphere_deficit(prof, y, DEFICIT_RHO, des)
+            new = _sphere_deficit(prof, y, prof.log_derivs(y), DEFICIT_RHO, des)
             old, _ = _two_sided_deficit(prof, y, DEFICIT_RHO, des)
             assert np.array_equal(new, old), (y, des)
 
@@ -203,16 +211,80 @@ def test_folded_deficit_at_d2_moves_at_rounding_level(beta):
     prof = build_profile(beta, 2)
     for y in DEFICIT_Y:
         for des in (False, True):
-            new = _sphere_deficit(prof, y, DEFICIT_RHO, des)
+            new = _sphere_deficit(prof, y, prof.log_derivs(y), DEFICIT_RHO, des)
             old, size = _two_sided_deficit(prof, y, DEFICIT_RHO, des)
             assert np.all(np.abs(new - old) <= 1e-13 * size), (y, des)
 
 
+# radii y of the Taylor-row tests: the deficit tests' and two extremes
+TAYLOR_Y = DEFICIT_Y + (1e-12, 50.0)
+
+
+def _taylor_bound_rho(y):
+    """rho grid on both sides of sqrt(2 y thr + thr^2), the parallelogram
+    bound on the rows that can hold a Taylor point, and of sqrt(2) times it,
+    the deficit's row cut; unsorted, as the tail rule's nodes are."""
+    thr = constant._TAYLOR_THR * (1.0 + y)
+    edge = np.sqrt(2.0 * y * thr + thr * thr)
+    scale = np.concatenate([np.geomspace(1e-3, 10.0, 200),
+                            1.0 + np.linspace(-1e-3, 1e-3, 21),
+                            np.sqrt(2.0) * (1.0 + np.linspace(-1e-3, 1e-3, 21))])
+    rho = edge * scale
+    return np.random.default_rng(7).permutation(rho), thr
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_taylor_rows_lie_below_the_parallelogram_bound(d):
+    # rho^2 = y (d+ + d-) + (d+^2 + d-^2) / 2, so no node of a row with
+    # rho^2 >= 2 y thr + thr^2 has both displacements below thr; the deficit
+    # forms the Taylor mask only on the rows below twice that bound
+    mu, _ = _two_sided_rule(d)
+    for y in TAYLOR_Y:
+        rho, thr = _taylor_bound_rho(y)
+        *_, small = _two_sided_taylor_mask(y, rho, mu)
+        bound = 2.0 * y * thr + thr * thr
+        skipped = rho * rho >= 2.0 * bound
+        assert skipped.any() and not skipped.all(), y
+        assert not small[skipped].any(), y
+        # the sweep reaches Taylor rows, so the assertion is not vacuous
+        assert small.any(), y
+        # and, up to rounding, none reaches the bound itself
+        taylor_rows = small.any(axis=1)
+        assert np.max(rho[taylor_rows] ** 2 / bound) <= 1.0 + 1e-12, y
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (0.7, 2), (1.3, 3)])
+def test_deficit_across_the_taylor_row_cut(beta, d):
+    # the rows on either side of the cut, in the tail rule's unsorted order,
+    # against the rule that forms the mask on every row
+    prof = build_profile(beta, d)
+    for y in TAYLOR_Y:
+        rho, _ = _taylor_bound_rho(y)
+        for des in (False, True):
+            new = _sphere_deficit(prof, y, prof.log_derivs(y), rho, des)
+            old, size = _two_sided_deficit(prof, y, rho, des)
+            if d == 2:
+                assert np.all(np.abs(new - old) <= 1e-13 * size), (y, des)
+            else:
+                assert np.array_equal(new, old), (y, des)
+
+
 def _search_with_two_sided_rule(monkeypatch, prof):
+    calls = []
+
+    def two_sided(p, y, derivs, rho, des):
+        # J hands over the log-derivatives at y it read once
+        assert derivs == p.log_derivs(y)
+        calls.append(y)
+        return _two_sided_deficit(p, y, rho, des)[0]
+
     with monkeypatch.context() as m:
-        m.setattr(constant, "_sphere_deficit",
-                  lambda p, y, rho, des: _two_sided_deficit(p, y, rho, des)[0])
-        return liyau_constant_numeric(prof)
+        m.setattr(constant, "_sphere_deficit", two_sided)
+        res = liyau_constant_numeric(prof)
+    # the substitute served every J the result reports, or the comparison
+    # would set the deficit against itself
+    assert {row[0] for row in res.j_table} | {res.y_star} <= set(calls)
+    return res
 
 
 @pytest.mark.parametrize("beta,d", [(1.5, 1), (1.3, 3)])

@@ -300,6 +300,74 @@ def test_region_rule_scalar_and_empty_inputs(name, request):
     assert len(prof.log_derivs(empty)) == 3
 
 
+def _masked_reference(prof, r):
+    """eval, log_value and log_derivs of r by one gather and one scatter per
+    region, each rule written out as the profile evaluates it; outputs come
+    as arrays of r's shape, even for a scalar r."""
+    r = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
+    p0, c2, c4 = prof._small_r_coeffs()
+    sp = prof._get_spline()
+    q = prof.d + prof.beta
+
+    def small(s):
+        phi = p0 + c2 * s ** 2 + c4 * s ** 4
+        slope = (2 * c2 * s + 4 * c4 * s ** 3) / phi
+        return (p0 + s ** 2 * (c2 + c4 * s ** 2),
+                np.log(p0 + s ** 2 * (c2 + c4 * s ** 2)),
+                np.log(phi), slope, (2 * c2 + 12 * c4 * s ** 2) / phi - slope ** 2)
+
+    def table(s):
+        u = np.log(s)
+        return (np.exp(sp(u)), sp(u), sp(u), sp(u, 1) / s,
+                (sp(u, 2) - sp(u, 1)) / s ** 2)
+
+    def tail(s):
+        logphi = np.log(prof.tail_coef) - q * np.log(s)
+        return (prof.tail_coef * s ** (-prof.d - prof.beta), logphi, logphi,
+                -q / s, q / s ** 2)
+
+    lo, hi = r < prof.r_table[1], r > prof.r_max
+    outs = [np.empty_like(r) for _ in range(5)]
+    for mask, rule in ((lo, small), (~lo & ~hi, table), (hi, tail)):
+        for out, v in zip(outs, rule(r[mask])):
+            out[mask] = v
+    return outs
+
+
+def _region_arrays(prof):
+    """Radii all in one region each, mixed, and the region edges."""
+    r1, rm = prof.r_table[1], prof.r_max
+    small = np.array([0.0, 1e-9, 0.3 * r1, np.nextafter(r1, 0.0)])
+    table = np.concatenate([[r1], np.geomspace(r1, rm, 37)[1:-1], [rm]])
+    tail = rm * np.array([np.nextafter(1.0, 2.0), 1.5, 1e3])
+    mixed = np.concatenate([tail[:1], small, table[::7], tail[1:]])
+    return {"small": small, "table": table, "tail": tail, "mixed": mixed,
+            "at r_table[1]": np.array([r1]), "at r_max": np.array([rm]),
+            "zero": np.array([0.0]), "empty": np.array([]),
+            "2-d table": table[:36].reshape(6, 6),
+            "2-d mixed": np.resize(mixed, (3, 4))}
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (0.7, 2), (1.3, 3)])
+def test_one_region_path_matches_the_masked_path(beta, d, request):
+    # an array one region holds runs that region's rule on r in place; its
+    # values must be the gathered and scattered ones bit for bit
+    prof = request.getfixturevalue(f"profile_b{beta:g}_d{d}".replace(".", ""))
+    for label, r in _region_arrays(prof).items():
+        phi, logphi, L, L1, L2 = (out.reshape(r.shape)
+                                  for out in _masked_reference(prof, r))
+        got = (prof.eval(r), prof.log_value(r), *prof.log_derivs(r),
+               prof.log_slope(r))
+        for g, want in zip(got, (phi, logphi, L, L1, L2, L1)):
+            assert isinstance(g, np.ndarray) and np.array_equal(g, want), label
+        for x, *want in zip(r.ravel(), phi.ravel(), logphi.ravel(),
+                            L.ravel(), L1.ravel(), L2.ravel()):
+            got = (prof.eval(x), prof.log_value(x), *prof.log_derivs(x),
+                   prof.log_slope(x))
+            assert all(type(g) is float for g in got), label
+            assert list(got) == want[:2] + want[2:] + want[3:4], (label, x)
+
+
 def test_text_row_with_three_numbers_is_rejected(profile_b05_d1):
     lines = profile_b05_d1.to_text().splitlines()
     one_row = lines[:-1] + [lines[-1] + " 1.0"]
