@@ -138,10 +138,11 @@ def build_parser() -> _Parser:
     m = subs.add_parser("markov-verify", help="complete-graph closed forms")
     m.add_argument("--graph", default="Kn",
                    help="'Kn' or a path to an edge-list file")
-    m.add_argument("--n", type=_graph_size, default=3)
+    # None until cmd_markov_verify resolves it for the graph (_resolve_mode)
+    m.add_argument("--n", type=_graph_size, default=None)
     m.add_argument("--t-min", type=_positive, default=1e-2)
     m.add_argument("--t-max", type=_positive, default=10.0)
-    m.add_argument("--per-decade", type=_positive_int, default=60)
+    m.add_argument("--per-decade", type=_positive_int, default=None)
     _common(m)
     m.set_defaults(func=cmd_markov_verify)
 
@@ -154,8 +155,8 @@ def build_parser() -> _Parser:
     h.add_argument("--dim", type=_dim, default=None)
     h.add_argument("--t1", type=_positive, default=1.0)
     h.add_argument("--t2", type=_positive, default=2.0)
-    h.add_argument("--x1", type=float, default=0.5)
-    h.add_argument("--x2", type=float, default=0.0)
+    h.add_argument("--x1", type=float, default=None)
+    h.add_argument("--x2", type=float, default=None)
     _common(h)
     h.set_defaults(func=cmd_harnack)
     return p
@@ -323,6 +324,9 @@ def cmd_verify(args, outdir, manifest) -> int:
 def cmd_markov_verify(args, outdir, manifest) -> int:
     if not args.t_min <= args.t_max:
         raise ConfigError("need t-min <= t-max")
+    # an edge-list run checks one t between t-min and t-max
+    ignored = ("n", "per_decade") if args.graph != "Kn" else ()
+    _resolve_mode(args, "--graph FILE", ignored, n=3, per_decade=60)
     rng = np.random.default_rng(args.seed)
     if args.graph != "Kn":
         chain = load_edge_list(Path(args.graph).read_text())
@@ -365,10 +369,10 @@ def cmd_harnack(args, outdir, manifest) -> int:
     rng = np.random.default_rng(args.seed)
     if not args.t1 < args.t2:
         raise ConfigError("need t1 < t2")
-    ignored = {"kn": ("beta", "alpha", "dim"), "gauss": ("n", "beta", "alpha"),
-               "frac": ("n", "dim")}[args.setting]
+    ignored = {"kn": ("beta", "alpha", "dim", "x1", "x2"),
+               "gauss": ("n", "beta", "alpha"), "frac": ("n", "dim")}[args.setting]
     _resolve_mode(args, f"--setting {args.setting}", ignored, n=3, beta=1.0,
-                  dim=1)
+                  dim=1, x1=0.5, x2=0.0)
     if args.setting == "kn":
         u0 = log_uniform(rng, 1e-2, 1e2, size=args.n)
         report = harnack_check_kn(args.n, u0, args.t1, args.t2)

@@ -190,17 +190,37 @@ def test_config_given_twice_is_usage_error(second, tmp_path):
      "--beta", "0.3"],
     ["harnack", "--setting", "gauss", "--n", "9", "--beta", "0.5",
      "--alpha", "3"],
+    ["harnack", "--setting", "kn", "--x1", "3", "--x2", "-2"],
 ])
 def test_flag_the_mode_ignores_is_usage_error(argv, tmp_path):
     assert run(argv + ["--outdir", tmp_path]) == 1
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--n", "5"], ["--per-decade", "3"],
+                                   ["--n", "5", "--per-decade", "3"]])
+def test_edge_list_run_rejects_the_kn_flags(flags, tmp_path):
+    # an edge-list run checks one t between t-min and t-max
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1 1.0\n1 2 0.5\n2 0 2.0\n")
+    out = tmp_path / "out"
+    assert run(["markov-verify", "--graph", graph, *flags,
+                "--outdir", out]) == 1
+    assert not (out / "manifest.json").exists()
+    assert run(["markov-verify", "--graph", graph, "--outdir", out]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["n"], config["per_decade"]) == (None, None)
+
+
 @pytest.mark.parametrize("argv,echo", [
     (["verify", "--check", "key", "--samples", "10"],
      {"samples": 10, "beta": None, "n_fields": None}),
     (["harnack", "--setting", "kn"],
-     {"n": 3, "beta": None, "alpha": None, "dim": None}),
+     {"n": 3, "beta": None, "alpha": None, "dim": None, "x1": None,
+      "x2": None}),
+    (["harnack", "--setting", "gauss"], {"x1": 0.5, "x2": 0.0}),
+    (["markov-verify", "--n", "4", "--t-max", "0.1"],
+     {"n": 4, "per_decade": 60}),
     (["harnack", "--setting", "gauss", "--dim", "2"],
      {"n": None, "beta": None, "alpha": None, "dim": 2}),
 ])

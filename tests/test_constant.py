@@ -312,11 +312,11 @@ def test_constant_search_at_d2_moves_at_rounding_level(monkeypatch):
 # depend on the platform's log, so the pins carry a rounding-level tolerance
 # and bit-identity is checked against the written-out rule above
 PINNED_CONSTANTS = {
-    (0.5, 1): (5.457127398512484, 0.0012411259981473463, 0.0),
-    (1.5, 1): (1.0218827547759206, 1.7469018015982127e-05,
+    (0.5, 1): (5.4571273994521245, 7.987356161746266e-06, 0.0),
+    (1.5, 1): (1.0218827551864473, 1.8438784073526712e-05,
                0.0011145618000168239),
-    (0.7, 2): (8.536247231538036, 0.011716994806316083, 0.0),
-    (1.3, 3): (4.767694351030536, 0.7872762573337954, 0.0),
+    (0.7, 2): (8.536247377221642, 0.011716937412803986, 0.0),
+    (1.3, 3): (4.76769434219351, 5.992253148338959e-05, 0.0),
 }
 
 

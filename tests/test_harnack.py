@@ -20,6 +20,8 @@ from liyau.verify import random_positive_field
 FRACTIONAL_BOUND_1_2 = 63.937254100989375665
 # int_1^2 log coth t dt, frozen from an independent 50-digit evaluation
 K2_LOG_COTH_INTEGRAL = 0.11729621164120005486
+# int_0.3^1.7 phi_5(t) dt, frozen the same way
+K5_PHI_INTEGRAL = 0.78623881988736281991
 
 EXACT_C2 = LiYauConstantResult(beta=1.0, d=1, value=2.0, error=0.0,
                                y_star=0.0, method="closed-form")
@@ -38,6 +40,35 @@ def test_rhs_kn_validation():
         harnack_rhs_kn(3, 2.0, 1.0)
     with pytest.raises(ValueError):
         harnack_rhs_kn(3, 0.0, 1.0)
+
+
+def _phi_integral_by_panels(n, t1, t2):
+    # 50 Gauss-20 panels on phi = (n-1) [log1p((n-1) E) - log1p(-E)],
+    # E = e^(-n t), which keeps its relative accuracy where phi is tiny
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(t1, t2, 51)
+    half = np.diff(edges)[:, None] / 2.0
+    t = edges[:-1, None] + half * (x + 1.0)
+    E = np.exp(-n * t)
+    phi = (n - 1) * (np.log1p((n - 1) * E) - np.log1p(-E))
+    return float(np.sum(half * phi * w))
+
+
+def test_integral_term_kn_closed_form():
+    # the dilogarithm form against a frozen anchor and, on the harnack
+    # workload's ranges, against panel quadrature. The dilogarithms are of
+    # order one, so the closed form carries their rounding: it stays within
+    # 1e-14 of the panel sums, and within about 3e-7 relative where the
+    # integral is near 1e-10
+    assert harnack_integral_term_kn(5, 0.3, 1.7) == pytest.approx(
+        K5_PHI_INTEGRAL, rel=1e-14)
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        t1 = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+        t2 = t1 * float(np.exp(rng.uniform(np.log(1.1), np.log(5.0))))
+        ref = _phi_integral_by_panels(n, t1, t2)
+        assert abs(harnack_integral_term_kn(n, t1, t2) - ref) <= 1e-14
 
 
 def test_integral_term_monotone_in_t1():

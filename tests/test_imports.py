@@ -1,8 +1,12 @@
-"""Every import in a library module is used by that module.
+"""Every import in a library module is used by that module, and the
+library pulls in no scipy module that it does not use.
 
-__init__.py is exempt: it imports names to re-export them.
+__init__.py is exempt from the first: it imports names to re-export them.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,12 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_library_does_not_import_scipy_integrate():
+    # a fresh interpreter: the test session itself imports scipy.integrate
+    code = "import sys, liyau; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

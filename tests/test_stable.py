@@ -12,11 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma
+from scipy.special import fresnel, gamma
 
-from liyau.stable import (StableDensityProfile, _j0_transform_d2,
-                          build_profile, eval_G, normalizing_constant,
-                          poisson_profile, profile_at_zero)
+from liyau.stable import (R_MIN, StableDensityProfile, _j0_transform_d2,
+                          _ray_transform, build_profile, eval_G,
+                          normalizing_constant, poisson_profile,
+                          profile_at_zero)
 
 # frozen oracles
 PHI0_B05_D1 = 0.63661977236758134308  # 2/pi
@@ -85,6 +86,96 @@ def test_d2_inversion_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+# a node's bar covers its gap to the truth and is at most this much looser
+BAR_SLACK = 100.0
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_ray_inversion_matches_poisson_kernel(d):
+    # the tilted ray at beta = 1 (phi = pi/4) on every radius of a table that
+    # runs to 1e6; below 4 eps the closed form's own rounding hides the gap
+    r = np.geomspace(R_MIN, 1e6, 217)
+    vals, errs = _ray_transform(1.0, d, r)
+    exact = poisson_profile(d, r)
+    gap = np.abs(vals - exact)
+    assert np.all(gap <= errs)
+    assert np.all(errs <= BAR_SLACK * np.maximum(gap, 4.0 * EPS * exact))
+    assert np.all(gap <= 1e-11 * exact)
+
+
+def _fresnel_profile(r):
+    """The beta = 1/2, d = 1 profile in closed form, and its rounding.
+
+    Phi(r) = r^(-3/2) / sqrt(2 pi) [sin(a) (1/2 - S(z)) + cos(a) (1/2 - C(z))]
+    with a = 1/(4 r) and z = 1/sqrt(2 pi r). At small r the two terms
+    cancel, and the rounding of 1/2 - S and 1/2 - C is scaled up by
+    r^(-3/2): that is the closed form's own error.
+    """
+    S, C = fresnel(1.0 / np.sqrt(2.0 * np.pi * r))
+    a = 0.25 / r
+    scale = r ** -1.5 / np.sqrt(2.0 * np.pi)
+    return (scale * (np.sin(a) * (0.5 - S) + np.cos(a) * (0.5 - C)),
+            8.0 * EPS * scale * (np.abs(np.sin(a)) + np.abs(np.cos(a))))
+
+
+def test_ray_inversion_matches_fresnel_closed_form(profile_b05_d1):
+    # every table radius out to 1e6: the table holds the ray's values, and
+    # each node's bar covers its gap to the closed form up to the closed
+    # form's own rounding
+    r = profile_b05_d1.r_table[1:]
+    vals, errs = _ray_transform(0.5, 1, r)
+    assert np.array_equal(profile_b05_d1.values[1:], vals)
+    exact, rounding = _fresnel_profile(r)
+    gap = np.abs(vals - exact)
+    assert np.all(gap <= errs + rounding)
+    assert np.all(errs <= BAR_SLACK * np.maximum(gap, rounding))
+    assert np.all(gap <= 1e-10 * exact)
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (1.3, 3)])
+def test_ray_inversion_memory_stays_bounded(beta, d):
+    # radii are summed RAY_BLOCK at a time: 3.3 and 2.7 MB peak, against
+    # 8.8 and 6.9 MB with every radius summed at once
+    tracemalloc.start()
+    try:
+        build_profile(beta, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inner_disc_is_the_small_r_rule_integrated(beta, d):
+    # a table that starts at r = 2, so that the disc is wide; below r = 2
+    # eval reads the Poisson kernel at beta = 1 and the even quadratic
+    # through the nodes at 0, 2 and 3.5 otherwise. Gauss-Legendre with 40
+    # nodes integrates both to rounding
+    r = np.array([0.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0])
+    prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=np.exp(-r),
+                                tail_coef=1.0, tail_fit_residual=0.0,
+                                error_estimate=0.0, method="test")
+    x, w = np.polynomial.legendre.leggauss(40)
+    quad = float(np.sum(w * prof.eval(1.0 + x) * (1.0 + x) ** (d - 1)))
+    assert prof._inner_disc() == pytest.approx(quad, rel=1e-14)
+
+
+@pytest.mark.parametrize("profname", ["profile_b05_d1", "profile_b15_d1",
+                                      "profile_b07_d2", "profile_b13_d3"])
+def test_error_estimate_covers_the_interpolation(profname, request):
+    # the table's interpolation against the inversion itself, at 19 radii
+    # inside every table interval and 49 below the table
+    prof = request.getfixturevalue(profname)
+    u = np.log(prof.r_table[1:])
+    inside = np.exp(u[:-1, None] + np.diff(u)[:, None]
+                    * np.linspace(0.05, 0.95, 19)).ravel()
+    r = np.concatenate([np.linspace(0.02, 0.98, 49) * R_MIN, inside])
+    vals, _ = _ray_transform(prof.beta, prof.d, r)
+    assert np.max(np.abs(prof.eval(r) / vals - 1.0)) <= prof.error_estimate
 
 
 def test_value_at_zero_matches_closed_form(profile_b05_d1, profile_b15_d1):
