@@ -88,9 +88,10 @@ def _format_extension(ext: Extension) -> str:
     return "%s %.17g" % (ext.kind, ext.exponent)
 
 
-def _nodes(spacing: float, n: int) -> np.ndarray:
-    """Coordinates of the n nodes of an origin-centered grid."""
-    return (np.arange(n) - (n - 1) // 2) * spacing
+def _nodes(spacing: float, n: int, first: int = 0) -> np.ndarray:
+    """Coordinates of the n nodes of an origin-centered grid, from the
+    node with index first on."""
+    return (np.arange(first, n) - (n - 1) // 2) * spacing
 
 
 # a margins sweep reads three grids; an entry holds about 5.5 n floats
@@ -302,11 +303,13 @@ class GridField:
         its error just outside. Consumers scale this into tail-error terms.
         """
         X = self.extent
-        n_band = max(2, int(0.1 * (len(self.values) // 2)))
+        n = len(self.values)
+        n_band = max(2, int(0.1 * (n // 2)))
+        band = np.abs(_nodes(self.spacing, n, n - n_band)) / X
         worst = 0.0
         for vals, edge in ((self.values[-n_band:], self.values[-1]),
                            (self.values[:n_band][::-1], self.values[0])):
-            model = self.extension.model(edge, np.abs(self.x[-n_band:]) / X)
+            model = self.extension.model(edge, band)
             worst = max(worst, float(np.max(np.abs(vals - model))))
         return worst
 

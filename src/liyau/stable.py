@@ -12,16 +12,11 @@ read-only, so the caches built from them cannot go stale.
 The inversion integral is rotated onto the ray rho = s e^(i phi), where
 e^(i rho r) decays (V. Zolotarev, One-dimensional Stable Distributions,
 1986): phi = pi/2 for beta < 1, where the kernel is e^(-s r) (K0(s r) in
-d = 2), and pi/(4 beta) above. The oscillatory integral becomes a smooth
-one whose Gauss panels in s every radius shares: the weights are computed
-once per table, and each radius reads only its kernel. Each node's error
-comes from its gap to a higher-order companion rule on the same panels.
-
-In d = 2 at beta > 1 the rotated kernel would be a complex H0, so the
-inversion stays a Hankel transform against J0(rho r). With
-s = rho * max(r, 1) its Gauss panels have the same edges in s for every
-radius, and every r >= 1 integrates against the same J0(s); so J0 is
-evaluated once per table, not once per radius.
+d = 2), and pi/(4 beta) above, where it is e^(i rho r) (H0(rho r) in
+d = 2). The oscillatory integral becomes a smooth one whose Gauss panels
+in s every radius shares: the weights are computed once per table, and
+each radius reads only its kernel. Each node's error comes from its gap
+to a higher-order companion rule on the same panels.
 
 For beta = 1 the profile is the closed-form Poisson kernel and every
 evaluation bypasses the table.
@@ -33,20 +28,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.special import gamma as _gamma, j0 as _j0, k0 as _k0
+from scipy.special import gamma as _gamma, hankel1e as _hankel1e, k0 as _k0
 
 from .runio import read_table_text
 from .singular import gauss_panels
 
 PROFILE_FORMAT = "liyau-profile v1"
 
-# the d = 2 Hankel integrand drops below 1e-16 once rho^beta > XI_DECAY
-XI_DECAY = 37.0
 # the table's first non-zero radius and its log-spaced nodes per decade
 R_MIN = 1e-3
 PER_DECADE = 24
-# Hankel panels summed at a time, so a radius's temporaries stay this size
-J0_BLOCK = 4096
 # the rotated ray's panels end where |exp(-rho^beta)| < e^-RAY_DECAY (1e-18),
 # and each radius's sum ends where its kernel has decayed as far
 RAY_DECAY = 41.5
@@ -146,33 +137,37 @@ def _ray_sums(beta: float, d: int, r: np.ndarray, r_top: float,
 
     On rho = s e^(i phi), with weights q = exp(-rho^beta) e^(i phi) w:
       d = 1: Phi(r) = (1/pi) Re sum q e^(i rho r);
+      d = 2: Phi(r) = (1/(2 pi)) Re sum q rho H0(rho r), with the Hankel
+             function H0 = H0^(1) = hankel1e(0, rho r) e^(i rho r);
       d = 3: Phi(r) = (1/(2 pi^2 r)) Im sum q rho e^(i rho r).
-    For beta < 1, phi = pi/2 and e^(i rho r) = e^(-s r) is real. Both then
-    reduce to the real weights w s^(d-1) exp(-s^beta cos(theta))
-    sin(s^beta sin(theta)), theta = pi beta/2. In d = 2 the Hankel kernel
-    rotates to K0: Phi(r) = (1/pi^2) sum w s K0(s r) times the same factors.
+    So every kernel decays like e^(-s r sin(phi)).
+    For beta < 1, phi = pi/2 and e^(i rho r) = e^(-s r) is real. All three
+    then reduce to the real weights w s^(d-1) exp(-s^beta cos(theta))
+    sin(s^beta sin(theta)), theta = pi beta/2, and in d = 2 the kernel
+    rotates to K0: Phi(r) = (1/pi^2) sum w s K0(s r) times those factors.
     For beta >= 1 the 1 in exp(-rho^beta) adds exactly 0 (Re i/r in d = 1,
-    Im -1/r^2 in d = 3) but costs a cancellation of about r^beta: the radii
-    whose kernel decays inside the panels sum expm1(-rho^beta) instead.
+    Re 2i/(pi r^2) in d = 2, Im -1/r^2 in d = 3) but costs a cancellation
+    of about r^beta: the radii whose kernel decays inside the panels sum
+    expm1(-rho^beta) instead.
     Radii are summed RAY_BLOCK at a time, each block up to the node where
     its smallest radius's kernel has decayed below e^-RAY_DECAY.
     """
-    if d == 2 and beta >= 1.0:
-        raise ValueError("d = 2 at beta >= 1 needs the Hankel panels")
     phi, edges = _ray_edges(beta, d, r_top)
     S, half, w = gauss_panels(edges[:-1], edges[1:], order)
     s = S.ravel()
     theta = beta * phi
     re, im = s ** beta * np.cos(theta), s ** beta * np.sin(theta)
-    scale = ((half[:, None] * w).ravel() * s ** min(d - 1, 1)
-             / {1: np.pi, 2: np.pi ** 2, 3: 2.0 * np.pi ** 2}[d])
+    norm = {1: np.pi, 2: np.pi ** 2 if beta < 1.0 else 2.0 * np.pi,
+            3: 2.0 * np.pi ** 2}[d]
+    scale = (half[:, None] * w).ravel() * s ** min(d - 1, 1) / norm
     if beta < 1.0:
         weights = scale * np.exp(-re) * np.sin(im)
         weights = np.column_stack([weights, np.abs(weights)])
     else:
         # Re of sum |p| e^(i (alpha + x cos(phi))) e^(-x sin(phi)), x = s r,
-        # with alpha the phase of p = q (d = 1) or q rho e^(-i pi/2) (d = 3)
-        alpha = (d + 1) / 2.0 * phi - (d - 1) * np.pi / 4.0
+        # with alpha the phase of p = q (d = 1), q rho (d = 2, where each
+        # node adds the phase of its scaled H0) or q rho e^(-i pi/2) (d = 3)
+        alpha = {1: phi, 2: 2.0 * phi, 3: 2.0 * phi - np.pi / 2.0}[d]
         em1 = (np.expm1(-re) * np.cos(im) - 2.0 * np.sin(im / 2.0) ** 2
                - 1j * np.exp(-re) * np.sin(im))  # expm1(-rho^beta)
         rules = ((scale * np.exp(-re), alpha - im),
@@ -195,6 +190,11 @@ def _ray_sums(beta: float, d: int, r: np.ndarray, r_top: float,
             else:
                 size, phase = rules[shifted]
                 kernel = np.exp(-np.sin(phi) * x)
+                if d == 2:
+                    # H0(rho r) = hankel1e(0, rho r) e^(i rho r)
+                    h = _hankel1e(0, x * np.exp(1j * phi))
+                    kernel *= np.abs(h)
+                    phase = phase[:n] + np.angle(h)
                 sizes[block] = kernel @ size[:n]
                 kernel *= np.cos(np.cos(phi) * x + phase[:n])
                 vals[block] = kernel @ size[:n]
@@ -216,50 +216,6 @@ def _ray_transform(beta: float, d: int,
     vals, sizes = _ray_sums(beta, d, r, r_top, RAY_ORDERS[0])
     companion, _ = _ray_sums(beta, d, r, r_top, RAY_ORDERS[1])
     return vals, 2.0 * np.abs(vals - companion) + RAY_ROUNDING * sizes
-
-
-def _j0_panel_sums(beta: float, r: np.ndarray, width: float) -> np.ndarray:
-    # m^-2 int_0^(rho_max m) exp(-(s/m)^beta) s J0(s r/m) ds per radius,
-    # m = max(r, 1), by 6-point Gauss on the n + 25 panels between the edges
-    # 0, width 2^-26, ..., width/2, 2 width, 3 width, ..., n width >= rho_max m
-    rho_max = XI_DECAY ** (1.0 / beta)
-    m = np.maximum(r, 1.0)
-    n = np.ceil(rho_max / (width / m)).astype(int)
-    edges = np.concatenate([[0.0], width * 2.0 ** (-np.arange(26, 0, -1.0)),
-                            np.arange(2, n.max() + 1) * width])
-    S, half, w6 = gauss_panels(edges[:-1], edges[1:], 6)
-    table = S * half[:, None] * w6
-    table *= _j0(S)
-    out = np.empty_like(r)
-    for i, (ri, mi, panels) in enumerate(zip(r, m, n + 25)):
-        kernel = (table if ri >= 1.0 else S[:panels] * half[:panels, None]
-                  * w6 * _j0(S[:panels] * ri))
-        total = 0.0
-        for lo in range(0, panels, J0_BLOCK):
-            hi = min(lo + J0_BLOCK, panels)
-            total += float(np.sum(np.exp(-(S[lo:hi] / mi) ** beta)
-                                  * kernel[lo:hi]))
-        out[i] = total / mi ** 2
-    return out
-
-
-def _j0_transform_d2(beta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # d = 2: Phi(r) = (1/(2 pi)) int_0^inf exp(-rho^beta) rho J0(rho r) drho.
-    # With s = rho m, m = max(r, 1), this is
-    # (1/(2 pi m^2)) int exp(-(s/m)^beta) s J0(s r/m) ds, summed over Gauss
-    # panels of width pi/2 in s, half an oscillation of J0; the error probe
-    # halves every panel. The panel touching 0 is split dyadically so the
-    # rho^beta kink (beta < 1) cannot poison the Gauss rule or its error
-    # probe. The panel edges in s do not depend on r, and for r >= 1 the
-    # kernel is J0(s): s J0(s) times the weights is tabulated once, out to
-    # the largest radius, and each radius reads the panels it needs,
-    # J0_BLOCK at a time. Radii below 1 share the panels of m = 1 and
-    # evaluate their own J0(s r)
-    total, fine = (_j0_panel_sums(beta, r, width)
-                   for width in (np.pi / 2.0, np.pi / 4.0))
-    vals = fine / (2.0 * np.pi)
-    errs = (np.abs(total - fine) + 1e-15 * np.abs(fine)) / (2.0 * np.pi)
-    return vals, errs
 
 
 @dataclass
@@ -547,8 +503,8 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
     The table holds r = 0 and PER_DECADE log-spaced radii per decade from
     R_MIN to _default_r_max(beta, d). beta = 1 short-circuits to the
     Poisson closed form. Otherwise r = 0 takes profile_at_zero, the other
-    nodes the rotated-ray inversion (the Hankel panels in d = 2 at
-    beta > 1), and the far tail is fitted against r^(-d-beta).
+    nodes the rotated-ray inversion, and the far tail is fitted against
+    r^(-d-beta).
 
     error_estimate is the largest relative error of the table's nodes or
     of its interpolation, whichever is larger. The interpolation error is
@@ -572,14 +528,8 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
 
     r_check = np.concatenate([np.linspace(0.1, 0.9, 9) * R_MIN,
                               np.sqrt(r[1:-1] * r[2:])])
-    if d == 2 and beta > 1.0:
-        vals, errs = _j0_transform_d2(beta, r[1:])
-        check = _j0_panel_sums(beta, r_check, np.pi / 4.0) / (2.0 * np.pi)
-        method = "hankel-j0-panels"
-    else:
-        vals, errs = _ray_transform(beta, d, r[1:])
-        check, _ = _ray_sums(beta, d, r_check, r_max, RAY_ORDERS[0])
-        method = "rotated-ray"
+    vals, errs = _ray_transform(beta, d, r[1:])
+    check, _ = _ray_sums(beta, d, r_check, r_max, RAY_ORDERS[0])
     if not np.all(vals > 0.0):
         raise RuntimeError(f"profile inversion lost positivity (beta={beta}, d={d})")
     vals = np.concatenate([[profile_at_zero(beta, d)], vals])
@@ -589,7 +539,8 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
     meta = {"tail_model_jump": abs(B) * r_max ** (-beta), "tail_B": B}
     prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=vals,
                                 tail_coef=A, tail_fit_residual=resid,
-                                error_estimate=0.0, method=method, meta=meta)
+                                error_estimate=0.0, method="rotated-ray",
+                                meta=meta)
     # the check radii miss the interpolation error's peaks by at most 1.5 %
     # (at beta = 0.3, below R_MIN); the estimate adds 5 %
     interp = 1.05 * float(np.max(np.abs(prof.eval(r_check) / check - 1.0)))

@@ -31,6 +31,11 @@ def profile_b07_d2():
 
 
 @pytest.fixture(scope="session")
+def profile_b13_d2():
+    return build_profile(1.3, 2)
+
+
+@pytest.fixture(scope="session")
 def profile_b1_d3():
     return build_profile(1.0, 3)
 
