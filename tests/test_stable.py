@@ -137,12 +137,12 @@ def _small_r_series_d2(beta, r):
     return terms.sum(axis=0), 4.0 * EPS * np.abs(terms).sum(axis=0)
 
 
-def _large_r_series_d2(beta, r, order=12):
-    """Phi in d = 2 from its first `order` large-r terms (Bergstrom 1952),
-    and a bound on the rounding plus the first omitted term:
+def _large_r_series_d2(beta, r):
+    """Phi in d = 2 from its first 12 large-r terms (Bergstrom 1952), and a
+    bound on the rounding plus the first omitted term:
     pi^-2 sum_k ((-1)^(k+1)/k!) 2^(k beta) Gamma(k beta/2 + 1)
     Gamma((k beta + 2)/2) sin(pi k beta/2) r^(-2 - k beta)."""
-    k = np.arange(1, order + 2)[:, None]
+    k = np.arange(1, 14)[:, None]
     size = (np.exp(k * beta * np.log(2.0) + gammaln(k * beta / 2.0 + 1.0)
                    + gammaln((k * beta + 2.0) / 2.0) - gammaln(k + 1.0))
             * r ** (-2.0 - k * beta) / np.pi ** 2)
