@@ -28,7 +28,7 @@ from .harnack import (default_alpha, gaussian_harnack_rhs,
 from .markov import (complete_graph, load_edge_list, neg_L_log, phi_kn,
                      transition_kn, transition_matrix)
 from .runio import ConfigError, RunManifest, read_config_file, resolve_outdir
-from .stable import build_profile
+from .stable import build_profile, normalizing_constant
 from .verify import (VerificationReport, log_uniform,
                      reduction_theorem_check_discrete, sweep_dh_consistency,
                      sweep_fractional_liyau, sweep_key_inequality,
@@ -63,8 +63,15 @@ def _dim(value: str) -> int:
     return d
 
 
-def _positive(value: str) -> float:
+def _finite(value: str) -> float:
     v = float(value)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {v}")
+    return v
+
+
+def _positive(value: str) -> float:
+    v = _finite(value)
     if not v > 0:
         raise argparse.ArgumentTypeError("value must be positive")
     return v
@@ -155,8 +162,8 @@ def build_parser() -> _Parser:
     h.add_argument("--dim", type=_dim, default=None)
     h.add_argument("--t1", type=_positive, default=1.0)
     h.add_argument("--t2", type=_positive, default=2.0)
-    h.add_argument("--x1", type=float, default=None)
-    h.add_argument("--x2", type=float, default=None)
+    h.add_argument("--x1", type=_finite, default=None)
+    h.add_argument("--x2", type=_finite, default=None)
     _common(h)
     h.set_defaults(func=cmd_harnack)
     return p
@@ -220,15 +227,17 @@ def cmd_density(args, outdir, manifest) -> int:
     path.write_text(prof.to_text())
     manifest.register(path)
     payload = {"beta": args.beta, "d": args.dim, "mass": prof.mass(),
-               "tail_coef": prof.tail_coef,
-               "tail_fit_residual": prof.tail_fit_residual,
+               "tail_coef": normalizing_constant(args.beta, args.dim),
                "error_estimate": prof.error_estimate, "method": prof.method}
     manifest.register(runio.write_json_report(outdir / f"{name}.json", payload))
-    print(f"{name}: mass {payload['mass']:.12f}, tail coef {prof.tail_coef:.6g}")
+    print(f"{name}: mass {payload['mass']:.12f}, "
+          f"tail coef {payload['tail_coef']:.6g}")
     return EXIT_PASS
 
 
 def cmd_fraclap(args, outdir, manifest) -> int:
+    if round(args.extent / args.spacing) < 2:  # the grid's 2k + 1 >= 5 nodes
+        raise ConfigError("--extent / --spacing must round to 2 or more")
     f = GridField.from_function(lambda x: np.exp(-x ** 2), args.spacing,
                                 args.extent, Extension("constant"))
     try:
@@ -262,7 +271,11 @@ def _parse_sweep(spec: str):
         parts = parts[1:]
     if len(parts) != 3:
         raise ConfigError("--sweep expects beta:START:STOP:STEPS")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError("--sweep needs numbers START, STOP and an integer "
+                          "STEPS") from None
     if not (0 < start < 2 and 0 < stop < 2 and steps >= 1):
         raise ConfigError("sweep betas must lie in (0, 2)")
     return np.linspace(start, stop, steps)
@@ -329,7 +342,10 @@ def cmd_markov_verify(args, outdir, manifest) -> int:
     _resolve_mode(args, "--graph FILE", ignored, n=3, per_decade=60)
     rng = np.random.default_rng(args.seed)
     if args.graph != "Kn":
-        chain = load_edge_list(Path(args.graph).read_text())
+        try:
+            chain = load_edge_list(Path(args.graph).read_text())
+        except (OSError, ValueError) as exc:  # a decode error is a ValueError
+            raise ConfigError(f"cannot read graph {args.graph}: {exc}") from None
         u0 = log_uniform(rng, 1e-2, 1e2, size=chain.n)
         t = float(np.sqrt(args.t_min * args.t_max))
         report = reduction_theorem_check_discrete(chain, u0, t)

@@ -151,13 +151,10 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     W/rho^2 (the integrand vanishes quadratically). Middle: LOG_PER_DECADE
     log panels per decade out to max(100, 8 (1 + y_norm)), refined around
     rho = y_norm, where the second displaced radius crosses zero. Tail:
-    power substitution under the profile's far-field model, which the
-    log-derivative evaluator applies automatically beyond its table.
+    power substitution, on the profile's large-r series beyond its table.
     """
     if y_norm < 0:
         raise ValueError("y_norm must be non-negative")
-    if not profile.tail_coef > 0:
-        raise ValueError("profile carries no usable tail model")
     y = float(y_norm)
     delta = default_inner_radius(y)
     R = max(100.0, 8.0 * (1.0 + y))
@@ -230,9 +227,10 @@ _CONSTANT_CACHE: dict[tuple, LiYauConstantResult] = {}
 def constant_for(profile: StableDensityProfile,
                  search: SearchSpec | None = None) -> LiYauConstantResult:
     """Numeric constant memoized on everything the search reads: (beta, d),
-    the profile's table and tail model, and the spec (None: the default)."""
+    which fix the large-r series, the profile's table and the spec (None:
+    the default)."""
     key = (profile.beta, profile.d, profile.r_table.tobytes(),
-           profile.values.tobytes(), profile.tail_coef, profile.error_estimate,
+           profile.values.tobytes(), profile.error_estimate,
            astuple(search or SearchSpec()))
     if key in _CONSTANT_CACHE:
         return _CONSTANT_CACHE[key]

@@ -240,8 +240,7 @@ class GridField:
     def from_function(cls, fn: Callable, spacing: float, extent: float,
                       extension: Extension | None = None,
                       positive: bool = False) -> "GridField":
-        k = int(round(extent / spacing))
-        x = (np.arange(2 * k + 1) - k) * spacing
+        x = _nodes(spacing, 2 * int(round(extent / spacing)) + 1)
         return cls(spacing, fn(x), extension or Extension(), positive)
 
     # ---- evaluation -----------------------------------------------------

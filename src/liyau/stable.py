@@ -3,11 +3,10 @@
 The kernel G(t, x) = t^(-d/beta) * Phi(|x| t^(-1/beta)) is generated by a
 single radial profile Phi per (beta, d). Profiles are tabulated by Fourier
 inversion of exp(-|xi|^beta) at r = 0 and on one log-spaced grid per
-(beta, d), PER_DECADE nodes per decade from R_MIN out to a radius chosen
-for the tail model, and carry a fitted power tail A * r^(-d-beta) beyond
-the table; the true tail constant equals the jump-kernel normalization,
-which the fit is validated against. A profile's table arrays are
-read-only, so the caches built from them cannot go stale.
+(beta, d), PER_DECADE nodes per decade from R_MIN to R_MAX. Beyond R_MAX,
+Phi is Bergstrom's large-r series, whose first coefficient is the
+jump-kernel normalization. A profile's table arrays are read-only, so the
+caches built from them cannot go stale.
 
 The inversion integral is rotated onto the ray rho = s e^(i phi), where
 e^(i rho r) decays (V. Zolotarev, One-dimensional Stable Distributions,
@@ -24,20 +23,27 @@ evaluation bypasses the table.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.special import gamma as _gamma, hankel1e as _hankel1e, k0 as _k0
+from scipy.special import (gamma as _gamma, hankel1e as _hankel1e, k0 as _k0,
+                           rgamma as _rgamma)
 
 from .runio import read_table_text
 from .singular import gauss_panels
 
-PROFILE_FORMAT = "liyau-profile v1"
+PROFILE_FORMAT = "liyau-profile v2"
 
-# the table's first non-zero radius and its log-spaced nodes per decade
+# the table's first non-zero radius, its last and its log-spaced nodes per
+# decade; beyond R_MAX every reader takes the large-r series
 R_MIN = 1e-3
+R_MAX = 100.0
 PER_DECADE = 24
+# the series keeps its terms up to the first whose size, taken with
+# |sin| <= 1, falls below this share of its leading term at R_MAX
+SERIES_CUT = 1e-17
 # the rotated ray's panels end where |exp(-rho^beta)| < e^-RAY_DECAY (1e-18),
 # and each radius's sum ends where its kernel has decayed as far
 RAY_DECAY = 41.5
@@ -92,19 +98,6 @@ def profile_at_zero(beta: float, d: int) -> float:
     """Phi(0) = d * omega_d * Gamma(d/beta) / ((2 pi)^d * beta)."""
     return (d * ball_volume(d) * _gamma(d / beta)
             / ((2.0 * np.pi) ** d * beta))
-
-
-def _default_r_max(beta: float, d: int) -> float:
-    # single-term tail model error times tail mass scales like r^(-2 beta);
-    # push the table out until that product clears 1e-6 where affordable
-    extra = 1.0 if beta > 1.0 else 0.0  # cheap nodes, softer model switchover
-    target = 10.0 ** (np.ceil(3.0 / beta) + extra)
-    r_max = float(np.clip(target, 1e3, 1e6))
-    if d == 2 and beta < 1.0:
-        # the cap the Hankel panels' cost once set, kept so the table keeps
-        # its nodes; the wider mass tolerance goes into the construction error
-        r_max = 300.0
-    return r_max
 
 
 def _ray_edges(beta: float, d: int, r_top: float) -> tuple[float, np.ndarray]:
@@ -218,31 +211,126 @@ def _ray_transform(beta: float, d: int,
     return vals, 2.0 * np.abs(vals - companion) + RAY_ROUNDING * sizes
 
 
+def _power_sum(c: np.ndarray, x) -> np.ndarray:
+    """sum_j c[j] x^(j+1) by Horner's rule, in place on one new array."""
+    out = np.full_like(x, c[-1], dtype=float)
+    for cj in c[-2::-1]:
+        out *= x
+        out += cj
+    out *= x
+    return out
+
+
+class _LargeRSeries:
+    """Bergstrom's large-r series of Phi (H. Bergstrom, Ark. Mat. 2, 1952),
+    cut for r >= R_MAX:
+
+      Phi(r) = sum_{k>=1} a_k r^(-d-k beta),
+      a_k = (-1)^(k+1) 2^(k beta) Gamma(k beta/2 + 1) Gamma((k beta + d)/2)
+            sin(pi k beta/2) / (k! pi^(d/2+1)),
+
+    with a_1 = c_{beta,d}; sin(pi z) Gamma(1 + z), z = k beta/2, is summed
+    as -pi / Gamma(-z). It converges at r >= R_MAX for beta <= 1 and is
+    asymptotic above. The terms kept end before the first whose size, with
+    |sin| <= 1, is below SERIES_CUT of the first at R_MAX. bound is the
+    remainder relative to Phi at R_MAX: that size plus RAY_ROUNDING times
+    the kept terms' sizes.
+
+    With x = r^-beta, Phi = x P(x) / r^d, P having coefficients
+    p_j = a_(j+1), and log Phi = l_0 - (d + beta) log r + sum l_j x^j
+    with the log's power series l_0 = log p_0,
+    l_j = (j p_j - sum_{0<i<j} i l_i p_(j-i)) / (j p_0), cut at the same
+    order: a log read costs one log, one exp and a Horner sum.
+    """
+
+    def __init__(self, beta: float, d: int):
+        self.beta, self.d = beta, d
+        k = np.arange(1.0, 65.0)
+        common = 2.0 ** (k * beta) * _gamma((k * beta + d) / 2.0) / _gamma(k + 1.0)
+        size = common * _gamma(k * beta / 2.0 + 1.0) / np.pi ** (d / 2.0 + 1.0)
+        a = (-1.0) ** k * common * _rgamma(-k * beta / 2.0) / np.pi ** (d / 2.0)
+        x = R_MAX ** -beta
+        n = int(np.argmax(size * x ** (k - 1.0) < SERIES_CUT * abs(a[0])))
+        p = a[:n]
+        l = np.empty(n)
+        l[0] = np.log(p[0])
+        for j in range(1, n):
+            i = np.arange(1, j)
+            l[j] = (j * p[j] - np.dot(i * l[i], p[j - i])) / (j * p[0])
+        j = np.arange(1, n)
+        self.p, self.l = p, l
+        # sum j l_j x^j and sum j^2 l_j x^j
+        self.slope_coefs, self.curv_coefs = j * l[1:], j * j * l[1:]
+        # |S^(d-1)| sum_k a_k r^(-k beta) / (k beta)
+        self.mass_coefs = d * ball_volume(d) * p / (k[:n] * beta)
+        terms = np.abs(p) * x ** np.arange(n)
+        self.bound = float((size[n] * x ** n + RAY_ROUNDING * terms.sum())
+                           / abs(_power_sum(p, x) / x))
+
+    # the readers work in place: a J search reads the series on large
+    # arrays, and each temporary of that size costs page faults once the
+    # allocator has trimmed the heap
+    def eval(self, r: np.ndarray) -> np.ndarray:
+        out = _power_sum(self.p, r ** -self.beta)
+        out /= r ** self.d
+        return out
+
+    def log(self, r: np.ndarray) -> np.ndarray:
+        u = np.log(r)
+        x = u * -self.beta
+        out = _power_sum(self.l[1:], np.exp(x, out=x))
+        u *= -(self.d + self.beta)
+        out += u
+        out += self.l[0]
+        return out
+
+    def log_derivs(self, r: np.ndarray, slope_only: bool) -> tuple:
+        """(L, L', L'') at r, or (L',) alone: L' = -g / r and L'' = (g +
+        beta^2 sum j^2 l_j x^j) / r^2, g = d + beta + beta sum j l_j x^j."""
+        x = r ** -self.beta
+        g = _power_sum(self.slope_coefs, x)
+        g *= self.beta
+        g += self.d + self.beta
+        slope = -g / r
+        if slope_only:
+            return (slope,)
+        curv = _power_sum(self.curv_coefs, x)
+        curv *= self.beta ** 2
+        curv += g
+        curv /= r ** 2
+        return self.log(r), slope, curv
+
+    def mass_beyond(self, r) -> np.ndarray:
+        """The mass of Phi outside radius r >= R_MAX."""
+        return _power_sum(self.mass_coefs, np.asarray(r, dtype=float) ** -self.beta)
+
+
+_large_r_series = lru_cache(maxsize=None)(_LargeRSeries)  # one per (beta, d)
+
+
 @dataclass
 class StableDensityProfile:
-    """Tabulated radial profile with a fitted far tail.
+    """Tabulated radial profile with Bergstrom's series beyond the table.
 
-    r_table starts at 0; values are Phi at the nodes. Beyond r_table[-1] the
-    profile follows tail_coef * r^(-d-beta). The profile keeps read-only
-    copies of both arrays, which its spline, small-r and exceedance caches
-    and constant_for's key are built from.
+    r_table starts at 0; values are Phi at the nodes. Beyond r_table[-1]
+    every reader takes the large-r series of (beta, d). The profile keeps
+    read-only copies of both arrays, which its spline, small-r and
+    exceedance caches and constant_for's key are built from.
     """
 
     beta: float
     d: int
     r_table: np.ndarray
     values: np.ndarray
-    tail_coef: float
-    tail_fit_residual: float
     error_estimate: float
     method: str
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.r_table = np.array(self.r_table, dtype=float)
         self.values = np.array(self.values, dtype=float)
         self.r_table.flags.writeable = False
         self.values.flags.writeable = False
+        self._series = _large_r_series(self.beta, self.d)
         self._spline = None
         self._small = None
         self._exceed = None
@@ -252,10 +340,13 @@ class StableDensityProfile:
         return float(self.r_table[-1])
 
     def _get_spline(self):
-        # cubic in log-log coordinates; strictly positive by construction
+        # cubic in log-log coordinates; strictly positive by construction.
+        # Its last slope is the large-r series', so L' is continuous there
         if self._spline is None:
             r = self.r_table[1:]
-            self._spline = CubicSpline(np.log(r), np.log(self.values[1:]))
+            end = r[-1] * self._series.log_derivs(r[-1:], True)[0][0]
+            self._spline = CubicSpline(np.log(r), np.log(self.values[1:]),
+                                       bc_type=("not-a-knot", (1, end)))
         return self._spline
 
     def _small_r_coeffs(self):
@@ -275,8 +366,8 @@ class StableDensityProfile:
 
         closed(r) serves beta = 1. Otherwise small(r, p0, c2, c4) runs below
         r_table[1] on the even quadratic, table(r) on the log-log spline up
-        to r_max, and tail(r) on the tail model beyond. Each rule returns a
-        tuple of arrays; a scalar r gives a tuple of floats.
+        to r_max, and tail(r) on the large-r series beyond. Each rule returns
+        a tuple of arrays; a scalar r gives a tuple of floats.
 
         When one region holds every point, its rule runs on r as it stands,
         with no gather and scatter: each rule is elementwise, so the values
@@ -309,22 +400,21 @@ class StableDensityProfile:
         return outs
 
     def eval(self, r) -> np.ndarray:
-        """Phi(r) for any r >= 0; tail model beyond the table."""
+        """Phi(r) for any r >= 0; the large-r series beyond the table."""
         return self._piecewise(
             r, lambda r: (poisson_profile(self.d, r),),
             lambda r, p0, c2, c4: (p0 + r ** 2 * (c2 + c4 * r ** 2),),
             lambda r: (np.exp(self._get_spline()(np.log(r))),),
-            lambda r: (self.tail_coef * r ** (-self.d - self.beta),))[0]
+            lambda r: (self._series.eval(r),))[0]
 
     def log_value(self, r) -> np.ndarray:
         """log Phi(r), evaluated without the exp/log round trip where possible."""
-        q = self.d + self.beta
         return self._piecewise(
             r, lambda r: (np.log(_poisson_coef(self.d))
                           - (self.d + 1) / 2.0 * np.log1p(r ** 2),),
             lambda r, p0, c2, c4: (np.log(p0 + r ** 2 * (c2 + c4 * r ** 2)),),
             lambda r: (self._get_spline()(np.log(r)),),
-            lambda r: (np.log(self.tail_coef) - q * np.log(r),))[0]
+            lambda r: (self._series.log(r),))[0]
 
     def _log_rules(self, slope_only: bool) -> tuple:
         """The _piecewise rules for (L, L', L''), or for (L',) alone.
@@ -355,10 +445,7 @@ class StableDensityProfile:
                 sp(u), slope, (sp(u, 2) - s1) / r ** 2)
 
         def tail(r):
-            q = self.d + self.beta
-            slope = -q / r
-            return (slope,) if slope_only else (
-                np.log(self.tail_coef) - q * np.log(r), slope, q / r ** 2)
+            return self._series.log_derivs(r, slope_only)
 
         return closed, small, table, tail
 
@@ -373,7 +460,7 @@ class StableDensityProfile:
     def comparability_ratio(self) -> tuple[float, float]:
         """(lo, hi) bounds of Phi(r) * (1 + r^2)^((d+beta)/2) over the table."""
         w = self.values * (1.0 + self.r_table ** 2) ** ((self.d + self.beta) / 2.0)
-        samples = np.append(w, self.tail_coef)  # tail-model limit
+        samples = np.append(w, self._series.p[0])  # the limit r -> inf
         return float(samples.min()), float(samples.max())
 
     def _inner_disc(self) -> float:
@@ -391,39 +478,28 @@ class StableDensityProfile:
                                               + c4 * r1 ** 2 / (d + 4)))
 
     def mass(self) -> float:
-        """Total integral under the table plus the analytic tail."""
-        d = self.d
-        surf = d * ball_volume(d)
-        r1, rm = self.r_table[1], self.r_max
-        inner = self._inner_disc()
-        # log-spaced Gauss panels across the table
-        edges = np.geomspace(r1, rm, 60 * max(1, int(np.log10(rm / r1))) + 1)
-        S, half, wg = gauss_panels(edges[:-1], edges[1:], 10)
-        fv = self.eval(S.ravel()).reshape(S.shape) * S ** (d - 1)
-        body = float(np.dot(fv @ wg, half))
-        tail = self.tail_coef * rm ** (-self.beta) / self.beta
-        # next-order tail term improves the check; eval() stays single-term
-        tail_b = self.meta.get("tail_B", 0.0)
-        tail += self.tail_coef * tail_b * rm ** (-2.0 * self.beta) / (2.0 * self.beta)
-        return surf * (inner + body + tail)
+        """Total integral of Phi, from exceedance's pass."""
+        return float(self.exceedance(0.0))
 
     def exceedance(self, r) -> np.ndarray:
-        """Mass of Phi outside radius r, interpolated from one dense pass."""
+        """Mass of Phi outside radius r, interpolated from one dense pass:
+        Gauss panels across the table, on the large-r series' mass beyond
+        it, and the inner disc below it."""
         if self._exceed is None:
             d = self.d
             surf = d * ball_volume(d)
-            grid = np.geomspace(max(self.r_table[1], 1e-3), self.r_max, 800)
+            grid = np.geomspace(self.r_table[1], self.r_max, 800)
             S, half, wg = gauss_panels(grid[:-1], grid[1:], 8)
             fv = self.eval(S.ravel()).reshape(S.shape) * S ** (d - 1)
             seg = (fv @ wg) * half * surf
-            tail0 = surf * self.tail_coef * self.r_max ** (-self.beta) / self.beta
+            tail0 = self._series.mass_beyond(self.r_max)
             cum = tail0 + np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
             # Hermite in log r with the analytic slope de/dr = -surf Phi r^{d-1}:
             # linear interpolation of the cumulative leaves O(panel^2) bumps
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
-            # the total mass anchors the blend below the table: memoized here
+            # the total mass anchors the blend below the table
             self._exceed = (grid, cum, CubicHermiteSpline(np.log(grid), cum, slope),
-                            self.mass())
+                            tail0 + np.sum(seg) + surf * self._inner_disc())
         grid, cum, hermite, total = self._exceed
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
@@ -438,8 +514,7 @@ class StableDensityProfile:
         if midm.any():
             out[midm] = hermite(np.log(r[midm]))
         if above.any():
-            surf0 = self.d * ball_volume(self.d)
-            out[above] = surf0 * self.tail_coef * r[above] ** (-self.beta) / self.beta
+            out[above] = self._series.mass_beyond(r[above])
         return float(out[0]) if scalar else out
 
     # ---- serialization ----------------------------------------------------
@@ -449,12 +524,8 @@ class StableDensityProfile:
         buf.write(f"# {PROFILE_FORMAT}\n")
         buf.write("# beta = %.17g\n" % self.beta)
         buf.write(f"# d = {self.d}\n")
-        buf.write("# tail_coef = %.17g\n" % self.tail_coef)
-        buf.write("# tail_fit_residual = %.17g\n" % self.tail_fit_residual)
         buf.write("# error_estimate = %.17g\n" % self.error_estimate)
         buf.write(f"# method = {self.method}\n")
-        for key, val in self.meta.items():  # numbers only
-            buf.write("# meta.%s = %.17g\n" % (key, val))
         for r, v in zip(self.r_table, self.values):
             buf.write("%.17g %.17g\n" % (r, v))
         return buf.getvalue()
@@ -462,93 +533,58 @@ class StableDensityProfile:
     @classmethod
     def from_text(cls, text: str) -> "StableDensityProfile":
         header, rows = read_table_text(
-            text, PROFILE_FORMAT, required=("beta", "d", "tail_coef",
-                                            "tail_fit_residual",
-                                            "error_estimate", "method"))
+            text, PROFILE_FORMAT,
+            required=("beta", "d", "error_estimate", "method"))
         if not rows:
             raise ValueError("profile text holds no rows")
         if any(len(row) != 2 for row in rows):
             raise ValueError("profile rows must hold exactly r and Phi(r)")
         arr = np.asarray(rows)
-        meta = {k[len("meta."):]: float(v) for k, v in header.items()
-                if k.startswith("meta.")}
         return cls(beta=float(header["beta"]), d=int(header["d"]),
                    r_table=arr[:, 0], values=arr[:, 1],
-                   tail_coef=float(header["tail_coef"]),
-                   tail_fit_residual=float(header["tail_fit_residual"]),
                    error_estimate=float(header["error_estimate"]),
-                   method=header["method"], meta=meta)
-
-
-def _fit_tail(beta: float, d: int, r: np.ndarray,
-              vals: np.ndarray) -> tuple[float, float, float]:
-    """Fit A * r^(-d-beta) * (1 + B * r^(-beta)) on the last decade.
-
-    The two-term fit keeps the next-order tail term out of A, so A is the
-    asymptotic coefficient (the jump-kernel normalization, up to inversion
-    error). Returns (A, max log residual of the fit, B).
-    """
-    mask = r >= r[-1] / 10.0
-    rs, vs = r[mask], vals[mask]
-    y = np.log(vs) + (d + beta) * np.log(rs)
-    design = np.column_stack([np.ones_like(rs), rs ** (-beta)])
-    (logA, B), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = np.max(np.abs(design @ (logA, B) - y))
-    return float(np.exp(logA)), float(resid), float(B)
+                   method=header["method"])
 
 
 def build_profile(beta: float, d: int) -> StableDensityProfile:
     """Tabulate Phi_beta for d in {1, 2, 3}.
 
     The table holds r = 0 and PER_DECADE log-spaced radii per decade from
-    R_MIN to _default_r_max(beta, d). beta = 1 short-circuits to the
-    Poisson closed form. Otherwise r = 0 takes profile_at_zero, the other
-    nodes the rotated-ray inversion, and the far tail is fitted against
-    r^(-d-beta).
+    R_MIN to R_MAX. beta = 1 short-circuits to the Poisson closed form.
+    Otherwise r = 0 takes profile_at_zero and the other nodes the
+    rotated-ray inversion.
 
-    error_estimate is the largest relative error of the table's nodes or
-    of its interpolation, whichever is larger. The interpolation error is
-    measured against the same inversion at the log-midpoints of the nodes
-    and at nine radii below R_MIN, and taken 5 % larger.
+    error_estimate is the largest relative error of the table's nodes, of
+    its interpolation or of the large-r series at R_MAX. The interpolation
+    error is measured against the same inversion at the log-midpoints of
+    the nodes and at nine radii below R_MIN, and taken 5 % larger.
     """
     if not 0 < beta < 2:
         raise ValueError("beta must lie in (0, 2)")
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2, or 3")
-    r_max = _default_r_max(beta, d)
-    n = int(np.ceil(PER_DECADE * np.log10(r_max / R_MIN))) + 1
-    r = np.concatenate([[0.0], np.geomspace(R_MIN, r_max, n)])
+    n = int(np.ceil(PER_DECADE * np.log10(R_MAX / R_MIN))) + 1
+    r = np.concatenate([[0.0], np.geomspace(R_MIN, R_MAX, n)])
 
     if beta == 1.0:
-        vals = poisson_profile(d, r)
         return StableDensityProfile(
-            beta=1.0, d=d, r_table=r, values=vals, tail_coef=_poisson_coef(d),
-            tail_fit_residual=0.0, error_estimate=1e-15,
-            method="closed-form-beta1")
+            beta=1.0, d=d, r_table=r, values=poisson_profile(d, r),
+            error_estimate=1e-15, method="closed-form-beta1")
 
     r_check = np.concatenate([np.linspace(0.1, 0.9, 9) * R_MIN,
                               np.sqrt(r[1:-1] * r[2:])])
     vals, errs = _ray_transform(beta, d, r[1:])
-    check, _ = _ray_sums(beta, d, r_check, r_max, RAY_ORDERS[0])
+    check, _ = _ray_sums(beta, d, r_check, R_MAX, RAY_ORDERS[0])
     if not np.all(vals > 0.0):
         raise RuntimeError(f"profile inversion lost positivity (beta={beta}, d={d})")
     vals = np.concatenate([[profile_at_zero(beta, d)], vals])
-
-    A, resid, B = _fit_tail(beta, d, r[1:], vals[1:])
-    # relative deviation of the single-term eval model at the switchover
-    meta = {"tail_model_jump": abs(B) * r_max ** (-beta), "tail_B": B}
     prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=vals,
-                                tail_coef=A, tail_fit_residual=resid,
-                                error_estimate=0.0, method="rotated-ray",
-                                meta=meta)
+                                error_estimate=0.0, method="rotated-ray")
     # the check radii miss the interpolation error's peaks by at most 1.5 %
     # (at beta = 0.3, below R_MIN); the estimate adds 5 %
     interp = 1.05 * float(np.max(np.abs(prof.eval(r_check) / check - 1.0)))
-    err_est = max(float(np.max(errs / vals[1:])), interp)
-    if d == 2 and beta < 1.0:
-        # capped table: single-term tail model limits the integrated accuracy
-        err_est = max(err_est, float(r_max ** (-2.0 * beta)))
-    prof.error_estimate = err_est
+    prof.error_estimate = max(float(np.max(errs / vals[1:])), interp,
+                              prof._series.bound)
     return prof
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from liyau import cli
 from liyau.cli import main
 from liyau.runio import RunManifest, read_config_file, sha256_of
 from liyau.verify import VerificationReport
@@ -74,9 +75,49 @@ def test_config_error_is_usage_error(tmp_path):
                 "--outdir", tmp_path]) == 1
 
 
-def test_computation_error_exits_2(tmp_path):
-    assert run(["markov-verify", "--graph", tmp_path / "missing.txt",
-                "--outdir", tmp_path]) == 2
+def _graph_check_fails(monkeypatch, tmp_path):
+    """A valid edge list whose check raises: a computation error."""
+    def fail(*args):
+        raise RuntimeError("the check failed")
+
+    monkeypatch.setattr(cli, "reduction_theorem_check_discrete", fail)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1 1.0\n1 0 1.0\n")
+    return graph
+
+
+def test_computation_error_exits_2(tmp_path, monkeypatch):
+    graph = _graph_check_fails(monkeypatch, tmp_path)
+    assert run(["markov-verify", "--graph", graph, "--outdir", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["liyau-const", "--sweep", "beta:0.5:1.5:x"],
+    ["liyau-const", "--sweep", "beta:0.5:1.5:abc"],
+    ["liyau-const", "--sweep", "beta:0.5:1.5:2.5"],
+    ["liyau-const", "--beta", "1", "--y-max", "inf"],
+    ["markov-verify", "--t-max", "1e400"],
+    ["harnack", "--setting", "kn", "--t1", "1", "--t2", "inf"],
+    ["harnack", "--setting", "frac", "--t2", "inf"],
+    ["harnack", "--setting", "gauss", "--t2", "inf"],
+    ["harnack", "--setting", "gauss", "--x1", "nan"],
+    ["harnack", "--setting", "gauss", "--x2", "-inf"],
+    ["fraclap", "--beta", "1", "--extent", "1e-3"],
+])
+def test_bad_flag_value_is_usage_error(argv, tmp_path):
+    # each exited 2 (computation failed) or 0 (a NaN or infinite result)
+    assert run(argv + ["--outdir", tmp_path]) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", [None, "0 1 x\n", "0 1\n", "0 0 1.0\n"])
+def test_unreadable_graph_is_usage_error(text, tmp_path):
+    graph = tmp_path / "graph.txt"  # None: no such file
+    if text is not None:
+        graph.write_text(text)
+    out = tmp_path / "out"
+    assert run(["markov-verify", "--graph", graph, "--outdir", out]) == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_verification_failure_exits_3(tmp_path):
@@ -323,11 +364,12 @@ def test_console_script_entry_point(tmp_path):
     assert "gaussian bound" in proc.stdout
 
 
-def test_failed_runs_write_no_manifest(tmp_path):
+def test_failed_runs_write_no_manifest(tmp_path, monkeypatch):
     usage, compute = tmp_path / "usage", tmp_path / "compute"
     # neither --beta nor --sweep
     assert run(["liyau-const", "--outdir", usage]) == 1
     assert not (usage / "manifest.json").exists()
-    assert run(["markov-verify", "--graph", tmp_path / "missing.txt",
+    graph = _graph_check_fails(monkeypatch, tmp_path)
+    assert run(["markov-verify", "--graph", graph,
                 "--outdir", compute]) == 2
     assert not (compute / "manifest.json").exists()

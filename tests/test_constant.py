@@ -312,11 +312,11 @@ def test_constant_search_at_d2_moves_at_rounding_level(monkeypatch):
 # depend on the platform's log, so the pins carry a rounding-level tolerance
 # and bit-identity is checked against the written-out rule above
 PINNED_CONSTANTS = {
-    (0.5, 1): (5.4571273994521245, 7.987356161746266e-06, 0.0),
-    (1.5, 1): (1.0218827551864473, 1.8438784073526712e-05,
+    (0.5, 1): (5.457127737041542, 7.98156574173168e-06, 0.0),
+    (1.5, 1): (1.0218827547957046, 1.843880652923354e-05,
                0.0011145618000168239),
-    (0.7, 2): (8.536247377221642, 0.011716937412803986, 0.0),
-    (1.3, 3): (4.76769434219351, 5.992253148338959e-05, 0.0),
+    (0.7, 2): (8.536398467498042, 1.9004186766727873e-05, 0.0),
+    (1.3, 3): (4.767694344166753, 5.9922845183194054e-05, 0.0),
 }
 
 
@@ -328,6 +328,18 @@ def test_constant_search_pinned_values(beta, d):
     assert res.error == pytest.approx(error, rel=1e-8, abs=0.0)
     assert res.y_star == pytest.approx(y_star, rel=1e-12, abs=0.0)
     assert res.warning is None
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (1.5, 1), (0.7, 2), (1.3, 3)])
+def test_J_is_smooth_across_the_table_end(beta, d):
+    # J at the table's last radius against the 4-point stencil of its
+    # neighbours at 2 % and 4 % either side, which cancels the curvature:
+    # a jump of the log-profile where the large-r series takes over shows
+    prof = build_profile(beta, d)
+    J = {f: J_of_y(prof, prof.r_max * f) for f in (0.96, 0.98, 1.0, 1.02, 1.04)}
+    stencil = (-J[0.96].value + 4.0 * J[0.98].value + 4.0 * J[1.02].value
+               - J[1.04].value) / 6.0
+    assert abs(J[1.0].value - stencil) <= J[1.0].error
 
 
 def test_constant_search_reuses_the_j_it_computed(monkeypatch, profile_b1_d1):

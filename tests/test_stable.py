@@ -14,9 +14,10 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import fresnel, gamma, gammaln
 
-from liyau.stable import (R_MIN, StableDensityProfile, _ray_transform,
-                          build_profile, eval_G, normalizing_constant,
-                          poisson_profile, profile_at_zero)
+from liyau.stable import (R_MAX, R_MIN, StableDensityProfile,
+                          _large_r_series, _ray_transform, build_profile,
+                          eval_G, normalizing_constant, poisson_profile,
+                          profile_at_zero)
 
 # frozen oracles
 PHI0_B05_D1 = 0.63661977236758134308  # 2/pi
@@ -56,12 +57,19 @@ def test_beta_one_d3_poisson():
 @pytest.mark.parametrize("beta,d,tol", [(0.5, 1, 1e-6), (1.5, 1, 1e-6),
                                         (1.0, 2, 1e-6), (0.7, 2, 1e-4)])
 def test_mass_is_one(beta, d, tol, request):
-    # (0.7, 2): the table stops at r = 300, and with its single-term tail
-    # model the mass reads 1 + 9.2e-6
+    # (0.7, 2) keeps the tolerance of its former table, capped at r = 300
+    # (1 + 9.2e-6); to R_MAX and the series it reads 1 - 8.1e-9
     cache = {(0.5, 1): "profile_b05_d1", (1.5, 1): "profile_b15_d1",
              (1.0, 2): "profile_b1_d2", (0.7, 2): "profile_b07_d2"}
     prof = request.getfixturevalue(cache[(beta, d)])
     assert prof.mass() == pytest.approx(1.0, abs=tol)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mass_is_one_at_beta_one(d):
+    # the Poisson kernel on the table's panels, and the large-r series
+    # integrated term by term beyond it
+    assert build_profile(1.0, d).mass() == pytest.approx(1.0, abs=1e-14)
 
 
 # a node's bar covers its gap to the truth and is at most this much looser
@@ -99,17 +107,23 @@ def _fresnel_profile(r):
 
 
 def test_ray_inversion_matches_fresnel_closed_form(profile_b05_d1):
-    # every table radius out to 1e6: the table holds the ray's values, and
+    # every table radius out to R_MAX: the table holds the ray's values, and
     # each node's bar covers its gap to the closed form up to the closed
-    # form's own rounding
-    r = profile_b05_d1.r_table[1:]
+    # form's own rounding. Beyond it, out to 1e6, the large-r series does
+    # too, within its remainder bound
+    prof = profile_b05_d1
+    r = prof.r_table[1:]
     vals, errs = _ray_transform(0.5, 1, r)
-    assert np.array_equal(profile_b05_d1.values[1:], vals)
+    assert np.array_equal(prof.values[1:], vals)
     exact, rounding = _fresnel_profile(r)
     gap = np.abs(vals - exact)
     assert np.all(gap <= errs + rounding)
     assert np.all(errs <= BAR_SLACK * np.maximum(gap, rounding))
     assert np.all(gap <= 1e-10 * exact)
+    far = np.geomspace(R_MAX, 1e6, 97)
+    exact, rounding = _fresnel_profile(far)
+    gap = np.abs(prof.eval(far) - exact)
+    assert np.all(gap <= prof._series.bound * exact + rounding)
 
 
 @pytest.mark.parametrize("beta,d", [(0.5, 1), (1.3, 3), (0.7, 2), (1.3, 2)])
@@ -137,39 +151,60 @@ def _small_r_series_d2(beta, r):
     return terms.sum(axis=0), 4.0 * EPS * np.abs(terms).sum(axis=0)
 
 
-def _large_r_series_d2(beta, r):
-    """Phi in d = 2 from its first 12 large-r terms (Bergstrom 1952), and a
-    bound on the rounding plus the first omitted term:
-    pi^-2 sum_k ((-1)^(k+1)/k!) 2^(k beta) Gamma(k beta/2 + 1)
-    Gamma((k beta + 2)/2) sin(pi k beta/2) r^(-2 - k beta)."""
-    k = np.arange(1, 14)[:, None]
-    size = (np.exp(k * beta * np.log(2.0) + gammaln(k * beta / 2.0 + 1.0)
-                   + gammaln((k * beta + 2.0) / 2.0) - gammaln(k + 1.0))
-            * r ** (-2.0 - k * beta) / np.pi ** 2)
-    k, size, omitted = k[:-1], size[:-1], size[-1]
-    terms = (-1.0) ** (k + 1) * np.sin(np.pi * k * beta / 2.0) * size
-    return terms.sum(axis=0), 4.0 * EPS * np.abs(terms).sum(axis=0) + omitted
+def _bergstrom_terms(beta, d, r, n):
+    """Phi from the first n terms of Bergstrom's (1952) large-r series,
+    summed directly:
+    pi^(-d/2-1) sum_k ((-1)^(k+1)/k!) 2^(k beta) Gamma(k beta/2 + 1)
+    Gamma((k beta + d)/2) sin(pi k beta/2) r^(-d - k beta).
+    Returns the terms, one row per k."""
+    k = np.arange(1, n + 1)[:, None]
+    return ((-1.0) ** (k + 1) * np.sin(np.pi * k * beta / 2.0)
+            * np.exp(k * beta * np.log(2.0) + gammaln(k * beta / 2.0 + 1.0)
+                     + gammaln((k * beta + d) / 2.0) - gammaln(k + 1.0))
+            * r ** (-d - k * beta) / np.pi ** (d / 2.0 + 1.0))
 
 
 @pytest.mark.parametrize("beta", [1.05, 1.3, 1.7, 1.95])
 def test_d2_ray_inversion_matches_the_series(beta):
-    # every table node at r <= 0.5 against the convergent small-r series,
-    # and every node at r >= 100 against the large-r series: error_estimate
-    # covers the worst gap, and each node's bar covers its own gap and is
-    # at most BAR_SLACK looser
+    # every table node at r <= 0.5 against the convergent small-r series:
+    # error_estimate covers the worst gap, and each node's bar covers its
+    # own gap and is at most BAR_SLACK looser. Beyond the table,
+    # test_series_matches_the_ray_beyond_r_max takes over
     prof = build_profile(beta, 2)
     r = prof.r_table[1:]
-    parts = [(r <= 0.5, _small_r_series_d2), (r >= 100.0, _large_r_series_d2)]
-    truths = [(mask, *series(beta, r[mask])) for mask, series in parts]
-    worst = max(np.max(np.abs(prof.values[1:][mask] / exact - 1.0))
-                for mask, exact, _ in truths)
-    assert worst <= prof.error_estimate
+    mask = r <= 0.5
+    exact, floor = _small_r_series_d2(beta, r[mask])
+    assert np.max(np.abs(prof.values[1:][mask] / exact - 1.0)) <= prof.error_estimate
     vals, errs = _ray_transform(beta, 2, r)
     assert np.array_equal(prof.values[1:], vals)
-    for mask, exact, floor in truths:
-        gap = np.abs(vals[mask] - exact)
-        assert np.all(gap <= errs[mask] + floor)
-        assert np.all(errs[mask] <= BAR_SLACK * np.maximum(gap, floor))
+    gap = np.abs(vals[mask] - exact)
+    assert np.all(gap <= errs[mask] + floor)
+    assert np.all(errs[mask] <= BAR_SLACK * np.maximum(gap, floor))
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 1.0, 1.3, 1.7, 1.99])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_series_matches_the_ray_beyond_r_max(beta, d):
+    # eval and exp(log_value) on (R_MAX, 1e12], where they read the large-r
+    # series, against the ray's inversion: the gap lies within the ray's bar
+    # plus the series' remainder bound
+    prof = build_profile(beta, d)
+    r = np.geomspace(np.nextafter(R_MAX, np.inf), 1e12, 145)
+    vals, errs = _ray_transform(beta, d, r)
+    phi = prof.eval(r)
+    assert np.all(np.abs(phi - vals) <= errs + prof._series.bound * phi)
+    np.testing.assert_allclose(np.exp(prof.log_value(r)), phi, rtol=1e-13)
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (1.5, 1), (0.7, 2), (1.3, 3)])
+def test_log_profile_is_continuous_across_r_max(beta, d, request):
+    # the table's spline and the large-r series meet at R_MAX: L and r L'
+    # agree on both sides within error_estimate
+    prof = request.getfixturevalue(f"profile_b{beta:g}_d{d}".replace(".", ""))
+    below, above = (prof.log_derivs(r) for r in
+                    (R_MAX, np.nextafter(R_MAX, np.inf)))
+    assert abs(above[0] - below[0]) <= prof.error_estimate
+    assert R_MAX * abs(above[1] - below[1]) <= prof.error_estimate
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.5])
@@ -181,7 +216,6 @@ def test_inner_disc_is_the_small_r_rule_integrated(beta, d):
     # nodes integrates both to rounding
     r = np.array([0.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0])
     prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=np.exp(-r),
-                                tail_coef=1.0, tail_fit_residual=0.0,
                                 error_estimate=0.0, method="test")
     x, w = np.polynomial.legendre.leggauss(40)
     quad = float(np.sum(w * prof.eval(1.0 + x) * (1.0 + x) ** (d - 1)))
@@ -208,12 +242,14 @@ def test_value_at_zero_matches_closed_form(profile_b05_d1, profile_b15_d1):
     assert profile_b15_d1.eval(0.0) == pytest.approx(PHI0_B15_D1, rel=1e-8)
 
 
-def test_tail_coefficient_matches_jump_constant(profile_b05_d1,
-                                                profile_b15_d1):
-    # Phi(r) ~ c_{beta,d} r^{-d-beta}: the fitted amplitude must reproduce
-    # the Gamma-expression constant
-    assert profile_b05_d1.tail_coef == pytest.approx(C_B05_D1, rel=1e-4)
-    assert profile_b15_d1.tail_coef == pytest.approx(C_B15_D1, rel=1e-4)
+def test_tail_coefficient_matches_jump_constant():
+    # Phi(r) ~ c_{beta,d} r^{-d-beta}: the series' leading coefficient is
+    # the Gamma-expression constant to 4 ulp, in every dimension
+    for beta in (0.1, 0.5, 0.7, 1.0, 1.3, 1.5, 1.99):
+        for d in (1, 2, 3):
+            c = normalizing_constant(beta, d)
+            a1 = _large_r_series(beta, d).p[0]
+            assert abs(a1 - c) <= 4.0 * np.spacing(c), (beta, d)
 
 
 def test_positivity_and_monotone_decay(profile_b05_d1, profile_b15_d1):
@@ -268,8 +304,14 @@ def test_exceedance_decreases_to_zero(profile_b05_d1):
     e = prof.exceedance(r)
     assert np.all(np.diff(e) <= 1e-15)
     assert e[0] < 1.0
-    assert prof.exceedance(prof.r_max) == pytest.approx(
-        2.0 * prof.tail_coef * prof.r_max ** -0.5 / 0.5, rel=1e-12)
+    # beyond the table: twice the large-r series' terms integrated,
+    # a_k r^(-k beta) / (k beta), with as many terms as the profile keeps
+    n = len(prof._series.p)
+    k = np.arange(1, n + 1)
+    for rm in (prof.r_max, 1e4):
+        tail = 2.0 * rm * np.sum(_bergstrom_terms(0.5, 1, rm, n)[:, 0]
+                                 / (0.5 * k))
+        assert prof.exceedance(rm) == pytest.approx(tail, rel=1e-12)
     # near the origin the exceedance approaches the full mass
     assert prof.exceedance(1e-4) == pytest.approx(1.0, abs=1e-3)
 
@@ -291,22 +333,10 @@ def test_text_round_trip_bit_exact(profile_b05_d1):
     assert again.d == prof.d
     assert np.array_equal(again.r_table, prof.r_table)
     assert np.array_equal(again.values, prof.values)
-    assert again.tail_coef == prof.tail_coef
+    assert again.error_estimate == prof.error_estimate
     assert again.to_text() == prof.to_text()
     # evaluation path identical after the round trip
     r = np.array([0.02, 1.0, 77.0])
-    assert np.array_equal(again.eval(r), prof.eval(r))
-
-
-def test_text_round_trip_keeps_meta(profile_b05_d1):
-    # the next-order tail term in meta enters mass(); losing it costs
-    # two orders of magnitude in the mass defect
-    prof = profile_b05_d1
-    assert "tail_B" in prof.meta
-    again = StableDensityProfile.from_text(prof.to_text())
-    assert again.meta == prof.meta
-    assert again.mass() == prof.mass()
-    r = np.array([0.0, 0.02, 1.0, 77.0, 1e6])
     assert np.array_equal(again.eval(r), prof.eval(r))
 
 
@@ -334,7 +364,6 @@ def test_node_validation_error_recorded(profile_b05_d1, profile_b15_d1):
     # inversion must carry the validated per-node error level
     for prof in (profile_b05_d1, profile_b15_d1):
         assert 0.0 < prof.error_estimate < 1e-3
-        assert prof.tail_fit_residual < 1e-3
 
 
 # ------------------------------------------------------------ region rule
@@ -359,14 +388,23 @@ def _region_formula(prof, r):
         d2phi = 2.0 * c2 + 12.0 * c4 * r ** 2
         return phi, np.log(phi), dphi / phi, d2phi / phi - (dphi / phi) ** 2
     if r <= prof.r_max:
-        # cubic spline of log Phi in log r through the table
-        sp = CubicSpline(np.log(prof.r_table[1:]), np.log(prof.values[1:]))
+        # cubic spline of log Phi in log r through the table, its last
+        # slope the large-r series'
+        r_end = prof.r_table[-1]
+        terms = _bergstrom_terms(beta, d, r_end, len(prof._series.p))[:, 0]
+        end = -np.sum((d + beta * np.arange(1, len(terms) + 1)) * terms) / terms.sum()
+        sp = CubicSpline(np.log(prof.r_table[1:]), np.log(prof.values[1:]),
+                         bc_type=("not-a-knot", (1, end)))
         u = np.log(r)
         return (np.exp(sp(u)), sp(u), sp(u, 1) / r,
                 (sp(u, 2) - sp(u, 1)) / r ** 2)
-    q = d + beta
-    return (prof.tail_coef * r ** -q, np.log(prof.tail_coef) - q * np.log(r),
-            -q / r, q / r ** 2)
+    # the large-r series summed term by term, as many terms as it keeps
+    terms = _bergstrom_terms(beta, d, r, len(prof._series.p))[:, 0]
+    q = d + beta * np.arange(1, len(terms) + 1)
+    phi = terms.sum()
+    slope = -np.sum(q * terms) / (r * phi)
+    return (phi, np.log(phi), slope,
+            np.sum(q * (q + 1.0) * terms) / (r * r * phi) - slope ** 2)
 
 
 def _boundary_radii(prof):
@@ -380,9 +418,9 @@ def _boundary_radii(prof):
 @pytest.mark.parametrize("name", ["profile_b05_d1", "profile_b1_d1"])
 def test_region_rule_at_the_boundaries(name, request):
     # r_table[1] belongs to the spline and r_max to the table; beyond r_max
-    # the tail model takes over. The regions' log-derivatives differ by
-    # 1e-5 or more at both boundaries, so a radius handled by the wrong
-    # region fails the tolerance.
+    # the large-r series takes over. The regions' log-derivatives differ by
+    # 1e-5 or more at r_table[1], and their L'' by 1e-6 or more at r_max,
+    # so a radius handled by the wrong region fails the tolerance.
     prof = request.getfixturevalue(name)
     radii = _boundary_radii(prof)
     expect = np.array([[float(v) for v in _region_formula(prof, r)]
@@ -423,7 +461,7 @@ def _masked_reference(prof, r):
     r = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
     p0, c2, c4 = prof._small_r_coeffs()
     sp = prof._get_spline()
-    q = prof.d + prof.beta
+    series = prof._series
 
     def small(s):
         phi = p0 + c2 * s ** 2 + c4 * s ** 4
@@ -438,9 +476,8 @@ def _masked_reference(prof, r):
                 (sp(u, 2) - sp(u, 1)) / s ** 2)
 
     def tail(s):
-        logphi = np.log(prof.tail_coef) - q * np.log(s)
-        return (prof.tail_coef * s ** (-prof.d - prof.beta), logphi, logphi,
-                -q / s, q / s ** 2)
+        return (series.eval(s), series.log(s),
+                *series.log_derivs(s, slope_only=False))
 
     lo, hi = r < prof.r_table[1], r > prof.r_max
     outs = [np.empty_like(r) for _ in range(5)]
@@ -500,9 +537,16 @@ def test_text_with_no_rows_is_rejected(profile_b05_d1):
         StableDensityProfile.from_text("\n".join(header) + "\n")
 
 
-@pytest.mark.parametrize("key", ["beta", "d", "tail_coef", "tail_fit_residual",
-                                 "error_estimate", "method"])
+@pytest.mark.parametrize("key", ["beta", "d", "error_estimate", "method"])
 def test_text_missing_header_key_is_named(profile_b05_d1, key):
     text = profile_b05_d1.to_text().replace(f"# {key} =", f"# renamed_{key} =")
     with pytest.raises(ValueError, match=f"lacks {key}$"):
+        StableDensityProfile.from_text(text)
+
+
+def test_text_of_format_v1_is_refused(profile_b05_d1):
+    # v1 texts carried a fitted tail; v2 reads the large-r series instead
+    text = profile_b05_d1.to_text().replace("liyau-profile v2",
+                                            "liyau-profile v1")
+    with pytest.raises(ValueError, match="liyau-profile v1"):
         StableDensityProfile.from_text(text)

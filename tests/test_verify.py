@@ -32,6 +32,14 @@ def test_report_verdicts():
     assert r.min_margin == -0.5
 
 
+@pytest.mark.parametrize("margin,error", [(np.nan, 0.0), (0.1, np.nan)])
+def test_report_with_a_nan_sample_fails(margin, error):
+    r = VerificationReport(name="demo")
+    r.add_sample(1.0)
+    r.add_sample(margin, error=error)
+    assert r.verdict == "fail"
+
+
 def test_report_json_shape():
     r = VerificationReport(name="demo", params={"n": 3}, seed=11)
     r.add_sample(0.25, 0.01)
