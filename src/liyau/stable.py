@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -244,6 +243,8 @@ class _LargeRSeries:
     """
 
     def __init__(self, beta: float, d: int):
+        if not 0 < beta < 2:
+            raise ValueError("beta must lie in (0, 2)")
         self.beta, self.d = beta, d
         k = np.arange(1.0, 65.0)
         common = 2.0 ** (k * beta) * _gamma((k * beta + d) / 2.0) / _gamma(k + 1.0)
@@ -305,9 +306,6 @@ class _LargeRSeries:
         return _power_sum(self.mass_coefs, np.asarray(r, dtype=float) ** -self.beta)
 
 
-_large_r_series = lru_cache(maxsize=None)(_LargeRSeries)  # one per (beta, d)
-
-
 @dataclass
 class StableDensityProfile:
     """Tabulated radial profile with Bergstrom's series beyond the table.
@@ -330,7 +328,7 @@ class StableDensityProfile:
         self.values = np.array(self.values, dtype=float)
         self.r_table.flags.writeable = False
         self.values.flags.writeable = False
-        self._series = _large_r_series(self.beta, self.d)
+        self._series = _LargeRSeries(self.beta, self.d)
         self._spline = None
         self._small = None
         self._exceed = None

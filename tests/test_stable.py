@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import fresnel, gamma, gammaln
 
 from liyau.stable import (R_MAX, R_MIN, StableDensityProfile,
-                          _large_r_series, _ray_transform, build_profile,
+                          _LargeRSeries, _ray_transform, build_profile,
                           eval_G, normalizing_constant, poisson_profile,
                           profile_at_zero)
 
@@ -248,7 +248,7 @@ def test_tail_coefficient_matches_jump_constant():
     for beta in (0.1, 0.5, 0.7, 1.0, 1.3, 1.5, 1.99):
         for d in (1, 2, 3):
             c = normalizing_constant(beta, d)
-            a1 = _large_r_series(beta, d).p[0]
+            a1 = _LargeRSeries(beta, d).p[0]
             assert abs(a1 - c) <= 4.0 * np.spacing(c), (beta, d)
 
 
