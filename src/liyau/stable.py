@@ -277,9 +277,10 @@ class _LargeRSeries:
         return out
 
     def log(self, r: np.ndarray) -> np.ndarray:
-        u = np.log(r)
-        x = u * -self.beta
+        x = np.log(r)
+        x *= -self.beta
         out = _power_sum(self.l[1:], np.exp(x, out=x))
+        u = np.log(r, out=x)  # log r again, into x's array
         u *= -(self.d + self.beta)
         out += u
         out += self.l[0]
