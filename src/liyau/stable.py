@@ -54,11 +54,13 @@ RAY_STEP = 4.0
 RAY_ORDERS = (8, 12)
 # the rounding of a ray sum, per unit of its terms' summed sizes
 RAY_ROUNDING = 4.0 * np.finfo(float).eps
-# radii summed at a time on the ray: a block's kernel is about 1 MB. Freeing
+# radii summed at a time on the ray: a block's kernel is 0.5-1 MB. Freeing
 # blocks this size raises glibc's mmap and trim thresholds, so the J search
 # that follows reuses heap pages for its temporaries; with blocks of 16 the
-# beta = 1 searches in d = 2, 3 ran about 30 % slower in a fresh process
-RAY_BLOCK = 64
+# beta = 1 searches in d = 2, 3 ran about 30 % slower in a fresh process, and
+# with blocks of 64 the (0.7, 2) and (1.3, 3) searches took 4-6 times the
+# page faults of blocks of 96, which hold each group of a table's radii
+RAY_BLOCK = 96
 
 
 def normalizing_constant(beta: float, d: int) -> float:

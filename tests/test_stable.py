@@ -128,9 +128,9 @@ def test_ray_inversion_matches_fresnel_closed_form(profile_b05_d1):
 
 @pytest.mark.parametrize("beta,d", [(0.5, 1), (1.3, 3), (0.7, 2), (1.3, 2)])
 def test_ray_inversion_memory_stays_bounded(beta, d):
-    # radii are summed RAY_BLOCK at a time: 3.1, 2.7 and 1.5 MB peak, against
-    # 8.8 and 6.9 MB for the first two with every radius summed at once.
-    # (1.3, 2) also holds the complex H0 of each block: 4.5 MB peak
+    # radii are summed RAY_BLOCK at a time, one block per group of the
+    # table's radii: 3.5, 2.9 and 1.7 MB peak. (1.3, 2) also holds the
+    # complex H0 of each block: 4.9 MB peak
     tracemalloc.start()
     try:
         build_profile(beta, d)
