@@ -33,6 +33,16 @@ MU_ORDER_D3 = 64
 _TAYLOR_THR = 1e-4
 # interval width at which the golden-section refinement of sup J stops
 REFINE_TOL = 1e-3
+# J_of_y hands _sphere_deficit at most this many points (radii times angular
+# nodes) at a time, so that each of its temporaries stays at 128 KB. In one
+# process running the constants cycle at one BLAS thread, a (0.7, 2)
+# liyau-const call took about 0.6k minor page faults and 170-180 ms of CPU
+# with blocks of 16384 points; blocks of 32768 took 33k faults and 330 ms,
+# blocks of 65536 56k and 250-350 ms, and one block per integrand call 67k
+# and 280-390 ms: glibc maps and unmaps temporaries that size on every call
+# unless earlier frees have raised its thresholds (stable.RAY_BLOCK). The
+# rows of a block are a multiple of 4 (see weighted_singular)
+ROW_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,16 @@ def _sphere_deficit(profile: StableDensityProfile, y: float, derivs: tuple,
         return (X[:, :1], X[:, 1:]) if profile.d == 1 else (X, X[:, ::-1])
 
     # t = a^2 - y^2 for a = |Y + rho M|, so that a - y = t / (a + y)
-    t = 2.0 * y * P * M + P * P
-    a = np.sqrt(np.maximum(y * y + t, 0.0))
+    t = 2.0 * y * P * M
+    t += P * P
+    a = y * y + t
+    np.maximum(a, 0.0, out=a)
+    np.sqrt(a, out=a)
     Lp, Lm = sides(profile.log_value(a))
-    S = 2.0 * Ly - Lp - Lm
 
     thr = _TAYLOR_THR * (1.0 + y)
     rows = rho * rho < 2.0 * (2.0 * y * thr + thr * thr)
+    taylor = None
     if rows.any():
         ay = a[rows] + y
         dap, dam = sides(np.where(ay > 0, t[rows] / ay, 0.0))
@@ -130,7 +143,12 @@ def _sphere_deficit(profile: StableDensityProfile, y: float, derivs: tuple,
             s1 = dap[small] + dam[small]
             s2 = dap[small] ** 2 + dam[small] ** 2
             i, j = np.nonzero(small)
-            S[np.flatnonzero(rows)[i], j] = -(L1 * s1 + 0.5 * L2 * s2)
+            taylor = (np.flatnonzero(rows)[i], j), -(L1 * s1 + 0.5 * L2 * s2)
+    # S = 2 L(y) - L(a+) - L(a-), into t's array where it has t's shape
+    S = np.subtract(2.0 * Ly, Lp, out=t if profile.d > 1 else None)
+    S -= Lm
+    if taylor is not None:
+        S[taylor[0]] = taylor[1]
     W = S @ w
     if desingularized:
         return W / (rho * rho)
@@ -152,6 +170,7 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     log panels per decade out to max(100, 8 (1 + y_norm)), refined around
     rho = y_norm, where the second displaced radius crosses zero. Tail:
     power substitution, on the profile's large-r series beyond its table.
+    The integrand reads its radii ROW_BLOCK sphere points at a time.
     """
     if y_norm < 0:
         raise ValueError("y_norm must be non-negative")
@@ -161,11 +180,15 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     edges = log_panel_edges(delta, R, refine_center=y if y > delta else None)
 
     derivs = profile.log_derivs(y)
-    F = lambda rho: _sphere_deficit(profile, y, derivs,
-                                    np.asarray(rho, float), False)
-    F2 = lambda rho: _sphere_deficit(profile, y, derivs,
-                                     np.asarray(rho, float), True)
-    res = weighted_singular(F, F2, profile.beta, edges)
+    # points per radius: the angular nodes, or d = 1's two sides
+    rows = ROW_BLOCK // max(_angular_rule(profile.d)[0].size, 2)
+
+    def deficit(desingularized):
+        return lambda rho: np.concatenate([
+            _sphere_deficit(profile, y, derivs, rho[i:i + rows], desingularized)
+            for i in range(0, rho.size, rows)])
+
+    res = weighted_singular(deficit(False), deficit(True), profile.beta, edges)
     # profile tabulation error enters linearly through the log values
     res = QuadResult(res.value,
                      res.error + 4.0 * profile.error_estimate * (1.0 + abs(res.value)),

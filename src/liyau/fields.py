@@ -5,13 +5,14 @@ together with an extension rule describing the field beyond the last node.
 Singular-integral operators need values arbitrarily far from the grid, so the
 extension rule is part of the field's definition, not an afterthought.
 
-Inside the grid a field is its not-a-knot cubic spline, equal bit for bit to
-scipy's CubicSpline. The spline's slope system depends on the grid alone, so
-it is factored once per grid and each field costs one tridiagonal solve; reads
-locate their cell by index. Point quadratures build one spline of log u per
-(u, t) on grids of 10^4 nodes and more, which is what this pays for. The
-82-node window splines in fraclap and the stable profile's log-log table keep
-scipy: they are small, and a window's nodes move with its point.
+Inside the grid a field is its not-a-knot cubic spline, a PiecewiseCubic:
+the library's one cubic reader, equal bit for bit to scipy's CubicSpline and
+CubicHermiteSpline. It also serves the 82-node window splines in fraclap, and
+the stable profile's log-log spline and exceedance cubic. A grid's slope
+system depends on the grid alone, so it is factored once per grid and each
+field costs one tridiagonal solve. Point quadratures build one spline of
+log u per (u, t) on grids of 10^4 nodes and more, which is what this pays
+for.
 
 A point quadrature around x splits at one grid cell, where panel_edges
 starts: PointExpansion reads the spline's Taylor data at x inside that
@@ -20,6 +21,7 @@ cell and the field itself beyond it.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable
@@ -94,85 +96,153 @@ def _nodes(spacing: float, n: int, first: int = 0) -> np.ndarray:
     return (np.arange(first, n) - (n - 1) // 2) * spacing
 
 
-# a margins sweep reads three grids; an entry holds about 5.5 n floats
-@lru_cache(maxsize=4)
-def _slope_system(spacing: float, n: int):
-    """LU factors of a cubic spline's not-a-knot slope system on a grid.
+def _slope_factors(x: np.ndarray, clamped: bool = False):
+    """dgttrf factors of CubicSpline's slope system on the knots x.
 
-    The tridiagonal matrix and its two end rows are scipy CubicSpline's,
-    entry for entry. They depend on the nodes only, so one factorization
-    serves every field on the grid. Returns the dgttrs factors, the cell
-    widths and the end rows' spans x[2] - x[0] and x[-1] - x[-3]; the arrays
-    are read-only, since every caller shares them.
+    The left end is not-a-knot; the right end is not-a-knot too, or when
+    clamped takes a given slope (bc_type (1, slope)). The tridiagonal matrix
+    and its end rows are scipy's, entry for entry, and dgttrf/dgttrs round
+    as its solve_banded (LAPACK dgtsv) does. The arrays are read-only: a
+    grid's factors are shared by every field on it.
     """
-    x = _nodes(spacing, n)
     dx = np.diff(x)
     d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    *factors, info = dgttrf(np.append(dx[1:], d_hi), diag,
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]),
+                           [1.0 if clamped else dx[-2]]))
+    *factors, info = dgttrf(np.append(dx[1:], 0.0 if clamped else d_hi), diag,
                             np.append(d_lo, dx[:-1]))
     if info != 0:
         raise np.linalg.LinAlgError("singular spline system")
-    for a in factors + [dx]:
+    for a in factors:
         a.flags.writeable = False
-    return factors, dx, d_lo, d_hi
+    return factors
 
 
-class _GridSpline:
-    """scipy's default (not-a-knot) CubicSpline of samples on a uniform
-    origin-centered grid: the same coefficients and the same reads, bit for
-    bit, for a field that costs one dgttrs solve on the grid's cached factors.
+# a margins sweep reads three grids; an entry holds about 5.5 n floats
+@lru_cache(maxsize=4)
+def _slope_system(spacing: float, n: int):
+    """The nodes of a uniform origin-centered grid and the _slope_factors of
+    its not-a-knot spline, built once per grid. The arrays are read-only,
+    since every caller shares them."""
+    x = _nodes(spacing, n)
+    x.flags.writeable = False
+    return x, _slope_factors(x)
 
-    A read takes a point's cell from its grid coordinate, corrected by one
-    step so that x[j] <= p < x[j+1]; points beyond the end nodes read the end
-    cells' cubics (PPoly's searchsorted('right') - 1, clamped). Sums follow
-    PPoly's term order, which starts from 0.0 (so -0.0 reads +0.0).
-    """
 
-    def __init__(self, spacing: float, y: np.ndarray):
-        n = y.size
-        factors, dx, d_lo, d_hi = _slope_system(spacing, n)
-        slope = np.diff(y) / dx
-        b = np.empty(n)
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        b[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0]
-                + dx[0] ** 2 * slope[1]) / d_lo
+def _spline_slopes(x: np.ndarray, y: np.ndarray, factors,
+                   end_slope: float | None = None) -> np.ndarray:
+    """The knot slopes of CubicSpline(x, y) for the factors of
+    _slope_factors(x, end_slope is not None): not-a-knot on the left, and on
+    the right not-a-knot, or the slope end_slope."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    b = np.empty(x.size)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+    b[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0]
+            + dx[0] ** 2 * slope[1]) / d_lo
+    if end_slope is None:
         b[-1] = (dx[-1] ** 2 * slope[-2]
                  + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi
-        s, _ = dgttrs(*factors, b, overwrite_b=1)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        # rows c0..c3 of PPoly's coefficients, one column per cell; the two
-        # low-order rows carry PPoly's leading 0.0 + (a -0.0 sums to +0.0)
+    else:
+        b[-1] = end_slope
+    s, _ = dgttrs(*factors, b, overwrite_b=1)
+    return s
+
+
+class PiecewiseCubic:
+    """A C1 piecewise cubic on near-uniform knots, equal bit for bit to
+    scipy's CubicHermiteSpline and CubicSpline: the same PPoly coefficients,
+    the same reads of orders 0-3 in PPoly's term order, and PPoly's
+    extrapolation of the end cells' cubics beyond the knots. A NaN point
+    reads NaN. The knots are near-uniform when each lies within half a mean
+    cell width of its place on the uniform grid, which the constructor checks.
+
+    A read estimates each point's cell from its distance to x[0] in mean cell
+    widths and corrects it by one step either way against the knots, so
+    that x[j] <= p < x[j+1] (PPoly's searchsorted('right') - 1, clamped to
+    the end cells). Every temporary holds one float (or index) per point:
+    a gather of all four coefficient rows at once would take four, and the
+    J search reads the profile's cubic on arrays large enough for that to
+    cost page faults.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
+        """The Hermite cubic through (x, y) with slopes dydx at the knots."""
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        self._inv = (n - 1) / (x[-1] - x[0])
+        if not np.all(np.abs((x - x[0]) * self._inv - np.arange(n)) < 0.5):
+            raise ValueError("knots must be increasing and near-uniform")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        # rows c0..c3 of PPoly's coefficients, one column per cell; PPoly's
+        # sums start from 0.0, which the two low-order rows carry (so a -0.0
+        # reads +0.0)
         self.c = c = np.empty((4, n - 1))
         np.divide(t, dx, out=c[0])
-        np.subtract(slope, s[:-1], out=c[1])
+        np.subtract(slope, dydx[:-1], out=c[1])
         c[1] /= dx
         c[1] -= t
-        np.add(s[:-1], 0.0, out=c[2])
+        np.add(dydx[:-1], 0.0, out=c[2])
         np.add(y[:-1], 0.0, out=c[3])
-        self.spacing = spacing
-        self.half = (n - 1) // 2
+        self.x = x
+        self._left, self._right = x[:-1], x[1:]
+
+    @classmethod
+    def spline(cls, x, y, end_slope: float | None = None) -> "PiecewiseCubic":
+        """CubicSpline(x, y, bc_type=("not-a-knot", right)), right being
+        "not-a-knot", or (1, end_slope) when end_slope is given."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.size < 4:
+            raise ValueError("a spline needs at least 4 knots")
+        factors = _slope_factors(x, clamped=end_slope is not None)
+        return cls(x, y, _spline_slopes(x, y, factors, end_slope))
+
+    def _cells(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j, p - x[j]) for each point's cell j, which may be -1 or n - 1
+        beyond the knots: the reads' gathers clamp it to an end cell."""
+        e = p - self.x[0]
+        e *= self._inv
+        np.floor(e, out=e)
+        # fmax and fmin pass over NaN: a NaN point gets a cell and reads NaN
+        np.fmax(e, 0.0, out=e)
+        np.fmin(e, self.x.size - 2, out=e)
+        j = e.astype(np.intp)
+        np.take(self._left, j, mode="clip", out=e)
+        j -= p < e
+        np.take(self._right, j, mode="clip", out=e)
+        j += p >= e
+        np.take(self._left, j, mode="clip", out=e)
+        np.subtract(p, e, out=e)
+        return j, e
 
     def __call__(self, p, nu: int = 0) -> np.ndarray:
         """Value (nu = 0) or nu-th derivative, nu <= 3, at the points p."""
         p = np.asarray(p, dtype=float)
-        h, K = self.spacing, self.half
-        j = np.floor(p / h)  # node j sits at j * h, the float GridField.x holds
-        j -= p < j * h
-        j += p >= (j + 1) * h
-        # fmax and fmin pass over NaN: a NaN point gets a cell and reads NaN
-        j = np.fmin(np.fmax(j, -K), K - 1)
-        s = p - j * h
-        c0, c1, c2, c3 = self.c.take((j + K).astype(np.intp), axis=1)
-        if nu == 0:
-            ss = s * s
-            return c3 + c2 * s + c1 * ss + c0 * (ss * s)
-        if nu == 1:
-            return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
-        if nu == 2:
-            return 0.0 + c1 * 2.0 + c0 * s * 6.0
-        # the third derivative is constant on a cell, so NaN is set by hand
-        return np.where(np.isnan(p), np.nan, 0.0 + c0 * 6.0)
+        q = p.ravel()
+        j, s = self._cells(q)
+        # PPoly's sum: from 0.0 (carried by the rows c2, c3), the terms
+        # c[3 - k] s^(k - nu) k!/(k - nu)! for k = nu..3 in turn
+        out = np.take(self.c[3 - nu], j, mode="clip")
+        if nu > 1:
+            out *= math.factorial(nu)
+            out += 0.0
+        tmp, z = np.empty_like(s), s.copy()
+        for k in range(nu + 1, 4):
+            np.take(self.c[3 - k], j, mode="clip", out=tmp)
+            if k > nu + 1:
+                z *= s
+            tmp *= z
+            if math.perm(k, nu) != 1:
+                tmp *= math.perm(k, nu)
+            out += tmp
+        if nu == 3:
+            # the third derivative is constant on a cell: NaN is set by hand
+            out[np.isnan(q)] = np.nan
+        return out.reshape(p.shape)
 
 
 @lru_cache(maxsize=64)
@@ -246,8 +316,11 @@ class GridField:
     # ---- evaluation -----------------------------------------------------
 
     def _get_spline(self):
+        # the not-a-knot spline of the samples, on the grid's cached factors
         if self._spline is None:
-            self._spline = _GridSpline(self.spacing, self.values)
+            x, factors = _slope_system(self.spacing, self.values.shape[0])
+            self._spline = PiecewiseCubic(
+                x, self.values, _spline_slopes(x, self.values, factors))
         return self._spline
 
     def eval(self, pts) -> np.ndarray:

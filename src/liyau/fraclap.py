@@ -31,9 +31,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 import scipy.special
-from scipy.interpolate import CubicSpline
 
-from .fields import Extension, GridField
+from .fields import Extension, GridField, PiecewiseCubic
 from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
@@ -355,7 +354,7 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
     x must lie on the grid, |x| <= X.
     """
     idx, (u,) = _solve_window(u0, beta, t, x, profile)
-    return float(CubicSpline(u0.x[idx], u)(x))
+    return float(PiecewiseCubic.spline(u0.x[idx], u)(x))
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
@@ -382,4 +381,4 @@ def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
     on the grid, |x| <= X.
     """
     idx, (u, du) = _solve_window(u0, beta, t, x, profile, dt=True)
-    return float(CubicSpline(u0.x[idx], du / u)(x))
+    return float(PiecewiseCubic.spline(u0.x[idx], du / u)(x))

@@ -101,47 +101,43 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b)[..., 0]
 
 
-def _inner_jacobi(F2: Callable, beta: float, delta: float, order: int):
-    x, w = _jacobi(order, 1.0 - beta)
-    h = delta * (x + 1.0) / 2.0
-    return (delta / 2.0) ** (2.0 - beta) * _rowdot(F2(h), w)
+def _batched(G: Callable, node_sets: list) -> list:
+    """G read once on the nodes of every set, handed back as one fresh array
+    per set, shaped like the set (rows of a row-valued G in front)."""
+    vals = G(np.concatenate([H.ravel() for H in node_sets]))
+    ends = np.cumsum([H.size for H in node_sets])[:-1]
+    return [np.array(v).reshape(vals.shape[:-1] + H.shape)
+            for v, H in zip(np.split(vals, ends, axis=-1), node_sets)]
 
 
-def _cells(F: Callable, beta: float, lo: np.ndarray, hi: np.ndarray,
-           order: int):
-    if len(lo) == 0:
+def _panel_sum(vals: np.ndarray, beta: float, H: np.ndarray,
+               half: np.ndarray, w: np.ndarray):
+    """The Gauss panels' sum of F(h) h^(-1-beta), from F on their nodes H;
+    no panels sum to 0.0."""
+    if H.size == 0:
         return 0.0
-    H, half, w = gauss_panels(lo, hi, order)
-    vals = F(H.ravel())  # rows of a row-valued F stay in front
-    integ = vals.reshape(vals.shape[:-1] + H.shape) * H ** (-1.0 - beta)
-    return _rowdot(integ @ w, half)
+    return _rowdot((vals * H ** (-1.0 - beta)) @ w, half)
 
 
-def _mid_panels(F: Callable, beta: float, edges: np.ndarray,
-                order_near: int, order_far: int):
-    lo, hi = edges[:-1], edges[1:]
-    k = min(NEAR_CELLS, len(lo))
-    return (_cells(F, beta, lo[:k], hi[:k], order_near)
-            + _cells(F, beta, lo[k:], hi[k:], order_far))
+def _tail_rule(R: float, beta: float, order: int):
+    """Nodes in h, half-widths and weights of the tail's panels in v."""
+    v_hi = 2.0 ** -np.arange(TAIL_PANELS)
+    V, half, w = gauss_panels(v_hi / 2.0, v_hi, order)
+    return R * V ** (-1.0 / beta), half, w
 
 
-def tail_weighted(F: Callable, R: float, beta: float, order: int):
-    """int_R^inf F(h) h^(-1-beta) dh for F following its far-field model.
+def _tail_sum(vals: np.ndarray, R: float, beta: float, half: np.ndarray,
+              w: np.ndarray):
+    """int_R^inf F(h) h^(-1-beta) dh from F on _tail_rule's nodes.
 
     Substituting v = (R/h)^beta maps the tail to (R^-beta/beta) int_0^1
     F(R v^(-1/beta)) dv, integrated on geometrically refined panels toward
     v = 0 so logarithmically growing F converges cleanly. Returns (value,
     remainder bound), per row for row-valued F.
     """
-    v_hi = 2.0 ** -np.arange(TAIL_PANELS)
-    v_lo = v_hi / 2.0
-    V, half, w = gauss_panels(v_lo, v_hi, order)
-    H = R * V ** (-1.0 / beta)
-    vals = F(H.ravel())
-    vals = vals.reshape(vals.shape[:-1] + H.shape)
     body = _rowdot(vals @ w, half)
     # remainder below the last panel: F grows at most logarithmically there
-    v_min = v_lo[-1]
+    v_min = 2.0 ** -TAIL_PANELS
     f_last = np.mean(vals[..., -1, :], axis=-1)
     rem = np.abs(f_last) * v_min
     return (R ** -beta / beta) * body, (R ** -beta / beta) * rem
@@ -156,18 +152,42 @@ def weighted_singular(F: Callable, F2: Callable, beta: float,
     F2     F(h)/h^2 on the inner disc (0, edges[0]), stable as h -> 0
     edges  increasing panel edges; edges[0] > 0 is the inner disc's radius
 
-    Integrands returning shape (m, k) for k nodes give per-row value and
-    error arrays, one row per base point; 1-d integrands give floats.
+    F is called once, on the nodes of every rule beyond the disc, and F2
+    once, on both Jacobi rules. Integrands returning shape (m, k) for k
+    nodes give per-row value and error arrays, one row per base point; 1-d
+    integrands give floats.
     """
     edges = np.asarray(edges, dtype=float)
-    delta = float(edges[0])
+    delta, R = float(edges[0]), float(edges[-1])
 
-    inner = _inner_jacobi(F2, beta, delta, INNER_ORDER)
-    inner_lo = _inner_jacobi(F2, beta, delta, INNER_ORDER - 4)
-    mid = _mid_panels(F, beta, edges, GAUSS_ORDER, FAR_ORDER)
-    mid_lo = _mid_panels(F, beta, edges, GAUSS_ORDER // 2, FAR_ORDER // 2)
-    tl, tl_rem = tail_weighted(F, float(edges[-1]), beta, TAIL_ORDER)
-    tl_lo, _ = tail_weighted(F, float(edges[-1]), beta, TAIL_ORDER // 2)
+    jacobi = [_jacobi(order, 1.0 - beta) for order in (INNER_ORDER,
+                                                        INNER_ORDER - 4)]
+    disc = _batched(F2, [delta * (x + 1.0) / 2.0 for x, _ in jacobi])
+    inner, inner_lo = ((delta / 2.0) ** (2.0 - beta) * _rowdot(v, w)
+                       for v, (_, w) in zip(disc, jacobi))
+
+    lo, hi = edges[:-1], edges[1:]
+    k = min(NEAR_CELLS, len(lo))
+    near, far, near_lo, far_lo = (
+        gauss_panels(lo[:k], hi[:k], GAUSS_ORDER),
+        gauss_panels(lo[k:], hi[k:], FAR_ORDER),
+        gauss_panels(lo[:k], hi[:k], GAUSS_ORDER // 2),
+        gauss_panels(lo[k:], hi[k:], FAR_ORDER // 2))
+    tail, tail_lo = (_tail_rule(R, beta, TAIL_ORDER),
+                     _tail_rule(R, beta, TAIL_ORDER // 2))
+    # far_lo comes last: it is the one rule whose node count may not be a
+    # multiple of 4, and BLAS's gemv rounds a trailing 1-3 rows of a call
+    # its own way, so an integrand that reduces its rows in blocks of a
+    # multiple of 4 rows (J's sphere sum) rounds each row as on its own rule
+    rules = [near, far, near_lo, tail, tail_lo, far_lo]
+    v_near, v_far, v_near_lo, v_tail, v_tail_lo, v_far_lo = _batched(
+        F, [H for H, _, _ in rules])
+    mid = (_panel_sum(v_near, beta, *near)
+           + _panel_sum(v_far, beta, *far))
+    mid_lo = (_panel_sum(v_near_lo, beta, *near_lo)
+              + _panel_sum(v_far_lo, beta, *far_lo))
+    tl, tl_rem = _tail_sum(v_tail, R, beta, *tail[1:])
+    tl_lo, _ = _tail_sum(v_tail_lo, R, beta, *tail_lo[1:])
 
     pieces = np.array([inner, mid, tl])
     finite = np.isfinite(pieces)

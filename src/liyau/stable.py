@@ -26,10 +26,10 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import (gamma as _gamma, hankel1e as _hankel1e, k0 as _k0,
                            rgamma as _rgamma)
 
+from .fields import PiecewiseCubic
 from .runio import read_table_text
 from .singular import gauss_panels
 
@@ -346,8 +346,8 @@ class StableDensityProfile:
         if self._spline is None:
             r = self.r_table[1:]
             end = r[-1] * self._series.log_derivs(r[-1:], True)[0][0]
-            self._spline = CubicSpline(np.log(r), np.log(self.values[1:]),
-                                       bc_type=("not-a-knot", (1, end)))
+            self._spline = PiecewiseCubic.spline(
+                np.log(r), np.log(self.values[1:]), end_slope=end)
         return self._spline
 
     def _small_r_coeffs(self):
@@ -499,7 +499,7 @@ class StableDensityProfile:
             # linear interpolation of the cumulative leaves O(panel^2) bumps
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
             # the total mass anchors the blend below the table
-            self._exceed = (grid, cum, CubicHermiteSpline(np.log(grid), cum, slope),
+            self._exceed = (grid, cum, PiecewiseCubic(np.log(grid), cum, slope),
                             tail0 + np.sum(seg) + surf * self._inner_disc())
         grid, cum, hermite, total = self._exceed
         r = np.asarray(r, dtype=float)

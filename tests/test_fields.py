@@ -245,9 +245,11 @@ def _spline_matches_scipy(f: GridField, rng) -> None:
         assert _same_bytes(sp.c[k], ref.c[k] + 0.0 if k >= 2 else ref.c[k])
     pts = np.concatenate([rng.uniform(-1.5 * X, 1.5 * X, 4000), x,
                           np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
-                          [X, -X, np.nan]])
-    for nu in range(4):
-        assert _same_bytes(sp(pts, nu), ref(pts, nu)), nu
+                          [X, -X, np.nan, 1e200, -1e200, np.inf, -np.inf]])
+    # reads far beyond the grid overflow, as PPoly's do (silently there)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nu in range(4):
+            assert _same_bytes(sp(pts, nu), ref(pts, nu)), nu
 
 
 @pytest.mark.parametrize("n,spacing", [(5, 0.37), (7, 1.0 / 3.0), (83, 0.1),
@@ -258,7 +260,8 @@ def test_grid_spline_is_scipy_cubic_spline_bit_for_bit(n, spacing):
     k = (n - 1) // 2
     for vals in (rng.standard_normal(n),
                  np.log1p((np.arange(-k, k + 1) * spacing) ** 2),
-                 np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n))):
+                 np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n)),
+                 np.where(rng.random(n) < 0.5, -0.0, 0.0)):
         _spline_matches_scipy(GridField(spacing, vals), rng)
 
 
@@ -269,9 +272,9 @@ def test_slope_factors_are_keyed_on_spacing_and_n_and_bounded():
     a, b = GridField(0.02, vals), GridField(0.03, vals)
     a._get_spline(), b._get_spline()
     assert fields._slope_system.cache_info().currsize == 2
-    # same n, different spacing: different cell widths and factors
-    assert not np.array_equal(fields._slope_system(0.02, 401)[1],
-                              fields._slope_system(0.03, 401)[1])
+    # same n, different spacing: different nodes and factors
+    assert not np.array_equal(fields._slope_system(0.02, 401)[0],
+                              fields._slope_system(0.03, 401)[0])
     limit = fields._slope_system.cache_info().maxsize
     for i in range(limit + 2):
         GridField(0.05 + 0.01 * i, vals[:301])._get_spline()

@@ -10,7 +10,7 @@ import scipy.fft
 from scipy.interpolate import CubicSpline
 
 import liyau
-from liyau import constant, fraclap, ops
+from liyau import constant, fraclap, ops, singular
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField
 from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
@@ -18,7 +18,7 @@ from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
                            frac_laplacian_point, gaussian_frac_laplacian,
                            solve_fractional, solve_fractional_at)
 from liyau.ops import psi_upsilon_continuous
-from liyau.singular import grid_cell_edges, weighted_singular
+from liyau.singular import grid_cell_edges, log_panel_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
 from liyau.verify import log_uniform, random_positive_field
 
@@ -133,6 +133,105 @@ def test_diverging_row_is_flagged_alone():
         lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2, beta, edges)
         assert not lone.diverged
         assert (res.value[i], res.error[i]) == (lone.value, lone.error)
+
+
+def _per_rule_reference(F, F2, beta, edges):
+    """weighted_singular assembled with one integrand call per rule: the
+    two Jacobi rules, the near and far middle panels at both orders and the
+    tail at both orders, eight calls in all."""
+    edges = np.asarray(edges, dtype=float)
+    delta, R = edges[0], edges[-1]
+
+    def rowdot(a, b):
+        return np.matmul(a[..., None, :], b)[..., 0]
+
+    def disc(order):
+        x, w = singular._jacobi(order, 1.0 - beta)
+        return (delta / 2.0) ** (2.0 - beta) * rowdot(F2(delta * (x + 1.0) / 2.0), w)
+
+    def cells(lo, hi, order):
+        if len(lo) == 0:
+            return 0.0
+        H, half, w = singular.gauss_panels(lo, hi, order)
+        vals = F(H.ravel())
+        integ = vals.reshape(vals.shape[:-1] + H.shape) * H ** (-1.0 - beta)
+        return rowdot(integ @ w, half)
+
+    def mid(order_near, order_far):
+        lo, hi = edges[:-1], edges[1:]
+        k = min(singular.NEAR_CELLS, len(lo))
+        return (cells(lo[:k], hi[:k], order_near)
+                + cells(lo[k:], hi[k:], order_far))
+
+    def tail(order):
+        v_hi = 2.0 ** -np.arange(singular.TAIL_PANELS)
+        V, half, w = singular.gauss_panels(v_hi / 2.0, v_hi, order)
+        vals = F((R * V ** (-1.0 / beta)).ravel())
+        vals = vals.reshape(vals.shape[:-1] + V.shape)
+        scale = R ** -beta / beta
+        rem = np.abs(np.mean(vals[..., -1, :], axis=-1)) * (v_hi[-1] / 2.0)
+        return scale * rowdot(vals @ w, half), scale * rem
+
+    inner, inner_lo = disc(singular.INNER_ORDER), disc(singular.INNER_ORDER - 4)
+    m = mid(singular.GAUSS_ORDER, singular.FAR_ORDER)
+    m_lo = mid(singular.GAUSS_ORDER // 2, singular.FAR_ORDER // 2)
+    (tl, rem), (tl_lo, _) = tail(singular.TAIL_ORDER), tail(singular.TAIL_ORDER // 2)
+    value = inner + m + tl
+    error = (np.abs(inner - inner_lo) + np.abs(m - m_lo) + np.abs(tl - tl_lo)
+             + rem + 1e-15 * np.abs(value))
+    return value, error
+
+
+@pytest.mark.parametrize("edges", [grid_cell_edges(0.01, 20.0),  # 32+ panels
+                                   np.geomspace(0.05, 3.0, 20)])  # fewer
+@pytest.mark.parametrize("rows", [False, True])
+def test_quadrature_reads_each_integrand_once(edges, rows):
+    beta = 0.7
+    gs = [lambda h: h ** 2 * np.exp(-h), lambda h: np.log1p(h) ** 2,
+          lambda h: -0.5 * h ** 2 / (1.0 + h ** 2)]
+    if rows:
+        F = lambda h: np.stack([g(h) for g in gs])  # noqa: E731
+    else:
+        F = gs[0]
+    F2 = lambda h: F(h) / h ** 2  # noqa: E731
+    calls = {"F": 0, "F2": 0}
+
+    def counted(g, key):
+        def integrand(h):
+            calls[key] += 1
+            return g(h)
+        return integrand
+
+    res = weighted_singular(counted(F, "F"), counted(F2, "F2"), beta, edges)
+    assert calls == {"F": 1, "F2": 1}
+    value, error = _per_rule_reference(F, F2, beta, edges)
+    assert np.asarray(res.value).tobytes() == np.asarray(value).tobytes()
+    assert np.asarray(res.error).tobytes() == np.asarray(error).tobytes()
+    assert np.shape(res.value) == ((3,) if rows else ())
+    assert not res.diverged
+
+
+@pytest.mark.parametrize("profname", ["profile_b07_d2", "profile_b13_d3",
+                                      "profile_b15_d1"])
+def test_J_of_y_rounds_as_one_sphere_sum_per_rule(profname, request):
+    # J's one batched integrand call, read in row blocks, gives each radius
+    # the bits of a lone call per rule, BLAS's row sums included; at the
+    # last y the far order-2 rule ends on 2 rows that gemv rounds apart from
+    # groups of 4, which moves J's error at (0.7, 2) if they share a group
+    prof = request.getfixturevalue(profname)
+    for y in (0.0, 0.003, 0.37, 1.7, 12.0, 0.6574823075818834):
+        derivs = prof.log_derivs(y)
+        F, F2 = (lambda rho, k=k: constant._sphere_deficit(prof, y, derivs,
+                                                            rho, k)
+                 for k in (False, True))
+        delta = constant.default_inner_radius(y)
+        edges = log_panel_edges(delta, max(100.0, 8.0 * (1.0 + y)),
+                                refine_center=y if y > delta else None)
+        value, error = _per_rule_reference(F, F2, prof.beta, edges)
+        res = J_of_y(prof, y)
+        assert res.value == value, y
+        assert res.error == max(
+            error + 4.0 * prof.error_estimate * (1.0 + abs(value)), -value), y
 
 
 def test_integrands_meet_only_at_the_first_panel_edge(monkeypatch,
@@ -455,6 +554,24 @@ def test_solve_at_matches_grid_solve(beta, profname, t, ext, request):
         want = u.eval(x)
         got = solve_fractional_at(u0, beta, t, x, prof)
         assert abs(got - want) <= 1e-13 * want, x
+
+
+@pytest.mark.parametrize("x", [0.013, -7.77, -10.0, 9.98])
+def test_window_reads_are_scipy_cubic_spline_bit_for_bit(x, profile_b05_d1):
+    # the window's not-a-knot spline through its solved nodes, interior and
+    # clipped at either grid end
+    h, X = 0.05, 10.0
+    xs = np.arange(-X, X + h / 2, h)
+    u0 = GridField(h, 0.5 + np.exp(-(xs - 1.0) ** 2), Extension("power", 1.5),
+                   positive=True)
+    idx, (u, du) = _solve_window(u0, 0.5, 0.4, x, profile_b05_d1, dt=True)
+    assert (idx[0] == 0 or idx[-1] == u0.values.size - 1) == (abs(x) > 8.0)
+    want = CubicSpline(u0.x[idx], u)(x)
+    got = solve_fractional_at(u0, 0.5, 0.4, x, profile_b05_d1)
+    assert np.float64(got).tobytes() == want.tobytes()
+    want = CubicSpline(u0.x[idx], du / u)(x)
+    got = dt_log_u_at(u0, 0.5, 0.4, x, profile_b05_d1)
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_solve_at_rejects_what_the_grid_solve_rejects(profile_b1_d1):

@@ -11,13 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import fresnel, gamma, gammaln
 
 from liyau.stable import (R_MAX, R_MIN, StableDensityProfile,
-                          _LargeRSeries, _ray_transform, build_profile,
-                          eval_G, normalizing_constant, poisson_profile,
-                          profile_at_zero)
+                          _LargeRSeries, _ray_transform, ball_volume,
+                          build_profile, eval_G, normalizing_constant,
+                          poisson_profile, profile_at_zero)
 
 # frozen oracles
 PHI0_B05_D1 = 0.63661977236758134308  # 2/pi
@@ -314,6 +314,63 @@ def test_exceedance_decreases_to_zero(profile_b05_d1):
         assert prof.exceedance(rm) == pytest.approx(tail, rel=1e-12)
     # near the origin the exceedance approaches the full mass
     assert prof.exceedance(1e-4) == pytest.approx(1.0, abs=1e-3)
+
+
+SPLINE_PROFILES = ["profile_b05_d1", "profile_b15_d1", "profile_b07_d2",
+                   "profile_b13_d3"]
+
+
+def _same_bytes(a, b):
+    return (np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def _reads(u, rng):
+    """Random points across and beyond [u[0], u[-1]], the knots and their
+    neighbours, points far beyond both ends, and a NaN."""
+    return np.concatenate([rng.uniform(u[0] - 2.0, u[-1] + 2.0, 3000), u,
+                           np.nextafter(u, np.inf), np.nextafter(u, -np.inf),
+                           [u[0] - 50.0, u[-1] + 50.0, np.nan]])
+
+
+@pytest.mark.parametrize("name", SPLINE_PROFILES)
+def test_profile_spline_is_scipy_cubic_spline_bit_for_bit(name, request):
+    # not-a-knot on the left, clamped to the large-r series' slope r L'
+    prof = request.getfixturevalue(name)
+    r = prof.r_table[1:]
+    end = r[-1] * prof._series.log_derivs(r[-1:], True)[0][0]
+    u = np.log(r)
+    ref = CubicSpline(u, np.log(prof.values[1:]), bc_type=("not-a-knot", (1, end)))
+    sp = prof._get_spline()
+    for k in range(4):
+        # PPoly's sums start from 0.0; the low-order rows carry that addition
+        assert _same_bytes(sp.c[k], ref.c[k] + 0.0 if k >= 2 else ref.c[k])
+    pts = _reads(u, np.random.default_rng(3))
+    for nu in range(3):
+        assert _same_bytes(sp(pts, nu), ref(pts, nu)), nu
+        for p in (pts[0], u[7], np.nan):  # 0-d inputs read 0-d arrays
+            assert _same_bytes(sp(np.float64(p), nu), ref(np.float64(p), nu))
+    r = np.exp(pts)
+    r = r[(r >= prof.r_table[1]) & (r <= prof.r_max)]  # the table's region
+    assert _same_bytes(prof.log_value(r), ref(np.log(r)))
+
+
+@pytest.mark.parametrize("name", SPLINE_PROFILES)
+def test_exceedance_is_scipy_hermite_spline_bit_for_bit(name, request):
+    prof = request.getfixturevalue(name)
+    prof.exceedance(1.0)
+    grid, cum, hermite, _ = prof._exceed
+    # the pass's cumulative mass and its slope in log r
+    slope = -prof.d * ball_volume(prof.d) * prof.eval(grid) * grid ** prof.d
+    ref = CubicHermiteSpline(np.log(grid), cum, slope)
+    for k in range(4):
+        assert _same_bytes(hermite.c[k], ref.c[k] + 0.0 if k >= 2 else ref.c[k])
+    pts = _reads(np.log(grid), np.random.default_rng(4))
+    for nu in range(4):
+        assert _same_bytes(hermite(pts, nu), ref(pts, nu)), nu
+    r = np.exp(pts)
+    r = r[(r > grid[0]) & (r < grid[-1])]  # the Hermite cubic's region
+    assert _same_bytes(prof.exceedance(r), ref(np.log(r)))
 
 
 def test_self_similar_scaling_of_eval_G(profile_b05_d1):
