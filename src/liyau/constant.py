@@ -34,15 +34,10 @@ _TAYLOR_THR = 1e-4
 # interval width at which the golden-section refinement of sup J stops
 REFINE_TOL = 1e-3
 # J_of_y hands _sphere_deficit at most this many points (radii times angular
-# nodes) at a time, so that each of its temporaries stays at 128 KB. In one
-# process running the constants cycle at one BLAS thread, a (0.7, 2)
-# liyau-const call took about 0.6k minor page faults and 170-180 ms of CPU
-# with blocks of 16384 points; blocks of 32768 took 33k faults and 330 ms,
-# blocks of 65536 56k and 250-350 ms, and one block per integrand call 67k
-# and 280-390 ms: glibc maps and unmaps temporaries that size on every call
-# unless earlier frees have raised its thresholds (stable.RAY_BLOCK). The
-# rows of a block are a multiple of 4 (see weighted_singular)
-ROW_BLOCK = 16384
+# nodes) at a time, so that each of its temporaries is 64 KB: small enough
+# that the search's speed does not depend on what the process freed before
+# it. The rows of a block are a multiple of 4 (see weighted_singular)
+ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ class Extension:
     def __post_init__(self):
         if self.kind not in EXTENSION_KINDS:
             raise ValueError(f"unknown extension kind {self.kind!r}")
-        if self.kind != "constant" and not self.exponent > 0:
-            raise ValueError("power-law extensions need a positive exponent")
+        if self.kind != "constant" and not 0 < self.exponent < math.inf:
+            raise ValueError("power-law extensions need a finite exponent > 0")
 
     def model(self, edge: float, r: np.ndarray) -> np.ndarray:
         """The rule's value at |y|/X = r for the edge value edge."""
@@ -78,10 +78,11 @@ class Extension:
 
 
 def _parse_extension(text: str) -> Extension:
-    parts = text.split()
-    if parts[0] == "constant":
-        return Extension("constant")
-    return Extension(parts[0], float(parts[1]))
+    # 'constant' alone, or a power-law kind and its one exponent
+    kind, *exponent = text.split() or [""]
+    if (kind == "constant") == bool(exponent) or len(exponent) > 1:
+        raise ValueError(f"malformed extension {text!r}")
+    return Extension(kind, *map(float, exponent))
 
 
 def _format_extension(ext: Extension) -> str:
@@ -99,18 +100,19 @@ def _nodes(spacing: float, n: int, first: int = 0) -> np.ndarray:
 def _slope_factors(x: np.ndarray, clamped: bool = False):
     """dgttrf factors of CubicSpline's slope system on the knots x.
 
-    The left end is not-a-knot; the right end is not-a-knot too, or when
-    clamped takes a given slope (bc_type (1, slope)). The tridiagonal matrix
-    and its end rows are scipy's, entry for entry, and dgttrf/dgttrs round
-    as its solve_banded (LAPACK dgtsv) does. The arrays are read-only: a
-    grid's factors are shared by every field on it.
+    Both ends are not-a-knot, or when clamped both take a given slope
+    (bc_type ((1, left), (1, right))). The tridiagonal matrix and its end
+    rows are scipy's, entry for entry, and dgttrf/dgttrs round as its
+    solve_banded (LAPACK dgtsv) does. The arrays are read-only: a grid's
+    factors are shared by every field on it.
     """
     dx = np.diff(x)
     d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]),
+    diag = np.concatenate(([1.0 if clamped else dx[1]],
+                           2 * (dx[:-1] + dx[1:]),
                            [1.0 if clamped else dx[-2]]))
     *factors, info = dgttrf(np.append(dx[1:], 0.0 if clamped else d_hi), diag,
-                            np.append(d_lo, dx[:-1]))
+                            np.append(0.0 if clamped else d_lo, dx[:-1]))
     if info != 0:
         raise np.linalg.LinAlgError("singular spline system")
     for a in factors:
@@ -130,22 +132,22 @@ def _slope_system(spacing: float, n: int):
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray, factors,
-                   end_slope: float | None = None) -> np.ndarray:
+                   end_slopes: tuple | None = None) -> np.ndarray:
     """The knot slopes of CubicSpline(x, y) for the factors of
-    _slope_factors(x, end_slope is not None): not-a-knot on the left, and on
-    the right not-a-knot, or the slope end_slope."""
+    _slope_factors(x, end_slopes is not None): not-a-knot at both ends, or
+    the slopes end_slopes = (left, right)."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
     b = np.empty(x.size)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
-    b[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0]
-            + dx[0] ** 2 * slope[1]) / d_lo
-    if end_slope is None:
+    if end_slopes is None:
+        d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+        b[0] = ((dx[0] + 2 * d_lo) * dx[1] * slope[0]
+                + dx[0] ** 2 * slope[1]) / d_lo
         b[-1] = (dx[-1] ** 2 * slope[-2]
                  + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi
     else:
-        b[-1] = end_slope
+        b[0], b[-1] = end_slopes
     s, _ = dgttrs(*factors, b, overwrite_b=1)
     return s
 
@@ -191,15 +193,15 @@ class PiecewiseCubic:
         self._left, self._right = x[:-1], x[1:]
 
     @classmethod
-    def spline(cls, x, y, end_slope: float | None = None) -> "PiecewiseCubic":
-        """CubicSpline(x, y, bc_type=("not-a-knot", right)), right being
-        "not-a-knot", or (1, end_slope) when end_slope is given."""
+    def spline(cls, x, y, end_slopes: tuple | None = None) -> "PiecewiseCubic":
+        """CubicSpline(x, y), not-a-knot at both ends, or with
+        bc_type=((1, left), (1, right)) for end_slopes = (left, right)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.size < 4:
             raise ValueError("a spline needs at least 4 knots")
-        factors = _slope_factors(x, clamped=end_slope is not None)
-        return cls(x, y, _spline_slopes(x, y, factors, end_slope))
+        factors = _slope_factors(x, clamped=end_slopes is not None)
+        return cls(x, y, _spline_slopes(x, y, factors, end_slopes))
 
     def _cells(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(j, p - x[j]) for each point's cell j, which may be -1 or n - 1
@@ -445,6 +447,9 @@ class GridField:
         if len(rows) != n:
             raise ValueError(f"npoints = {n} does not match the "
                              f"{len(rows)} rows")
+        if not np.allclose([row[0] for row in rows], _nodes(spacing, n),
+                           rtol=0.0, atol=1e-9 * spacing):
+            raise ValueError("field row coordinates are not the grid's nodes")
         return cls(spacing, [row[1] for row in rows], ext, positive)
 
 

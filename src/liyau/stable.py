@@ -1,11 +1,11 @@
 """Radial profiles of rotationally invariant stable densities.
 
 The kernel G(t, x) = t^(-d/beta) * Phi(|x| t^(-1/beta)) is generated by a
-single radial profile Phi per (beta, d). Profiles are tabulated by Fourier
-inversion of exp(-|xi|^beta) at r = 0 and on one log-spaced grid per
-(beta, d), PER_DECADE nodes per decade from R_MIN to R_MAX. Beyond R_MAX,
-Phi is Bergstrom's large-r series, whose first coefficient is the
-jump-kernel normalization. A profile's table arrays are read-only, so the
+single radial profile Phi per (beta, d). Both ends of Phi are Bergstrom's
+series, read by one class: in r^2 below a switch radius r_s set by
+(beta, d), and in r^-beta beyond R_MAX. In between, Phi is tabulated by
+Fourier inversion of exp(-|xi|^beta) and read by a log-log spline clamped
+to both series' slopes. A profile's table arrays are read-only, so the
 caches built from them cannot go stale.
 
 The inversion integral is rotated onto the ray rho = s e^(i phi), where
@@ -33,15 +33,21 @@ from .fields import PiecewiseCubic
 from .runio import read_table_text
 from .singular import gauss_panels
 
-PROFILE_FORMAT = "liyau-profile v2"
+PROFILE_FORMAT = "liyau-profile v3"
 
-# the table's first non-zero radius, its last and its log-spaced nodes per
-# decade; beyond R_MAX every reader takes the large-r series
-R_MIN = 1e-3
+# the table's last radius and its log-spaced nodes per decade; beyond R_MAX
+# every reader takes the large-r series
 R_MAX = 100.0
 PER_DECADE = 24
-# the series keeps its terms up to the first whose size, taken with
-# |sin| <= 1, falls below this share of its leading term at R_MAX
+# r_s for beta >= 1, where the small-r series converges; below beta = 1 it
+# is asymptotic, keeps three terms, and r_s is where the first omitted one
+# falls to SMALL_R_CUT of Phi(0). Below R_SWITCH_MIN (beta <= 0.1) no
+# profile is built
+R_SWITCH = 0.5
+SMALL_R_CUT = 1e-13
+R_SWITCH_MIN = 1e-10
+# a series keeps its terms up to the first whose size at the end of its
+# region falls below this share of its leading term
 SERIES_CUT = 1e-17
 # the rotated ray's panels end where |exp(-rho^beta)| < e^-RAY_DECAY (1e-18),
 # and each radius's sum ends where its kernel has decayed as far
@@ -54,12 +60,8 @@ RAY_STEP = 4.0
 RAY_ORDERS = (8, 12)
 # the rounding of a ray sum, per unit of its terms' summed sizes
 RAY_ROUNDING = 4.0 * np.finfo(float).eps
-# radii summed at a time on the ray: a block's kernel is 0.5-1 MB. Freeing
-# blocks this size raises glibc's mmap and trim thresholds, so the J search
-# that follows reuses heap pages for its temporaries; with blocks of 16 the
-# beta = 1 searches in d = 2, 3 ran about 30 % slower in a fresh process, and
-# with blocks of 64 the (0.7, 2) and (1.3, 3) searches took 4-6 times the
-# page faults of blocks of 96, which hold each group of a table's radii
+# radii summed at a time on the ray: a block's kernel is 0.5-1 MB, and the
+# blocks hold each group of a table's radii whole
 RAY_BLOCK = 96
 
 
@@ -95,10 +97,25 @@ def poisson_profile(d: int, r) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _small_r_coefs(beta: float, d: int, n: int) -> np.ndarray:
+    """b_0..b_(n-1) of Phi = sum b_k r^(2k), b_k = (-1)^k Gamma((2k+d)/beta)
+    / (beta 2^(d-1) pi^(d/2) k! Gamma(k+d/2) 4^k)."""
+    k = np.arange(float(n))
+    return ((-1.0) ** k * _gamma((2.0 * k + d) / beta) * _rgamma(k + 1.0)
+            * _rgamma(k + d / 2.0) / 4.0 ** k
+            / (beta * 2.0 ** (d - 1) * np.pi ** (d / 2.0)))
+
+
 def profile_at_zero(beta: float, d: int) -> float:
-    """Phi(0) = d * omega_d * Gamma(d/beta) / ((2 pi)^d * beta)."""
-    return (d * ball_volume(d) * _gamma(d / beta)
-            / ((2.0 * np.pi) ** d * beta))
+    """Phi(0), the small-r series' b_0 = Gamma(d/beta) / (beta 2^(d-1)
+    pi^(d/2) Gamma(d/2)) = d omega_d Gamma(d/beta) / ((2 pi)^d beta)."""
+    return float(_small_r_coefs(beta, d, 1)[0])
+
+
+def _table_radii(r_s: float) -> np.ndarray:
+    """0, then PER_DECADE log-spaced radii per decade from r_s to R_MAX."""
+    n = int(np.ceil(PER_DECADE * np.log10(R_MAX / r_s))) + 1
+    return np.concatenate([[0.0], np.geomspace(r_s, R_MAX, n)])
 
 
 def _ray_edges(beta: float, d: int, r_top: float) -> tuple[float, np.ndarray]:
@@ -212,49 +229,37 @@ def _ray_transform(beta: float, d: int,
     return vals, 2.0 * np.abs(vals - companion) + RAY_ROUNDING * sizes
 
 
-def _power_sum(c: np.ndarray, x) -> np.ndarray:
-    """sum_j c[j] x^(j+1) by Horner's rule, in place on one new array."""
+def _power_sum(c: np.ndarray, x, lead: int = 1) -> np.ndarray:
+    """sum_j c[j] x^(j+lead) by Horner's rule, in place on one new array."""
     out = np.full_like(x, c[-1], dtype=float)
     for cj in c[-2::-1]:
         out *= x
         out += cj
-    out *= x
+    if lead:
+        out *= x
     return out
 
 
-class _LargeRSeries:
-    """Bergstrom's large-r series of Phi (H. Bergstrom, Ark. Mat. 2, 1952),
-    cut for r >= R_MAX:
+class _Series:
+    """One end of Phi as Bergstrom's series (H. Bergstrom, Ark. Mat. 2,
+    1952; V. Zolotarev, One-dimensional Stable Distributions, AMS 1986):
 
-      Phi(r) = sum_{k>=1} a_k r^(-d-k beta),
-      a_k = (-1)^(k+1) 2^(k beta) Gamma(k beta/2 + 1) Gamma((k beta + d)/2)
-            sin(pi k beta/2) / (k! pi^(d/2+1)),
+      Phi(r) = r^e P(x),  x = r^s,  P(x) = sum_{j>=0} p_j x^j,
 
-    with a_1 = c_{beta,d}; sin(pi z) Gamma(1 + z), z = k beta/2, is summed
-    as -pi / Gamma(-z). It converges at r >= R_MAX for beta <= 1 and is
-    asymptotic above. The terms kept end before the first whose size, with
-    |sin| <= 1, is below SERIES_CUT of the first at R_MAX. bound is the
-    remainder relative to Phi at R_MAX: that size plus RAY_ROUNDING times
-    the kept terms' sizes.
-
-    With x = r^-beta, Phi = x P(x) / r^d, P having coefficients
-    p_j = a_(j+1), and log Phi = l_0 - (d + beta) log r + sum l_j x^j
-    with the log's power series l_0 = log p_0,
-    l_j = (j p_j - sum_{0<i<j} i l_i p_(j-i)) / (j p_0), cut at the same
-    order: a log read costs one log, one exp and a Horner sum.
+    computed as x^lead P(x) / r^m, e = lead s - m. bound is the remainder
+    relative to Phi at r_cut, the end of its region: the first omitted
+    term's size plus RAY_ROUNDING times the kept terms' sizes.
+    log Phi = l_0 + e log r + sum_{j>=1} l_j x^j, l_0 = log p_0 and l_j =
+    (j p_j - sum_{0<i<j} i l_i p_(j-i)) / (j p_0), so r L' = e + s sum j l_j
+    x^j and r^2 L'' = s^2 sum j^2 l_j x^j - r L'. At r = 0, which only the
+    small-r series reads, L' = 0 and L'' = 2 l_1.
     """
 
-    def __init__(self, beta: float, d: int):
-        if not 0 < beta < 2:
-            raise ValueError("beta must lie in (0, 2)")
-        self.beta, self.d = beta, d
-        k = np.arange(1.0, 65.0)
-        common = 2.0 ** (k * beta) * _gamma((k * beta + d) / 2.0) / _gamma(k + 1.0)
-        size = common * _gamma(k * beta / 2.0 + 1.0) / np.pi ** (d / 2.0 + 1.0)
-        a = (-1.0) ** k * common * _rgamma(-k * beta / 2.0) / np.pi ** (d / 2.0)
-        x = R_MAX ** -beta
-        n = int(np.argmax(size * x ** (k - 1.0) < SERIES_CUT * abs(a[0])))
-        p = a[:n]
+    def __init__(self, d: int, p: np.ndarray, s: float, lead: int, m: int,
+                 r_cut: float, omitted: float):
+        self.d, self.s, self.lead, self.m, self.r_cut = d, s, lead, m, r_cut
+        self.e = lead * s - m
+        n = p.size
         l = np.empty(n)
         l[0] = np.log(p[0])
         for j in range(1, n):
@@ -264,58 +269,105 @@ class _LargeRSeries:
         self.p, self.l = p, l
         # sum j l_j x^j and sum j^2 l_j x^j
         self.slope_coefs, self.curv_coefs = j * l[1:], j * j * l[1:]
-        # |S^(d-1)| sum_k a_k r^(-k beta) / (k beta)
-        self.mass_coefs = d * ball_volume(d) * p / (k[:n] * beta)
+        # |S^(d-1)| r^(d-m) sum p_j x^(j+lead) / |s (j+lead) + d - m|: the
+        # mass between r and the far end of the series' region
+        k = np.arange(lead, n + lead)
+        self.mass_coefs = d * ball_volume(d) * p / np.abs(s * k + (d - m))
+        x = r_cut ** s
         terms = np.abs(p) * x ** np.arange(n)
-        self.bound = float((size[n] * x ** n + RAY_ROUNDING * terms.sum())
+        self.bound = float((omitted * x ** n + RAY_ROUNDING * terms.sum())
                            / abs(_power_sum(p, x) / x))
 
-    # the readers work in place: a J search reads the series on large
-    # arrays, and each temporary of that size costs page faults once the
-    # allocator has trimmed the heap
+    @classmethod
+    def large_r(cls, beta: float, d: int) -> "_Series":
+        """Phi for r >= R_MAX: sum_{k>=1} a_k r^(-d-k beta), with
+
+          a_k = (-1)^(k+1) 2^(k beta) Gamma(k beta/2 + 1) Gamma((k beta + d)/2)
+                sin(pi k beta/2) / (k! pi^(d/2+1)),
+
+        a_1 = c_{beta,d}; sin(pi z) Gamma(1 + z), z = k beta/2, is summed as
+        -pi / Gamma(-z), and a term's size takes |sin| <= 1. It converges
+        for beta <= 1 and is asymptotic above.
+        """
+        k = np.arange(1.0, 65.0)
+        common = 2.0 ** (k * beta) * _gamma((k * beta + d) / 2.0) / _gamma(k + 1.0)
+        size = common * _gamma(k * beta / 2.0 + 1.0) / np.pi ** (d / 2.0 + 1.0)
+        a = (-1.0) ** k * common * _rgamma(-k * beta / 2.0) / np.pi ** (d / 2.0)
+        x = R_MAX ** -beta
+        n = int(np.argmax(size * x ** (k - 1.0) < SERIES_CUT * abs(a[0])))
+        return cls(d, a[:n], -beta, 1, d, R_MAX, size[n])
+
+    @classmethod
+    def small_r(cls, beta: float, d: int) -> "_Series":
+        """Phi for r <= r_s: sum_k b_k r^(2k), with the terms SERIES_CUT keeps
+        at r_s = R_SWITCH for beta >= 1, and below b_0..b_2 up to the r_s
+        where b_3 r^6 = SMALL_R_CUT b_0, which must reach R_SWITCH_MIN."""
+        if not 0 < beta < 2:
+            raise ValueError("beta must lie in (0, 2)")
+        if beta >= 1.0:
+            r_s, b = R_SWITCH, _small_r_coefs(beta, d, 64)
+            n = int(np.argmax(np.abs(b) * R_SWITCH ** (2.0 * np.arange(64))
+                              < SERIES_CUT * b[0]))
+        else:
+            b, n = _small_r_coefs(beta, d, 4), 3
+            r_s = float((SMALL_R_CUT * b[0] / abs(b[3])) ** (1.0 / 6.0))
+        if not r_s >= R_SWITCH_MIN:
+            raise ValueError(f"beta = {beta:g}, d = {d}: the small-r switch radius "
+                             f"{r_s:.3g} lies below R_SWITCH_MIN = {R_SWITCH_MIN:g}")
+        return cls(d, b[:n], 2.0, 0, 0, r_s, abs(b[n]))
+
+    # the readers work in place: a J search reads the series on large arrays
     def eval(self, r: np.ndarray) -> np.ndarray:
-        out = _power_sum(self.p, r ** -self.beta)
-        out /= r ** self.d
+        out = _power_sum(self.p, r ** self.s, self.lead)
+        if self.m:
+            out /= r ** self.m
         return out
 
     def log(self, r: np.ndarray) -> np.ndarray:
-        x = np.log(r)
-        x *= -self.beta
-        out = _power_sum(self.l[1:], np.exp(x, out=x))
-        u = np.log(r, out=x)  # log r again, into x's array
-        u *= -(self.d + self.beta)
-        out += u
+        if self.e:  # x = exp(s log r), then log r again for e log r
+            x = np.log(r)
+            x *= self.s
+            out = _power_sum(self.l[1:], np.exp(x, out=x))
+            out += np.multiply(np.log(r, out=x), self.e, out=x)
+        else:
+            out = _power_sum(self.l[1:], r ** self.s)
         out += self.l[0]
         return out
 
     def log_derivs(self, r: np.ndarray, slope_only: bool) -> tuple:
-        """(L, L', L'') at r, or (L',) alone: L' = -g / r and L'' = (g +
-        beta^2 sum j^2 l_j x^j) / r^2, g = d + beta + beta sum j l_j x^j."""
-        x = r ** -self.beta
+        """(L, L', L'') at r, or (L',) alone."""
+        x = r ** self.s
         g = _power_sum(self.slope_coefs, x)
-        g *= self.beta
-        g += self.d + self.beta
-        slope = -g / r
+        g *= self.s
+        g += self.e
+        positive = r > 0.0
+        slope = np.divide(g, r, out=np.zeros_like(g), where=positive)
         if slope_only:
             return (slope,)
         curv = _power_sum(self.curv_coefs, x)
-        curv *= self.beta ** 2
-        curv += g
-        curv /= r ** 2
+        curv *= self.s ** 2
+        curv -= g
+        curv = np.divide(curv, r ** 2, out=np.full_like(g, 2.0 * self.l[1]),
+                         where=positive)
         return self.log(r), slope, curv
 
-    def mass_beyond(self, r) -> np.ndarray:
-        """The mass of Phi outside radius r >= R_MAX."""
-        return _power_sum(self.mass_coefs, np.asarray(r, dtype=float) ** -self.beta)
+    def mass(self, r) -> np.ndarray:
+        """The mass of Phi between radius r and the far end of the series'
+        region: beyond r for the large-r series, within r for the small-r."""
+        r = np.asarray(r, dtype=float)
+        out = _power_sum(self.mass_coefs, r ** self.s, self.lead)
+        out *= r ** (self.d - self.m)
+        return out
 
 
 @dataclass
 class StableDensityProfile:
-    """Tabulated radial profile with Bergstrom's series beyond the table.
+    """Tabulated radial profile with Bergstrom's series at both ends.
 
-    r_table starts at 0; values are Phi at the nodes. Beyond r_table[-1]
-    every reader takes the large-r series of (beta, d). The profile keeps
-    read-only copies of both arrays, which its spline, small-r and
+    r_table is 0, then r_s up to R_MAX (_table_radii, the only layout
+    accepted); values are Phi at the nodes. Below r_s every reader takes the
+    small-r series of (beta, d), and beyond R_MAX the large-r series. The
+    profile keeps read-only copies of both arrays, which its spline and
     exceedance caches and constant_for's key are built from.
     """
 
@@ -331,9 +383,12 @@ class StableDensityProfile:
         self.values = np.array(self.values, dtype=float)
         self.r_table.flags.writeable = False
         self.values.flags.writeable = False
-        self._series = _LargeRSeries(self.beta, self.d)
+        self._small = _Series.small_r(self.beta, self.d)
+        self._large = _Series.large_r(self.beta, self.d)
+        if not np.array_equal(self.r_table, _table_radii(self._small.r_cut)):
+            raise ValueError(f"profile radii differ from the table layout of "
+                             f"beta = {self.beta:g}, d = {self.d}")
         self._spline = None
-        self._small = None
         self._exceed = None
 
     @property
@@ -342,52 +397,42 @@ class StableDensityProfile:
 
     def _get_spline(self):
         # cubic in log-log coordinates; strictly positive by construction.
-        # Its last slope is the large-r series', so L' is continuous there
+        # Its end slopes are the two series', so L' is continuous at both
         if self._spline is None:
             r = self.r_table[1:]
-            end = r[-1] * self._series.log_derivs(r[-1:], True)[0][0]
+            ends = tuple(float(r0 * series.log_derivs(np.array([r0]), True)[0][0])
+                         for r0, series in ((r[0], self._small),
+                                            (r[-1], self._large)))
             self._spline = PiecewiseCubic.spline(
-                np.log(r), np.log(self.values[1:]), end_slope=end)
+                np.log(r), np.log(self.values[1:]), end_slopes=ends)
         return self._spline
 
-    def _small_r_coeffs(self):
-        # even quadratic through Phi(0) and the first nodes, in r^2
-        if self._small is None:
-            p0 = self.values[0]
-            r1, r2 = self.r_table[1], self.r_table[4]
-            p1, p2 = self.values[1], self.values[4]
-            a = np.array([[r1 ** 2, r1 ** 4], [r2 ** 2, r2 ** 4]])
-            b = np.array([p1 - p0, p2 - p0])
-            c2, c4 = np.linalg.solve(a, b)
-            self._small = (p0, c2, c4)
-        return self._small
-
-    def _piecewise(self, r, closed, small, table, tail) -> tuple:
+    def _piecewise(self, r, closed, table, series) -> tuple:
         """Apply one rule per region of |r| and gather the rule's outputs.
 
-        closed(r) serves beta = 1. Otherwise small(r, p0, c2, c4) runs below
-        r_table[1] on the even quadratic, table(r) on the log-log spline up
-        to r_max, and tail(r) on the large-r series beyond. Each rule returns
-        a tuple of arrays; a scalar r gives a tuple of floats.
+        closed(r) serves beta = 1, unless it is None. Otherwise series(s, r)
+        runs on the small-r series s below r_table[1] and on the large-r one
+        beyond r_max, and table(r) in between. Each rule returns a tuple of
+        arrays; a scalar r gives a tuple of floats.
 
         When one region holds every point, its rule runs on r as it stands,
         with no gather and scatter: each rule is elementwise, so the values
-        are the masked path's bit for bit. An empty r takes the tail rule,
-        which makes its (empty) outputs.
+        are the masked path's bit for bit. An empty r takes the large-r
+        series, which makes its (empty) outputs.
         """
         r = np.abs(np.asarray(r, dtype=float))
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if self.beta == 1.0:
+        if self.beta == 1.0 and closed is not None:
             outs = closed(r)
         else:
             lo = r < self.r_table[1]
             hi = r > self.r_max
-            rules = [(mask, rule) for mask, rule in (
-                (lo, lambda s: small(s, *self._small_r_coeffs())),
-                (~lo & ~hi, table), (hi, tail)) if mask.any()]
-            if len(rules) <= 1:
-                outs = (rules[0][1] if rules else tail)(r)
+            regions = ((lo, lambda s: series(self._small, s)),
+                       (~lo & ~hi, table), (hi, lambda s: series(self._large, s)))
+            rules = [rule for rule in regions if rule[0].any()] or regions[2:]
+            if len(rules) == 1:
+                outs = rules[0][1](r)
             else:
                 outs = None
                 for mask, rule in rules:
@@ -401,21 +446,19 @@ class StableDensityProfile:
         return outs
 
     def eval(self, r) -> np.ndarray:
-        """Phi(r) for any r >= 0; the large-r series beyond the table."""
+        """Phi(r) for any r >= 0; the series below and beyond the table."""
         return self._piecewise(
             r, lambda r: (poisson_profile(self.d, r),),
-            lambda r, p0, c2, c4: (p0 + r ** 2 * (c2 + c4 * r ** 2),),
             lambda r: (np.exp(self._get_spline()(np.log(r))),),
-            lambda r: (self._series.eval(r),))[0]
+            lambda s, r: (s.eval(r),))[0]
 
     def log_value(self, r) -> np.ndarray:
         """log Phi(r), evaluated without the exp/log round trip where possible."""
         return self._piecewise(
             r, lambda r: (np.log(_poisson_coef(self.d))
                           - (self.d + 1) / 2.0 * np.log1p(r ** 2),),
-            lambda r, p0, c2, c4: (np.log(p0 + r ** 2 * (c2 + c4 * r ** 2)),),
             lambda r: (self._get_spline()(np.log(r)),),
-            lambda r: (self._series.log(r),))[0]
+            lambda s, r: (s.log(r),))[0]
 
     def _log_rules(self, slope_only: bool) -> tuple:
         """The _piecewise rules for (L, L', L''), or for (L',) alone.
@@ -430,13 +473,6 @@ class StableDensityProfile:
                 np.log(_poisson_coef(self.d)) - q * np.log1p(r ** 2), slope,
                 -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2)
 
-        def small(r, p0, c2, c4):
-            phi = p0 + c2 * r ** 2 + c4 * r ** 4
-            slope = (2 * c2 * r + 4 * c4 * r ** 3) / phi
-            return (slope,) if slope_only else (
-                np.log(phi), slope,
-                (2 * c2 + 12 * c4 * r ** 2) / phi - slope ** 2)
-
         def table(r):
             sp = self._get_spline()
             u = np.log(r)
@@ -445,10 +481,7 @@ class StableDensityProfile:
             return (slope,) if slope_only else (
                 sp(u), slope, (sp(u, 2) - s1) / r ** 2)
 
-        def tail(r):
-            return self._series.log_derivs(r, slope_only)
-
-        return closed, small, table, tail
+        return closed, table, lambda s, r: s.log_derivs(r, slope_only)
 
     def log_derivs(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L, L', L'') for L(r) = log Phi(r), vectorized over r >= 0."""
@@ -461,31 +494,17 @@ class StableDensityProfile:
     def comparability_ratio(self) -> tuple[float, float]:
         """(lo, hi) bounds of Phi(r) * (1 + r^2)^((d+beta)/2) over the table."""
         w = self.values * (1.0 + self.r_table ** 2) ** ((self.d + self.beta) / 2.0)
-        samples = np.append(w, self._series.p[0])  # the limit r -> inf
+        samples = np.append(w, self._large.p[0])  # the limit r -> inf
         return float(samples.min()), float(samples.max())
-
-    def _inner_disc(self) -> float:
-        """int_0^r_table[1] Phi(r) r^(d-1) dr in closed form: the Poisson
-        kernel's at beta = 1, the even quadratic's otherwise."""
-        d, r1 = self.d, self.r_table[1]
-        if self.beta == 1.0:
-            q = np.sqrt(1.0 + r1 ** 2)
-            return _poisson_coef(d) * {
-                1: np.arctan(r1),
-                2: r1 ** 2 / (q * (1.0 + q)),  # 1 - 1/q without cancellation
-                3: 0.5 * (np.arctan(r1) - r1 / q ** 2)}[d]
-        p0, c2, c4 = self._small_r_coeffs()
-        return r1 ** d * (p0 / d + r1 ** 2 * (c2 / (d + 2)
-                                              + c4 * r1 ** 2 / (d + 4)))
 
     def mass(self) -> float:
         """Total integral of Phi, from exceedance's pass."""
         return float(self.exceedance(0.0))
 
     def exceedance(self, r) -> np.ndarray:
-        """Mass of Phi outside radius r, interpolated from one dense pass:
-        Gauss panels across the table, on the large-r series' mass beyond
-        it, and the inner disc below it."""
+        """Mass of Phi outside radius r: across the table a cubic through
+        one dense pass of Gauss panels, on the large-r series' mass beyond
+        it; the series' own masses below and beyond the table."""
         if self._exceed is None:
             d = self.d
             surf = d * ball_volume(d)
@@ -493,30 +512,16 @@ class StableDensityProfile:
             S, half, wg = gauss_panels(grid[:-1], grid[1:], 8)
             fv = self.eval(S.ravel()).reshape(S.shape) * S ** (d - 1)
             seg = (fv @ wg) * half * surf
-            tail0 = self._series.mass_beyond(self.r_max)
-            cum = tail0 + np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+            cum = self._large.mass(self.r_max) + np.concatenate(
+                [np.cumsum(seg[::-1])[::-1], [0.0]])
             # Hermite in log r with the analytic slope de/dr = -surf Phi r^{d-1}:
             # linear interpolation of the cumulative leaves O(panel^2) bumps
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
-            # the total mass anchors the blend below the table
             self._exceed = (grid, cum, PiecewiseCubic(np.log(grid), cum, slope),
-                            tail0 + np.sum(seg) + surf * self._inner_disc())
-        grid, cum, hermite, total = self._exceed
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(np.abs(r))
-        out = np.empty_like(r)
-        below = r <= grid[0]
-        above = r >= grid[-1]
-        midm = ~below & ~above
-        if below.any():
-            # linear blend down to the full mass at r = 0
-            out[below] = cum[0] + (total - cum[0]) * (1.0 - r[below] / grid[0])
-        if midm.any():
-            out[midm] = hermite(np.log(r[midm]))
-        if above.any():
-            out[above] = self._series.mass_beyond(r[above])
-        return float(out[0]) if scalar else out
+                            cum[0] + self._small.mass(grid[0]))
+        _, _, hermite, total = self._exceed
+        return self._piecewise(r, None, lambda r: (hermite(np.log(r)),), lambda s, r: (
+            s.mass(r) if s is self._large else total - s.mass(r),))[0]
 
     # ---- serialization ----------------------------------------------------
 
@@ -548,32 +553,28 @@ class StableDensityProfile:
 
 
 def build_profile(beta: float, d: int) -> StableDensityProfile:
-    """Tabulate Phi_beta for d in {1, 2, 3}.
+    """Tabulate Phi_beta for d in {1, 2, 3}, beta in (0.1, 2).
 
     The table holds r = 0 and PER_DECADE log-spaced radii per decade from
-    R_MIN to R_MAX. beta = 1 short-circuits to the Poisson closed form.
-    Otherwise r = 0 takes profile_at_zero and the other nodes the
-    rotated-ray inversion.
+    the small-r series' switch radius r_s to R_MAX. beta = 1 short-circuits
+    to the Poisson closed form. Otherwise r = 0 takes the small-r series'
+    Phi(0) and the other nodes the rotated-ray inversion.
 
     error_estimate is the largest relative error of the table's nodes, of
-    its interpolation or of the large-r series at R_MAX. The interpolation
-    error is measured against the same inversion at the log-midpoints of
-    the nodes and at nine radii below R_MIN, and taken 5 % larger.
+    its interpolation, or of either series at the end of its region. The
+    interpolation error is measured against the same inversion at the
+    log-midpoints of the nodes, and taken 5 % larger.
     """
-    if not 0 < beta < 2:
-        raise ValueError("beta must lie in (0, 2)")
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2, or 3")
-    n = int(np.ceil(PER_DECADE * np.log10(R_MAX / R_MIN))) + 1
-    r = np.concatenate([[0.0], np.geomspace(R_MIN, R_MAX, n)])
+    r = _table_radii(_Series.small_r(beta, d).r_cut)  # checks beta
 
     if beta == 1.0:
         return StableDensityProfile(
             beta=1.0, d=d, r_table=r, values=poisson_profile(d, r),
             error_estimate=1e-15, method="closed-form-beta1")
 
-    r_check = np.concatenate([np.linspace(0.1, 0.9, 9) * R_MIN,
-                              np.sqrt(r[1:-1] * r[2:])])
+    r_check = np.sqrt(r[1:-1] * r[2:])
     vals, errs = _ray_transform(beta, d, r[1:])
     check, _ = _ray_sums(beta, d, r_check, R_MAX, RAY_ORDERS[0])
     if not np.all(vals > 0.0):
@@ -581,11 +582,9 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
     vals = np.concatenate([[profile_at_zero(beta, d)], vals])
     prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=vals,
                                 error_estimate=0.0, method="rotated-ray")
-    # the check radii miss the interpolation error's peaks by at most 1.5 %
-    # (at beta = 0.3, below R_MIN); the estimate adds 5 %
     interp = 1.05 * float(np.max(np.abs(prof.eval(r_check) / check - 1.0)))
     prof.error_estimate = max(float(np.max(errs / vals[1:])), interp,
-                              prof._series.bound)
+                              prof._small.bound, prof._large.bound)
     return prof
 
 

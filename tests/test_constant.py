@@ -308,15 +308,15 @@ def test_constant_search_at_d2_moves_at_rounding_level(monkeypatch):
     np.testing.assert_allclose(new_j[:, 1], old_j[:, 1], rtol=1e-13, atol=0.0)
 
 
-# (value, error, y_star) as the unfolded rule computed them; the last bits
-# depend on the platform's log, so the pins carry a rounding-level tolerance
-# and bit-identity is checked against the written-out rule above
+# (value, error, y_star) as recorded once the small-r series read below
+# r_s; the last bits depend on the platform's log, so the pins carry a
+# rounding-level tolerance and bit-identity is checked against the
+# written-out rule above
 PINNED_CONSTANTS = {
-    (0.5, 1): (5.457127737041542, 7.98156574173168e-06, 0.0),
-    (1.5, 1): (1.0218827547957046, 1.843880652923354e-05,
-               0.0011145618000168239),
-    (0.7, 2): (8.536398467498042, 1.9004186766727873e-05, 0.0),
-    (1.3, 3): (4.767694344166753, 5.9922845183194054e-05, 0.0),
+    (0.5, 1): (5.457127737021382, 8.000290766483392e-06, 0.0),
+    (1.5, 1): (1.0218384671623801, 1.7154375840560123e-05, 0.0),
+    (0.7, 2): (8.536398553174724, 1.8962850589339176e-05, 0.0),
+    (1.3, 3): (4.767695890445785, 5.7255924123863614e-05, 0.0),
 }
 
 

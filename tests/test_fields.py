@@ -164,6 +164,45 @@ def test_fields_reject_values_and_files_that_are_not_1d():
         GridField.from_text(text.replace("# dim = 1", "# dim = 2"))
 
 
+def _replace_row(text, i, row):
+    lines = text.splitlines()
+    rows = [k for k, ln in enumerate(lines) if not ln.startswith("#")]
+    lines[rows[i]] = row
+    return "\n".join(lines) + "\n"
+
+
+_MALFORMED = {
+    "centre coordinate off its node": lambda t: _replace_row(t, 6, "7 3"),
+    "edge coordinate off its node": lambda t: _replace_row(t, 0, "-3.5 1"),
+    "power without exponent": lambda t: t.replace(
+        "# extension = constant", "# extension = power"),
+    "empty extension": lambda t: t.replace(
+        "# extension = constant", "# extension ="),
+    "constant with exponent": lambda t: t.replace(
+        "# extension = constant", "# extension = constant 3"),
+    "power with two exponents": lambda t: t.replace(
+        "# extension = constant", "# extension = power 2 7"),
+    "power with an infinite exponent": lambda t: t.replace(
+        "# extension = constant", "# extension = power inf"),
+    "unknown extension kind": lambda t: t.replace(
+        "# extension = constant", "# extension = linear 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_text_reader_rejects_malformed_texts(case):
+    text = bump(spacing=0.5, extent=3.0).to_text()
+    assert "# extension = constant\n" in text
+    with pytest.raises(ValueError):
+        GridField.from_text(_MALFORMED[case](text))
+
+
+def test_power_extension_needs_a_finite_exponent():
+    for exponent in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            Extension("power", exponent)
+
+
 def test_text_reader_names_a_missing_header_key():
     text = bump(spacing=0.5, extent=3.0).to_text()
     with pytest.raises(ValueError, match="lacks spacing$"):

@@ -14,10 +14,10 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.special import fresnel, gamma, gammaln
 
-from liyau.stable import (R_MAX, R_MIN, StableDensityProfile,
-                          _LargeRSeries, _ray_transform, ball_volume,
-                          build_profile, eval_G, normalizing_constant,
-                          poisson_profile, profile_at_zero)
+from liyau.stable import (R_MAX, PER_DECADE, StableDensityProfile, _Series,
+                          _ray_transform, ball_volume, build_profile, eval_G,
+                          normalizing_constant, poisson_profile,
+                          profile_at_zero)
 
 # frozen oracles
 PHI0_B05_D1 = 0.63661977236758134308  # 2/pi
@@ -82,7 +82,7 @@ def test_ray_inversion_matches_poisson_kernel(d):
     # the tilted ray at beta = 1 (phi = pi/4) on every radius of a table that
     # runs to 1e6, with the H0 kernel in d = 2; below 4 eps the closed form's
     # own rounding hides the gap
-    r = np.geomspace(R_MIN, 1e6, 217)
+    r = np.geomspace(1e-3, 1e6, 217)
     vals, errs = _ray_transform(1.0, d, r)
     exact = poisson_profile(d, r)
     gap = np.abs(vals - exact)
@@ -107,14 +107,18 @@ def _fresnel_profile(r):
 
 
 def test_ray_inversion_matches_fresnel_closed_form(profile_b05_d1):
-    # every table radius out to R_MAX: the table holds the ray's values, and
-    # each node's bar covers its gap to the closed form up to the closed
-    # form's own rounding. Beyond it, out to 1e6, the large-r series does
-    # too, within its remainder bound
+    # the table holds the ray's values, and at every table radius from 1e-3
+    # out to R_MAX each node's bar covers its gap to the closed form up to
+    # the closed form's own rounding. (Below 1e-3 the rounding of a = 1/(4r)
+    # and the cancellation of the two terms cost the closed form up to 2e-10
+    # relative, beyond that model; there the ray matches a 40-digit
+    # evaluation to 2e-16.) Beyond R_MAX, out to 1e6, the large-r series
+    # matches it too, within its remainder bound
     prof = profile_b05_d1
-    r = prof.r_table[1:]
-    vals, errs = _ray_transform(0.5, 1, r)
+    vals, errs = _ray_transform(0.5, 1, prof.r_table[1:])
     assert np.array_equal(prof.values[1:], vals)
+    keep = prof.r_table[1:] >= 1e-3
+    r, vals, errs = prof.r_table[1:][keep], vals[keep], errs[keep]
     exact, rounding = _fresnel_profile(r)
     gap = np.abs(vals - exact)
     assert np.all(gap <= errs + rounding)
@@ -123,7 +127,7 @@ def test_ray_inversion_matches_fresnel_closed_form(profile_b05_d1):
     far = np.geomspace(R_MAX, 1e6, 97)
     exact, rounding = _fresnel_profile(far)
     gap = np.abs(prof.eval(far) - exact)
-    assert np.all(gap <= prof._series.bound * exact + rounding)
+    assert np.all(gap <= prof._large.bound * exact + rounding)
 
 
 @pytest.mark.parametrize("beta,d", [(0.5, 1), (1.3, 3), (0.7, 2), (1.3, 2)])
@@ -166,17 +170,20 @@ def _bergstrom_terms(beta, d, r, n):
 
 @pytest.mark.parametrize("beta", [1.05, 1.3, 1.7, 1.95])
 def test_d2_ray_inversion_matches_the_series(beta):
-    # every table node at r <= 0.5 against the convergent small-r series:
-    # error_estimate covers the worst gap, and each node's bar covers its
-    # own gap and is at most BAR_SLACK looser. Beyond the table,
+    # the ray at 48 radii on [1e-3, 0.5) and at the table's nodes, on the
+    # table's panels, against the convergent small-r series summed here:
+    # each radius's bar covers its own gap and is at most BAR_SLACK looser.
+    # Below r_s = 0.5 the profile reads the library's series, which
+    # error_estimate covers. Beyond the table,
     # test_series_matches_the_ray_beyond_r_max takes over
     prof = build_profile(beta, 2)
-    r = prof.r_table[1:]
+    below = np.geomspace(1e-3, 0.5, 49)[:-1]
+    r = np.concatenate([below, prof.r_table[1:]])
     mask = r <= 0.5
     exact, floor = _small_r_series_d2(beta, r[mask])
-    assert np.max(np.abs(prof.values[1:][mask] / exact - 1.0)) <= prof.error_estimate
+    assert np.max(np.abs(prof.eval(r[mask]) / exact - 1.0)) <= prof.error_estimate
     vals, errs = _ray_transform(beta, 2, r)
-    assert np.array_equal(prof.values[1:], vals)
+    assert np.array_equal(prof.values[1:], vals[below.size:])
     gap = np.abs(vals[mask] - exact)
     assert np.all(gap <= errs[mask] + floor)
     assert np.all(errs[mask] <= BAR_SLACK * np.maximum(gap, floor))
@@ -185,15 +192,20 @@ def test_d2_ray_inversion_matches_the_series(beta):
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 1.0, 1.3, 1.7, 1.99])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_series_matches_the_ray_beyond_r_max(beta, d):
-    # eval and exp(log_value) on (R_MAX, 1e12], where they read the large-r
-    # series, against the ray's inversion: the gap lies within the ray's bar
-    # plus the series' remainder bound
-    prof = build_profile(beta, d)
+    # the large-r series' eval and exp(log) on (R_MAX, 1e12] against the
+    # ray's inversion: the gap lies within the ray's bar plus the series'
+    # remainder bound. A profile reads the same series there, bit for bit;
+    # build_profile rejects beta = 0.1, whose series is read directly
+    series = _Series.large_r(beta, d)
     r = np.geomspace(np.nextafter(R_MAX, np.inf), 1e12, 145)
     vals, errs = _ray_transform(beta, d, r)
-    phi = prof.eval(r)
-    assert np.all(np.abs(phi - vals) <= errs + prof._series.bound * phi)
-    np.testing.assert_allclose(np.exp(prof.log_value(r)), phi, rtol=1e-13)
+    phi = series.eval(r)
+    assert np.all(np.abs(phi - vals) <= errs + series.bound * phi)
+    np.testing.assert_allclose(np.exp(series.log(r)), phi, rtol=1e-13)
+    if beta not in (0.1, 1.0):  # beta = 1 reads the Poisson kernel
+        prof = build_profile(beta, d)
+        assert np.array_equal(prof.eval(r), phi)
+        assert np.array_equal(prof.log_value(r), series.log(r))
 
 
 @pytest.mark.parametrize("beta,d", [(0.5, 1), (1.5, 1), (0.7, 2), (1.3, 3)])
@@ -207,19 +219,25 @@ def test_log_profile_is_continuous_across_r_max(beta, d, request):
     assert R_MAX * abs(above[1] - below[1]) <= prof.error_estimate
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("beta", [1.0, 0.5, 1.5])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_inner_disc_is_the_small_r_rule_integrated(beta, d):
-    # a table that starts at r = 2, so that the disc is wide; below r = 2
-    # eval reads the Poisson kernel at beta = 1 and the even quadratic
-    # through the nodes at 0, 2 and 3.5 otherwise. Gauss-Legendre with 40
-    # nodes integrates both to rounding
-    r = np.array([0.0, 2.0, 2.5, 3.0, 3.5, 4.0, 8.0])
-    prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=np.exp(-r),
-                                error_estimate=0.0, method="test")
+    # the small-r series' mass within r, at r_s and half of it, against
+    # Gauss-Legendre with 40 nodes on the series' own eval, which
+    # integrates its polynomial in r to rounding; at beta = 1 against the
+    # Poisson kernel too, which the series converges to
+    series = _Series.small_r(beta, d)
     x, w = np.polynomial.legendre.leggauss(40)
-    quad = float(np.sum(w * prof.eval(1.0 + x) * (1.0 + x) ** (d - 1)))
-    assert prof._inner_disc() == pytest.approx(quad, rel=1e-14)
+    for r in (series.r_cut, 0.5 * series.r_cut):
+        rho = 0.5 * r * (1.0 + x)
+        quad = 0.5 * r * d * ball_volume(d) * float(
+            np.sum(w * series.eval(rho) * rho ** (d - 1)))
+        assert series.mass(r) == pytest.approx(quad, rel=1e-14)
+        if beta == 1.0:
+            exact = 0.5 * r * d * ball_volume(d) * float(
+                np.sum(w * poisson_profile(d, rho) * rho ** (d - 1)))
+            assert series.mass(r) == pytest.approx(exact, rel=1e-14)
+    assert series.mass(0.0) == 0.0
 
 
 @pytest.mark.parametrize("profname", ["profile_b05_d1", "profile_b15_d1",
@@ -227,12 +245,13 @@ def test_inner_disc_is_the_small_r_rule_integrated(beta, d):
                                       "profile_b13_d3"])
 def test_error_estimate_covers_the_interpolation(profname, request):
     # the table's interpolation against the inversion itself, at 19 radii
-    # inside every table interval and 49 below the table
+    # inside every table interval, and the small-r series at 49 radii below
+    # the table
     prof = request.getfixturevalue(profname)
     u = np.log(prof.r_table[1:])
     inside = np.exp(u[:-1, None] + np.diff(u)[:, None]
                     * np.linspace(0.05, 0.95, 19)).ravel()
-    r = np.concatenate([np.linspace(0.02, 0.98, 49) * R_MIN, inside])
+    r = np.concatenate([np.linspace(0.02, 0.98, 49) * prof.r_table[1], inside])
     vals, _ = _ray_transform(prof.beta, prof.d, r)
     assert np.max(np.abs(prof.eval(r) / vals - 1.0)) <= prof.error_estimate
 
@@ -248,7 +267,7 @@ def test_tail_coefficient_matches_jump_constant():
     for beta in (0.1, 0.5, 0.7, 1.0, 1.3, 1.5, 1.99):
         for d in (1, 2, 3):
             c = normalizing_constant(beta, d)
-            a1 = _LargeRSeries(beta, d).p[0]
+            a1 = _Series.large_r(beta, d).p[0]
             assert abs(a1 - c) <= 4.0 * np.spacing(c), (beta, d)
 
 
@@ -278,8 +297,8 @@ def test_log_value_consistent_with_eval(profile_b05_d1):
 @pytest.mark.parametrize("profname", ["profile_b05_d1", "profile_b15_d1",
                                       "profile_b1_d1"])
 def test_log_slope_is_log_derivs_slope(profname, request):
-    # the even quadratic below r_table[1], the table, the tail model beyond
-    # r_max, and the beta = 1 closed form, each bit for bit
+    # the small-r series below r_table[1], the table, the large-r series
+    # beyond r_max, and the beta = 1 closed form, each bit for bit
     prof = request.getfixturevalue(profname)
     r1, rm = prof.r_table[1], prof.r_max
     r = np.concatenate([[0.0, 0.3 * r1, 0.99 * r1], np.geomspace(r1, rm, 97),
@@ -290,7 +309,7 @@ def test_log_slope_is_log_derivs_slope(profname, request):
 
 def test_log_derivs_match_finite_differences(profile_b15_d1):
     eps = 1e-5
-    for r in (0.5, 2.0, 30.0):
+    for r in (0.45, 0.55, 2.0, 30.0):
         L, L1, L2 = profile_b15_d1.log_derivs(r)
         up = profile_b15_d1.log_value(r + eps)
         dn = profile_b15_d1.log_value(r - eps)
@@ -306,7 +325,7 @@ def test_exceedance_decreases_to_zero(profile_b05_d1):
     assert e[0] < 1.0
     # beyond the table: twice the large-r series' terms integrated,
     # a_k r^(-k beta) / (k beta), with as many terms as the profile keeps
-    n = len(prof._series.p)
+    n = len(prof._large.p)
     k = np.arange(1, n + 1)
     for rm in (prof.r_max, 1e4):
         tail = 2.0 * rm * np.sum(_bergstrom_terms(0.5, 1, rm, n)[:, 0]
@@ -335,12 +354,15 @@ def _reads(u, rng):
 
 @pytest.mark.parametrize("name", SPLINE_PROFILES)
 def test_profile_spline_is_scipy_cubic_spline_bit_for_bit(name, request):
-    # not-a-knot on the left, clamped to the large-r series' slope r L'
+    # clamped to the small-r series' slope r L' at r_s and to the large-r
+    # series' at R_MAX
     prof = request.getfixturevalue(name)
     r = prof.r_table[1:]
-    end = r[-1] * prof._series.log_derivs(r[-1:], True)[0][0]
+    left = r[0] * prof._small.log_derivs(r[:1], True)[0][0]
+    right = r[-1] * prof._large.log_derivs(r[-1:], True)[0][0]
     u = np.log(r)
-    ref = CubicSpline(u, np.log(prof.values[1:]), bc_type=("not-a-knot", (1, end)))
+    ref = CubicSpline(u, np.log(prof.values[1:]),
+                      bc_type=((1, left), (1, right)))
     sp = prof._get_spline()
     for k in range(4):
         # PPoly's sums start from 0.0; the low-order rows carry that addition
@@ -398,8 +420,8 @@ def test_text_round_trip_bit_exact(profile_b05_d1):
 
 
 def test_profile_arrays_are_read_only_copies(profile_b05_d1):
-    # the spline, small-r and exceedance caches and constant_for's key read
-    # both arrays
+    # the spline and exceedance caches and constant_for's key read both
+    # arrays
     prof = profile_b05_d1
     values = prof.values.copy()
     again = dataclasses.replace(prof, values=values)
@@ -425,6 +447,21 @@ def test_node_validation_error_recorded(profile_b05_d1, profile_b15_d1):
 
 # ------------------------------------------------------------ region rule
 
+def _small_r_log_series(beta, d, n):
+    """(b, l): the first n coefficients of Bergstrom's small-r series
+    Phi = sum_k b_k r^(2k),
+    b_k = (-1)^k Gamma((2k+d)/beta) / (beta 2^(d-1) pi^(d/2) k! Gamma(k+d/2) 4^k),
+    and of log Phi = sum_j l_j r^(2j), matching the powers of P' = (log P)' P."""
+    k = np.arange(n)
+    b = ((-1.0) ** k * np.exp(gammaln((2 * k + d) / beta) - gammaln(k + 1.0)
+                              - gammaln(k + d / 2.0) - k * np.log(4.0))
+         / (beta * 2.0 ** (d - 1) * np.pi ** (d / 2.0)))
+    l = np.array([np.log(b[0])] + [0.0] * (n - 1))
+    for j in range(1, n):
+        l[j] = (j * b[j] - sum(i * l[i] * b[j - i] for i in range(1, j))) / (j * b[0])
+    return b, l
+
+
 def _region_formula(prof, r):
     """(Phi, L, L', L'') at one radius, each region's formula written out."""
     d, beta = prof.d, prof.beta
@@ -434,29 +471,28 @@ def _region_formula(prof, r):
         return (cd * (1.0 + r * r) ** -q, np.log(cd) - q * np.log1p(r * r),
                 -2.0 * q * r / (1.0 + r * r),
                 -2.0 * q * (1.0 - r * r) / (1.0 + r * r) ** 2)
+    b, l = _small_r_log_series(beta, d, len(prof._small.p))
+    j = np.arange(1, len(b))
     if r < prof.r_table[1]:
-        # even quadratic in r through Phi(0), Phi(r_1) and Phi(r_4)
-        p0 = prof.values[0]
-        rs = prof.r_table[[1, 4]]
-        c2, c4 = np.linalg.solve(np.column_stack([rs ** 2, rs ** 4]),
-                                 prof.values[[1, 4]] - p0)
-        phi = p0 + c2 * r ** 2 + c4 * r ** 4
-        dphi = 2.0 * c2 * r + 4.0 * c4 * r ** 3
-        d2phi = 2.0 * c2 + 12.0 * c4 * r ** 2
-        return phi, np.log(phi), dphi / phi, d2phi / phi - (dphi / phi) ** 2
+        # the small-r series and its log's series, summed term by term
+        x = r * r
+        return (np.sum(b * x ** np.arange(len(b))), l[0] + np.sum(l[j] * x ** j),
+                np.sum(2 * j * l[j] * r ** (2 * j - 1)),
+                np.sum(2 * j * (2 * j - 1) * l[j] * x ** (j - 1)))
     if r <= prof.r_max:
-        # cubic spline of log Phi in log r through the table, its last
-        # slope the large-r series'
-        r_end = prof.r_table[-1]
-        terms = _bergstrom_terms(beta, d, r_end, len(prof._series.p))[:, 0]
+        # cubic spline of log Phi in log r through the table, its end
+        # slopes the two series'
+        r_s, r_end = prof.r_table[1], prof.r_table[-1]
+        start = np.sum(2 * j * l[j] * r_s ** (2 * j))
+        terms = _bergstrom_terms(beta, d, r_end, len(prof._large.p))[:, 0]
         end = -np.sum((d + beta * np.arange(1, len(terms) + 1)) * terms) / terms.sum()
         sp = CubicSpline(np.log(prof.r_table[1:]), np.log(prof.values[1:]),
-                         bc_type=("not-a-knot", (1, end)))
+                         bc_type=((1, start), (1, end)))
         u = np.log(r)
         return (np.exp(sp(u)), sp(u), sp(u, 1) / r,
                 (sp(u, 2) - sp(u, 1)) / r ** 2)
     # the large-r series summed term by term, as many terms as it keeps
-    terms = _bergstrom_terms(beta, d, r, len(prof._series.p))[:, 0]
+    terms = _bergstrom_terms(beta, d, r, len(prof._large.p))[:, 0]
     q = d + beta * np.arange(1, len(terms) + 1)
     phi = terms.sum()
     slope = -np.sum(q * terms) / (r * phi)
@@ -474,10 +510,10 @@ def _boundary_radii(prof):
 
 @pytest.mark.parametrize("name", ["profile_b05_d1", "profile_b1_d1"])
 def test_region_rule_at_the_boundaries(name, request):
-    # r_table[1] belongs to the spline and r_max to the table; beyond r_max
-    # the large-r series takes over. The regions' log-derivatives differ by
-    # 1e-5 or more at r_table[1], and their L'' by 1e-6 or more at r_max,
-    # so a radius handled by the wrong region fails the tolerance.
+    # r_table[1] belongs to the spline and r_max to the table; below
+    # r_table[1] the small-r series reads, and beyond r_max the large-r
+    # series. The regions' L'' differ by 1e-6 or more at both ends, so a
+    # radius handled by the wrong region fails the tolerance.
     prof = request.getfixturevalue(name)
     radii = _boundary_radii(prof)
     expect = np.array([[float(v) for v in _region_formula(prof, r)]
@@ -516,29 +552,21 @@ def _masked_reference(prof, r):
     region, each rule written out as the profile evaluates it; outputs come
     as arrays of r's shape, even for a scalar r."""
     r = np.atleast_1d(np.abs(np.asarray(r, dtype=float)))
-    p0, c2, c4 = prof._small_r_coeffs()
     sp = prof._get_spline()
-    series = prof._series
-
-    def small(s):
-        phi = p0 + c2 * s ** 2 + c4 * s ** 4
-        slope = (2 * c2 * s + 4 * c4 * s ** 3) / phi
-        return (p0 + s ** 2 * (c2 + c4 * s ** 2),
-                np.log(p0 + s ** 2 * (c2 + c4 * s ** 2)),
-                np.log(phi), slope, (2 * c2 + 12 * c4 * s ** 2) / phi - slope ** 2)
 
     def table(s):
         u = np.log(s)
         return (np.exp(sp(u)), sp(u), sp(u), sp(u, 1) / s,
                 (sp(u, 2) - sp(u, 1)) / s ** 2)
 
-    def tail(s):
-        return (series.eval(s), series.log(s),
-                *series.log_derivs(s, slope_only=False))
+    def series(ser):
+        return lambda s: (ser.eval(s), ser.log(s),
+                          *ser.log_derivs(s, slope_only=False))
 
     lo, hi = r < prof.r_table[1], r > prof.r_max
     outs = [np.empty_like(r) for _ in range(5)]
-    for mask, rule in ((lo, small), (~lo & ~hi, table), (hi, tail)):
+    for mask, rule in ((lo, series(prof._small)), (~lo & ~hi, table),
+                       (hi, series(prof._large))):
         for out, v in zip(outs, rule(r[mask])):
             out[mask] = v
     return outs
@@ -602,8 +630,94 @@ def test_text_missing_header_key_is_named(profile_b05_d1, key):
 
 
 def test_text_of_format_v1_is_refused(profile_b05_d1):
-    # v1 texts carried a fitted tail; v2 reads the large-r series instead
-    text = profile_b05_d1.to_text().replace("liyau-profile v2",
+    # v1 texts carried a fitted tail; v2 and v3 read the large-r series
+    text = profile_b05_d1.to_text().replace("liyau-profile v3",
                                             "liyau-profile v1")
     with pytest.raises(ValueError, match="liyau-profile v1"):
         StableDensityProfile.from_text(text)
+
+
+def test_text_of_format_v2_is_refused(profile_b05_d1):
+    # v2 tables started at r = 1e-3, below which an even quadratic read;
+    # v3 tables start at r_s
+    text = profile_b05_d1.to_text().replace("liyau-profile v3",
+                                            "liyau-profile v2")
+    with pytest.raises(ValueError, match="liyau-profile v2"):
+        StableDensityProfile.from_text(text)
+
+
+@pytest.mark.parametrize("row,radius", [(1, "0.5"), (1, "0.001"),
+                                        (60, "1.2345"), (129, "99")])
+def test_text_with_radii_off_the_layout_is_refused(profile_b05_d1, row, radius):
+    # the radii are a function of (beta, d): a table whose r_s or any other
+    # node moved would read the series or the spline where they do not hold
+    lines = profile_b05_d1.to_text().splitlines()
+    rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    _, value = lines[rows[row]].split()
+    lines[rows[row]] = f"{radius} {value}"
+    with pytest.raises(ValueError, match="table layout"):
+        StableDensityProfile.from_text("\n".join(lines) + "\n")
+
+
+def test_text_with_a_node_missing_is_refused(profile_b05_d1):
+    lines = profile_b05_d1.to_text().splitlines()
+    with pytest.raises(ValueError, match="table layout"):
+        StableDensityProfile.from_text("\n".join(lines[:-1]) + "\n")
+
+
+# ------------------------------------------------------------ switch radius
+
+def test_build_profile_rejects_beta_below_the_switch_bound():
+    # at beta = 0.1 the small-r series' three terms hold only below
+    # r_s = 7e-18; beta = 0.2 keeps r_s = 1.3e-8
+    with pytest.raises(ValueError, match="R_SWITCH_MIN = 1e-10"):
+        build_profile(0.1, 1)
+    assert build_profile(0.2, 1).r_table[1] == pytest.approx(1.34e-8, rel=0.01)
+
+
+def test_profile_at_zero_is_the_small_r_series_lead():
+    for beta, d in ((0.3, 2), (0.5, 1), (1.5, 3), (1.9, 1)):
+        assert _Series.small_r(beta, d).p[0] == profile_at_zero(beta, d)
+
+
+FIXTURES = {(0.5, 1): "profile_b05_d1", (1.5, 1): "profile_b15_d1",
+            (0.7, 2): "profile_b07_d2", (1.3, 3): "profile_b13_d3"}
+
+
+@pytest.mark.parametrize("beta,d", [(0.5, 1), (1.5, 1), (0.7, 2), (1.3, 3),
+                                    (1.7, 2), (1.9, 1), (0.3, 2)])
+def test_log_profile_is_continuous_across_r_s(beta, d, request):
+    # the small-r series and the table's spline meet at r_s = r_table[1]: L
+    # and r L' agree on both sides within error_estimate. The spline's
+    # second derivative in u = log r errs by up to (3/8) h^2 max|f^(4)|,
+    # against (5/384) h^4 max|f^(4)| for its values (C. A. Hall & W. W.
+    # Meyer, J. Approx. Theory 16, 1976), h the node spacing in u: so r^2 L''
+    # agrees within error_estimate scaled by 144 / (5 h^2)
+    prof = (request.getfixturevalue(FIXTURES[(beta, d)])
+            if (beta, d) in FIXTURES else build_profile(beta, d))
+    r_s = prof.r_table[1]
+    below, above = (prof.log_derivs(r) for r in (np.nextafter(r_s, 0.0), r_s))
+    h = np.log(prof.r_table[2] / r_s)
+    assert abs(above[0] - below[0]) <= prof.error_estimate
+    assert r_s * abs(above[1] - below[1]) <= prof.error_estimate
+    assert r_s ** 2 * abs(above[2] - below[2]) <= (
+        144.0 / (5.0 * h * h) * prof.error_estimate)
+
+
+@pytest.mark.parametrize("profname", ["profile_b05_d1", "profile_b15_d1",
+                                      "profile_b07_d2", "profile_b13_d3",
+                                      "profile_b1_d2"])
+def test_exceedance_below_r_s_is_the_integral_of_eval(profname, request):
+    # the mass between r and r_s, from exceedance, against Gauss-Legendre
+    # with 40 nodes on eval, which reads the small-r series there
+    prof = request.getfixturevalue(profname)
+    r_s = prof.r_table[1]
+    x, w = np.polynomial.legendre.leggauss(40)
+    surf = prof.d * ball_volume(prof.d)
+    for r in (0.0, 0.1 * r_s, 0.7 * r_s, np.nextafter(r_s, 0.0)):
+        rho = r + 0.5 * (r_s - r) * (1.0 + x)
+        quad = 0.5 * (r_s - r) * surf * float(
+            np.sum(w * prof.eval(rho) * rho ** (prof.d - 1)))
+        gap = prof.exceedance(r) - prof.exceedance(r_s)
+        assert gap == pytest.approx(quad, rel=1e-12, abs=1e-15 * prof.mass())
+    assert prof.exceedance(0.0) == prof.mass()
