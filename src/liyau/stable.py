@@ -341,22 +341,22 @@ class _Series:
         g *= self.s
         g += self.e
         positive = r > 0.0
-        slope = np.divide(g, r, out=np.zeros_like(g), where=positive)
         if slope_only:
-            return (slope,)
+            return (np.divide(g, r, out=g, where=positive),)
         curv = _power_sum(self.curv_coefs, x)
         curv *= self.s ** 2
         curv -= g
         curv = np.divide(curv, r ** 2, out=np.full_like(g, 2.0 * self.l[1]),
                          where=positive)
-        return self.log(r), slope, curv
+        return self.log(r), np.divide(g, r, out=g, where=positive), curv
 
     def mass(self, r) -> np.ndarray:
         """The mass of Phi between radius r and the far end of the series'
         region: beyond r for the large-r series, within r for the small-r."""
         r = np.asarray(r, dtype=float)
         out = _power_sum(self.mass_coefs, r ** self.s, self.lead)
-        out *= r ** (self.d - self.m)
+        if self.d != self.m:
+            out *= r ** (self.d - self.m)
         return out
 
 
