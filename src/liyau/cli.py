@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import runio
-from .constant import SearchSpec, liyau_constant_beta1, liyau_constant_numeric
+from .constant import (SearchSpec, constant_for, liyau_constant_beta1,
+                       liyau_constant_numeric)
 from .fields import Extension, GridField
 from .fraclap import frac_laplacian_point, gaussian_frac_laplacian
 from .harnack import (default_alpha, gaussian_harnack_rhs,
@@ -419,7 +420,7 @@ def cmd_harnack(args, outdir, manifest) -> int:
     payload = {"setting": "frac", "alpha": alpha,
                "m_form_bound": harnack_m_form_bound(alpha, args.beta, 1,
                                                     args.t1, args.t2,
-                                                    profile=prof),
+                                                    constant_for(prof)),
                **report.params}
     manifest.register(runio.write_json_report(outdir / "harnack_frac.json",
                                               payload))

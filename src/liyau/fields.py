@@ -271,15 +271,17 @@ class GridField:
         Far-field rule applied outside the grid.
     positive : bool
         Declares the field positive (required before log()).
-    meta : dict
-        Free-form diagnostics (warnings, error fields); never serialized.
+    tail_mass : float or None
+        The field's exact integral beyond the grid, set by solvers that
+        know it; mass() then reads it in place of the extension model.
+        Never serialized, and not carried over by log().
     """
 
     spacing: float
     values: np.ndarray
     extension: Extension = dc_field(default_factory=Extension)
     positive: bool = False
-    meta: dict = dc_field(default_factory=dict)
+    tail_mass: float | None = None
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -392,20 +394,15 @@ class GridField:
     def log(self) -> "GridField":
         if np.any(self.values <= 0):
             raise ValueError("log() needs strictly positive samples")
-        out = GridField(self.spacing, np.log(self.values),
-                        self.extension.log_transformed(), positive=False)
-        out.meta.update(self.meta)
-        return out
+        return GridField(self.spacing, np.log(self.values),
+                         self.extension.log_transformed(), positive=False)
 
     def mass(self) -> float:
-        """Integral of the field over R under its extension model.
-
-        A precomputed meta['tail_mass'] (set by solvers that know the exact
-        off-grid contribution) takes precedence over the extension model.
-        """
+        """Integral of the field over R under its extension model, or with
+        its tail_mass beyond the grid when that is set."""
         body = float(np.trapezoid(self.values, dx=self.spacing))
-        if "tail_mass" in self.meta:
-            return body + float(self.meta["tail_mass"])
+        if self.tail_mass is not None:
+            return body + self.tail_mass
         ext = self.extension
         if ext.kind == "constant":
             edge = abs(self.values[0]) + abs(self.values[-1])

@@ -81,12 +81,6 @@ def gaussian_frac_laplacian(beta: float, x) -> np.ndarray:
             * scipy.special.hyp1f1(a, 0.5, -np.square(x)))
 
 
-def _one_sided_exceedance(profile: StableDensityProfile, t: float, r) -> np.ndarray:
-    # 1-d mass of G(t, .) beyond distance r on one side
-    s = t ** (-1.0 / profile.beta)
-    return 0.5 * profile.exceedance(np.asarray(r, dtype=float) * s)
-
-
 def _tail_nodes(X: float):
     """Gauss nodes/weights for int_X^(X*TAIL_REACH) g(y) dy on log panels."""
     n = int(np.ceil(TAIL_PER_DECADE * np.log10(TAIL_REACH)))
@@ -177,7 +171,7 @@ def _kernel_ends(profile: StableDensityProfile, t: float, r: np.ndarray,
     tf = t ** (-1.0 / profile.beta)
     if not dt:
         dg = tf * g * profile.log_slope(r * tf)
-        return g, dg, _one_sided_exceedance(profile, t, r)
+        return g, dg, 0.5 * profile.exceedance(r * tf)
     _, l1, l2 = profile.log_derivs(r * tf)
     g_r = tf * g * l1
     g_rr = tf * (g_r * l1 + tf * g * l2)
@@ -211,9 +205,10 @@ def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
 
     Adds the end correction and the part of the integral beyond the grid's
     edges under u0's extension rule -- the kernel's mass beyond the edge for
-    constant extensions, log-panel quadrature against the kernel for
-    power-law ones. left and right are the kernel's _kernel_ends at the
-    nodes' distances from -X and X.
+    constant extensions; for power-law ones, log-panel quadrature of the
+    kernel matrix against the rule's Extension.model at the panel nodes.
+    left and right are the kernel's _kernel_ends at the nodes' distances
+    from -X and X.
     """
     v = u0.values
     out = body + _trapezoid_end_correction(u0, left, right)
@@ -221,20 +216,16 @@ def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
     if ext.kind == "constant":
         # exact for a literally constant-extended field
         return out + v[-1] * right[2] + v[0] * left[2]
-    q = ext.exponent
     X = u0.extent
     x = u0.x[idx]
     nodes, weights = _tail_nodes(X)
     for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
-        u0_ext = edge * (nodes / X) ** (-q)
         # kernel matrix K(x_i - sign * y_k), vectorized over the nodes
-        # (raveled: eval_G reads trailing axes of >=2-d input as vector
-        # components)
-        D = (x[:, None] - sign * nodes[None, :]).ravel()
+        D = x[:, None] - sign * nodes[None, :]
         K = eval_G(profile, t, D)
         if dt:
             K = _kernel_ends(profile, t, np.abs(D), K, dt=True)[0]
-        out = out + K.reshape(x.size, -1) @ (weights * u0_ext)
+        out = out + K @ (weights * ext.model(edge, nodes / X))
     return out
 
 
@@ -261,9 +252,9 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     and multiplied with u0's weighted spectrum, computed afresh unless
     _keep_spectrum(u0) has stored it. An Euler-Maclaurin end correction
     reuses the same kernel samples, and _add_edge_terms restores the mass
-    from beyond the grid. Output fields carry a power(d + beta) extension
-    and meta['tail_mass'] with the solution mass beyond the grid, so that
-    mass() is conserved.
+    from beyond the grid. Output fields carry a power-law or constant
+    extension and, as tail_mass, the solution's mass beyond the grid, so
+    that mass() is conserved.
     """
     _check_solve_args(u0, beta, t, profile)
     v = u0.values
@@ -283,7 +274,6 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     # counted as exterior, interior mass leaks by the exceedance law; summed
     # outside BLAS, whose ddot rounds differently at each thread count
     leak = float(np.sum(_trapezoid_weighted(u0) * (exceed + exceed[::-1])))
-    meta = {"t": float(t), "tail_mass": leak + u0_tail_mass}
     # far field of the solution: a power-tailed u0 keeps the heavier of its
     # own tail and the kernel's 1+beta tail; a constant-extended u0 relaxes
     # to its background level unless that background is negligible against
@@ -298,7 +288,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
             ext_out = Extension("power", 1.0 + beta)
     else:
         ext_out = Extension("power", min(ext.exponent, 1.0 + beta))
-    return GridField(u0.spacing, out, ext_out, positive=True, meta=meta)
+    return GridField(u0.spacing, out, ext_out, positive=True,
+                     tail_mass=float(leak + u0_tail_mass))
 
 
 def _solve_window(u0: GridField, beta: float, t: float, x: float,
@@ -369,7 +360,7 @@ def dt_log_u(u0: GridField, beta: float, t: float,
     du = _grid_sum(u0, profile, t, dt=True)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
     return GridField(u0.spacing, du / u.values, Extension("constant"),
-                     positive=False, meta={"t": float(t)})
+                     positive=False)
 
 
 def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,

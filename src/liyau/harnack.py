@@ -127,34 +127,25 @@ def fractional_m_constant(alpha: float, beta: float, d: int) -> float:
 
 
 def _log_harnack_head(t1: float, t2: float,
-                      constant: LiYauConstantResult | None,
-                      profile: StableDensityProfile | None) -> float:
-    """C_LY log(t2/t1) + 1, the part both fractional bounds share.
-
-    C_LY is the given constant's value, else the profile's memoized numeric
-    constant.
-    """
+                      constant: LiYauConstantResult) -> float:
+    """C_LY log(t2/t1) + 1, the part both fractional bounds share, for C_LY
+    the constant's value."""
     if not 0 < t1 < t2:
         raise ValueError("need 0 < t1 < t2")
-    if constant is None:
-        if profile is None:
-            raise ValueError("either a constant result or a profile is required")
-        constant = constant_for(profile)
     return constant.value * np.log(t2 / t1) + 1.0
 
 
 def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
-                             t2: float,
-                             constant: LiYauConstantResult | None = None,
-                             profile: StableDensityProfile | None = None) -> float:
+                             t2: float, constant: LiYauConstantResult) -> float:
     """log-Harnack bound for |x1 - x2| <= 1:
 
-        C_LY log(t2/t1) + 1 + [assembled averaged-square term].
+        C_LY log(t2/t1) + 1 + [assembled averaged-square term],
 
-    The +1 is the weighted first average's exact contribution; the assembled
-    term is bounded by M(alpha,d,beta)(1 + (t2-t1)^(-1-d/beta)).
+    with C_LY the value of constant, e.g. constant_for(profile). The +1 is
+    the weighted first average's exact contribution; the assembled term is
+    bounded by M(alpha,d,beta)(1 + (t2-t1)^(-1-d/beta)).
     """
-    head = _log_harnack_head(t1, t2, constant, profile)
+    head = _log_harnack_head(t1, t2, constant)
     K, p1, p2 = _averaged_square_terms(alpha, beta, d)
     delta = 0.5 * (t2 - t1)
     # exact assembled average (tighter than the factored M form)
@@ -163,11 +154,10 @@ def harnack_bound_fractional(alpha: float, beta: float, d: int, t1: float,
 
 
 def harnack_m_form_bound(alpha: float, beta: float, d: int, t1: float,
-                         t2: float,
-                         constant: LiYauConstantResult | None = None,
-                         profile: StableDensityProfile | None = None) -> float:
-    """The looser factored form C_LY log(t2/t1) + 1 + M (1 + (t2-t1)^(-1-d/beta))."""
-    head = _log_harnack_head(t1, t2, constant, profile)
+                         t2: float, constant: LiYauConstantResult) -> float:
+    """The looser factored form C_LY log(t2/t1) + 1 + M (1 + (t2-t1)^(-1-d/beta)),
+    with C_LY the value of constant."""
+    head = _log_harnack_head(t1, t2, constant)
     M = fractional_m_constant(alpha, beta, d)
     return float(head + M * (1.0 + (t2 - t1) ** (-1.0 - d / beta)))
 

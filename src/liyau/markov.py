@@ -3,12 +3,14 @@
 A chain is its Q-matrix (non-negative off-diagonal rates, rows summing to
 zero). The complete graph K_n admits closed forms for everything downstream:
 transition probabilities, the logarithmic-derivative bound phi, and the
-relaxation ODE phi' + F(phi) = 0 it satisfies.
+relaxation ODE phi' + F(phi) = 0 it satisfies. transition_matrix computes
+e^{tQ} afresh at every call and keeps nothing; a symmetric chain's
+eigendecomposition is computed once, when the chain is built.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -16,16 +18,14 @@ from scipy.linalg import expm
 # entries of e^{tQ} in [-CLIP_NEG, 0) are rounding dust and get clipped
 CLIP_NEG = 1e-14
 ROWSUM_TOL = 1e-12
-# e^{tQ} matrices a chain keeps; the oldest t is dropped first
-CACHE_SIZE = 64
 
 
 @dataclass
 class MarkovChain:
-    """Generator matrix with a bounded semigroup cache (CACHE_SIZE t values)."""
+    """Generator matrix Q. A chain whose Q equals its transpose exactly is
+    symmetric, and keeps Q's eigendecomposition for e^{tQ}."""
 
     Q: np.ndarray
-    _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
@@ -39,7 +39,9 @@ class MarkovChain:
         scale = max(1.0, float(np.abs(self.Q).max()))
         if np.any(np.abs(rowsums) > ROWSUM_TOL * scale):
             raise ValueError("rows of Q must sum to zero")
-        self.symmetric = bool(np.allclose(self.Q, self.Q.T, atol=0.0))
+        # exact: eigh reads one triangle, so near-symmetric Q would lose
+        # the other
+        self.symmetric = bool(np.array_equal(self.Q, self.Q.T))
         if self.symmetric:
             self._eig = np.linalg.eigh(self.Q)
         else:
@@ -83,9 +85,6 @@ def transition_matrix(chain: MarkovChain, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    key = float(t)
-    if key in chain._cache:
-        return chain._cache[key]
     if chain.symmetric:
         lam, V = chain._eig
         P = (V * np.exp(t * lam)) @ V.T
@@ -98,9 +97,6 @@ def transition_matrix(chain: MarkovChain, t: float) -> np.ndarray:
         P = np.where(P < 0, 0.0, P)
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > ROWSUM_TOL:
         raise RuntimeError("rows of e^{tQ} failed to sum to 1")
-    if len(chain._cache) >= CACHE_SIZE:
-        del chain._cache[next(iter(chain._cache))]
-    chain._cache[key] = P
     return P
 
 

@@ -589,13 +589,13 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
 
 
 def eval_G(profile: StableDensityProfile, t: float, x) -> np.ndarray:
-    """Self-similar kernel G(t, x) = t^(-d/beta) Phi(|x| t^(-1/beta))."""
+    """Self-similar kernel G(t, x) = t^(-d/beta) Phi(|x| t^(-1/beta)).
+
+    Each entry of x, whatever x's shape, is a signed distance from the
+    origin: the kernel reads |x|, and the result has x's shape.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        rad = np.sqrt(np.sum(x ** 2, axis=-1))
-    else:
-        rad = np.abs(x)
     s = t ** (-1.0 / profile.beta)
-    return t ** (-profile.d / profile.beta) * profile.eval(rad * s)
+    return t ** (-profile.d / profile.beta) * profile.eval(
+        np.abs(np.asarray(x, dtype=float)) * s)

@@ -9,6 +9,7 @@ from liyau.constant import (J_of_y, LiYauConstantResult, SearchSpec,
                             _angular_rule, _sphere_deficit, constant_for,
                             heat_kernel_liyau_margin, liyau_constant_beta1,
                             liyau_constant_numeric)
+from liyau.singular import golden_section_max
 from liyau.stable import build_profile
 
 FOUR_PI = 12.566370614359172954  # J(0) at beta=1, d=1
@@ -383,3 +384,15 @@ def test_constant_for_cache_is_bounded(profile_b1_d1, monkeypatch):
     assert constant_for(profile_b1_d1, specs[0]) is not results[0]
     assert len(calls) == 71
     assert len(constant._CONSTANT_CACHE) == constant.CACHE_SIZE
+
+
+@pytest.mark.parametrize("a,b,argmax", [
+    (0.0, 1.0, 0.9),      # near the right end: the bracket moves right
+    (0.0, 1.0, 0.4),      # in the middle: it moves both ways
+    (0.3, 0.3 + 5e-7, 0.3),  # a bracket narrower than tol: its midpoint
+])
+def test_golden_section_max_finds_the_maximum(a, b, argmax):
+    tol = 1e-6
+    x, fx = golden_section_max(lambda x: -(x - argmax) ** 2, a, b, tol)
+    assert abs(x - argmax) <= tol
+    assert fx == -(x - argmax) ** 2

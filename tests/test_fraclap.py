@@ -412,7 +412,18 @@ def test_mass_conservation_compact_support(profile_b05_d1):
     m0 = float(np.trapezoid(u0.values, dx=h))
     assert u.mass() == pytest.approx(m0, rel=1e-4)
     # the solution's own mass splits between grid body and recorded tail
-    assert u.meta["tail_mass"] > 0.0
+    assert u.tail_mass > 0.0
+
+
+def test_log_of_a_solution_carries_no_tail_mass(profile_b1_d1):
+    # u's tail mass is no part of log u's integral: with a log-power
+    # extension log u has none that is finite
+    u0 = GridField.from_function(lambda x: np.exp(-x ** 2) + 1e-3, 0.05, 20.0,
+                                 Extension("power", 2.0), positive=True)
+    u = solve_fractional(u0, 1.0, 0.5, profile_b1_d1)
+    assert np.isfinite(u.mass())
+    assert not np.isfinite(u.log().mass())
+    assert u.log().tail_mass is None
 
 
 TAIL_MASS_SCRIPT = """
@@ -422,7 +433,7 @@ from liyau.stable import build_profile
 from liyau.verify import random_positive_field
 u0 = random_positive_field(np.random.default_rng(11))  # n = 10001
 u = solve_fractional(u0, 1.0, 2.0, build_profile(1.0, 1))
-print(u0.values.size, u.meta["tail_mass"].hex())
+print(u0.values.size, u.tail_mass.hex())
 """
 
 

@@ -153,11 +153,11 @@ def test_fractional_bound_validation(profile_b1_d1):
         harnack_bound_fractional(1.0, 1.0, 1, 2.0, 1.0, constant=EXACT_C2)
     with pytest.raises(ValueError, match="alpha"):
         harnack_bound_fractional(0.0, 1.0, 1, 1.0, 2.0, constant=EXACT_C2)
-    with pytest.raises(ValueError, match="profile"):
+    with pytest.raises(TypeError, match="constant"):
         harnack_bound_fractional(1.0, 1.0, 1, 1.0, 2.0)
-    # profile route agrees with the constant route to the numeric C_LY error
+    # the numeric constant agrees with the exact one to the numeric C_LY error
     via_profile = harnack_bound_fractional(1.0, 1.0, 1, 1.0, 2.0,
-                                           profile=profile_b1_d1)
+                                           constant=constant_for(profile_b1_d1))
     assert via_profile == pytest.approx(FRACTIONAL_BOUND_1_2, rel=1e-6)
 
 
@@ -195,7 +195,7 @@ def test_harnack_check_rescales_wide_separation(profile_b1_d1):
                                       profile_b1_d1)
     # |x1 - x2| = 4: the bound must be the one at times t / 4
     expect = harnack_bound_fractional(1.0, 1.0, 1, 0.2, 0.4,
-                                      profile=profile_b1_d1)
+                                      constant=constant_for(profile_b1_d1))
     assert report.params["bound"] == pytest.approx(expect, rel=1e-12)
     assert report.verdict == "pass"
 
@@ -286,4 +286,5 @@ def test_check_fractional_bound_at_rescaled_times(profile_b05_d1, sep):
                                       profile_b05_d1)
     scale = max(sep, 1.0) ** beta
     assert report.params["bound"] == harnack_bound_fractional(
-        alpha, beta, 1, t1 / scale, t2 / scale, profile=profile_b05_d1)
+        alpha, beta, 1, t1 / scale, t2 / scale,
+        constant=constant_for(profile_b05_d1))

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from liyau.markov import (CACHE_SIZE, MarkovChain, cd_function_F,
+from liyau.markov import (MarkovChain, cd_function_F,
                           complete_graph, L_log_p_kn, load_edge_list,
                           neg_L_log, phi_kn, phi_prime_kn, relaxation_residual,
                           solve_markov, transition_kn, transition_matrix)
@@ -85,18 +86,16 @@ def test_transition_rows_are_probabilities():
         assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-def test_transition_cache_hit():
-    chain = complete_graph(3)
-    P1 = transition_matrix(chain, 0.7)
-    assert transition_matrix(chain, 0.7) is P1
-
-
-def test_transition_cache_stays_bounded():
-    chain = complete_graph(3)
-    for t in np.linspace(0.01, 10.0, 1000):
-        P = transition_matrix(chain, t)
-        assert transition_matrix(chain, t) is P
-    assert len(chain._cache) <= CACHE_SIZE
+def test_nearly_symmetric_chain_is_not_symmetric():
+    # one rate off by 1e-7: within allclose's default rtol, but eigh would
+    # read only one triangle of Q and lose it
+    rates = np.ones((4, 4))
+    rates[0, 1] = 1.0 + 1e-7
+    chain = MarkovChain.from_rates(rates)
+    assert not chain.symmetric
+    P = transition_matrix(chain, 1.0)
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.array_equal(P, expm(chain.Q))
 
 
 def test_asymmetric_chain_uses_pade_route():
