@@ -10,7 +10,7 @@ from .constant import (J_of_y, LiYauConstantResult, SearchSpec, constant_for,
                        heat_kernel_liyau_margin, liyau_constant_beta1,
                        liyau_constant_numeric)
 from .fields import Extension, GridField, PointExpansion
-from .fraclap import (dt_log_u, dt_log_u_at, frac_laplacian_point,
+from .fraclap import (dt_log_u, frac_laplacian_point,
                       gaussian_frac_laplacian, solve_fractional,
                       solve_fractional_at)
 from .harnack import (admissible_alpha, default_alpha, eta_weight,

@@ -10,9 +10,10 @@ realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
 real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
 non-negative offsets -- plus an end correction and explicit tail terms for
 the field's extension rule. A lone solve transforms u0 and keeps
-nothing; after _keep_spectrum(u0), which dt_log_u and verify's sweeps call,
-the field keeps u0's weighted spectrum and every later solve of u0 reuses
-it. The field's values are read-only, so the kept spectrum cannot go stale.
+nothing; after _keep_spectrum(u0), which verify's sweeps and the DH margin
+call, the field keeps u0's weighted spectrum and every later sum over u0
+reuses it. The field's values are read-only, so the kept spectrum cannot go
+stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -21,10 +22,10 @@ dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
 k = 40, so the window's spline equals the whole grid's to rounding. The end
 correction and tail terms are one code path for both routes.
 
-d/dt u is the same sum with the kernel replaced by its time derivative.
-Self-similarity, G(t, r) = t^(-1/beta) Phi(r t^(-1/beta)), gives that
-derivative from r-derivatives alone: dG/dt = -(G + r G_r)/(beta t).
-dt_log_u divides it by u on the whole grid, dt_log_u_at on x's window.
+d/dt u is the grid solve's sum with the kernel replaced by its time
+derivative. Self-similarity, G(t, r) = t^(-1/beta) Phi(r t^(-1/beta)),
+gives that derivative from r-derivatives alone: dG/dt = -(G + r G_r)/(beta t).
+dt_log_u divides it by the u already solved at the same t.
 """
 from __future__ import annotations
 
@@ -293,12 +294,10 @@ def solve_fractional(u0: GridField, beta: float, t: float,
 
 
 def _solve_window(u0: GridField, beta: float, t: float, x: float,
-                  profile: StableDensityProfile,
-                  dt: bool = False) -> tuple[np.ndarray, list]:
-    """The nodes within SPLINE_REACH of x's cell, and [u(t)] there, or
-    [u(t), du/dt] when dt.
+                  profile: StableDensityProfile) -> tuple:
+    """The nodes within SPLINE_REACH of x's cell, and u(t) there.
 
-    The window is clipped at a grid end. Each body is one direct correlation
+    The window is clipped at a grid end. The body is one direct correlation
     of the mirrored kernel samples against u0's trapezoid-weighted values;
     the end correction and tail terms are the grid sum's own. x must lie on
     the grid, |x| <= X.
@@ -315,24 +314,15 @@ def _solve_window(u0: GridField, beta: float, t: float, x: float,
     idx = np.arange(lo, hi + 1)
     # the window reads the kernel at offsets up to m - 1 only
     m = max(hi, n - 1 - lo) + 1
-    r = h * np.arange(m)
-    weighted = _trapezoid_weighted(u0)
-
-    def window_sum(samples, left, right, deriv=False):
-        kernel = np.concatenate([samples[:0:-1], samples])  # offsets -(m-1) .. m-1
-        # entry k is sum_j K(|j - (hi - k)| h) weighted_j: the window reversed
-        body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n], weighted)[::-1]
-        return _add_edge_terms(u0, profile, t, body, idx, left, right, deriv)
-
-    g = eval_G(profile, t, r)
-    u = window_sum(g, _kernel_ends(profile, t, h * idx, g[idx]),
-                   _kernel_ends(profile, t, h * (n - 1 - idx), g[n - 1 - idx]))
-    sums = [np.maximum(u, 1e-300)]
-    if dt:
-        ends = _kernel_ends(profile, t, r, g, dt=True)
-        sums.append(window_sum(ends[0], tuple(a[idx] for a in ends),
-                               tuple(a[n - 1 - idx] for a in ends), deriv=True))
-    return idx, sums
+    g = eval_G(profile, t, h * np.arange(m))
+    kernel = np.concatenate([g[:0:-1], g])  # offsets -(m-1) .. m-1
+    # entry k is sum_j G(|j - (hi - k)| h) weighted_j: the window reversed
+    body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n],
+                        _trapezoid_weighted(u0))[::-1]
+    # the kernel at each window node's distance from -X and from X
+    ends = [_kernel_ends(profile, t, h * k, g[k]) for k in (idx, n - 1 - idx)]
+    u = _add_edge_terms(u0, profile, t, body, idx, *ends)
+    return idx, np.maximum(u, 1e-300)
 
 
 def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
@@ -344,32 +334,23 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
     spline; a window clipped at a grid end keeps that end's condition.
     x must lie on the grid, |x| <= X.
     """
-    idx, (u,) = _solve_window(u0, beta, t, x, profile)
+    idx, u = _solve_window(u0, beta, t, x, profile)
     return float(PiecewiseCubic.spline(u0.x[idx], u)(x))
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
-             profile: StableDensityProfile) -> GridField:
-    """d/dt log u(t, .) = (du/dt) / u on the grid of u0.
+             profile: StableDensityProfile, u: GridField) -> GridField:
+    """d/dt log u(t, .) = (du/dt) / u on the grid of u0, for u the
+    solve_fractional(u0, beta, t, profile) that the caller already holds.
 
-    du/dt is the heat solve's own sum with dG/dt in place of G; both sums
-    read u0's one weighted spectrum, which u0 keeps afterwards.
+    du/dt is the heat solve's own sum with dG/dt in place of G. It reads
+    the spectrum u0 keeps after _keep_spectrum, so that it and u's solve
+    share one transform of u0.
     """
-    _keep_spectrum(u0)
-    u = solve_fractional(u0, beta, t, profile)
+    _check_solve_args(u0, beta, t, profile)
+    if u.values.shape != u0.values.shape or u.spacing != u0.spacing:
+        raise ValueError("u must lie on u0's grid")
     du = _grid_sum(u0, profile, t, dt=True)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
     return GridField(u0.spacing, du / u.values, Extension("constant"),
                      positive=False)
-
-
-def dt_log_u_at(u0: GridField, beta: float, t: float, x: float,
-                profile: StableDensityProfile) -> float:
-    """dt_log_u(u0, beta, t, profile).eval(x), to rounding.
-
-    The sums for u and du/dt run on solve_fractional_at's window only, and
-    their ratio is read with the grid field's not-a-knot spline. x must lie
-    on the grid, |x| <= X.
-    """
-    idx, (u, du) = _solve_window(u0, beta, t, x, profile, dt=True)
-    return float(PiecewiseCubic.spline(u0.x[idx], du / u)(x))

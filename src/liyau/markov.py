@@ -1,9 +1,9 @@
 """Finite-state continuous-time Markov chains and the complete-graph closed forms.
 
-A chain is its Q-matrix (non-negative off-diagonal rates, rows summing to
-zero). The complete graph K_n admits closed forms for everything downstream:
-transition probabilities, the logarithmic-derivative bound phi, and the
-relaxation ODE phi' + F(phi) = 0 it satisfies. transition_matrix computes
+A chain is its Q-matrix (finite entries, non-negative off-diagonal rates,
+rows summing to zero). The complete graph K_n admits closed forms for
+everything downstream: transition probabilities, the logarithmic-derivative
+bound phi, and the relaxation ODE phi' + F(phi) = 0 it satisfies. transition_matrix computes
 e^{tQ} afresh at every call and keeps nothing; a symmetric chain's
 eigendecomposition is computed once, when the chain is built.
 """
@@ -31,6 +31,9 @@ class MarkovChain:
         self.Q = np.asarray(self.Q, dtype=float)
         if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
             raise ValueError("Q must be square")
+        if not np.all(np.isfinite(self.Q)):
+            # a NaN passes every comparison below and poisons e^{tQ}
+            raise ValueError("Q must be finite")
         off = self.Q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
 from .fields import Extension, GridField, _nodes
-from .fraclap import (_keep_spectrum, dt_log_u_at, frac_laplacian_point,
+from .fraclap import (_keep_spectrum, dt_log_u, frac_laplacian_point,
                       solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
 from .ops import psi_upsilon_continuous, psi_upsilon_discrete, upsilon
@@ -46,9 +46,10 @@ class VerificationReport:
 
     @property
     def min_margin(self) -> float | None:
+        """The smallest margin; NaN if any margin is NaN, in any order."""
         if not self.samples:
             return None
-        return min(m for m, _ in self.samples)
+        return float(np.min([m for m, _ in self.samples]))
 
     @property
     def verdict(self) -> str:
@@ -227,12 +228,10 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
 
 def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
                              profile: StableDensityProfile,
-                             constant: LiYauConstantResult | None = None,
-                             u_log: GridField | None = None) -> QuadResult:
+                             constant: LiYauConstantResult | None = None) -> QuadResult:
     """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
     const = constant if constant is not None else constant_for(profile)
-    logu = u_log if u_log is not None else u.log()
-    lap = frac_laplacian_point(logu, beta, x)
+    lap = frac_laplacian_point(u.log(), beta, x)
     return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
@@ -247,20 +246,21 @@ def fractional_liyau_margin(u0: GridField, beta: float, t: float, x: float,
 def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 profile: StableDensityProfile,
                                 constant: LiYauConstantResult | None = None,
-                                u_log: GridField | None = None) -> QuadResult:
+                                u: GridField | None = None) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
 
-    d/dt log u comes from dt_log_u_at: the sums for u and du/dt on the
-    82-node window around x, no whole-grid solve. u_log, when given, is
-    log u at t, u already solved from u0. x must lie in the central 80% of
-    the grid; it is checked before any solve.
+    u, when given, is u0 already solved at t, and is not solved again;
+    otherwise it is solved here. d/dt log u is dt_log_u's whole-grid du/dt
+    sum divided by that u, read at x. x must lie in the central 80% of the
+    grid; it is checked before any solve.
     """
     u0.require_central(x)
     const = constant if constant is not None else constant_for(profile)
-    dt = dt_log_u_at(u0, beta, t, x, profile)
-    if u_log is None:
-        u_log = solve_fractional(u0, beta, t, profile).log()
-    psi = psi_upsilon_continuous(u_log, beta, x)
+    if u is None:
+        _keep_spectrum(u0)  # u's sum and the du/dt sum share one transform
+        u = solve_fractional(u0, beta, t, profile)
+    dt = dt_log_u(u0, beta, t, profile, u).eval(x)
+    psi = psi_upsilon_continuous(u.log(), beta, x)
     value = dt - psi.value + const.value / t
     error = psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
@@ -315,11 +315,10 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
         t = float(log_uniform(rng, *t_range))
         x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
         u = solve_fractional(u0, profile.beta, t, profile)
-        logu = u.log()
         ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
-                                      constant=const, u_log=logu)
+                                      constant=const)
         dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
-                                         constant=const, u_log=logu)
+                                         constant=const, u=u)
         gap = abs(dh.value - ly.value)
         combined = dh.error + ly.error
         report.add_sample(combined - gap, 0.0)

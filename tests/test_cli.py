@@ -339,6 +339,16 @@ def test_markov_verify_edge_list(tmp_path):
     assert (tmp_path / "markov_reduction_report.json").exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_markov_verify_rejects_a_non_finite_rate(rate, tmp_path):
+    # each printed "markov_reduction: fail (min margin nan)" and exited 3
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"0 1 {rate}\n1 0 1.0\n1 2 0.5\n2 1 0.5\n")
+    out = tmp_path / "out"
+    assert run(["markov-verify", "--graph", graph, "--outdir", out]) == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_harnack_gauss_artifacts(tmp_path):
     assert run(["harnack", "--setting", "gauss", "--t1", "1", "--t2", "2",
                 "--x1", "0.7", "--x2", "-0.4", "--outdir", tmp_path]) == 0

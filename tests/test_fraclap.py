@@ -14,9 +14,9 @@ from liyau import constant, fraclap, ops, singular
 from liyau.constant import J_of_y
 from liyau.fields import Extension, GridField
 from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
-                           _tail_nodes, dt_log_u, dt_log_u_at,
-                           frac_laplacian_point, gaussian_frac_laplacian,
-                           solve_fractional, solve_fractional_at)
+                           _tail_nodes, dt_log_u, frac_laplacian_point,
+                           gaussian_frac_laplacian, solve_fractional,
+                           solve_fractional_at)
 from liyau.ops import psi_upsilon_continuous
 from liyau.singular import grid_cell_edges, log_panel_edges, weighted_singular
 from liyau.stable import StableDensityProfile, build_profile, eval_G
@@ -576,13 +576,10 @@ def test_window_reads_are_scipy_cubic_spline_bit_for_bit(x, profile_b05_d1):
     xs = np.arange(-X, X + h / 2, h)
     u0 = GridField(h, 0.5 + np.exp(-(xs - 1.0) ** 2), Extension("power", 1.5),
                    positive=True)
-    idx, (u, du) = _solve_window(u0, 0.5, 0.4, x, profile_b05_d1, dt=True)
+    idx, u = _solve_window(u0, 0.5, 0.4, x, profile_b05_d1)
     assert (idx[0] == 0 or idx[-1] == u0.values.size - 1) == (abs(x) > 8.0)
     want = CubicSpline(u0.x[idx], u)(x)
     got = solve_fractional_at(u0, 0.5, 0.4, x, profile_b05_d1)
-    assert np.float64(got).tobytes() == want.tobytes()
-    want = CubicSpline(u0.x[idx], du / u)(x)
-    got = dt_log_u_at(u0, 0.5, 0.4, x, profile_b05_d1)
     assert np.float64(got).tobytes() == want.tobytes()
 
 
@@ -611,7 +608,7 @@ def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
     ts = (0.3, 1.0, 2.5)
     # each t on a field of its own, so each solve transforms its u0 afresh
     alone = [solve_fractional(fresh(), 1.0, t, profile_b1_d1) for t in ts]
-    alone_dt = dt_log_u(fresh(), 1.0, 1.0, profile_b1_d1)
+    alone_dt = dt_log_u(fresh(), 1.0, 1.0, profile_b1_d1, alone[1])
     u0 = fresh()
     n = u0.values.size
     seen = []
@@ -629,15 +626,12 @@ def test_u0_transformed_once_across_t(profile_b1_d1, monkeypatch):
     seen.clear()
     _keep_spectrum(u0)
     kept = [solve_fractional(u0, 1.0, t, profile_b1_d1) for t in ts]
-    dt = dt_log_u(u0, 1.0, 1.0, profile_b1_d1)  # the sums for u and du/dt
+    dt = dt_log_u(u0, 1.0, 1.0, profile_b1_d1, kept[1])  # the du/dt sum too
     assert sum(seen) == 1
     for a, b, c in zip(alone, lone, kept):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, c.values)
     assert np.array_equal(dt.values, alone_dt.values)
-    seen.clear()
-    dt_log_u(fresh(), 1.0, 0.7, profile_b1_d1)  # same samples as u0
-    assert sum(seen) == 1  # dt_log_u's two sums share one transform
 
 
 def test_exceedance_computes_mass_once(monkeypatch):
@@ -661,7 +655,8 @@ def test_exceedance_computes_mass_once(monkeypatch):
 def test_dt_log_spike_at_center(profile_b1_d1):
     # log G(t,0) = -log t - log pi at beta=1, so d/dt log u(t,0) = -1/t
     u0 = spike(0.02, 40.0)
-    g = dt_log_u(u0, 1.0, 1.0, profile_b1_d1)
+    u = solve_fractional(u0, 1.0, 1.0, profile_b1_d1)
+    g = dt_log_u(u0, 1.0, 1.0, profile_b1_d1, u)
     i = (g.values.size - 1) // 2
     assert g.values[i] == pytest.approx(-1.0, rel=2e-3)
 
@@ -669,7 +664,8 @@ def test_dt_log_spike_at_center(profile_b1_d1):
 def test_dt_log_constant_is_zero(profile_b1_d1):
     u0 = GridField(0.05, np.full(801, 2.0), Extension("constant"),
                    positive=True)
-    g = dt_log_u(u0, 1.0, 1.0, profile_b1_d1)
+    u = solve_fractional(u0, 1.0, 1.0, profile_b1_d1)
+    g = dt_log_u(u0, 1.0, 1.0, profile_b1_d1, u)
     # the mass beyond the edges makes up the body's deficit only to the
     # solver's accuracy, so exact zero is not on offer
     assert np.max(np.abs(g.values)) < 1e-6
@@ -686,8 +682,8 @@ def test_chain_rule_three_way_identity(beta, profname, request):
     vals = 1.0 + np.exp(-xs ** 2) + 0.7 * np.exp(-(xs - 2.0) ** 2 / 4.0)
     u0 = GridField(h, vals, Extension("constant"), positive=True)
     t = 1.0
-    lhs = dt_log_u(u0, beta, t, prof)
     u = solve_fractional(u0, beta, t, prof)
+    lhs = dt_log_u(u0, beta, t, prof, u)
     logu = u.log()
     for x in (0.0, 0.8, -1.6):
         lap = frac_laplacian_point(logu, beta, x)
@@ -698,39 +694,15 @@ def test_chain_rule_three_way_identity(beta, profname, request):
         assert abs(resid) <= budget
 
 
-@pytest.mark.parametrize("ext", [Extension("constant"), Extension("power", 1.5)])
-@pytest.mark.parametrize("t", [0.5, 2.0])
-@pytest.mark.parametrize("beta,profname", [(0.5, "profile_b05_d1"),
-                                           (1.0, "profile_b1_d1"),
-                                           (1.5, "profile_b15_d1")])
-def test_dt_log_u_at_matches_grid_route(beta, profname, t, ext, request):
-    # the window route against the whole-grid field read at x
-    prof = request.getfixturevalue(profname)
-    h, X = 0.05, 20.0
-    xs = np.arange(-X, X + h / 2, h)
-    vals = 0.5 + np.exp(-(xs - 1.0) ** 2) + 0.2 * (1.0 + xs / X)
-    u0 = GridField(h, vals, ext, positive=True)
-    grid = dt_log_u(u0, beta, t, prof)
-    rng = np.random.default_rng(12)
-    nodes = u0.x
-    pts = np.concatenate([
-        nodes[[0, 1, 37, 400, 401, 650, -2, -1]],     # nodes, both ends too
-        rng.uniform(-X, X, 8),                        # off grid
-        [-X + 0.3 * h, -X + 0.99 * h, X - 0.5 * h, X - 0.01 * h],
-        [nodes[SPLINE_REACH] + 0.4 * h, nodes[-SPLINE_REACH] - 0.6 * h]])
-    for x in pts:
-        assert abs(dt_log_u_at(u0, beta, t, x, prof)
-                   - float(grid.eval(x))) <= 1e-11, x
-
-
-def test_dt_log_u_at_rejects_what_the_grid_route_rejects(profile_b1_d1):
+def test_dt_log_u_rejects_bad_t_beta_and_grid(profile_b1_d1):
     u0 = gaussian_bump(0.05, 10.0)
+    u = solve_fractional(u0, 1.0, 1.0, profile_b1_d1)
     with pytest.raises(ValueError, match="t must be positive"):
-        dt_log_u_at(u0, 1.0, 0.0, 0.0, profile_b1_d1)
+        dt_log_u(u0, 1.0, 0.0, profile_b1_d1, u)
     with pytest.raises(ValueError, match="different beta"):
-        dt_log_u_at(u0, 0.5, 1.0, 0.0, profile_b1_d1)
-    with pytest.raises(ValueError, match=r"extent X = 10"):
-        dt_log_u_at(u0, 1.0, 1.0, 10.5, profile_b1_d1)
+        dt_log_u(u0, 0.5, 1.0, profile_b1_d1, u)
+    with pytest.raises(ValueError, match="u0's grid"):
+        dt_log_u(u0, 1.0, 1.0, profile_b1_d1, gaussian_bump(0.05, 5.0))
 
 
 # step of the Richardson oracle, relative to t: at 0.02 its own truncation
@@ -746,14 +718,12 @@ def _richardson(values, dt):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _richardson_dt_log_u_at(u0, beta, t, x, profile):
-    """The oracle: d/dt log u at x from four window solves."""
+def _richardson_dt_log_u(u0, beta, t, profile):
+    """The oracle: d/dt log u at every node from four whole-grid solves."""
     dt = ORACLE_DT_REL * t
-    logs = []
-    for s in (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0):
-        idx, (u,) = _solve_window(u0, beta, s, x, profile)
-        logs.append(np.log(u))
-    return float(CubicSpline(u0.x[idx], _richardson(logs, dt))(x))
+    logs = [np.log(solve_fractional(u0, beta, s, profile).values)
+            for s in (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0)]
+    return _richardson(logs, dt)
 
 
 def test_richardson_step_is_exact_on_quartics():
@@ -785,11 +755,10 @@ def test_dt_log_u_matches_richardson_to_the_grid_ends(beta, profname, ext,
     vals = 0.5 + np.exp(-(xs - 1.0) ** 2) + 0.2 * (1.0 + xs / X)
     u0 = GridField(h, vals, ext, positive=True)
     for t in (0.5, 2.0):
-        dt = ORACLE_DT_REL * t
-        logs = [np.log(solve_fractional(u0, beta, s, prof).values)
-                for s in (t + dt, t - dt, t + dt / 2.0, t - dt / 2.0)]
-        got = dt_log_u(u0, beta, t, prof).values
-        assert np.max(np.abs(got - _richardson(logs, dt))) <= 2e-7
+        u = solve_fractional(u0, beta, t, prof)
+        got = dt_log_u(u0, beta, t, prof, u).values
+        want = _richardson_dt_log_u(u0, beta, t, prof)
+        assert np.max(np.abs(got - want)) <= 2e-7
 
 
 @pytest.mark.parametrize("beta,profname,spacing,t_range", [
@@ -802,8 +771,11 @@ def test_dt_log_u_at_matches_richardson_on_c07_points(beta, profname, spacing,
     prof = request.getfixturevalue(profname)
     rng = np.random.default_rng(2)
     u0 = random_positive_field(rng, spacing=spacing, extent=100.0)
+    _keep_spectrum(u0)  # one transform of u0 for the oracle's 80 solves
     for _ in range(20):
         t = float(log_uniform(rng, *t_range))
         x = float(rng.uniform(-40.0, 40.0))
-        got = dt_log_u_at(u0, beta, t, x, prof)
-        assert abs(got - _richardson_dt_log_u_at(u0, beta, t, x, prof)) <= 1e-9
+        got = dt_log_u(u0, beta, t, prof,
+                       solve_fractional(u0, beta, t, prof)).eval(x)
+        want = CubicSpline(u0.x, _richardson_dt_log_u(u0, beta, t, prof))(x)
+        assert abs(got - want) <= 1e-9

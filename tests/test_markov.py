@@ -59,6 +59,10 @@ def test_load_edge_list():
         load_edge_list("0 1 -1.0\n")
     with pytest.raises(ValueError, match="fewer than two"):
         load_edge_list("# nothing\n")
+    for rate in ("nan", "inf"):
+        # each gave a chain whose e^{tQ} was all NaN
+        with pytest.raises(ValueError, match="finite"):
+            load_edge_list(f"0 1 {rate}\n1 0 1.0\n")
 
 
 # ------------------------------------------------- transition semigroup

@@ -40,6 +40,17 @@ def test_report_with_a_nan_sample_fails(margin, error):
     assert r.verdict == "fail"
 
 
+@pytest.mark.parametrize("first", [1.0, np.nan])
+def test_min_margin_is_nan_whatever_the_order(first):
+    # min() kept whichever of 1.0 and NaN came first
+    r = VerificationReport(name="demo")
+    for margin in (first, 1.0 if np.isnan(first) else np.nan):
+        r.add_sample(margin, 0.0)
+    d = r.to_json_dict()
+    assert np.isnan(r.min_margin) and np.isnan(d["min_margin"])
+    assert d["verdict"] == "fail"
+
+
 def test_report_json_shape():
     r = VerificationReport(name="demo", params={"n": 3}, seed=11)
     r.add_sample(0.25, 0.01)
@@ -206,14 +217,14 @@ def test_margin_on_solution_rejects_nan(profile_b1_d1):
         liyau_margin_on_solution(u, 1.0, 1.0, np.nan, profile_b1_d1)
 
 
-def test_dh_margin_given_the_log_is_unchanged(profile_b1_d1):
+def test_dh_margin_given_u_is_unchanged(profile_b1_d1):
     from liyau.fraclap import solve_fractional
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
                                extent=40.0)
     u = solve_fractional(u0, 1.0, 1.5, profile_b1_d1)
     plain = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1)
     given = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1,
-                                        u_log=u.log())
+                                        u=u)
     assert given == plain
 
 
@@ -239,48 +250,52 @@ def test_dh_margin_close_to_liyau_margin(profile_b1_d1):
         assert abs(dh.value - ly.value) <= dh.error + ly.error
 
 
-def test_dh_margin_solves_no_whole_grid(profile_b1_d1, monkeypatch):
+def test_dh_margin_given_u_solves_nothing_and_transforms_u0_once(
+        profile_b1_d1, monkeypatch):
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
                                extent=40.0)
     t, x = 1.5, 2.0
-    logu = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1).log()
-    # the whole-grid route, assembled before the solver is switched off
-    grid = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1)
-    psi = verify.psi_upsilon_continuous(logu, 1.0, x)
+    n = u0.values.size
+    seen = []
+    rfft = scipy.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.append(a.size >= n and np.allclose(a[1:n - 1],
+                                                 u0.spacing * u0.values[1:-1])
+                    and not np.any(a[n:]))
+        return rfft(a, *args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved u again")
+
+    monkeypatch.setattr(scipy.fft, "rfft", counting)
+    fraclap._keep_spectrum(u0)
+    u = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1)
+    monkeypatch.setattr(fraclap, "solve_fractional", no_solve)
+    monkeypatch.setattr(verify, "solve_fractional", no_solve)
+    m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u=u)
+    # u's sum and the du/dt sum read one transform of u0
+    assert sum(seen) == 1
+    dt = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1, u).eval(x)
+    psi = verify.psi_upsilon_continuous(u.log(), 1.0, x)
     const = verify.constant_for(profile_b1_d1)
-    want_value = float(grid.eval(x)) - psi.value + const.value / t
-    want_error = psi.error + const.error / t
-
-    def no_grid_solve(*args, **kwargs):
-        raise AssertionError("whole-grid solve")
-
-    bodies = []
-    correlate = np.correlate
-
-    def counting(*args, **kwargs):
-        bodies.append(1)
-        return correlate(*args, **kwargs)
-
-    monkeypatch.setattr(fraclap, "solve_fractional", no_grid_solve)
-    monkeypatch.setattr(verify, "solve_fractional", no_grid_solve)
-    monkeypatch.setattr(scipy.fft, "rfft", no_grid_solve)
-    monkeypatch.setattr(np, "correlate", counting)
-    m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u_log=logu)
-    # one window body for u and one for du/dt
-    assert len(bodies) == 2
-    assert abs(m.value - want_value) <= 1e-11
-    assert m.error == want_error
+    assert m.value == dt - psi.value + const.value / t
+    assert m.error == psi.error + const.error / t
 
 
 def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
                                extent=40.0)
+    u = fraclap.solve_fractional(u0, 1.0, 1.0, profile_b1_d1)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking x")
 
     monkeypatch.setattr(verify, "solve_fractional", no_solve)
-    monkeypatch.setattr(verify, "dt_log_u_at", no_solve)
+    monkeypatch.setattr(verify, "dt_log_u", no_solve)
     for x in (0.85 * 40.0, -0.85 * 40.0, 40.5, np.nan):
-        with pytest.raises(ValueError, match="central 80%"):
-            differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1)
+        for given in (None, u):
+            with pytest.raises(ValueError, match="central 80%"):
+                differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1,
+                                            u=given)
