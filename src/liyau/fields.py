@@ -12,11 +12,13 @@ the stable profile's log-log spline and exceedance cubic. A grid's slope
 system depends on the grid alone, so it is factored once per grid and each
 field costs one tridiagonal solve. Point quadratures build one spline of
 log u per (u, t) on grids of 10^4 nodes and more, which is what this pays
-for.
+for; a field keeps its log() as it keeps its spline.
 
 A point quadrature around x splits at one grid cell, where panel_edges
 starts: PointExpansion reads the spline's Taylor data at x inside that
-cell and the field itself beyond it.
+cell and the field itself beyond it, at x + h and x - h for quadrature
+nodes h. A PointLayout places those positions on the grid once, so that
+every field a sweep reads at x costs gathers alone.
 """
 from __future__ import annotations
 
@@ -225,7 +227,14 @@ class PiecewiseCubic:
         """Value (nu = 0) or nu-th derivative, nu <= 3, at the points p."""
         p = np.asarray(p, dtype=float)
         q = p.ravel()
-        j, s = self._cells(q)
+        out = self.read(*self._cells(q), nu)
+        if nu == 3:
+            # the third derivative is constant on a cell: NaN is set by hand
+            out[np.isnan(q)] = np.nan
+        return out.reshape(p.shape)
+
+    def read(self, j: np.ndarray, s: np.ndarray, nu: int = 0) -> np.ndarray:
+        """Value or nu-th derivative at the points _cells found, (j, s)."""
         # PPoly's sum: from 0.0 (carried by the rows c2, c3), the terms
         # c[3 - k] s^(k - nu) k!/(k - nu)! for k = nu..3 in turn
         out = np.take(self.c[3 - nu], j, mode="clip")
@@ -241,10 +250,7 @@ class PiecewiseCubic:
             if math.perm(k, nu) != 1:
                 tmp *= math.perm(k, nu)
             out += tmp
-        if nu == 3:
-            # the third derivative is constant on a cell: NaN is set by hand
-            out[np.isnan(q)] = np.nan
-        return out.reshape(p.shape)
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +302,7 @@ class GridField:
             raise ValueError("field values must be finite")
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
-        self._spline = None
+        self._spline = self._log = None
         # None, or after fraclap._keep_spectrum a list that holds u0's
         # weighted spectrum once the field's first whole-grid sum stored it
         self._spectrum = None
@@ -331,15 +337,28 @@ class GridField:
         """Evaluate at arbitrary coordinates; extension rule applies outside.
         A NaN point reads NaN."""
         p = np.atleast_1d(np.asarray(pts, dtype=float))
-        out = np.empty_like(p)
-        X = self.extent
-        inside = ~(np.abs(p) > X)  # NaN lies on no side; the spline reads NaN
-        if inside.any():
-            out[inside] = self._get_spline()(p[inside])
-        for side, edge_val in ((p > X, self.values[-1]), (p < -X, self.values[0])):
-            if side.any():
-                out[side] = self.extension.model(edge_val, np.abs(p[side]) / X)
+        out = self._read(p.size, *self._locate(p.ravel())).reshape(p.shape)
         return out if np.ndim(pts) else float(out[0])
+
+    def _locate(self, p: np.ndarray) -> tuple:
+        """For flat points p, the indices within [-X, X] (NaN included: the
+        spline reads NaN) and their cells, then (indices, |p|/X) beyond X
+        and beyond -X."""
+        X = self.extent
+        inside = np.flatnonzero(~(np.abs(p) > X))
+        # a field read only beyond +-X builds no spline
+        cells = self._get_spline()._cells(p[inside]) if inside.size else None
+        return inside, cells, [(i, np.abs(p[i]) / X) for i in (
+            np.flatnonzero(p > X), np.flatnonzero(p < -X))]
+
+    def _read(self, size: int, inside, cells, beyond) -> np.ndarray:
+        """The field at size flat points that _locate placed."""
+        out = np.empty(size)
+        if inside.size:
+            out[inside] = self._get_spline().read(*cells)
+        for (i, r), edge in zip(beyond, (self.values[-1], self.values[0])):
+            out[i] = self.extension.model(edge, r)
+        return out
 
     def require_central(self, x) -> None:
         """Raise ValueError unless every point of x lies in the central 80%."""
@@ -347,8 +366,9 @@ class GridField:
         if not np.all(np.abs(x) <= 0.8 * self.extent):
             raise ValueError("base point must lie in the central 80% of the grid")
 
-    def point_expansion(self, x) -> "PointExpansion":
-        return PointExpansion(self, x)
+    def point_expansion(self, x, layout: "PointLayout | None" = None
+                        ) -> "PointExpansion":
+        return PointExpansion(self, x, layout)
 
     def panel_edges(self, max_width: float | None = None) -> np.ndarray:
         """Point-quadrature panel edges from one grid cell (the inner
@@ -392,10 +412,13 @@ class GridField:
     # ---- derived fields --------------------------------------------------
 
     def log(self) -> "GridField":
-        if np.any(self.values <= 0):
-            raise ValueError("log() needs strictly positive samples")
-        return GridField(self.spacing, np.log(self.values),
-                         self.extension.log_transformed(), positive=False)
+        """The field's log, built once and kept (the values are read-only)."""
+        if self._log is None:
+            if np.any(self.values <= 0):
+                raise ValueError("log() needs strictly positive samples")
+            self._log = GridField(self.spacing, np.log(self.values),
+                                  self.extension.log_transformed())
+        return self._log
 
     def mass(self) -> float:
         """Integral of the field over R under its extension model, or with
@@ -460,11 +483,12 @@ class PointExpansion:
     d2, d3), which keeps its precision as h -> 0, and far, the field itself,
     extension rule included. x is one point or a 1-d array of them; for an
     array every reading has one row per point, shape (len(x),) + h.shape.
+    far reads through layout, a PointLayout at x, or else a fresh one.
     """
 
-    def __init__(self, f: GridField, x):
+    def __init__(self, f: GridField, x, layout: "PointLayout | None" = None):
         f.require_central(x)
-        self.field = f
+        self.field, self.layout = f, layout
         self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         # base points as a column, so that rows broadcast against nodes h
         self._col = np.asarray(x, dtype=float)[..., None]
@@ -477,5 +501,31 @@ class PointExpansion:
 
     def far(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f(x + h) and f(x - h) for h >= one grid cell, from one field read."""
-        both = self.field.eval(self._col + np.concatenate([h, -h]))
+        both = (self.layout or PointLayout()).read(self.field, self._col, h)
         return both[..., :h.size], both[..., h.size:]
+
+
+class PointLayout:
+    """The places of the positions x + h and x - h that the point
+    quadratures of one order beta at base points x read, whatever the field.
+
+    The first read fixes the grid, x and the nodes h, and places the
+    positions on the grid once (GridField._locate); every read of a field
+    there is then gathers alone, equal bit for bit to f.eval. Another grid,
+    other points or other nodes (another beta or panel edges) raise
+    ValueError.
+    """
+
+    _key = None
+
+    def read(self, f: GridField, col: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """f.eval(col + concatenate([h, -h])) for base points col, a column."""
+        key = (f.spacing, f.values.size, col.shape, col.tobytes(), h.tobytes())
+        if self._key is None:
+            p = col + np.concatenate([h, -h])
+            self._key, self._shape = key, p.shape
+            self._places = f._locate(p.ravel())
+        elif key != self._key:
+            raise ValueError("the layout was built for another grid, other "
+                             "points or other nodes")
+        return f._read(math.prod(self._shape), *self._places).reshape(self._shape)

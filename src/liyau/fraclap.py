@@ -9,18 +9,22 @@ gaussian_frac_laplacian is its closed form on exp(-x^2). solve_fractional
 realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
 real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
 non-negative offsets -- plus an end correction and explicit tail terms for
-the field's extension rule. A lone solve transforms u0 and keeps
-nothing; after _keep_spectrum(u0), which verify's sweeps and the DH margin
-call, the field keeps u0's weighted spectrum and every later sum over u0
-reuses it. The field's values are read-only, so the kept spectrum cannot go
-stale.
+the field's extension rule. Each side is planned once and read by every
+sum, after FFTW's plan-then-execute (M. Frigo & S. G. Johnson, Proc. IEEE
+93(2), 2005). The kernel's samples, end data and spectrum form a
+HeatKernel for (profile, t, h, n): verify's sweeps hand one per t to every
+field, and a DH point's u and du/dt sums read one. After _keep_spectrum(u0)
+the field keeps u0's weighted spectrum for every later sum. A lone solve
+plans afresh and keeps nothing. Fields are read-only, so nothing kept can
+go stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
 interpolates them as the grid solve's spline would. A cubic spline's
 dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
 k = 40, so the window's spline equals the whole grid's to rounding. The end
-correction and tail terms are one code path for both routes.
+correction and tail terms are one code path for both routes, and the DH
+margin reads d/dt log u at x through the same window spline.
 
 d/dt u is the grid solve's sum with the kernel replaced by its time
 derivative. Self-similarity, G(t, r) = t^(-1/beta) Phi(r t^(-1/beta)),
@@ -33,7 +37,7 @@ import numpy as np
 import scipy.fft
 import scipy.special
 
-from .fields import Extension, GridField, PiecewiseCubic
+from .fields import Extension, GridField, PiecewiseCubic, PointLayout
 from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
@@ -47,18 +51,20 @@ TAIL_ORDER = 6
 
 
 def frac_laplacian_point(f: GridField, beta: float, x, *,
-                         max_panel_width: float | None = None) -> QuadResult:
+                         max_panel_width: float | None = None,
+                         layout: PointLayout | None = None) -> QuadResult:
     """(-Delta)^(beta/2) f at one point or a 1-d array of points of a field.
 
     The even second difference absorbs the principal value; the inner disc
     runs on the desingularized integrand f''-like ratio, the far tail follows
     the field's extension rule. Returns value and error estimate; all points
     of an array share one panel layout and one field evaluation per
-    integrand call, and give per-point arrays. An oscillating field needs
-    max_panel_width below its period, which its samples cannot reveal.
+    integrand call (through layout, a PointLayout, when given), and give
+    per-point arrays. An oscillating field needs max_panel_width below its
+    period, which its samples cannot reveal.
     """
     c = normalizing_constant(beta, 1)  # rejects beta outside (0, 2)
-    exp = f.point_expansion(x)  # raises if a point leaves the central 80%
+    exp = f.point_expansion(x, layout)  # raises off the central 80%
 
     def F(h):
         plus, minus = exp.far(h)
@@ -109,17 +115,32 @@ def _keep_spectrum(u0: GridField) -> None:
         u0._spectrum = []
 
 
-def _convolve_body(u0: GridField, g: np.ndarray) -> np.ndarray:
-    """Sum over the grid of K(x_i - y_j) u0(y_j) w_j, all i, for the
-    trapezoid weights w.
-
-    g holds the kernel at the non-negative offsets k h (k = 0..n-1). A
-    linear convolution of n samples needs 2n - 1 points, so one real FFT of
-    that length, padded to a fast size, suffices. u0's spectrum is the one
-    the field keeps after _keep_spectrum, or else a fresh one that it does
-    not keep.
+class HeatKernel:
+    """The kernel side of the heat sums at (profile, t) on a grid (h, n),
+    planned once and read by every sum over it: _kernel_ends at the n
+    offsets k h from one eval_G call, for G(t, .) (variant 0) and, when
+    dt, dG/dt (variant 1), and each variant's spectrum from its first sum.
     """
-    n = g.size
+
+    def __init__(self, profile: StableDensityProfile, t: float,
+                 spacing: float, n: int, dt: bool = False):
+        # the plan holds profile, so its id stays unique while the key lives
+        self.key, r = (id(profile), t, spacing, n), spacing * np.arange(n)
+        self.ends = _kernel_ends(profile, t, r, eval_G(profile, t, r), dt)
+        self.spectra, self._profile = [None] * len(self.ends), profile
+
+
+def _convolve_body(u0: GridField, plan: HeatKernel,
+                   variant: int) -> np.ndarray:
+    """Sum over the grid of K(x_i - y_j) u0(y_j) w_j, all i, for the
+    trapezoid weights w and the plan's variant of the kernel.
+
+    A linear convolution of n samples needs 2n - 1 points, so one real FFT
+    of that length, padded to a fast size, suffices. u0's spectrum is the
+    one the field keeps after _keep_spectrum, or else a fresh one that it
+    does not keep.
+    """
+    n = u0.values.size
     length = scipy.fft.next_fast_len(2 * n - 1, real=True)
     kept = u0._spectrum  # a list after _keep_spectrum, else None
     if kept:
@@ -128,8 +149,14 @@ def _convolve_body(u0: GridField, g: np.ndarray) -> np.ndarray:
         spec = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
         if kept is not None:
             kept.append(spec)
-    conv = scipy.fft.irfft(spec * scipy.fft.rfft(_wrapped(g, length)), length)
-    return conv[:n]
+    if plan.spectra[variant] is None:
+        plan.spectra[variant] = scipy.fft.rfft(
+            _wrapped(plan.ends[variant][0], length))
+    kspec = plan.spectra[variant]
+    # complex products round by operand order: keep the order numpy's
+    # temporary elision gives spec * rfft(kernel), kernel first from 256 KiB
+    prod = kspec * spec if kspec.nbytes >= 256 * 1024 else spec * kspec
+    return scipy.fft.irfft(prod, length)[:n]
 
 
 def _check_solve_args(u0: GridField, beta: float, t: float,
@@ -159,9 +186,10 @@ def _trapezoid_weighted(u0: GridField) -> np.ndarray:
 
 
 def _kernel_ends(profile: StableDensityProfile, t: float, r: np.ndarray,
-                 g: np.ndarray, dt: bool = False) -> tuple:
-    """(K, dK/dr, one-sided mass of K beyond r) at offsets r >= 0, for the
-    kernel K = G(t, .) or, when dt, its time derivative. g holds G(t, r).
+                 g: np.ndarray, dt: bool = False) -> list:
+    """[(K, dK/dr, one-sided mass of K beyond r)] at offsets r >= 0 for the
+    kernel K = G(t, .), and when dt a second triple for K = dG/dt, with
+    L' and L'' from one log_derivs call. g holds G(t, r).
 
     On the symmetric grid node i lies i h from -X and (n-1-i) h from X:
     the end correction and the tail terms read the kernel at those two
@@ -170,14 +198,23 @@ def _kernel_ends(profile: StableDensityProfile, t: float, r: np.ndarray,
     -(2 G_r + r G_rr)/(beta t), and d/dt of the mass beyond r, r G/(beta t).
     """
     tf = t ** (-1.0 / profile.beta)
-    if not dt:
-        dg = tf * g * profile.log_slope(r * tf)
-        return g, dg, 0.5 * profile.exceedance(r * tf)
-    _, l1, l2 = profile.log_derivs(r * tf)
+    # log_slope is log_derivs' L', bit for bit, without L and L''
+    l1, l2 = (profile.log_derivs(r * tf)[1:] if dt
+              else (profile.log_slope(r * tf), None))
     g_r = tf * g * l1
-    g_rr = tf * (g_r * l1 + tf * g * l2)
-    bt = profile.beta * t
-    return -(g + r * g_r) / bt, -(2.0 * g_r + r * g_rr) / bt, r * g / bt
+    ends = [(g, g_r, 0.5 * profile.exceedance(r * tf))]
+    if dt:
+        g_rr = tf * (g_r * l1 + tf * g * l2)
+        bt = profile.beta * t
+        ends.append((_dG_dt(profile, t, r, g, g_r),
+                     -(2.0 * g_r + r * g_rr) / bt, r * g / bt))
+    return ends
+
+
+def _dG_dt(profile: StableDensityProfile, t: float, r: np.ndarray,
+           g: np.ndarray, g_r: np.ndarray) -> np.ndarray:
+    """dG/dt at offsets r from G = g and its r-slope g_r."""
+    return -(g + r * g_r) / (profile.beta * t)
 
 
 def _trapezoid_end_correction(u0: GridField, left: tuple,
@@ -200,9 +237,9 @@ def _trapezoid_end_correction(u0: GridField, left: tuple,
 
 def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
                     body: np.ndarray, idx: np.ndarray, left: tuple,
-                    right: tuple, dt: bool = False) -> np.ndarray:
+                    right: tuple, variant: int = 0) -> np.ndarray:
     """int K(x - y) u0(y) dy at the nodes idx from the body sum there, for
-    K = G(t, .) or, when dt, its time derivative.
+    K = G(t, .), or its time derivative for variant 1.
 
     Adds the end correction and the part of the integral beyond the grid's
     edges under u0's extension rule -- the kernel's mass beyond the edge for
@@ -224,42 +261,51 @@ def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
         # kernel matrix K(x_i - sign * y_k), vectorized over the nodes
         D = x[:, None] - sign * nodes[None, :]
         K = eval_G(profile, t, D)
-        if dt:
-            K = _kernel_ends(profile, t, np.abs(D), K, dt=True)[0]
+        if variant:  # dG/dt, which reads L' alone
+            r, tf = np.abs(D), t ** (-1.0 / profile.beta)
+            K = _dG_dt(profile, t, r, K, tf * K * profile.log_slope(r * tf))
         out = out + K @ (weights * ext.model(edge, nodes / X))
     return out
 
 
 def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
-              dt: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """u(t) at every node, or du/dt when dt, and the kernel's one-sided
-    mass beyond each offset k h; the body is one FFT convolution."""
-    h = u0.spacing
-    k = np.arange(u0.values.size)
-    ends = _kernel_ends(profile, t, h * k, eval_G(profile, t, h * k), dt)
-    body = _convolve_body(u0, ends[0])
-    out = _add_edge_terms(u0, profile, t, body, k, ends,
-                          tuple(a[::-1] for a in ends), dt)
+              plan: HeatKernel | None,
+              variant: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """u(t) at every node, or du/dt for variant 1, and the kernel's
+    one-sided mass beyond each offset k h, from plan or a fresh HeatKernel;
+    the body is one FFT convolution. A plan for another profile, t or grid,
+    or without the variant, raises ValueError."""
+    key = (id(profile), t, u0.spacing, u0.values.size)
+    plan = plan or HeatKernel(profile, t, *key[2:], dt=variant == 1)
+    if variant >= len(plan.ends) or plan.key != key:
+        raise ValueError("the plan is for another profile, t or grid, or "
+                         "has no d/dt variant")
+    ends = plan.ends[variant]
+    out = _add_edge_terms(u0, profile, t, _convolve_body(u0, plan, variant),
+                          np.arange(key[3]), ends,
+                          tuple(a[::-1] for a in ends), variant)
     return out, ends[2]
 
 
 def solve_fractional(u0: GridField, beta: float, t: float,
-                     profile: StableDensityProfile) -> GridField:
+                     profile: StableDensityProfile,
+                     plan: HeatKernel | None = None) -> GridField:
     """u(t, x) = int G(t, x - y) u0(y) dy on the grid of u0.
 
     The body of the convolution is a trapezoid sum evaluated as one linear
     convolution: the kernel is sampled at the n non-negative offsets k h,
     mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
     and multiplied with u0's weighted spectrum, computed afresh unless
-    _keep_spectrum(u0) has stored it. An Euler-Maclaurin end correction
-    reuses the same kernel samples, and _add_edge_terms restores the mass
-    from beyond the grid. Output fields carry a power-law or constant
-    extension and, as tail_mass, the solution's mass beyond the grid, so
-    that mass() is conserved.
+    _keep_spectrum(u0) has stored it; the kernel side is plan's, or a fresh
+    HeatKernel's. An Euler-Maclaurin end correction reuses the same kernel
+    samples, and _add_edge_terms restores the mass from beyond the grid.
+    Output fields carry a power-law or constant extension and, as
+    tail_mass, the solution's mass beyond the grid, so that mass() is
+    conserved.
     """
     _check_solve_args(u0, beta, t, profile)
     v = u0.values
-    out, exceed = _grid_sum(u0, profile, t)
+    out, exceed = _grid_sum(u0, profile, t, plan)
     out = np.maximum(out, 1e-300)
 
     ext = u0.extension
@@ -293,6 +339,23 @@ def solve_fractional(u0: GridField, beta: float, t: float,
                      tail_mass=float(leak + u0_tail_mass))
 
 
+def _window(u0: GridField, x: float) -> np.ndarray:
+    """The nodes within SPLINE_REACH of x's cell, clipped at a grid end;
+    x must lie on the grid, |x| <= X."""
+    X, n = u0.extent, u0.values.size
+    if not abs(x) <= X:
+        raise ValueError(f"x = {x:g} lies outside the grid's extent X = {X:g}")
+    cell = min(int((x + X) // u0.spacing), n - 2)
+    return np.arange(max(cell - SPLINE_REACH, 0),
+                     min(cell + 1 + SPLINE_REACH, n - 1) + 1)
+
+
+def _window_eval(f: GridField, x: float) -> float:
+    """f.eval(x) to rounding, from the spline through _window(f, x) alone."""
+    idx = _window(f, x)
+    return float(PiecewiseCubic.spline(f.x[idx], f.values[idx])(x))
+
+
 def _solve_window(u0: GridField, beta: float, t: float, x: float,
                   profile: StableDensityProfile) -> tuple:
     """The nodes within SPLINE_REACH of x's cell, and u(t) there.
@@ -303,15 +366,10 @@ def _solve_window(u0: GridField, beta: float, t: float, x: float,
     the grid, |x| <= X.
     """
     _check_solve_args(u0, beta, t, profile)
-    X = u0.extent
-    if not abs(x) <= X:
-        raise ValueError(f"x = {x:g} lies outside the grid's extent X = {X:g}")
     h = u0.spacing
     n = u0.values.size
-    cell = min(int((x + X) // h), n - 2)
-    lo = max(cell - SPLINE_REACH, 0)
-    hi = min(cell + 1 + SPLINE_REACH, n - 1)
-    idx = np.arange(lo, hi + 1)
+    idx = _window(u0, x)
+    lo, hi = idx[0], idx[-1]
     # the window reads the kernel at offsets up to m - 1 only
     m = max(hi, n - 1 - lo) + 1
     g = eval_G(profile, t, h * np.arange(m))
@@ -320,7 +378,7 @@ def _solve_window(u0: GridField, beta: float, t: float, x: float,
     body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n],
                         _trapezoid_weighted(u0))[::-1]
     # the kernel at each window node's distance from -X and from X
-    ends = [_kernel_ends(profile, t, h * k, g[k]) for k in (idx, n - 1 - idx)]
+    ends = [_kernel_ends(profile, t, h * k, g[k])[0] for k in (idx, n - 1 - idx)]
     u = _add_edge_terms(u0, profile, t, body, idx, *ends)
     return idx, np.maximum(u, 1e-300)
 
@@ -339,18 +397,20 @@ def solve_fractional_at(u0: GridField, beta: float, t: float, x: float,
 
 
 def dt_log_u(u0: GridField, beta: float, t: float,
-             profile: StableDensityProfile, u: GridField) -> GridField:
+             profile: StableDensityProfile, u: GridField,
+             plan: HeatKernel | None = None) -> GridField:
     """d/dt log u(t, .) = (du/dt) / u on the grid of u0, for u the
     solve_fractional(u0, beta, t, profile) that the caller already holds.
 
-    du/dt is the heat solve's own sum with dG/dt in place of G. It reads
-    the spectrum u0 keeps after _keep_spectrum, so that it and u's solve
-    share one transform of u0.
+    du/dt is the heat solve's own sum with dG/dt in place of G, from plan,
+    a HeatKernel built with dt that u's solve may share, or a fresh one. It
+    reads the spectrum u0 keeps after _keep_spectrum, so that it and u's
+    solve share one transform of u0.
     """
     _check_solve_args(u0, beta, t, profile)
     if u.values.shape != u0.values.shape or u.spacing != u0.spacing:
         raise ValueError("u must lie on u0's grid")
-    du = _grid_sum(u0, profile, t, dt=True)[0]
+    du = _grid_sum(u0, profile, t, plan, 1)[0]
     # far field of u is t * (mass) * c |y|^(-1-beta): d/dt log u -> 1/t there
     return GridField(u0.spacing, du / u.values, Extension("constant"),
                      positive=False)

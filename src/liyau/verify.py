@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
-from .fields import Extension, GridField, _nodes
-from .fraclap import (_keep_spectrum, dt_log_u, frac_laplacian_point,
-                      solve_fractional)
+from .fields import Extension, GridField, PointLayout, _nodes
+from .fraclap import (HeatKernel, _keep_spectrum, _window_eval, dt_log_u,
+                      frac_laplacian_point, solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
 from .ops import psi_upsilon_continuous, psi_upsilon_discrete, upsilon
 from .singular import QuadResult
@@ -228,10 +228,18 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
 
 def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
                              profile: StableDensityProfile,
-                             constant: LiYauConstantResult | None = None) -> QuadResult:
-    """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
+                             constant: LiYauConstantResult | None = None,
+                             layout: PointLayout | None = None) -> QuadResult:
+    """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array,
+    read through layout, a PointLayout, when given."""
     const = constant if constant is not None else constant_for(profile)
-    lap = frac_laplacian_point(u.log(), beta, x)
+    return _liyau_margin(u.log(), beta, t, x, const, layout)
+
+
+def _liyau_margin(log_u: GridField, beta: float, t: float, x,
+                  const: LiYauConstantResult,
+                  layout: PointLayout | None) -> QuadResult:
+    lap = frac_laplacian_point(log_u, beta, x, layout=layout)
     return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
@@ -251,16 +259,25 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
 
     u, when given, is u0 already solved at t, and is not solved again;
     otherwise it is solved here. d/dt log u is dt_log_u's whole-grid du/dt
-    sum divided by that u, read at x. x must lie in the central 80% of the
+    sum divided by that u, read at x by the spline through the nodes
+    within SPLINE_REACH of x's cell. x must lie in the central 80% of the
     grid; it is checked before any solve.
     """
     u0.require_central(x)
     const = constant if constant is not None else constant_for(profile)
+    plan = HeatKernel(profile, t, u0.spacing, u0.values.size, dt=True)
     if u is None:
         _keep_spectrum(u0)  # u's sum and the du/dt sum share one transform
-        u = solve_fractional(u0, beta, t, profile)
-    dt = dt_log_u(u0, beta, t, profile, u).eval(x)
-    psi = psi_upsilon_continuous(u.log(), beta, x)
+        u = solve_fractional(u0, beta, t, profile, plan=plan)
+    return _dh_margin(u0, u, u.log(), t, x, profile, const, plan, None)
+
+
+def _dh_margin(u0: GridField, u: GridField, log_u: GridField, t: float, x,
+               profile: StableDensityProfile, const: LiYauConstantResult,
+               plan: HeatKernel, layout: PointLayout | None) -> QuadResult:
+    beta = profile.beta
+    dt = _window_eval(dt_log_u(u0, beta, t, profile, u, plan), x)
+    psi = psi_upsilon_continuous(log_u, beta, x, layout=layout)
     value = dt - psi.value + const.value / t
     error = psi.error + const.error / t
     return QuadResult(value, error, psi.diverged)
@@ -280,15 +297,22 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
                 "t_grid": [float(t) for t in t_grid],
                 "x_grid": [float(x) for x in x_grid]},
         seed=seed)
-    for _ in range(n_fields):
+    # plans[t] lives while a later field reads it; one layout serves all
+    plans, layout = {}, PointLayout()
+    for i in range(n_fields):
         u0 = random_positive_field(rng, spacing=spacing, extent=extent)
         _keep_spectrum(u0)  # one transform of u0 for every t
-        for t in t_grid:
-            u = solve_fractional(u0, beta, float(t), profile)
-            m = liyau_margin_on_solution(u, beta, float(t), x_grid, profile,
-                                         const)
+        for t in map(float, t_grid):
+            plan = plans.pop(t, None) or HeatKernel(profile, t, u0.spacing,
+                                                    u0.values.size)
+            if i + 1 < n_fields:
+                plans[t] = plan
+            u = solve_fractional(u0, beta, t, profile, plan=plan)
+            m = liyau_margin_on_solution(u, beta, t, x_grid, profile, const,
+                                         layout)
             for value, error in zip(m.value, m.error):
                 report.add_sample(value, error)
+            del plan, u  # released before the next solve
     report.runtime = time.perf_counter() - start
     return report
 
@@ -314,13 +338,15 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     for _ in range(n_points):
         t = float(log_uniform(rng, *t_range))
         x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
-        u = solve_fractional(u0, profile.beta, t, profile)
-        ly = liyau_margin_on_solution(u, profile.beta, t, x, profile,
-                                      constant=const)
-        dh = differential_harnack_margin(u0, profile.beta, t, x, profile,
-                                         constant=const, u=u)
+        plan = HeatKernel(profile, t, u0.spacing, u0.values.size, dt=True)
+        u = solve_fractional(u0, profile.beta, t, profile, plan=plan)
+        # both margins read one log u through one layout
+        log_u, layout = u.log(), PointLayout()
+        ly = _liyau_margin(log_u, profile.beta, t, x, const, layout)
+        dh = _dh_margin(u0, u, log_u, t, x, profile, const, plan, layout)
         gap = abs(dh.value - ly.value)
         combined = dh.error + ly.error
         report.add_sample(combined - gap, 0.0)
+        del plan, u, log_u  # released before the next solve
     report.runtime = time.perf_counter() - start
     return report

@@ -349,3 +349,71 @@ def test_panel_edges_are_built_once_per_grid_and_read_only(max_width):
     assert g.panel_edges(max_width) is edges
     with pytest.raises(ValueError):
         edges[1] = 0.0
+
+
+# ---- point layouts -------------------------------------------------------------
+
+def _three_extensions(spacing, extent):
+    """Two fields on one grid for each extension kind."""
+    x = fields._nodes(spacing, 2 * int(round(extent / spacing)) + 1)
+    power = Extension("power", 1.5)
+    out = []
+    for shift in (0.0, 1.3):
+        bump = np.exp(-(x - shift) ** 2)
+        decay = (1.0 + 0.25 * (x - shift) ** 2) ** -0.75 + 0.1 * bump
+        out.append((GridField(spacing, 1.0 + bump, Extension("constant")),
+                    GridField(spacing, decay, power),
+                    GridField(spacing, np.log(decay),
+                              power.log_transformed())))
+    return list(zip(*out))
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_layout_reads_equal_fresh_reads_bit_for_bit(kind):
+    from liyau.fraclap import frac_laplacian_point
+    from liyau.ops import psi_upsilon_continuous
+
+    f, g = _three_extensions(0.05, 20.0)[kind]
+    xs = np.array([-7.3, 0.0, 4.41, 15.9])
+    for beta in (0.5, 1.5):
+        rows, point = fields.PointLayout(), fields.PointLayout()
+        for field in (f, g):  # both read through the layout f bound
+            for x, layout in ((xs, rows), (4.41, point)):
+                fresh = frac_laplacian_point(field, beta, x)
+                read = frac_laplacian_point(field, beta, x, layout=layout)
+                assert np.array_equal(read.value, fresh.value)
+                assert np.array_equal(read.error, fresh.error)
+            # Psi_Upsilon at x reads the positions the Laplacian read
+            fresh = psi_upsilon_continuous(field, beta, 4.41)
+            assert psi_upsilon_continuous(field, beta, 4.41, point) == fresh
+    # a read is GridField.eval at the positions, beyond +-X included
+    h = np.array([0.05, 0.731, 3.0, 17.5, 40.0, 2e3])
+    col = xs[:, None]
+    layout = fields.PointLayout()
+    for field in (f, g):
+        want = field.eval(col + np.concatenate([h, -h]))
+        assert np.array_equal(layout.read(field, col, h), want)
+
+
+def test_layout_rejects_another_grid_points_or_beta():
+    from liyau.fraclap import frac_laplacian_point
+
+    f = _three_extensions(0.05, 20.0)[0][0]
+    other_grid = _three_extensions(0.1, 20.0)[0][0]
+    layout = fields.PointLayout()
+    frac_laplacian_point(f, 1.0, [0.0, 2.0], layout=layout)
+    for field, beta, x in ((other_grid, 1.0, [0.0, 2.0]), (f, 1.0, [0.0, 2.5]),
+                           (f, 1.0, 0.0), (f, 0.7, [0.0, 2.0])):
+        with pytest.raises(ValueError, match="layout was built"):
+            frac_laplacian_point(field, beta, x, layout=layout)
+    with pytest.raises(ValueError, match="layout was built"):
+        frac_laplacian_point(f, 1.0, [0.0, 2.0], max_panel_width=0.5,
+                             layout=layout)
+
+
+def test_log_is_built_once_and_kept():
+    f = GridField(0.1, np.linspace(1.0, 2.0, 101), Extension("power", 2.0),
+                  positive=True)
+    lf = f.log()
+    assert f.log() is lf and lf.extension == Extension("log-power", 2.0)
+    assert np.array_equal(lf.values, np.log(f.values)) and not lf.positive

@@ -432,8 +432,17 @@ from liyau.fraclap import solve_fractional
 from liyau.stable import build_profile
 from liyau.verify import random_positive_field
 u0 = random_positive_field(np.random.default_rng(11))  # n = 10001
-u = solve_fractional(u0, 1.0, 2.0, build_profile(1.0, 1))
+prof = build_profile(1.0, 1)
+u = solve_fractional(u0, 1.0, 2.0, prof)
 print(u0.values.size, u.tail_mass.hex())
+# the sweeps' plans and layouts at n = 20001, where the kernel spectrum
+# multiplies first
+from liyau.verify import sweep_dh_consistency, sweep_fractional_liyau
+for rep in (sweep_fractional_liyau(prof, 1, [0.5, 2.0, 8.0],
+                                   np.linspace(-40.0, 40.0, 10), seed=1,
+                                   spacing=0.01),
+            sweep_dh_consistency(prof, n_points=2, seed=7, spacing=0.01)):
+    print(" ".join(float(v).hex() for pair in rep.samples for v in pair))
 """
 
 
@@ -449,7 +458,7 @@ def test_tail_mass_does_not_depend_on_blas_threads():
                               env=env, capture_output=True, text=True,
                               check=True)
         out.append(proc.stdout.split())
-    assert out[0][0] == "10001"
+    assert out[0][0] == "10001" and len(out[0]) == 2 + 60 + 4
     assert out[0] == out[1]
 
 
@@ -779,3 +788,57 @@ def test_dt_log_u_at_matches_richardson_on_c07_points(beta, profname, spacing,
                        solve_fractional(u0, beta, t, prof)).eval(x)
         want = CubicSpline(u0.x, _richardson_dt_log_u(u0, beta, t, prof))(x)
         assert abs(got - want) <= 1e-9
+
+
+# ---- kernel plans ----------------------------------------------------------
+
+@pytest.mark.parametrize("spacing,extent", [(0.05, 20.0), (0.01, 100.0)])
+def test_plan_body_is_the_lone_product_bit_for_bit(profile_b1_d1, spacing,
+                                                   extent):
+    # n = 801 multiplies u0's spectrum first, n = 20001 the kernel's: the
+    # order numpy's temporary elision gives the unnamed product below
+    u0 = random_positive_field(np.random.default_rng(6), spacing, extent)
+    n = u0.values.size
+    length = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    plan = fraclap.HeatKernel(profile_b1_d1, 0.8, spacing, n, dt=True)
+    spec = scipy.fft.rfft(fraclap._trapezoid_weighted(u0), n=length)
+    for v, ends in enumerate(plan.ends):
+        want = scipy.fft.irfft(
+            spec * scipy.fft.rfft(fraclap._wrapped(ends[0], length)), length)
+        assert np.array_equal(fraclap._convolve_body(u0, plan, v), want[:n])
+        assert np.array_equal(fraclap._convolve_body(u0, plan, v), want[:n])
+
+
+@pytest.mark.parametrize("ext", [Extension("constant"),
+                                 Extension("power", 1.5)])
+def test_one_plan_serves_every_field_and_both_sums(profile_b1_d1, ext):
+    x = np.arange(-400, 401) * 0.05
+    fields0 = [GridField(0.05, (1.0 + 0.04 * (x - c) ** 2) ** -0.75 + 0.1,
+                         ext, positive=True) for c in (0.0, 2.5)]
+    for t in (0.4, 2.0):
+        plan = fraclap.HeatKernel(profile_b1_d1, t, 0.05, x.size, dt=True)
+        for u0 in fields0:
+            lone = solve_fractional(u0, 1.0, t, profile_b1_d1)
+            u = solve_fractional(u0, 1.0, t, profile_b1_d1, plan=plan)
+            assert np.array_equal(u.values, lone.values)
+            assert (u.tail_mass, u.extension) == (lone.tail_mass,
+                                                  lone.extension)
+            assert np.array_equal(
+                dt_log_u(u0, 1.0, t, profile_b1_d1, u, plan).values,
+                dt_log_u(u0, 1.0, t, profile_b1_d1, lone).values)
+
+
+def test_plan_rejects_another_t_grid_or_beta(profile_b1_d1, profile_b05_d1):
+    u0 = gaussian_bump(0.05, 20.0)
+    u0 = GridField(0.05, u0.values + 0.5, Extension("constant"), positive=True)
+    n = u0.values.size
+    plan = fraclap.HeatKernel(profile_b1_d1, 1.0, 0.05, n)
+    coarse = GridField(0.1, u0.values[::2], Extension("constant"),
+                       positive=True)
+    u = solve_fractional(u0, 1.0, 1.0, profile_b1_d1, plan=plan)
+    for args in ((u0, 1.0, 2.0, profile_b1_d1), (coarse, 1.0, 1.0, profile_b1_d1),
+                 (u0, 0.5, 1.0, profile_b05_d1)):
+        with pytest.raises(ValueError, match="plan is for another"):
+            solve_fractional(*args, plan=plan)
+    with pytest.raises(ValueError, match="no d/dt variant"):
+        dt_log_u(u0, 1.0, 1.0, profile_b1_d1, u, plan)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.fft
+from scipy.interpolate import CubicSpline
 
 from liyau import fraclap, verify
 from liyau.markov import MarkovChain, complete_graph
@@ -299,3 +300,83 @@ def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
             with pytest.raises(ValueError, match="central 80%"):
                 differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1,
                                             u=given)
+
+
+def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
+        profile_b1_d1, monkeypatch):
+    # the margins workload's check: one field at 10 t, then 2 DH points
+    from liyau import fields
+    counts = dict.fromkeys(("solve", "eval_G", "log", "spline", "fft"), 0)
+
+    def counting(name, fn, when=lambda *a: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += bool(when(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    n = 2 * 1000 + 1
+    monkeypatch.setattr(verify, "solve_fractional",
+                        counting("solve", fraclap.solve_fractional))
+    monkeypatch.setattr(fraclap, "eval_G", counting("eval_G", fraclap.eval_G))
+    monkeypatch.setattr(fields.GridField, "log",
+                        counting("log", fields.GridField.log))
+    monkeypatch.setattr(fields, "_spline_slopes",
+                        counting("spline", fields._spline_slopes,
+                                 lambda x, *a: x.size == n))  # whole grids
+    verify.sweep_fractional_liyau(profile_b1_d1, 1, np.geomspace(0.3, 10, 10),
+                                  np.linspace(-40.0, 40.0, 10), seed=3,
+                                  spacing=0.1, extent=100.0)
+    verify.sweep_dh_consistency(profile_b1_d1, n_points=2, seed=3,
+                                spacing=0.1, t_range=(0.5, 5.0))
+    assert counts == {"solve": 12, "eval_G": 12, "log": 12, "spline": 12,
+                      "fft": 0}
+    # a lone solve keeps no plan: three transforms, and u0 keeps nothing
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(scipy.fft, name,
+                            counting("fft", getattr(scipy.fft, name)))
+    u0 = random_positive_field(np.random.default_rng(3), spacing=0.1)
+    u = fraclap.solve_fractional(u0, 1.0, 0.7, profile_b1_d1)
+    assert counts["fft"] == 3 and u0._spectrum is None
+    assert not any(isinstance(v, fraclap.HeatKernel)
+                   for f in (u0, u) for v in vars(f).values())
+
+
+def test_sweep_over_fields_builds_each_kernel_once(profile_b1_d1,
+                                                   monkeypatch):
+    calls = []
+    eval_G = fraclap.eval_G
+    monkeypatch.setattr(fraclap, "eval_G",
+                        lambda *a: calls.append(a[1]) or eval_G(*a))
+    ts = (0.5, 1.0, 2.0)
+    rep = verify.sweep_fractional_liyau(profile_b1_d1, 3, ts, [0.0, 5.0],
+                                        seed=4, spacing=0.1, extent=40.0)
+    assert calls == list(ts) and len(rep.samples) == 18
+    # each field's margins equal those of a sweep over that field alone
+    monkeypatch.setattr(fraclap, "eval_G", eval_G)
+    rng = np.random.default_rng(4)
+    fresh = []
+    for _ in range(3):
+        u0 = random_positive_field(rng, spacing=0.1, extent=40.0)
+        for t in ts:
+            u = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1)
+            m = liyau_margin_on_solution(u, 1.0, t, [0.0, 5.0], profile_b1_d1)
+            fresh += list(zip(m.value, m.error))
+    assert rep.samples == fresh
+
+
+def test_dh_margin_reads_dt_log_u_through_the_window_spline(profile_b1_d1):
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
+                               extent=40.0)
+    t = 1.5
+    u = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1)
+    g = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1, u)
+    for x in (-31.99, -3.0, 2.0, 17.013):
+        m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u=u)
+        idx = fraclap._window(u0, x)
+        assert idx.size == 2 * fraclap.SPLINE_REACH + 2
+        window = float(CubicSpline(u0.x[idx], g.values[idx])(x))
+        psi = verify.psi_upsilon_continuous(u.log(), 1.0, x)
+        const = verify.constant_for(profile_b1_d1)
+        assert m.value == window - psi.value + const.value / t
+        # the window's spline equals the whole grid's to rounding
+        assert window == pytest.approx(g.eval(x), rel=1e-13, abs=1e-15)
