@@ -259,8 +259,8 @@ def constant_for(profile: StableDensityProfile,
     return result
 
 
-def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float, x,
-                             constant: LiYauConstantResult | None = None) -> QuadResult:
+def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float,
+                             x) -> QuadResult:
     """Slack of the kernel inequality at (t, x): C/t - (-Delta)^(beta/2) log G.
 
     Self-similarity reduces the time-t operator to the t = 1 functional:
@@ -271,7 +271,7 @@ def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float, x,
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     r = float(np.sqrt(np.sum(x ** 2))) if x.ndim else float(abs(x))
-    const = constant if constant is not None else constant_for(profile)
+    const = constant_for(profile)
     c = normalizing_constant(profile.beta, profile.d)
     j = J_of_y(profile, r * t ** (-1.0 / profile.beta))
     value = (const.value - 0.5 * c * j.value) / t

@@ -17,8 +17,9 @@ for; a field keeps its log() as it keeps its spline.
 A point quadrature around x splits at one grid cell, where panel_edges
 starts: PointExpansion reads the spline's Taylor data at x inside that
 cell and the field itself beyond it, at x + h and x - h for quadrature
-nodes h. A PointLayout places those positions on the grid once, so that
-every field a sweep reads at x costs gathers alone.
+nodes h. Those positions' places on the grid depend on the grid, x and h
+alone, so the grid's slope-system entry keeps the last ones placed, and
+every later field a sweep reads at x costs gathers alone.
 """
 from __future__ import annotations
 
@@ -122,15 +123,16 @@ def _slope_factors(x: np.ndarray, clamped: bool = False):
     return factors
 
 
-# a margins sweep reads three grids; an entry holds about 5.5 n floats
+# a margins sweep reads three grids; an entry holds about 5.5 n floats,
+# and its slot the places of one point quadrature's positions
 @lru_cache(maxsize=4)
 def _slope_system(spacing: float, n: int):
-    """The nodes of a uniform origin-centered grid and the _slope_factors of
-    its not-a-knot spline, built once per grid. The arrays are read-only,
-    since every caller shares them."""
+    """The nodes of a uniform origin-centered grid, the _slope_factors of
+    its not-a-knot spline and a slot for PointExpansion.far, built once per
+    grid. The arrays are read-only, since every caller shares them."""
     x = _nodes(spacing, n)
     x.flags.writeable = False
-    return x, _slope_factors(x)
+    return x, _slope_factors(x), []
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray, factors,
@@ -303,8 +305,7 @@ class GridField:
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
         self._spline = self._log = None
-        # None, or after fraclap._keep_spectrum a list that holds u0's
-        # weighted spectrum once the field's first whole-grid sum stored it
+        # None, or u0's weighted spectrum after fraclap._keep_spectrum
         self._spectrum = None
 
     @property
@@ -328,7 +329,7 @@ class GridField:
     def _get_spline(self):
         # the not-a-knot spline of the samples, on the grid's cached factors
         if self._spline is None:
-            x, factors = _slope_system(self.spacing, self.values.shape[0])
+            x, factors, _ = _slope_system(self.spacing, self.values.shape[0])
             self._spline = PiecewiseCubic(
                 x, self.values, _spline_slopes(x, self.values, factors))
         return self._spline
@@ -366,9 +367,8 @@ class GridField:
         if not np.all(np.abs(x) <= 0.8 * self.extent):
             raise ValueError("base point must lie in the central 80% of the grid")
 
-    def point_expansion(self, x, layout: "PointLayout | None" = None
-                        ) -> "PointExpansion":
-        return PointExpansion(self, x, layout)
+    def point_expansion(self, x) -> "PointExpansion":
+        return PointExpansion(self, x)
 
     def panel_edges(self, max_width: float | None = None) -> np.ndarray:
         """Point-quadrature panel edges from one grid cell (the inner
@@ -483,12 +483,11 @@ class PointExpansion:
     d2, d3), which keeps its precision as h -> 0, and far, the field itself,
     extension rule included. x is one point or a 1-d array of them; for an
     array every reading has one row per point, shape (len(x),) + h.shape.
-    far reads through layout, a PointLayout at x, or else a fresh one.
     """
 
-    def __init__(self, f: GridField, x, layout: "PointLayout | None" = None):
+    def __init__(self, f: GridField, x):
         f.require_central(x)
-        self.field, self.layout = f, layout
+        self.field = f
         self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         # base points as a column, so that rows broadcast against nodes h
         self._col = np.asarray(x, dtype=float)[..., None]
@@ -500,32 +499,16 @@ class PointExpansion:
         return s * self.d1 + h * (self.d2 / 2.0 + s * h * self.d3 / 6.0)
 
     def far(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(x + h) and f(x - h) for h >= one grid cell, from one field read."""
-        both = (self.layout or PointLayout()).read(self.field, self._col, h)
-        return both[..., :h.size], both[..., h.size:]
-
-
-class PointLayout:
-    """The places of the positions x + h and x - h that the point
-    quadratures of one order beta at base points x read, whatever the field.
-
-    The first read fixes the grid, x and the nodes h, and places the
-    positions on the grid once (GridField._locate); every read of a field
-    there is then gathers alone, equal bit for bit to f.eval. Another grid,
-    other points or other nodes (another beta or panel edges) raise
-    ValueError.
-    """
-
-    _key = None
-
-    def read(self, f: GridField, col: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """f.eval(col + concatenate([h, -h])) for base points col, a column."""
-        key = (f.spacing, f.values.size, col.shape, col.tobytes(), h.tobytes())
-        if self._key is None:
+        """f(x + h) and f(x - h) for h >= one grid cell, from one field
+        read, equal bit for bit to f.eval. The grid's _slope_system slot
+        keeps the places of the last x +- h read there (GridField._locate),
+        so another field read at the same positions is gathers alone."""
+        f, col = self.field, self._col
+        slot = _slope_system(f.spacing, f.values.size)[2]
+        key = (col.shape, col.tobytes(), h.tobytes())
+        if not slot or slot[0] != key:
             p = col + np.concatenate([h, -h])
-            self._key, self._shape = key, p.shape
-            self._places = f._locate(p.ravel())
-        elif key != self._key:
-            raise ValueError("the layout was built for another grid, other "
-                             "points or other nodes")
-        return f._read(math.prod(self._shape), *self._places).reshape(self._shape)
+            slot[:] = key, p.shape, f._locate(p.ravel())
+        _, shape, places = slot
+        both = f._read(math.prod(shape), *places).reshape(shape)
+        return both[..., :h.size], both[..., h.size:]

@@ -13,10 +13,10 @@ the field's extension rule. Each side is planned once and read by every
 sum, after FFTW's plan-then-execute (M. Frigo & S. G. Johnson, Proc. IEEE
 93(2), 2005). The kernel's samples, end data and spectrum form a
 HeatKernel for (profile, t, h, n): verify's sweeps hand one per t to every
-field, and a DH point's u and du/dt sums read one. After _keep_spectrum(u0)
-the field keeps u0's weighted spectrum for every later sum. A lone solve
-plans afresh and keeps nothing. Fields are read-only, so nothing kept can
-go stale.
+field, and a DH point's u and du/dt sums read one. _keep_spectrum(u0)
+stores u0's weighted spectrum on the field for every later sum. A lone
+solve plans afresh and keeps nothing. Fields are read-only, so nothing kept
+can go stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -37,7 +37,7 @@ import numpy as np
 import scipy.fft
 import scipy.special
 
-from .fields import Extension, GridField, PiecewiseCubic, PointLayout
+from .fields import Extension, GridField, PiecewiseCubic
 from .singular import QuadResult, gauss_panels, weighted_singular
 from .stable import StableDensityProfile, eval_G, normalizing_constant
 
@@ -51,20 +51,18 @@ TAIL_ORDER = 6
 
 
 def frac_laplacian_point(f: GridField, beta: float, x, *,
-                         max_panel_width: float | None = None,
-                         layout: PointLayout | None = None) -> QuadResult:
+                         max_panel_width: float | None = None) -> QuadResult:
     """(-Delta)^(beta/2) f at one point or a 1-d array of points of a field.
 
     The even second difference absorbs the principal value; the inner disc
     runs on the desingularized integrand f''-like ratio, the far tail follows
     the field's extension rule. Returns value and error estimate; all points
     of an array share one panel layout and one field evaluation per
-    integrand call (through layout, a PointLayout, when given), and give
-    per-point arrays. An oscillating field needs max_panel_width below its
-    period, which its samples cannot reveal.
+    integrand call, and give per-point arrays. An oscillating field needs
+    max_panel_width below its period, which its samples cannot reveal.
     """
     c = normalizing_constant(beta, 1)  # rejects beta outside (0, 2)
-    exp = f.point_expansion(x, layout)  # raises off the central 80%
+    exp = f.point_expansion(x)  # raises off the central 80%
 
     def F(h):
         plus, minus = exp.far(h)
@@ -106,13 +104,17 @@ def _wrapped(g: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _fft_length(n: int) -> int:
+    """The real FFT length of a linear convolution of n samples."""
+    return scipy.fft.next_fast_len(2 * n - 1, real=True)
+
+
 def _keep_spectrum(u0: GridField) -> None:
-    """Make u0 keep its weighted spectrum: the next whole-grid sum of u0
-    stores it on the field, and every later one reads it instead of
-    transforming u0 again. The FFT length depends on n alone, so one array
-    serves every t."""
-    if u0._spectrum is None:
-        u0._spectrum = []
+    """Store u0's weighted spectrum on the field, which every later
+    whole-grid sum of u0 reads instead of transforming u0 again. The FFT
+    length depends on n alone, so one array serves every t."""
+    u0._spectrum = scipy.fft.rfft(_trapezoid_weighted(u0),
+                                  n=_fft_length(u0.values.size))
 
 
 class HeatKernel:
@@ -137,18 +139,13 @@ def _convolve_body(u0: GridField, plan: HeatKernel,
 
     A linear convolution of n samples needs 2n - 1 points, so one real FFT
     of that length, padded to a fast size, suffices. u0's spectrum is the
-    one the field keeps after _keep_spectrum, or else a fresh one that it
-    does not keep.
+    one _keep_spectrum stored on the field, or else a fresh one.
     """
     n = u0.values.size
-    length = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    kept = u0._spectrum  # a list after _keep_spectrum, else None
-    if kept:
-        spec = kept[0]
-    else:
+    length = _fft_length(n)
+    spec = u0._spectrum
+    if spec is None:
         spec = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
-        if kept is not None:
-            kept.append(spec)
     if plan.spectra[variant] is None:
         plan.spectra[variant] = scipy.fft.rfft(
             _wrapped(plan.ends[variant][0], length))
@@ -296,7 +293,7 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     convolution: the kernel is sampled at the n non-negative offsets k h,
     mirrored into the wrap of a real FFT of length next_fast_len(2n - 1),
     and multiplied with u0's weighted spectrum, computed afresh unless
-    _keep_spectrum(u0) has stored it; the kernel side is plan's, or a fresh
+    _keep_spectrum(u0) stored it; the kernel side is plan's, or a fresh
     HeatKernel's. An Euler-Maclaurin end correction reuses the same kernel
     samples, and _add_edge_terms restores the mass from beyond the grid.
     Output fields carry a power-law or constant extension and, as

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import GridField, PointLayout
+from .fields import GridField
 from .fraclap import frac_laplacian_point
 from .markov import MarkovChain
 from .singular import QuadResult, weighted_singular
@@ -86,8 +86,7 @@ def psi_upsilon_discrete(f, chain: MarkovChain, x: int) -> float:
     return float(np.dot(chain.jump_rates(x), upsilon(f - f[x])))
 
 
-def psi_upsilon_continuous(f: GridField, beta: float, x: float,
-                           layout: PointLayout | None = None) -> QuadResult:
+def psi_upsilon_continuous(f: GridField, beta: float, x: float) -> QuadResult:
     """Psi_Upsilon(f)(x) = c * int Upsilon(f(y) - f(x)) |y - x|^(-1-beta) dy.
 
     c = normalizing_constant(beta, 1) makes c |y - x|^(-1-beta) the jump
@@ -95,11 +94,10 @@ def psi_upsilon_continuous(f: GridField, beta: float, x: float,
     are the two rows of one weighted_singular call, with the tail following
     the field's extension model.
     Diverging tails (e.g. growing f under a constant extension) come back
-    with error = inf rather than raising. The rows read f through layout, a
-    PointLayout, when given.
+    with error = inf rather than raising.
     """
     c = normalizing_constant(beta, 1)
-    exp = f.point_expansion(x, layout)
+    exp = f.point_expansion(x)
 
     # rows x + h and x - h: F(h) = Upsilon(f(x +- h) - f(x)), off-grid
     # through the field's extension model; F2 = F / h^2 stays bounded at

@@ -3,7 +3,9 @@
 Discrete checks are exact-arithmetic statements (failures indicate bugs, not
 numerics); continuous checks carry explicit quadrature error bars and use the
 three-verdict scheme pass / pass-within-error / fail, where fail means a
-margin fell below minus its own error estimate.
+margin fell below minus its own error estimate. Every margin reads its
+constant as constant_for(profile), and a DH point's Li-Yau margin reads
+the log u that its DH margin solved.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .constant import LiYauConstantResult, constant_for
-from .fields import Extension, GridField, PointLayout, _nodes
+from .fields import Extension, GridField, _nodes
 from .fraclap import (HeatKernel, _keep_spectrum, _window_eval, dt_log_u,
                       frac_laplacian_point, solve_fractional)
 from .markov import MarkovChain, neg_L_log, transition_matrix
@@ -227,60 +229,52 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
 
 
 def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
-                             profile: StableDensityProfile,
-                             constant: LiYauConstantResult | None = None,
-                             layout: PointLayout | None = None) -> QuadResult:
-    """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array,
-    read through layout, a PointLayout, when given."""
-    const = constant if constant is not None else constant_for(profile)
-    return _liyau_margin(u.log(), beta, t, x, const, layout)
+                             profile: StableDensityProfile) -> QuadResult:
+    """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
+    if profile.beta != beta:
+        raise ValueError("profile was built for a different beta")
+    return _liyau_margin(u.log(), beta, t, x, constant_for(profile))
 
 
 def _liyau_margin(log_u: GridField, beta: float, t: float, x,
-                  const: LiYauConstantResult,
-                  layout: PointLayout | None) -> QuadResult:
-    lap = frac_laplacian_point(log_u, beta, x, layout=layout)
+                  const: LiYauConstantResult) -> QuadResult:
+    lap = frac_laplacian_point(log_u, beta, x)
     return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
 def fractional_liyau_margin(u0: GridField, beta: float, t: float, x: float,
-                            profile: StableDensityProfile,
-                            constant: LiYauConstantResult | None = None) -> QuadResult:
+                            profile: StableDensityProfile) -> QuadResult:
     """C_LY/t minus the fractional Laplacian of log u(t, .) at x."""
     u = solve_fractional(u0, beta, t, profile)
-    return liyau_margin_on_solution(u, beta, t, x, profile, constant)
+    return liyau_margin_on_solution(u, beta, t, x, profile)
 
 
 def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
-                                profile: StableDensityProfile,
-                                constant: LiYauConstantResult | None = None,
-                                u: GridField | None = None) -> QuadResult:
-    """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x).
-
-    u, when given, is u0 already solved at t, and is not solved again;
-    otherwise it is solved here. d/dt log u is dt_log_u's whole-grid du/dt
-    sum divided by that u, read at x by the spline through the nodes
-    within SPLINE_REACH of x's cell. x must lie in the central 80% of the
-    grid; it is checked before any solve.
-    """
+                                profile: StableDensityProfile) -> QuadResult:
+    """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x), for u0 solved
+    at t. x must lie in the central 80% of the grid; it is checked before
+    any solve."""
     u0.require_central(x)
-    const = constant if constant is not None else constant_for(profile)
+    return _dh_margin(u0, beta, t, x, profile, constant_for(profile))[1]
+
+
+def _dh_margin(u0: GridField, beta: float, t: float, x,
+               profile: StableDensityProfile,
+               const: LiYauConstantResult) -> tuple[GridField, QuadResult]:
+    """(log u, the DH margin at (t, x)) for u = u0 solved at t.
+
+    u's sum and the du/dt sum share one d/dt plan. d/dt log u is
+    dt_log_u's whole-grid du/dt sum divided by u, read at x by the spline
+    through the nodes within SPLINE_REACH of x's cell.
+    """
     plan = HeatKernel(profile, t, u0.spacing, u0.values.size, dt=True)
-    if u is None:
-        _keep_spectrum(u0)  # u's sum and the du/dt sum share one transform
-        u = solve_fractional(u0, beta, t, profile, plan=plan)
-    return _dh_margin(u0, u, u.log(), t, x, profile, const, plan, None)
-
-
-def _dh_margin(u0: GridField, u: GridField, log_u: GridField, t: float, x,
-               profile: StableDensityProfile, const: LiYauConstantResult,
-               plan: HeatKernel, layout: PointLayout | None) -> QuadResult:
-    beta = profile.beta
+    u = solve_fractional(u0, beta, t, profile, plan=plan)
+    log_u = u.log()
     dt = _window_eval(dt_log_u(u0, beta, t, profile, u, plan), x)
-    psi = psi_upsilon_continuous(log_u, beta, x, layout=layout)
+    psi = psi_upsilon_continuous(log_u, beta, x)
     value = dt - psi.value + const.value / t
     error = psi.error + const.error / t
-    return QuadResult(value, error, psi.diverged)
+    return log_u, QuadResult(value, error, psi.diverged)
 
 
 def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
@@ -297,8 +291,8 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
                 "t_grid": [float(t) for t in t_grid],
                 "x_grid": [float(x) for x in x_grid]},
         seed=seed)
-    # plans[t] lives while a later field reads it; one layout serves all
-    plans, layout = {}, PointLayout()
+    # plans[t] lives while a later field reads it
+    plans = {}
     for i in range(n_fields):
         u0 = random_positive_field(rng, spacing=spacing, extent=extent)
         _keep_spectrum(u0)  # one transform of u0 for every t
@@ -308,8 +302,7 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
             if i + 1 < n_fields:
                 plans[t] = plan
             u = solve_fractional(u0, beta, t, profile, plan=plan)
-            m = liyau_margin_on_solution(u, beta, t, x_grid, profile, const,
-                                         layout)
+            m = _liyau_margin(u.log(), beta, t, x_grid, const)
             for value, error in zip(m.value, m.error):
                 report.add_sample(value, error)
             del plan, u  # released before the next solve
@@ -338,15 +331,12 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     for _ in range(n_points):
         t = float(log_uniform(rng, *t_range))
         x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
-        plan = HeatKernel(profile, t, u0.spacing, u0.values.size, dt=True)
-        u = solve_fractional(u0, profile.beta, t, profile, plan=plan)
-        # both margins read one log u through one layout
-        log_u, layout = u.log(), PointLayout()
-        ly = _liyau_margin(log_u, profile.beta, t, x, const, layout)
-        dh = _dh_margin(u0, u, log_u, t, x, profile, const, plan, layout)
+        # both margins read one log u
+        log_u, dh = _dh_margin(u0, profile.beta, t, x, profile, const)
+        ly = _liyau_margin(log_u, profile.beta, t, x, const)
         gap = abs(dh.value - ly.value)
         combined = dh.error + ly.error
         report.add_sample(combined - gap, 0.0)
-        del plan, u, log_u  # released before the next solve
+        del log_u  # released before the next solve
     report.runtime = time.perf_counter() - start
     return report

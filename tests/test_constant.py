@@ -83,10 +83,9 @@ def test_numeric_constant_regression_values(profile_b05_d1, profile_b15_d1):
 
 def test_margin_closed_form_beta1(profile_b1_d1):
     # margin(t, x) = C (1 - 1/(1 + y^2)) / t with y = |x|/t
-    const = constant_for(profile_b1_d1)
     for t, x in ((1.0, 0.7), (2.5, 3.0), (0.3, 0.0)):
         y = abs(x) / t
-        res = heat_kernel_liyau_margin(profile_b1_d1, t, x, constant=const)
+        res = heat_kernel_liyau_margin(profile_b1_d1, t, x)
         expect = 2.0 * (1.0 - 1.0 / (1.0 + y ** 2)) / t
         assert res.value == pytest.approx(expect, abs=5e-5 / t + res.error)
         assert res.value >= -res.error
@@ -94,8 +93,7 @@ def test_margin_closed_form_beta1(profile_b1_d1):
 
 def test_margin_sharp_at_origin(profile_b1_d1):
     # the supremum is attained at y = 0: the kernel itself saturates the bound
-    const = constant_for(profile_b1_d1)
-    res = heat_kernel_liyau_margin(profile_b1_d1, 1.0, 0.0, constant=const)
+    res = heat_kernel_liyau_margin(profile_b1_d1, 1.0, 0.0)
     assert abs(res.value) <= 2.0 * res.error + 1e-8
 
 

@@ -369,46 +369,44 @@ def _three_extensions(spacing, extent):
 
 
 @pytest.mark.parametrize("kind", range(3))
-def test_layout_reads_equal_fresh_reads_bit_for_bit(kind):
+def test_far_reads_place_positions_once_per_grid_points_and_nodes(
+        kind, monkeypatch):
     from liyau.fraclap import frac_laplacian_point
     from liyau.ops import psi_upsilon_continuous
 
+    fields._slope_system.cache_clear()  # the slot outlives a test
+    placed, reads = [], []
+    locate, far = GridField._locate, fields.PointExpansion.far
+
+    def recording_far(self, h):
+        out = far(self, h)
+        reads.append((self.field, self._col, h, np.concatenate(out, axis=-1)))
+        return out
+
+    monkeypatch.setattr(GridField, "_locate",
+                        lambda self, p: placed.append(p.size) or locate(self, p))
+    monkeypatch.setattr(fields.PointExpansion, "far", recording_far)
     f, g = _three_extensions(0.05, 20.0)[kind]
-    xs = np.array([-7.3, 0.0, 4.41, 15.9])
-    for beta in (0.5, 1.5):
-        rows, point = fields.PointLayout(), fields.PointLayout()
-        for field in (f, g):  # both read through the layout f bound
-            for x, layout in ((xs, rows), (4.41, point)):
-                fresh = frac_laplacian_point(field, beta, x)
-                read = frac_laplacian_point(field, beta, x, layout=layout)
-                assert np.array_equal(read.value, fresh.value)
-                assert np.array_equal(read.error, fresh.error)
-            # Psi_Upsilon at x reads the positions the Laplacian read
-            fresh = psi_upsilon_continuous(field, beta, 4.41)
-            assert psi_upsilon_continuous(field, beta, 4.41, point) == fresh
-    # a read is GridField.eval at the positions, beyond +-X included
-    h = np.array([0.05, 0.731, 3.0, 17.5, 40.0, 2e3])
-    col = xs[:, None]
-    layout = fields.PointLayout()
-    for field in (f, g):
-        want = field.eval(col + np.concatenate([h, -h]))
-        assert np.array_equal(layout.read(field, col, h), want)
-
-
-def test_layout_rejects_another_grid_points_or_beta():
-    from liyau.fraclap import frac_laplacian_point
-
-    f = _three_extensions(0.05, 20.0)[0][0]
-    other_grid = _three_extensions(0.1, 20.0)[0][0]
-    layout = fields.PointLayout()
-    frac_laplacian_point(f, 1.0, [0.0, 2.0], layout=layout)
-    for field, beta, x in ((other_grid, 1.0, [0.0, 2.0]), (f, 1.0, [0.0, 2.5]),
-                           (f, 1.0, 0.0), (f, 0.7, [0.0, 2.0])):
-        with pytest.raises(ValueError, match="layout was built"):
-            frac_laplacian_point(field, beta, x, layout=layout)
-    with pytest.raises(ValueError, match="layout was built"):
-        frac_laplacian_point(f, 1.0, [0.0, 2.0], max_panel_width=0.5,
-                             layout=layout)
+    other_grid = _three_extensions(0.1, 20.0)[kind][0]
+    xs, coarse = [-7.3, 0.0, 4.41, 15.9], {"max_panel_width": 0.5}
+    # (operator, field, beta, x, keywords, placements)
+    cases = [(frac_laplacian_point, f, 1.0, xs, {}, 1),
+             (frac_laplacian_point, g, 1.0, xs, {}, 0),  # another field
+             (frac_laplacian_point, f, 1.0, 4.41, {}, 1),
+             (psi_upsilon_continuous, g, 1.0, 4.41, {}, 0),  # same positions
+             (frac_laplacian_point, f, 1.0, [0.0, 2.5], {}, 1),
+             (frac_laplacian_point, f, 0.7, [0.0, 2.5], {}, 1),
+             (frac_laplacian_point, f, 0.7, [0.0, 2.5], coarse, 1),
+             (frac_laplacian_point, other_grid, 0.7, [0.0, 2.5], coarse, 1)]
+    for op, field, beta, x, kw, want in cases:
+        before = len(placed)
+        op(field, beta, x, **kw)
+        assert len(placed) - before == want, (op.__name__, beta, x, kw)
+    # every far read is GridField.eval at its positions, beyond +-X included
+    monkeypatch.undo()
+    assert len(reads) == len(cases)
+    for field, col, h, got in reads:
+        assert np.array_equal(got, field.eval(col + np.concatenate([h, -h])))
 
 
 def test_log_is_built_once_and_kept():

@@ -210,23 +210,27 @@ def test_margin_on_solution_matches_two_step(profile_b1_d1):
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
+def test_margin_on_solution_rejects_another_beta(profile_b1_d1, monkeypatch):
+    # a beta = 0.5 read of a beta = 1 solution used to score against C(1, 1)
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
+                               extent=40.0)
+    u = fraclap.solve_fractional(u0, 1.0, 1.5, profile_b1_d1)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("ran a quadrature before checking beta")
+
+    monkeypatch.setattr(verify, "frac_laplacian_point", no_quadrature)
+    for x in (2.0, [0.0, 2.0]):
+        with pytest.raises(ValueError, match="different beta"):
+            liyau_margin_on_solution(u, 0.5, 1.5, x, profile_b1_d1)
+
+
 def test_margin_on_solution_rejects_nan(profile_b1_d1):
     # a NaN point used to pass the central-80% check and score as a pass
     u = random_positive_field(np.random.default_rng(4), spacing=0.05,
                               extent=40.0)
     with pytest.raises(ValueError, match="central 80%"):
         liyau_margin_on_solution(u, 1.0, 1.0, np.nan, profile_b1_d1)
-
-
-def test_dh_margin_given_u_is_unchanged(profile_b1_d1):
-    from liyau.fraclap import solve_fractional
-    u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
-                               extent=40.0)
-    u = solve_fractional(u0, 1.0, 1.5, profile_b1_d1)
-    plain = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1)
-    given = differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1,
-                                        u=u)
-    assert given == plain
 
 
 def test_margins_at_many_points_match_one_at_a_time(profile_b1_d1):
@@ -251,44 +255,16 @@ def test_dh_margin_close_to_liyau_margin(profile_b1_d1):
         assert abs(dh.value - ly.value) <= dh.error + ly.error
 
 
-def test_dh_margin_given_u_solves_nothing_and_transforms_u0_once(
-        profile_b1_d1, monkeypatch):
-    u0 = random_positive_field(np.random.default_rng(9), spacing=0.02,
+def test_lone_dh_margin_keeps_nothing_on_u0(profile_b1_d1):
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
                                extent=40.0)
-    t, x = 1.5, 2.0
-    n = u0.values.size
-    seen = []
-    rfft = scipy.fft.rfft
-
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        seen.append(a.size >= n and np.allclose(a[1:n - 1],
-                                                 u0.spacing * u0.values[1:-1])
-                    and not np.any(a[n:]))
-        return rfft(a, *args, **kwargs)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved u again")
-
-    monkeypatch.setattr(scipy.fft, "rfft", counting)
-    fraclap._keep_spectrum(u0)
-    u = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1)
-    monkeypatch.setattr(fraclap, "solve_fractional", no_solve)
-    monkeypatch.setattr(verify, "solve_fractional", no_solve)
-    m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u=u)
-    # u's sum and the du/dt sum read one transform of u0
-    assert sum(seen) == 1
-    dt = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1, u).eval(x)
-    psi = verify.psi_upsilon_continuous(u.log(), 1.0, x)
-    const = verify.constant_for(profile_b1_d1)
-    assert m.value == dt - psi.value + const.value / t
-    assert m.error == psi.error + const.error / t
+    differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1)
+    assert u0._spectrum is None and u0._spline is None and u0._log is None
 
 
 def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
                                extent=40.0)
-    u = fraclap.solve_fractional(u0, 1.0, 1.0, profile_b1_d1)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking x")
@@ -296,17 +272,17 @@ def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
     monkeypatch.setattr(verify, "solve_fractional", no_solve)
     monkeypatch.setattr(verify, "dt_log_u", no_solve)
     for x in (0.85 * 40.0, -0.85 * 40.0, 40.5, np.nan):
-        for given in (None, u):
-            with pytest.raises(ValueError, match="central 80%"):
-                differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1,
-                                            u=given)
+        with pytest.raises(ValueError, match="central 80%"):
+            differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1)
 
 
 def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
         profile_b1_d1, monkeypatch):
     # the margins workload's check: one field at 10 t, then 2 DH points
     from liyau import fields
-    counts = dict.fromkeys(("solve", "eval_G", "log", "spline", "fft"), 0)
+    fields._slope_system.cache_clear()  # the placement slot outlives a test
+    counts = dict.fromkeys(("solve", "eval_G", "log", "spline", "locate",
+                            "fft"), 0)
 
     def counting(name, fn, when=lambda *a: True):
         def wrapper(*args, **kwargs):
@@ -320,6 +296,8 @@ def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
     monkeypatch.setattr(fraclap, "eval_G", counting("eval_G", fraclap.eval_G))
     monkeypatch.setattr(fields.GridField, "log",
                         counting("log", fields.GridField.log))
+    monkeypatch.setattr(fields.GridField, "_locate",
+                        counting("locate", fields.GridField._locate))
     monkeypatch.setattr(fields, "_spline_slopes",
                         counting("spline", fields._spline_slopes,
                                  lambda x, *a: x.size == n))  # whole grids
@@ -328,8 +306,9 @@ def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
                                   spacing=0.1, extent=100.0)
     verify.sweep_dh_consistency(profile_b1_d1, n_points=2, seed=3,
                                 spacing=0.1, t_range=(0.5, 5.0))
+    # positions placed once by the sweep and once per DH point
     assert counts == {"solve": 12, "eval_G": 12, "log": 12, "spline": 12,
-                      "fft": 0}
+                      "locate": 3, "fft": 0}
     # a lone solve keeps no plan: three transforms, and u0 keeps nothing
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(scipy.fft, name,
@@ -371,12 +350,13 @@ def test_dh_margin_reads_dt_log_u_through_the_window_spline(profile_b1_d1):
     u = fraclap.solve_fractional(u0, 1.0, t, profile_b1_d1)
     g = fraclap.dt_log_u(u0, 1.0, t, profile_b1_d1, u)
     for x in (-31.99, -3.0, 2.0, 17.013):
-        m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1, u=u)
+        m = differential_harnack_margin(u0, 1.0, t, x, profile_b1_d1)
         idx = fraclap._window(u0, x)
         assert idx.size == 2 * fraclap.SPLINE_REACH + 2
         window = float(CubicSpline(u0.x[idx], g.values[idx])(x))
         psi = verify.psi_upsilon_continuous(u.log(), 1.0, x)
         const = verify.constant_for(profile_b1_d1)
         assert m.value == window - psi.value + const.value / t
+        assert m.error == psi.error + const.error / t
         # the window's spline equals the whole grid's to rounding
         assert window == pytest.approx(g.eval(x), rel=1e-13, abs=1e-15)
