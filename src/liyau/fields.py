@@ -9,15 +9,17 @@ Inside the grid a field is its not-a-knot cubic spline, a PiecewiseCubic:
 the library's one cubic reader, equal bit for bit to scipy's CubicSpline and
 CubicHermiteSpline. It also serves the 82-node window splines in fraclap, and
 the stable profile's log-log spline and exceedance cubic. A grid's slope
-system depends on the grid alone, so it is factored once per grid and each
-field costs one tridiagonal solve. Point quadratures build one spline of
-log u per (u, t) on grids of 10^4 nodes and more, which is what this pays
-for; a field keeps its log() as it keeps its spline.
+system depends on the grid alone, so it is factored once per grid, with
+the cell widths and the knots' passed near-uniform check beside it, and
+each field costs one tridiagonal solve and its coefficients. Point
+quadratures build one spline of log u per (u, t) on grids of 10^4 nodes
+and more, which is what this pays for; a field keeps its log() as it
+keeps its spline.
 
 A point quadrature around x splits at one grid cell, where panel_edges
 starts: PointExpansion reads the spline's Taylor data at x inside that
-cell and the field itself beyond it, at x + h and x - h for quadrature
-nodes h. Those positions' places on the grid depend on the grid, x and h
+cell, all four orders from one cell search, and the field itself beyond
+it, at x + h and x - h for quadrature nodes h. Those positions' places on the grid depend on the grid, x and h
 alone, so the grid's slope-system entry keeps the last ones placed, and
 every later field a sweep reads at x costs gathers alone.
 """
@@ -123,24 +125,36 @@ def _slope_factors(x: np.ndarray, clamped: bool = False):
     return factors
 
 
-# a margins sweep reads three grids; an entry holds about 5.5 n floats,
+def _knot_scale(x: np.ndarray) -> float:
+    """1 / (mean cell width) of the knots x, once they pass PiecewiseCubic's
+    check: each lies within half a mean cell width of its place on the
+    uniform grid."""
+    inv = (x.size - 1) / (x[-1] - x[0])
+    if not np.all(np.abs((x - x[0]) * inv - np.arange(x.size)) < 0.5):
+        raise ValueError("knots must be increasing and near-uniform")
+    return inv
+
+
+# a margins sweep reads three grids; an entry holds about 6.5 n floats,
 # and its slot the places of one point quadrature's positions
 @lru_cache(maxsize=4)
 def _slope_system(spacing: float, n: int):
-    """The nodes of a uniform origin-centered grid, the _slope_factors of
-    its not-a-knot spline and a slot for PointExpansion.far, built once per
-    grid. The arrays are read-only, since every caller shares them."""
+    """(nodes, _knot_scale, cell widths, _slope_factors of the not-a-knot
+    spline, slot for PointExpansion.far) of a uniform origin-centered grid,
+    built once per grid. The arrays are read-only, since every caller
+    shares them."""
     x = _nodes(spacing, n)
-    x.flags.writeable = False
-    return x, _slope_factors(x), []
-
-
-def _spline_slopes(x: np.ndarray, y: np.ndarray, factors,
-                   end_slopes: tuple | None = None) -> np.ndarray:
-    """The knot slopes of CubicSpline(x, y) for the factors of
-    _slope_factors(x, end_slopes is not None): not-a-knot at both ends, or
-    the slopes end_slopes = (left, right)."""
     dx = np.diff(x)
+    x.flags.writeable = dx.flags.writeable = False
+    return x, _knot_scale(x), dx, _slope_factors(x), []
+
+
+def _spline_slopes(x: np.ndarray, dx: np.ndarray, y: np.ndarray, factors,
+                   end_slopes: tuple | None = None) -> tuple:
+    """(knot slopes, secant slopes) of CubicSpline(x, y), for the cell
+    widths dx and the factors of _slope_factors(x, end_slopes is not
+    None): not-a-knot at both ends, or the slopes end_slopes = (left,
+    right)."""
     slope = np.diff(y) / dx
     b = np.empty(x.size)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
@@ -153,7 +167,7 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray, factors,
     else:
         b[0], b[-1] = end_slopes
     s, _ = dgttrs(*factors, b, overwrite_b=1)
-    return s
+    return s, slope
 
 
 class PiecewiseCubic:
@@ -176,12 +190,20 @@ class PiecewiseCubic:
     def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
         """The Hermite cubic through (x, y) with slopes dydx at the knots."""
         x = np.asarray(x, dtype=float)
-        n = x.size
-        self._inv = (n - 1) / (x[-1] - x[0])
-        if not np.all(np.abs((x - x[0]) * self._inv - np.arange(n)) < 0.5):
-            raise ValueError("knots must be increasing and near-uniform")
         dx = np.diff(x)
-        slope = np.diff(y) / dx
+        self._fill(x, _knot_scale(x), dx, y, np.diff(y) / dx, dydx)
+
+    @classmethod
+    def _checked(cls, x, inv, dx, y, slope, dydx) -> "PiecewiseCubic":
+        """The cubic of __init__, from knots x that _knot_scale checked
+        (inv), their cell widths dx and the secant slopes of y."""
+        cubic = cls.__new__(cls)
+        cubic._fill(x, inv, dx, y, slope, dydx)
+        return cubic
+
+    def _fill(self, x, inv, dx, y, slope, dydx) -> None:
+        # PPoly's coefficients from the secant and knot slopes
+        n = x.size
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         # rows c0..c3 of PPoly's coefficients, one column per cell; PPoly's
         # sums start from 0.0, which the two low-order rows carry (so a -0.0
@@ -193,7 +215,7 @@ class PiecewiseCubic:
         c[1] -= t
         np.add(dydx[:-1], 0.0, out=c[2])
         np.add(y[:-1], 0.0, out=c[3])
-        self.x = x
+        self.x, self._inv = x, inv
         self._left, self._right = x[:-1], x[1:]
 
     @classmethod
@@ -204,8 +226,10 @@ class PiecewiseCubic:
         y = np.asarray(y, dtype=float)
         if x.size < 4:
             raise ValueError("a spline needs at least 4 knots")
+        inv, dx = _knot_scale(x), np.diff(x)
         factors = _slope_factors(x, clamped=end_slopes is not None)
-        return cls(x, y, _spline_slopes(x, y, factors, end_slopes))
+        s, slope = _spline_slopes(x, dx, y, factors, end_slopes)
+        return cls._checked(x, inv, dx, y, slope, s)
 
     def _cells(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(j, p - x[j]) for each point's cell j, which may be -1 or n - 1
@@ -227,13 +251,22 @@ class PiecewiseCubic:
 
     def __call__(self, p, nu: int = 0) -> np.ndarray:
         """Value (nu = 0) or nu-th derivative, nu <= 3, at the points p."""
+        return self._reads(p, (nu,))[0]
+
+    def _reads(self, p, orders) -> list:
+        """self(p, nu) for each nu of orders, from one cell search."""
         p = np.asarray(p, dtype=float)
         q = p.ravel()
-        out = self.read(*self._cells(q), nu)
-        if nu == 3:
-            # the third derivative is constant on a cell: NaN is set by hand
-            out[np.isnan(q)] = np.nan
-        return out.reshape(p.shape)
+        cells = self._cells(q)
+        outs = []
+        for nu in orders:
+            out = self.read(*cells, nu)
+            if nu == 3:
+                # the third derivative is constant on a cell: NaN is set by
+                # hand
+                out[np.isnan(q)] = np.nan
+            outs.append(out.reshape(p.shape))
+        return outs
 
     def read(self, j: np.ndarray, s: np.ndarray, nu: int = 0) -> np.ndarray:
         """Value or nu-th derivative at the points _cells found, (j, s)."""
@@ -329,9 +362,11 @@ class GridField:
     def _get_spline(self):
         # the not-a-knot spline of the samples, on the grid's cached factors
         if self._spline is None:
-            x, factors, _ = _slope_system(self.spacing, self.values.shape[0])
-            self._spline = PiecewiseCubic(
-                x, self.values, _spline_slopes(x, self.values, factors))
+            x, inv, dx, factors, _ = _slope_system(self.spacing,
+                                                   self.values.shape[0])
+            s, slope = _spline_slopes(x, dx, self.values, factors)
+            self._spline = PiecewiseCubic._checked(x, inv, dx, self.values,
+                                                   slope, s)
         return self._spline
 
     def eval(self, pts) -> np.ndarray:
@@ -491,8 +526,8 @@ class PointExpansion:
         self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         # base points as a column, so that rows broadcast against nodes h
         self._col = np.asarray(x, dtype=float)[..., None]
-        sp = f._get_spline()
-        self.f_x, self.d1, self.d2, self.d3 = (sp(self._col, k) for k in range(4))
+        self.f_x, self.d1, self.d2, self.d3 = f._get_spline()._reads(
+            self._col, range(4))
 
     def near_over_h(self, s: float, h: np.ndarray) -> np.ndarray:
         """(f(x + s h) - f(x)) / h for 0 < h < one grid cell, s = +-1."""
@@ -504,7 +539,7 @@ class PointExpansion:
         keeps the places of the last x +- h read there (GridField._locate),
         so another field read at the same positions is gathers alone."""
         f, col = self.field, self._col
-        slot = _slope_system(f.spacing, f.values.size)[2]
+        slot = _slope_system(f.spacing, f.values.size)[-1]
         key = (col.shape, col.tobytes(), h.tobytes())
         if not slot or slot[0] != key:
             p = col + np.concatenate([h, -h])

@@ -15,6 +15,14 @@ of delta its own way. Each piece carries an error estimate from a
 lower-order rule. The rule orders, panel counts and panel-growth settings
 are module constants: every caller uses the same ones.
 
+The rules depend on (beta, edges) alone, so they are planned before any
+integrand is read, after the plan-then-execute model of FFTW (M. Frigo &
+S. G. Johnson, Proc. IEEE 93(2), 2005): nodes, weights and h^(-1-beta) at
+the Gauss nodes. The plans of read-only edges -- a grid's shared
+GridField.panel_edges, which every point quadrature of a sweep reads --
+are kept, the last eight (beta, edges); other edges, such as J's per-y
+edges, plan at each call and keep nothing.
+
 An integrand may return one row per base point, shape (m, k) for k nodes;
 the result then holds per-row arrays, and each row equals a lone call bit
 for bit.
@@ -101,22 +109,31 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b)[..., 0]
 
 
-def _batched(G: Callable, node_sets: list) -> list:
-    """G read once on the nodes of every set, handed back as one fresh array
+def _stacked(node_sets: list) -> tuple:
+    """The nodes of every set as one read-only vector, the offsets that
+    split it back into sets, and each set's shape."""
+    nodes = np.concatenate([H.ravel() for H in node_sets])
+    nodes.flags.writeable = False
+    return (nodes, np.cumsum([H.size for H in node_sets])[:-1],
+            [H.shape for H in node_sets])
+
+
+def _batched(G: Callable, nodes: np.ndarray, ends: np.ndarray,
+             shapes: list) -> list:
+    """G read once on the _stacked nodes, handed back as one fresh array
     per set, shaped like the set (rows of a row-valued G in front)."""
-    vals = G(np.concatenate([H.ravel() for H in node_sets]))
-    ends = np.cumsum([H.size for H in node_sets])[:-1]
-    return [np.array(v).reshape(vals.shape[:-1] + H.shape)
-            for v, H in zip(np.split(vals, ends, axis=-1), node_sets)]
+    vals = G(nodes)
+    return [np.array(v).reshape(vals.shape[:-1] + shape)
+            for v, shape in zip(np.split(vals, ends, axis=-1), shapes)]
 
 
-def _panel_sum(vals: np.ndarray, beta: float, H: np.ndarray,
-               half: np.ndarray, w: np.ndarray):
-    """The Gauss panels' sum of F(h) h^(-1-beta), from F on their nodes H;
-    no panels sum to 0.0."""
-    if H.size == 0:
+def _panel_sum(vals: np.ndarray, weight: np.ndarray, half: np.ndarray,
+               w: np.ndarray):
+    """The Gauss panels' sum of F(h) h^(-1-beta), from F on their nodes
+    and weight = h^(-1-beta) there; no panels sum to 0.0."""
+    if weight.size == 0:
         return 0.0
-    return _rowdot((vals * H ** (-1.0 - beta)) @ w, half)
+    return _rowdot((vals * weight) @ w, half)
 
 
 def _tail_rule(R: float, beta: float, order: int):
@@ -126,9 +143,10 @@ def _tail_rule(R: float, beta: float, order: int):
     return R * V ** (-1.0 / beta), half, w
 
 
-def _tail_sum(vals: np.ndarray, R: float, beta: float, half: np.ndarray,
+def _tail_sum(vals: np.ndarray, scale: float, half: np.ndarray,
               w: np.ndarray):
-    """int_R^inf F(h) h^(-1-beta) dh from F on _tail_rule's nodes.
+    """int_R^inf F(h) h^(-1-beta) dh from F on _tail_rule's nodes, for
+    scale = R^-beta/beta.
 
     Substituting v = (R/h)^beta maps the tail to (R^-beta/beta) int_0^1
     F(R v^(-1/beta)) dv, integrated on geometrically refined panels toward
@@ -140,7 +158,54 @@ def _tail_sum(vals: np.ndarray, R: float, beta: float, half: np.ndarray,
     v_min = 2.0 ** -TAIL_PANELS
     f_last = np.mean(vals[..., -1, :], axis=-1)
     rem = np.abs(f_last) * v_min
-    return (R ** -beta / beta) * body, (R ** -beta / beta) * rem
+    return scale * body, scale * rem
+
+
+class _RulePlan:
+    """weighted_singular's rules for (beta, edges), built before any
+    integrand is read: the two Jacobi rules' nodes on the inner disc,
+    stacked, and their weights; the six rules beyond it -- the near and
+    far Gauss panels at both orders and the tail at both -- with their
+    nodes stacked into the one vector F is called on, and each Gauss rule's
+    h^(-1-beta) at its nodes.
+    """
+
+    def __init__(self, beta: float, edges: np.ndarray):
+        delta, R = float(edges[0]), float(edges[-1])
+        jacobi = [_jacobi(order, 1.0 - beta) for order in (INNER_ORDER,
+                                                            INNER_ORDER - 4)]
+        self.disc = _stacked([delta * (x + 1.0) / 2.0 for x, _ in jacobi])
+        self.disc_w = [w for _, w in jacobi]
+        self.disc_scale = (delta / 2.0) ** (2.0 - beta)
+
+        lo, hi = edges[:-1], edges[1:]
+        k = min(NEAR_CELLS, len(lo))
+        near, far, near_lo, far_lo = (
+            gauss_panels(lo[:k], hi[:k], GAUSS_ORDER),
+            gauss_panels(lo[k:], hi[k:], FAR_ORDER),
+            gauss_panels(lo[:k], hi[:k], GAUSS_ORDER // 2),
+            gauss_panels(lo[k:], hi[k:], FAR_ORDER // 2))
+        tail, tail_lo = (_tail_rule(R, beta, TAIL_ORDER),
+                         _tail_rule(R, beta, TAIL_ORDER // 2))
+        # far_lo comes last: it is the one rule whose node count may not be
+        # a multiple of 4, and BLAS's gemv rounds a trailing 1-3 rows of a
+        # call its own way, so an integrand that reduces its rows in blocks
+        # of a multiple of 4 rows (J's sphere sum) rounds each row as on its
+        # own rule
+        self.nodes = _stacked([H for H, _, _ in (near, far, near_lo, tail,
+                                                  tail_lo, far_lo)])
+        self.panels = [(H ** (-1.0 - beta), half, w)
+                       for H, half, w in (near, far, near_lo, far_lo)]
+        self.tails = [tail[1:], tail_lo[1:]]
+        self.tail_scale = R ** -beta / beta
+
+
+# the plans of read-only edges, a grid's shared GridField.panel_edges, keyed
+# on their bytes; the margins workload's sweeps and DH points read four
+# (beta, grid) pairs
+@lru_cache(maxsize=8)
+def _grid_plan(beta: float, edges: bytes) -> _RulePlan:
+    return _RulePlan(beta, np.frombuffer(edges))
 
 
 def weighted_singular(F: Callable, F2: Callable, beta: float,
@@ -155,39 +220,23 @@ def weighted_singular(F: Callable, F2: Callable, beta: float,
     F is called once, on the nodes of every rule beyond the disc, and F2
     once, on both Jacobi rules. Integrands returning shape (m, k) for k
     nodes give per-row value and error arrays, one row per base point; 1-d
-    integrands give floats.
+    integrands give floats. The rules for read-only edges (a grid's
+    panel_edges) are planned once per (beta, edges) and kept; other edges
+    build theirs afresh and keep nothing.
     """
     edges = np.asarray(edges, dtype=float)
-    delta, R = float(edges[0]), float(edges[-1])
+    plan = (_RulePlan(beta, edges) if edges.flags.writeable
+            else _grid_plan(beta, edges.tobytes()))
 
-    jacobi = [_jacobi(order, 1.0 - beta) for order in (INNER_ORDER,
-                                                        INNER_ORDER - 4)]
-    disc = _batched(F2, [delta * (x + 1.0) / 2.0 for x, _ in jacobi])
-    inner, inner_lo = ((delta / 2.0) ** (2.0 - beta) * _rowdot(v, w)
-                       for v, (_, w) in zip(disc, jacobi))
-
-    lo, hi = edges[:-1], edges[1:]
-    k = min(NEAR_CELLS, len(lo))
-    near, far, near_lo, far_lo = (
-        gauss_panels(lo[:k], hi[:k], GAUSS_ORDER),
-        gauss_panels(lo[k:], hi[k:], FAR_ORDER),
-        gauss_panels(lo[:k], hi[:k], GAUSS_ORDER // 2),
-        gauss_panels(lo[k:], hi[k:], FAR_ORDER // 2))
-    tail, tail_lo = (_tail_rule(R, beta, TAIL_ORDER),
-                     _tail_rule(R, beta, TAIL_ORDER // 2))
-    # far_lo comes last: it is the one rule whose node count may not be a
-    # multiple of 4, and BLAS's gemv rounds a trailing 1-3 rows of a call
-    # its own way, so an integrand that reduces its rows in blocks of a
-    # multiple of 4 rows (J's sphere sum) rounds each row as on its own rule
-    rules = [near, far, near_lo, tail, tail_lo, far_lo]
+    inner, inner_lo = (plan.disc_scale * _rowdot(v, w) for v, w in
+                       zip(_batched(F2, *plan.disc), plan.disc_w))
     v_near, v_far, v_near_lo, v_tail, v_tail_lo, v_far_lo = _batched(
-        F, [H for H, _, _ in rules])
-    mid = (_panel_sum(v_near, beta, *near)
-           + _panel_sum(v_far, beta, *far))
-    mid_lo = (_panel_sum(v_near_lo, beta, *near_lo)
-              + _panel_sum(v_far_lo, beta, *far_lo))
-    tl, tl_rem = _tail_sum(v_tail, R, beta, *tail[1:])
-    tl_lo, _ = _tail_sum(v_tail_lo, R, beta, *tail_lo[1:])
+        F, *plan.nodes)
+    near, far, near_lo, far_lo = plan.panels
+    mid = _panel_sum(v_near, *near) + _panel_sum(v_far, *far)
+    mid_lo = _panel_sum(v_near_lo, *near_lo) + _panel_sum(v_far_lo, *far_lo)
+    tl, tl_rem = _tail_sum(v_tail, plan.tail_scale, *plan.tails[0])
+    tl_lo, _ = _tail_sum(v_tail_lo, plan.tail_scale, *plan.tails[1])
 
     pieces = np.array([inner, mid, tl])
     finite = np.isfinite(pieces)

@@ -97,6 +97,20 @@ def poisson_profile(d: int, r) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _poisson_exceedance(d: int, r: np.ndarray) -> np.ndarray:
+    """The beta = 1 profile's mass beyond radius r, in closed form and
+    without the cancellation of 1 - (2/pi) arctan r: (2/pi) arctan2(1, r)
+    in d = 1, (1 + r^2)^(-1/2) in d = 2 and (2/pi) (arctan2(1, r)
+    + r/(1 + r^2)) in d = 3."""
+    if d == 2:
+        return (1.0 + r ** 2) ** -0.5
+    out = np.arctan2(1.0, r)
+    if d == 3:
+        out += r / (1.0 + r ** 2)
+    out *= 2.0 / np.pi
+    return out
+
+
 def _small_r_coefs(beta: float, d: int, n: int) -> np.ndarray:
     """b_0..b_(n-1) of Phi = sum b_k r^(2k), b_k = (-1)^k Gamma((2k+d)/beta)
     / (beta 2^(d-1) pi^(d/2) k! Gamma(k+d/2) 4^k)."""
@@ -410,7 +424,7 @@ class StableDensityProfile:
     def _piecewise(self, r, closed, table, series) -> tuple:
         """Apply one rule per region of |r| and gather the rule's outputs.
 
-        closed(r) serves beta = 1, unless it is None. Otherwise series(s, r)
+        closed(r) serves beta = 1. Otherwise series(s, r)
         runs on the small-r series s below r_table[1] and on the large-r one
         beyond r_max, and table(r) in between. Each rule returns a tuple of
         arrays; a scalar r gives a tuple of floats.
@@ -423,7 +437,7 @@ class StableDensityProfile:
         r = np.abs(np.asarray(r, dtype=float))
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if self.beta == 1.0 and closed is not None:
+        if self.beta == 1.0:
             outs = closed(r)
         else:
             lo = r < self.r_table[1]
@@ -498,13 +512,23 @@ class StableDensityProfile:
         return float(samples.min()), float(samples.max())
 
     def mass(self) -> float:
-        """Total integral of Phi, from exceedance's pass."""
+        """Total integral of Phi, exceedance at r = 0."""
         return float(self.exceedance(0.0))
 
     def exceedance(self, r) -> np.ndarray:
         """Mass of Phi outside radius r: across the table a cubic through
         one dense pass of Gauss panels, on the large-r series' mass beyond
-        it; the series' own masses below and beyond the table."""
+        it; the series' own masses below and beyond the table. beta = 1
+        reads the Poisson kernel's closed form and makes no pass."""
+        return self._piecewise(
+            r, lambda r: (_poisson_exceedance(self.d, r),),
+            lambda r: (self._get_exceed()[2](np.log(r)),),
+            lambda s, r: (s.mass(r) if s is self._large
+                          else self._get_exceed()[3] - s.mass(r),))[0]
+
+    def _get_exceed(self) -> tuple:
+        # (grid, cumulative mass beyond each radius, its Hermite cubic in
+        # log r, total mass), from one pass across the table
         if self._exceed is None:
             d = self.d
             surf = d * ball_volume(d)
@@ -519,9 +543,7 @@ class StableDensityProfile:
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
             self._exceed = (grid, cum, PiecewiseCubic(np.log(grid), cum, slope),
                             cum[0] + self._small.mass(grid[0]))
-        _, _, hermite, total = self._exceed
-        return self._piecewise(r, None, lambda r: (hermite(np.log(r)),), lambda s, r: (
-            s.mass(r) if s is self._large else total - s.mass(r),))[0]
+        return self._exceed
 
     # ---- serialization ----------------------------------------------------
 

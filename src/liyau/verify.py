@@ -9,6 +9,7 @@ the log u that its DH margin solved.
 """
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -253,8 +254,11 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
                                 profile: StableDensityProfile) -> QuadResult:
     """d/dt log u - Psi_Upsilon(log u) + C_LY/t at (t, x), for u0 solved
     at t. x must lie in the central 80% of the grid; it is checked before
-    any solve."""
+    any solve. u's sum and the du/dt sum share one transform of u0, which
+    a copy of the field keeps for the call, not the caller's u0."""
     u0.require_central(x)
+    u0 = copy.copy(u0)
+    _keep_spectrum(u0)
     return _dh_margin(u0, beta, t, x, profile, constant_for(profile))[1]
 
 

@@ -249,6 +249,26 @@ def test_point_expansion_rejects_nan():
             f.point_expansion(x)
 
 
+def test_point_expansion_reads_taylor_data_from_one_cell_search(monkeypatch):
+    # f(x) and its first three derivatives are the spline's own reads, bit
+    # for bit, a NaN point included (the central-band check is lifted to
+    # let one through)
+    f = bump(spacing=0.02, extent=10.0)
+    sp = f._get_spline()
+    searches, cells = [], fields.PiecewiseCubic._cells
+    monkeypatch.setattr(fields.PiecewiseCubic, "_cells",
+                        lambda self, p: searches.append(p.size) or cells(self, p))
+    monkeypatch.setattr(GridField, "require_central", lambda self, x: None)
+    for x in (np.array([-3.3, 0.0, np.nan, 2.0 + 1e-9, 7.99]), 1.234, np.nan):
+        exp = fields.PointExpansion(f, x)
+        assert searches == [np.size(x)]
+        col = np.asarray(x, dtype=float)[..., None]
+        for k, got in enumerate((exp.f_x, exp.d1, exp.d2, exp.d3)):
+            want = sp(col, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        searches.clear()
+
+
 def test_tail_mismatch_flags_wrong_extension_model():
     # exact power field declared with the right exponent: tiny mismatch
     good = GridField.from_function(lambda x: (1.0 + x ** 2) ** -1.5, 0.02, 30.0,

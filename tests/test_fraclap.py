@@ -211,6 +211,29 @@ def test_quadrature_reads_each_integrand_once(edges, rows):
     assert not res.diverged
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("rows", [None, 1, 10])
+def test_planned_edges_read_as_fresh_edges_bit_for_bit(beta, rows):
+    # a grid's read-only panel_edges get one rule plan per (beta, edges),
+    # kept; a writeable copy builds its rules afresh and keeps nothing
+    edges = GridField.from_function(np.cos, 0.01, 20.0).panel_edges()
+    a = np.linspace(0.5, 2.0, rows or 1)[:, None]
+    if rows is None:
+        a = a[0]
+    F = lambda h: a * np.sin(h) ** 2 / (1.0 + h ** 2)  # noqa: E731
+    F2 = lambda h: a * np.sinc(h / np.pi) ** 2 / (1.0 + h ** 2)  # noqa: E731
+    singular._grid_plan.cache_clear()
+    planned = [weighted_singular(F, F2, beta, edges) for _ in range(2)]
+    assert singular._grid_plan.cache_info()[:2] == (1, 1)  # hits, misses
+    fresh = weighted_singular(F, F2, beta, np.array(edges))
+    assert singular._grid_plan.cache_info().currsize == 1
+    assert np.shape(fresh.value) == (() if rows is None else (rows,))
+    for res in planned:
+        assert np.asarray(res.value).tobytes() == np.asarray(fresh.value).tobytes()
+        assert np.asarray(res.error).tobytes() == np.asarray(fresh.error).tobytes()
+        assert res.diverged == fresh.diverged
+
+
 @pytest.mark.parametrize("profname", ["profile_b07_d2", "profile_b13_d3",
                                       "profile_b15_d1"])
 def test_J_of_y_rounds_as_one_sphere_sum_per_rule(profname, request):

@@ -67,9 +67,26 @@ def test_mass_is_one(beta, d, tol, request):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mass_is_one_at_beta_one(d):
-    # the Poisson kernel on the table's panels, and the large-r series
-    # integrated term by term beyond it
+    # the Poisson kernel's exact mass beyond r, at r = 0
     assert build_profile(1.0, d).mass() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_beta_one_exceedance_is_the_poisson_kernels_mass_beyond_r(d):
+    # the mass of C_d (1 + r^2)^(-(d+1)/2) beyond r in closed form, with no
+    # pass across the table: at r = 0 it is 1 to rounding
+    prof = build_profile(1.0, d)
+    r = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 241)])
+    angle = np.pi / 2.0 - np.arctan(np.minimum(r, 1.0))  # arctan(1/r) below 1
+    angle[r > 1.0] = np.arctan(1.0 / r[r > 1.0])
+    want = {1: 2.0 / np.pi * angle,
+            2: 1.0 / np.sqrt(1.0 + r * r),
+            3: 2.0 / np.pi * (angle + r / (1.0 + r * r))}[d]
+    got = prof.exceedance(r)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+    assert abs(prof.mass() - 1.0) <= 2.0 * np.finfo(float).eps
+    assert prof.exceedance(0.0) == prof.mass()
+    assert prof._exceed is None
 
 
 # a node's bar covers its gap to the truth and is at most this much looser

@@ -255,10 +255,18 @@ def test_dh_margin_close_to_liyau_margin(profile_b1_d1):
         assert abs(dh.value - ly.value) <= dh.error + ly.error
 
 
-def test_lone_dh_margin_keeps_nothing_on_u0(profile_b1_d1):
+def test_lone_dh_margin_keeps_nothing_on_u0(profile_b1_d1, monkeypatch):
     u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
                                extent=40.0)
+    calls = []
+    for name in ("rfft", "irfft"):
+        real = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name, lambda *a, real=real, **k:
+                            calls.append(real) or real(*a, **k))
     differential_harnack_margin(u0, 1.0, 1.5, 2.0, profile_b1_d1)
+    # u's and du/dt's sums share one transform of u0: one more per kernel
+    # variant and one inverse per sum
+    assert len(calls) == 5
     assert u0._spectrum is None and u0._spline is None and u0._log is None
 
 
@@ -318,6 +326,29 @@ def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
     assert counts["fft"] == 3 and u0._spectrum is None
     assert not any(isinstance(v, fraclap.HeatKernel)
                    for f in (u0, u) for v in vars(f).values())
+
+
+def test_margins_check_plans_its_rules_once_per_beta_and_grid(
+        profile_b1_d1, monkeypatch):
+    # one field at 10 t, then 2 DH points on another grid: every point
+    # quadrature of one (beta, grid) reads one rule plan
+    from liyau import constant, singular
+    verify.constant_for(profile_b1_d1)  # memoized: only the sweeps count
+    singular._grid_plan.cache_clear()
+    orders, gauss = [], singular.gauss_panels
+    monkeypatch.setattr(singular, "gauss_panels",
+                        lambda *a: orders.append(a[2]) or gauss(*a))
+    verify.sweep_fractional_liyau(profile_b1_d1, 1, np.geomspace(0.3, 10, 10),
+                                  np.linspace(-40.0, 40.0, 10), seed=3,
+                                  spacing=0.1, extent=100.0)
+    verify.sweep_dh_consistency(profile_b1_d1, n_points=2, seed=3,
+                                spacing=0.2, t_range=(0.5, 5.0))
+    # per plan the middle panels' rules (8, 4, 4, 2) and the tail's (8, 4)
+    assert sorted(orders) == sorted([8, 4, 4, 2, 8, 4] * 2)
+    # a J search builds its rules per y and keeps none
+    info = singular._grid_plan.cache_info()
+    constant.liyau_constant_numeric(profile_b1_d1)
+    assert singular._grid_plan.cache_info() == info
 
 
 def test_sweep_over_fields_builds_each_kernel_once(profile_b1_d1,
