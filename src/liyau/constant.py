@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .singular import (QuadResult, gauss_panels, golden_section_max,
+from .singular import (QuadResult, RulePlan, gauss_panels, golden_section_max,
                        log_panel_edges, weighted_singular)
 from .stable import StableDensityProfile, ball_volume, normalizing_constant
 
@@ -183,7 +183,8 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
             _sphere_deficit(profile, y, derivs, rho[i:i + rows], desingularized)
             for i in range(0, rho.size, rows)])
 
-    res = weighted_singular(deficit(False), deficit(True), profile.beta, edges)
+    res = weighted_singular(deficit(False), deficit(True),
+                            RulePlan(profile.beta, edges))
     # profile tabulation error enters linearly through the log values
     res = QuadResult(res.value,
                      res.error + 4.0 * profile.error_estimate * (1.0 + abs(res.value)),

@@ -16,11 +16,11 @@ quadratures build one spline of log u per (u, t) on grids of 10^4 nodes
 and more, which is what this pays for; a field keeps its log() as it
 keeps its spline.
 
-A point quadrature around x splits at one grid cell, where panel_edges
-starts: PointExpansion reads the spline's Taylor data at x inside that
-cell, all four orders from one cell search, and the field itself beyond
-it, at x + h and x - h for quadrature nodes h. Those positions' places on the grid depend on the grid, x and h
-alone, so the grid's slope-system entry keeps the last ones placed, and
+A point quadrature around x splits at one grid cell: PointExpansion reads
+the spline's Taylor data at x inside that cell, all four orders from one
+cell search, and the field itself beyond it, at x +- h for quadrature
+nodes h. One _point_plan per (grid, beta, panel width cap) holds the
+quadrature's rules and the places on the grid of the last x +- h read, so
 every later field a sweep reads at x costs gathers alone.
 """
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .runio import read_table_text
-from .singular import grid_cell_edges
+from .singular import RulePlan, grid_cell_edges
 
 FIELD_FORMAT = "liyau-field v1"
 
@@ -135,18 +135,16 @@ def _knot_scale(x: np.ndarray) -> float:
     return inv
 
 
-# a margins sweep reads three grids; an entry holds about 6.5 n floats,
-# and its slot the places of one point quadrature's positions
+# a margins sweep reads three grids; an entry holds about 6.5 n floats
 @lru_cache(maxsize=4)
 def _slope_system(spacing: float, n: int):
     """(nodes, _knot_scale, cell widths, _slope_factors of the not-a-knot
-    spline, slot for PointExpansion.far) of a uniform origin-centered grid,
-    built once per grid. The arrays are read-only, since every caller
-    shares them."""
+    spline) of a uniform origin-centered grid, built once per grid. The
+    arrays are read-only, since every caller shares them."""
     x = _nodes(spacing, n)
     dx = np.diff(x)
     x.flags.writeable = dx.flags.writeable = False
-    return x, _knot_scale(x), dx, _slope_factors(x), []
+    return x, _knot_scale(x), dx, _slope_factors(x)
 
 
 def _spline_slopes(x: np.ndarray, dx: np.ndarray, y: np.ndarray, factors,
@@ -288,12 +286,14 @@ class PiecewiseCubic:
         return out
 
 
-@lru_cache(maxsize=64)
-def _panel_edges(spacing: float, extent: float,
-                 max_width: float | None) -> np.ndarray:
-    edges = grid_cell_edges(spacing, extent, max_width=max_width)
-    edges.flags.writeable = False  # shared by every field on the grid
-    return edges
+# a margins check reads two (grid, beta) pairs; a plan holds about 36 KB
+@lru_cache(maxsize=8)
+def _point_plan(spacing: float, n: int, beta: float,
+                max_width: float | None) -> tuple:
+    """(RulePlan at beta on panels from one cell out to X, slot for
+    PointExpansion.far) of a uniform origin-centered grid."""
+    edges = grid_cell_edges(spacing, (n - 1) // 2 * spacing, max_width)
+    return RulePlan(beta, edges), []
 
 
 @dataclass
@@ -327,8 +327,8 @@ class GridField:
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
         self.values.flags.writeable = False
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
         if self.values.ndim != 1:
             raise ValueError("values must be 1-d")
         if self.values.size % 2 == 0 or self.values.size < 5:
@@ -362,8 +362,8 @@ class GridField:
     def _get_spline(self):
         # the not-a-knot spline of the samples, on the grid's cached factors
         if self._spline is None:
-            x, inv, dx, factors, _ = _slope_system(self.spacing,
-                                                   self.values.shape[0])
+            x, inv, dx, factors = _slope_system(self.spacing,
+                                                self.values.shape[0])
             s, slope = _spline_slopes(x, dx, self.values, factors)
             self._spline = PiecewiseCubic._checked(x, inv, dx, self.values,
                                                    slope, s)
@@ -402,14 +402,11 @@ class GridField:
         if not np.all(np.abs(x) <= 0.8 * self.extent):
             raise ValueError("base point must lie in the central 80% of the grid")
 
-    def point_expansion(self, x) -> "PointExpansion":
-        return PointExpansion(self, x)
-
-    def panel_edges(self, max_width: float | None = None) -> np.ndarray:
-        """Point-quadrature panel edges from one grid cell (the inner
-        radius) out to X; max_width caps the width of the far panels. The
-        array is built once per grid and is read-only."""
-        return _panel_edges(self.spacing, self.extent, max_width)
+    def point_expansion(self, x, beta: float,
+                        max_width: float | None = None) -> "PointExpansion":
+        """The field read around x for point quadratures at beta, whose far
+        panels are at most max_width > 0 wide."""
+        return PointExpansion(self, x, beta, max_width)
 
     def tail_model_error_budget(self, beta: float, x):
         """Tail-error bound for h^(-1-beta)-weighted integrals centered at x.
@@ -510,19 +507,21 @@ class GridField:
 
 class PointExpansion:
     """A 1-d GridField read around base points x, on either side of one
-    grid cell.
+    grid cell, and the rule plan its point quadratures at beta read.
 
-    Every point quadrature splits at its first panel edge, one grid cell
-    (weighted_singular, GridField.panel_edges), and each side has one
-    reader: near_over_h, the spline's cubic at x (the Taylor data f_x, d1,
-    d2, d3), which keeps its precision as h -> 0, and far, the field itself,
-    extension rule included. x is one point or a 1-d array of them; for an
-    array every reading has one row per point, shape (len(x),) + h.shape.
+    Every point quadrature splits at its plan's first panel edge, one grid
+    cell, and each side has one reader: near_over_h, the spline's cubic at
+    x (the Taylor data f_x, d1, d2, d3), which keeps its precision as
+    h -> 0, and far, the field itself, extension rule included. x is one
+    point or a 1-d array of them; for an array every reading has one row
+    per point, shape (len(x),) + h.shape.
     """
 
-    def __init__(self, f: GridField, x):
+    def __init__(self, f: GridField, x, beta: float, max_width: float | None):
         f.require_central(x)
         self.field = f
+        self.plan, self._slot = _point_plan(f.spacing, f.values.size, beta,
+                                            max_width)
         self.x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
         # base points as a column, so that rows broadcast against nodes h
         self._col = np.asarray(x, dtype=float)[..., None]
@@ -535,11 +534,10 @@ class PointExpansion:
 
     def far(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f(x + h) and f(x - h) for h >= one grid cell, from one field
-        read, equal bit for bit to f.eval. The grid's _slope_system slot
-        keeps the places of the last x +- h read there (GridField._locate),
-        so another field read at the same positions is gathers alone."""
-        f, col = self.field, self._col
-        slot = _slope_system(f.spacing, f.values.size)[-1]
+        read, equal bit for bit to f.eval. The plan's slot keeps the places
+        of the last x +- h read on the grid (GridField._locate), so another
+        field read at the same positions is gathers alone."""
+        f, col, slot = self.field, self._col, self._slot
         key = (col.shape, col.tobytes(), h.tobytes())
         if not slot or slot[0] != key:
             p = col + np.concatenate([h, -h])

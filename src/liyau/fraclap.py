@@ -62,7 +62,7 @@ def frac_laplacian_point(f: GridField, beta: float, x, *,
     max_panel_width below its period, which its samples cannot reveal.
     """
     c = normalizing_constant(beta, 1)  # rejects beta outside (0, 2)
-    exp = f.point_expansion(x)  # raises off the central 80%
+    exp = f.point_expansion(x, beta, max_panel_width)  # checks x, the cap
 
     def F(h):
         plus, minus = exp.far(h)
@@ -71,7 +71,7 @@ def frac_laplacian_point(f: GridField, beta: float, x, *,
     # inside the inner disc the spline's second difference over h^2 is
     # f''(x), repeated: a broadcast view would round the inner sum otherwise
     F2 = lambda h: np.repeat(exp.d2, h.size, axis=-1)
-    res = weighted_singular(F, F2, beta, f.panel_edges(max_panel_width))
+    res = weighted_singular(F, F2, exp.plan)
     return res.scaled(-c) + QuadResult(0.0, c * f.tail_model_error_budget(beta, exp.x))
 
 

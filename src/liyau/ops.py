@@ -97,7 +97,7 @@ def psi_upsilon_continuous(f: GridField, beta: float, x: float) -> QuadResult:
     with error = inf rather than raising.
     """
     c = normalizing_constant(beta, 1)
-    exp = f.point_expansion(x)
+    exp = f.point_expansion(x, beta)
 
     # rows x + h and x - h: F(h) = Upsilon(f(x +- h) - f(x)), off-grid
     # through the field's extension model; F2 = F / h^2 stays bounded at
@@ -108,7 +108,7 @@ def psi_upsilon_continuous(f: GridField, beta: float, x: float) -> QuadResult:
         d_over_h = np.stack([exp.near_over_h(s, h) for s in (1.0, -1.0)])
         return upsilon_over_sq(h * d_over_h) * d_over_h ** 2
 
-    sides = weighted_singular(F, F2, beta, f.panel_edges())
+    sides = weighted_singular(F, F2, exp.plan)
     # the rows are added in turn: summed inside F, they would round otherwise
     plus, minus = (QuadResult(v, e) for v, e in zip(sides.value, sides.error))
     budget = QuadResult(0.0, f.tail_model_error_budget(beta, x), sides.diverged)

@@ -15,13 +15,12 @@ of delta its own way. Each piece carries an error estimate from a
 lower-order rule. The rule orders, panel counts and panel-growth settings
 are module constants: every caller uses the same ones.
 
-The rules depend on (beta, edges) alone, so they are planned before any
-integrand is read, after the plan-then-execute model of FFTW (M. Frigo &
-S. G. Johnson, Proc. IEEE 93(2), 2005): nodes, weights and h^(-1-beta) at
-the Gauss nodes. The plans of read-only edges -- a grid's shared
-GridField.panel_edges, which every point quadrature of a sweep reads --
-are kept, the last eight (beta, edges); other edges, such as J's per-y
-edges, plan at each call and keep nothing.
+The rules depend on (beta, edges) alone, so a RulePlan builds them before
+any integrand is read, after the plan-then-execute model of FFTW (M. Frigo
+& S. G. Johnson, Proc. IEEE 93(2), 2005): nodes, weights and h^(-1-beta)
+at the Gauss nodes. weighted_singular reads the plan it is handed and
+keeps nothing: a grid's point quadratures share one plan per (grid, beta)
+(fields.GridField.point_expansion), and J plans its per-y edges afresh.
 
 An integrand may return one row per base point, shape (m, k) for k nodes;
 the result then holds per-row arrays, and each row equals a lone call bit
@@ -30,7 +29,7 @@ for bit.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -161,16 +160,18 @@ def _tail_sum(vals: np.ndarray, scale: float, half: np.ndarray,
     return scale * body, scale * rem
 
 
-class _RulePlan:
+class RulePlan:
     """weighted_singular's rules for (beta, edges), built before any
     integrand is read: the two Jacobi rules' nodes on the inner disc,
     stacked, and their weights; the six rules beyond it -- the near and
     far Gauss panels at both orders and the tail at both -- with their
-    nodes stacked into the one vector F is called on, and each Gauss rule's
-    h^(-1-beta) at its nodes.
+    nodes stacked into the one read-only vector F is called on, and each
+    Gauss rule's h^(-1-beta) at its nodes. edges are increasing panel
+    edges, and edges[0] > 0 is the inner disc's radius.
     """
 
     def __init__(self, beta: float, edges: np.ndarray):
+        self.edges = edges = np.asarray(edges, dtype=float)
         delta, R = float(edges[0]), float(edges[-1])
         jacobi = [_jacobi(order, 1.0 - beta) for order in (INNER_ORDER,
                                                             INNER_ORDER - 4)]
@@ -200,34 +201,18 @@ class _RulePlan:
         self.tail_scale = R ** -beta / beta
 
 
-# the plans of read-only edges, a grid's shared GridField.panel_edges, keyed
-# on their bytes; the margins workload's sweeps and DH points read four
-# (beta, grid) pairs
-@lru_cache(maxsize=8)
-def _grid_plan(beta: float, edges: bytes) -> _RulePlan:
-    return _RulePlan(beta, np.frombuffer(edges))
-
-
-def weighted_singular(F: Callable, F2: Callable, beta: float,
-                      edges: Sequence[float]) -> QuadResult:
-    """Assemble int_0^inf F(h) h^(-1-beta) dh.
+def weighted_singular(F: Callable, F2: Callable, plan: RulePlan) -> QuadResult:
+    """Assemble int_0^inf F(h) h^(-1-beta) dh on the plan's (beta, edges).
 
     F      integrand numerator on [edges[0], infinity), vectorized; it must
            apply the declared far-field rule beyond edges[-1]
     F2     F(h)/h^2 on the inner disc (0, edges[0]), stable as h -> 0
-    edges  increasing panel edges; edges[0] > 0 is the inner disc's radius
 
-    F is called once, on the nodes of every rule beyond the disc, and F2
+    F is called once, on the plan's stacked nodes beyond the disc, and F2
     once, on both Jacobi rules. Integrands returning shape (m, k) for k
     nodes give per-row value and error arrays, one row per base point; 1-d
-    integrands give floats. The rules for read-only edges (a grid's
-    panel_edges) are planned once per (beta, edges) and kept; other edges
-    build theirs afresh and keep nothing.
+    integrands give floats.
     """
-    edges = np.asarray(edges, dtype=float)
-    plan = (_RulePlan(beta, edges) if edges.flags.writeable
-            else _grid_plan(beta, edges.tobytes()))
-
     inner, inner_lo = (plan.disc_scale * _rowdot(v, w) for v, w in
                        zip(_batched(F2, *plan.disc), plan.disc_w))
     v_near, v_far, v_near_lo, v_tail, v_tail_lo, v_far_lo = _batched(
@@ -258,9 +243,11 @@ def grid_cell_edges(spacing: float, cutoff: float,
     One panel per grid cell near the singularity (where the weight varies
     fastest), then geometrically widening panels so that wide grids do not
     cost one Gauss rule per cell; widths are capped at cutoff/16 unless the
-    caller passes a tighter max_width (oscillatory fields need panels that
-    resolve the oscillation period out to the cutoff).
+    caller passes a tighter max_width > 0 (oscillatory fields need panels
+    that resolve the oscillation period out to the cutoff).
     """
+    if max_width is not None and not max_width > 0:  # NaN fails it too
+        raise ValueError("max_width must be > 0")
     edges = [spacing]
     w = spacing
     k = 0

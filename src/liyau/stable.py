@@ -488,12 +488,11 @@ class StableDensityProfile:
                 -2.0 * q * (1.0 - r ** 2) / (1.0 + r ** 2) ** 2)
 
         def table(r):
-            sp = self._get_spline()
-            u = np.log(r)
-            s1 = sp(u, 1)
-            slope = s1 / r
-            return (slope,) if slope_only else (
-                sp(u), slope, (sp(u, 2) - s1) / r ** 2)
+            sp, u = self._get_spline(), np.log(r)
+            if slope_only:
+                return (sp(u, 1) / r,)
+            L, s1, s2 = sp._reads(u, (0, 1, 2))  # one cell search
+            return L, s1 / r, (s2 - s1) / r ** 2
 
         return closed, table, lambda s, r: s.log_derivs(r, slope_only)
 

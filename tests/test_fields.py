@@ -17,6 +17,8 @@ def bump(spacing=0.1, extent=5.0, ext=None):
 def test_construction_validation():
     with pytest.raises(ValueError):
         GridField(0.0, np.ones(5))
+    with pytest.raises(ValueError, match="finite"):
+        GridField(np.inf, np.ones(5))
     with pytest.raises(ValueError):
         GridField(0.1, np.ones(4))  # even length
     with pytest.raises(ValueError):
@@ -211,7 +213,7 @@ def test_text_reader_names_a_missing_header_key():
 
 def test_point_expansion_second_difference():
     f = bump(spacing=0.01)
-    exp = f.point_expansion(0.0)
+    exp = f.point_expansion(0.0, 1.0)
     # f(h) + f(-h) - 2 f(0) for the Gaussian: 2(e^{-h^2} - 1)
     h = np.array([0.1, 0.5])
     plus, minus = exp.far(h)
@@ -226,10 +228,10 @@ def test_point_expansion_second_difference():
 def test_point_expansion_rows_match_single_points():
     f = bump(spacing=0.01)
     xs = np.array([-1.3, 0.0, 0.257])
-    rows = f.point_expansion(xs)
+    rows = f.point_expansion(xs, 1.0)
     h = np.array([1e-4, 0.003, 0.01, 0.5, 2.0, 1e3])  # Taylor, grid and tail
     for i, x in enumerate(xs):
-        one = f.point_expansion(x)
+        one = f.point_expansion(x, 1.0)
         for s in (1.0, -1.0):
             assert np.array_equal(rows.near_over_h(s, h)[i], one.near_over_h(s, h))
         for side_rows, side_one in zip(rows.far(h), one.far(h)):
@@ -239,14 +241,14 @@ def test_point_expansion_rows_match_single_points():
 def test_point_expansion_boundary_guard():
     f = bump(extent=5.0)
     with pytest.raises(ValueError):
-        f.point_expansion(4.5)  # outside the central 80%
+        f.point_expansion(4.5, 1.0)  # outside the central 80%
 
 
 def test_point_expansion_rejects_nan():
     f = bump(extent=5.0)
     for x in (np.nan, np.array([0.0, np.nan])):
         with pytest.raises(ValueError, match="central 80%"):
-            f.point_expansion(x)
+            f.point_expansion(x, 1.0)
 
 
 def test_point_expansion_reads_taylor_data_from_one_cell_search(monkeypatch):
@@ -260,7 +262,7 @@ def test_point_expansion_reads_taylor_data_from_one_cell_search(monkeypatch):
                         lambda self, p: searches.append(p.size) or cells(self, p))
     monkeypatch.setattr(GridField, "require_central", lambda self, x: None)
     for x in (np.array([-3.3, 0.0, np.nan, 2.0 + 1e-9, 7.99]), 1.234, np.nan):
-        exp = fields.PointExpansion(f, x)
+        exp = fields.PointExpansion(f, x, 1.0, None)
         assert searches == [np.size(x)]
         col = np.asarray(x, dtype=float)[..., None]
         for k, got in enumerate((exp.f_x, exp.d1, exp.d2, exp.d3)):
@@ -359,16 +361,26 @@ def test_sweep_over_t_factors_its_grid_once(monkeypatch, profile_b1_d1):
     assert calls == [801]
 
 
-@pytest.mark.parametrize("max_width", [None, 0.25])
-def test_panel_edges_are_built_once_per_grid_and_read_only(max_width):
+def test_point_quadratures_of_one_beta_and_grid_build_one_plan():
+    from liyau.fraclap import frac_laplacian_point
+    from liyau.ops import psi_upsilon_continuous
+
     f = bump(spacing=0.02, extent=10.0)
     g = GridField(f.spacing, 2.0 * f.values)
-    edges = f.panel_edges(max_width)
-    assert np.array_equal(edges, grid_cell_edges(0.02, 10.0,
-                                                 max_width=max_width))
-    assert g.panel_edges(max_width) is edges
+    fields._point_plan.cache_clear()
+    frac_laplacian_point(f, 0.7, [0.0, 1.0])
+    psi_upsilon_continuous(g, 0.7, 0.3)
+    assert fields._point_plan.cache_info().misses == 1
+    plan = g.point_expansion(0.3, 0.7).plan
+    assert f.point_expansion(0.0, 0.7).plan is plan
+    assert np.array_equal(plan.edges, grid_cell_edges(0.02, 10.0))
     with pytest.raises(ValueError):
-        edges[1] = 0.0
+        plan.nodes[0][0] = 0.0
+    # a panel width cap is another plan
+    capped = f.point_expansion(0.0, 0.7, 0.25).plan
+    assert np.array_equal(capped.edges,
+                          grid_cell_edges(0.02, 10.0, max_width=0.25))
+    assert fields._point_plan.cache_info().misses == 2
 
 
 # ---- point layouts -------------------------------------------------------------
@@ -394,7 +406,7 @@ def test_far_reads_place_positions_once_per_grid_points_and_nodes(
     from liyau.fraclap import frac_laplacian_point
     from liyau.ops import psi_upsilon_continuous
 
-    fields._slope_system.cache_clear()  # the slot outlives a test
+    fields._point_plan.cache_clear()  # the slot outlives a test
     placed, reads = [], []
     locate, far = GridField._locate, fields.PointExpansion.far
 
@@ -417,7 +429,9 @@ def test_far_reads_place_positions_once_per_grid_points_and_nodes(
              (frac_laplacian_point, f, 1.0, [0.0, 2.5], {}, 1),
              (frac_laplacian_point, f, 0.7, [0.0, 2.5], {}, 1),
              (frac_laplacian_point, f, 0.7, [0.0, 2.5], coarse, 1),
-             (frac_laplacian_point, other_grid, 0.7, [0.0, 2.5], coarse, 1)]
+             (frac_laplacian_point, other_grid, 0.7, [0.0, 2.5], coarse, 1),
+             # each (grid, beta) keeps its own last placement
+             (frac_laplacian_point, f, 1.0, [0.0, 2.5], {}, 0)]
     for op, field, beta, x, kw, want in cases:
         before = len(placed)
         op(field, beta, x, **kw)

@@ -18,7 +18,8 @@ from liyau.fraclap import (SPLINE_REACH, _keep_spectrum, _solve_window,
                            gaussian_frac_laplacian, solve_fractional,
                            solve_fractional_at)
 from liyau.ops import psi_upsilon_continuous
-from liyau.singular import grid_cell_edges, log_panel_edges, weighted_singular
+from liyau.singular import (RulePlan, grid_cell_edges, log_panel_edges,
+                            weighted_singular)
 from liyau.stable import StableDensityProfile, build_profile, eval_G
 from liyau.verify import log_uniform, random_positive_field
 
@@ -109,6 +110,22 @@ def test_points_rows_match_lone_calls(kwargs):
                 assert not lone.diverged
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+def test_points_reject_a_panel_width_cap_not_above_zero(width, monkeypatch):
+    # rejected where the plan builds its edges, before any quadrature runs,
+    # and no plan is kept
+    from liyau import fields
+
+    f = gaussian_bump()
+    monkeypatch.setattr(fraclap, "weighted_singular", None)
+    fields._point_plan.cache_clear()
+    with pytest.raises(ValueError, match="max_width must be > 0"):
+        frac_laplacian_point(f, 1.0, [0.0, 1.0], max_panel_width=width)
+    assert fields._point_plan.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="max_width must be > 0"):
+        grid_cell_edges(0.02, 20.0, max_width=width)
+
+
 def test_points_reject_a_point_outside_the_central_band():
     f, _ = _log_fields()
     xs = np.array([0.0, 1.0, 0.8 * f.extent + f.spacing])
@@ -124,13 +141,14 @@ def test_diverging_row_is_flagged_alone():
     rows_F = [good[0], bad, good[1]]
     F = lambda h: np.stack([g(h) for g in rows_F])  # noqa: E731
     F2 = lambda h: F(h) / h ** 2  # noqa: E731
-    res = weighted_singular(F, F2, beta, edges)
+    res = weighted_singular(F, F2, RulePlan(beta, edges))
     # the diverged row shows as an infinite error bar
     assert res.diverged
     assert list(np.isinf(res.error)) == [False, True, False]
     for i in (0, 2):
         g = rows_F[i]
-        lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2, beta, edges)
+        lone = weighted_singular(g, lambda h, g=g: g(h) / h ** 2,
+                                 RulePlan(beta, edges))
         assert not lone.diverged
         assert (res.value[i], res.error[i]) == (lone.value, lone.error)
 
@@ -202,7 +220,8 @@ def test_quadrature_reads_each_integrand_once(edges, rows):
             return g(h)
         return integrand
 
-    res = weighted_singular(counted(F, "F"), counted(F2, "F2"), beta, edges)
+    res = weighted_singular(counted(F, "F"), counted(F2, "F2"),
+                            RulePlan(beta, edges))
     assert calls == {"F": 1, "F2": 1}
     value, error = _per_rule_reference(F, F2, beta, edges)
     assert np.asarray(res.value).tobytes() == np.asarray(value).tobytes()
@@ -214,19 +233,17 @@ def test_quadrature_reads_each_integrand_once(edges, rows):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("rows", [None, 1, 10])
 def test_planned_edges_read_as_fresh_edges_bit_for_bit(beta, rows):
-    # a grid's read-only panel_edges get one rule plan per (beta, edges),
-    # kept; a writeable copy builds its rules afresh and keeps nothing
-    edges = GridField.from_function(np.cos, 0.01, 20.0).panel_edges()
+    # a plan held and read twice gives a fresh plan's bits: reading one
+    # changes nothing in it
+    edges = grid_cell_edges(0.01, 20.0)
     a = np.linspace(0.5, 2.0, rows or 1)[:, None]
     if rows is None:
         a = a[0]
     F = lambda h: a * np.sin(h) ** 2 / (1.0 + h ** 2)  # noqa: E731
     F2 = lambda h: a * np.sinc(h / np.pi) ** 2 / (1.0 + h ** 2)  # noqa: E731
-    singular._grid_plan.cache_clear()
-    planned = [weighted_singular(F, F2, beta, edges) for _ in range(2)]
-    assert singular._grid_plan.cache_info()[:2] == (1, 1)  # hits, misses
-    fresh = weighted_singular(F, F2, beta, np.array(edges))
-    assert singular._grid_plan.cache_info().currsize == 1
+    plan = RulePlan(beta, edges)
+    planned = [weighted_singular(F, F2, plan) for _ in range(2)]
+    fresh = weighted_singular(F, F2, RulePlan(beta, edges))
     assert np.shape(fresh.value) == (() if rows is None else (rows,))
     for res in planned:
         assert np.asarray(res.value).tobytes() == np.asarray(fresh.value).tobytes()
@@ -264,7 +281,7 @@ def test_integrands_meet_only_at_the_first_panel_edge(monkeypatch,
     # and a rule with nodes on panel ends would break it silently
     calls = []
 
-    def recording(F, F2, beta, edges):
+    def recording(F, F2, plan):
         seen = {"F": [], "F2": []}
 
         def record(g, key):
@@ -273,14 +290,14 @@ def test_integrands_meet_only_at_the_first_panel_edge(monkeypatch,
                 return g(h)
             return integrand
 
-        calls.append((float(edges[0]), seen))
-        return weighted_singular(record(F, "F"), record(F2, "F2"), beta, edges)
+        calls.append((float(plan.edges[0]), seen))
+        return weighted_singular(record(F, "F"), record(F2, "F2"), plan)
 
     for module in (fraclap, ops, constant):
         monkeypatch.setattr(module, "weighted_singular", recording)
     f = GridField.from_function(lambda y: 1.0 / (1.0 + y ** 2), 0.02, 20.0,
                                 Extension("power", 2.0), positive=True).log()
-    frac_laplacian_point(f, 1.0, np.array([0.0, 1.3]))  # GridField.panel_edges
+    frac_laplacian_point(f, 1.0, np.array([0.0, 1.3]))  # the grid's plan
     frac_laplacian_point(f, 0.5, 0.3, max_panel_width=0.25)
     psi_upsilon_continuous(f, 1.5, -2.1)
     for y in (0.0, 0.003, 1.7):  # log_panel_edges, refined around y > delta

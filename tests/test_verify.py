@@ -288,7 +288,7 @@ def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
         profile_b1_d1, monkeypatch):
     # the margins workload's check: one field at 10 t, then 2 DH points
     from liyau import fields
-    fields._slope_system.cache_clear()  # the placement slot outlives a test
+    fields._point_plan.cache_clear()  # the placement slot outlives a test
     counts = dict.fromkeys(("solve", "eval_G", "log", "spline", "locate",
                             "fft"), 0)
 
@@ -332,9 +332,9 @@ def test_margins_check_plans_its_rules_once_per_beta_and_grid(
         profile_b1_d1, monkeypatch):
     # one field at 10 t, then 2 DH points on another grid: every point
     # quadrature of one (beta, grid) reads one rule plan
-    from liyau import constant, singular
+    from liyau import constant, fields, singular
     verify.constant_for(profile_b1_d1)  # memoized: only the sweeps count
-    singular._grid_plan.cache_clear()
+    fields._point_plan.cache_clear()
     orders, gauss = [], singular.gauss_panels
     monkeypatch.setattr(singular, "gauss_panels",
                         lambda *a: orders.append(a[2]) or gauss(*a))
@@ -346,9 +346,9 @@ def test_margins_check_plans_its_rules_once_per_beta_and_grid(
     # per plan the middle panels' rules (8, 4, 4, 2) and the tail's (8, 4)
     assert sorted(orders) == sorted([8, 4, 4, 2, 8, 4] * 2)
     # a J search builds its rules per y and keeps none
-    info = singular._grid_plan.cache_info()
+    info = fields._point_plan.cache_info()
     constant.liyau_constant_numeric(profile_b1_d1)
-    assert singular._grid_plan.cache_info() == info
+    assert fields._point_plan.cache_info() == info
 
 
 def test_sweep_over_fields_builds_each_kernel_once(profile_b1_d1,
