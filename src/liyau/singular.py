@@ -167,11 +167,13 @@ class RulePlan:
     far Gauss panels at both orders and the tail at both -- with their
     nodes stacked into the one read-only vector F is called on, and each
     Gauss rule's h^(-1-beta) at its nodes. edges are increasing panel
-    edges, and edges[0] > 0 is the inner disc's radius.
+    edges, and edges[0] > 0 is the inner disc's radius; the plan keeps a
+    read-only copy of them.
     """
 
     def __init__(self, beta: float, edges: np.ndarray):
-        self.edges = edges = np.asarray(edges, dtype=float)
+        self.edges = edges = np.array(edges, dtype=float)
+        edges.flags.writeable = False
         delta, R = float(edges[0]), float(edges[-1])
         jacobi = [_jacobi(order, 1.0 - beta) for order in (INNER_ORDER,
                                                             INNER_ORDER - 4)]

@@ -383,6 +383,18 @@ def test_point_quadratures_of_one_beta_and_grid_build_one_plan():
     assert fields._point_plan.cache_info().misses == 2
 
 
+@pytest.mark.parametrize("max_width", [None, 0.25])
+def test_panel_edges_are_built_once_per_grid_and_read_only(max_width):
+    f = bump(spacing=0.02, extent=10.0)
+    g = GridField(f.spacing, 2.0 * f.values)
+    edges = f.point_expansion(0.0, 0.7, max_width).plan.edges
+    assert np.array_equal(edges, grid_cell_edges(0.02, 10.0,
+                                                 max_width=max_width))
+    assert g.point_expansion(1.0, 0.7, max_width).plan.edges is edges
+    with pytest.raises(ValueError):
+        edges[1] = 0.0
+
+
 # ---- point layouts -------------------------------------------------------------
 
 def _three_extensions(spacing, extent):
