@@ -462,11 +462,16 @@ class GridField:
         if ext.kind == "constant":
             edge = abs(self.values[0]) + abs(self.values[-1])
             return body if edge == 0 else float("inf")
-        X = self.extent
-        if ext.kind == "power" and ext.exponent > 1:
-            tail = (self.values[0] + self.values[-1]) * X / (ext.exponent - 1)
-            return body + float(tail)
+        if ext.kind == "power":
+            return body + self.power_tail_mass()
         return float("inf")
+
+    def power_tail_mass(self) -> float:
+        """(f(-X) + f(X)) X / (q - 1), the mass beyond the grid of a power
+        law of exponent q, or inf for q <= 1."""
+        q = self.extension.exponent
+        return (float((self.values[0] + self.values[-1]) * self.extent / (q - 1))
+                if q > 1 else float("inf"))
 
     # ---- serialization ---------------------------------------------------
 

@@ -8,22 +8,24 @@ at one x or at all x of a sweep in one batched quadrature;
 gaussian_frac_laplacian is its closed form on exp(-x^2). solve_fractional
 realizes u(t) = G(t, .) * u0 as one linear convolution on the grid -- a
 real FFT of length next_fast_len(2n - 1), with the kernel sampled at its n
-non-negative offsets -- plus an end correction and explicit tail terms for
-the field's extension rule. Each side is planned once and read by every
-sum, after FFTW's plan-then-execute (M. Frigo & S. G. Johnson, Proc. IEEE
-93(2), 2005). The kernel's samples, end data and spectrum form a
-HeatKernel for (profile, t, h, n): verify's sweeps hand one per t to every
-field, and a DH point's u and du/dt sums read one. _keep_spectrum(u0)
-stores u0's weighted spectrum on the field for every later sum. A lone
-solve plans afresh and keeps nothing. Fields are read-only, so nothing kept
-can go stale.
+non-negative offsets -- plus an end correction and each edge value times
+a tail column over those offsets, which both edges read: the kernel's
+one-sided mass for a constant extension, and for a power law a column
+from one n x 288 kernel matrix per sum. Each side is planned once and
+read by every sum, after FFTW's plan-then-execute (M. Frigo & S. G.
+Johnson, Proc. IEEE 93(2), 2005). The kernel's samples, end data and
+spectrum form a HeatKernel for (profile, t, h, n): verify's sweeps hand
+one per t to every field, and a DH point's u and du/dt sums read one.
+_keep_spectrum(u0) stores u0's weighted spectrum on the field for every
+later sum. A lone solve plans afresh and keeps nothing. Fields are
+read-only, so nothing kept can go stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
 interpolates them as the grid solve's spline would. A cubic spline's
 dependence on data k nodes away decays as (2 - sqrt 3)^k, 1.4e-23 at
 k = 40, so the window's spline equals the whole grid's to rounding. The end
-correction and tail terms are one code path for both routes, and the DH
+correction and tail columns are one code path for both routes, and the DH
 margin reads d/dt log u at x through the same window spline.
 
 d/dt u is the grid solve's sum with the kernel replaced by its time
@@ -214,14 +216,37 @@ def _dG_dt(profile: StableDensityProfile, t: float, r: np.ndarray,
     return -(g + r * g_r) / (profile.beta * t)
 
 
-def _trapezoid_end_correction(u0: GridField, left: tuple,
-                              right: tuple) -> np.ndarray:
-    """Euler-Maclaurin h^2/12 end terms for the body convolution.
+def _tail_ends(u0: GridField, profile: StableDensityProfile, t: float,
+               k: np.ndarray, ends: tuple, variant: int = 0) -> tuple:
+    """ends, _kernel_ends at offsets k h, with the third slot the tail
+    beyond an edge k cells away under u0's extension rule: the one-sided
+    mass for a constant extension; for a power law int_X^(X*TAIL_REACH)
+    K(y - x) (y/X)^(-q) dy at x = X - k h, by log-panel quadrature of one
+    kernel matrix, for K = G(t, .) or dG/dt (variant 1). As in product
+    integration (K. Atkinson, CUP 1997, section 4.2), the tail depends on
+    the distance alone, so both edges read one column.
+    """
+    if u0.extension.kind == "constant":
+        return ends
+    X = u0.extent
+    nodes, weights = _tail_nodes(X)
+    # the grid is symmetric to the bit, so y - x is |x -+ y| at either edge
+    D = nodes[None, :] - u0.x[-1 - k][:, None]
+    K = eval_G(profile, t, D)
+    if variant:  # dG/dt, which reads L' alone
+        tf = t ** (-1.0 / profile.beta)
+        K = _dG_dt(profile, t, D, K, tf * K * profile.log_slope(D * tf))
+    return (*ends[:2], K @ (weights * u0.extension.model(1.0, nodes / X)))
 
-    The composite trapezoid over [-X, X] errs by -h^2/12 (F'(X) - F'(-X))
-    with F(y) = K(x-y) u0(y); the kernel slope at the window ends is
-    not small when x sits near an edge. left and right are _kernel_ends at
-    each node's distance from -X and from X.
+
+def _add_edge_terms(u0: GridField, body: np.ndarray, left: tuple,
+                    right: tuple) -> np.ndarray:
+    """int K(x - y) u0(y) dy at some nodes from the trapezoid body sum
+    there, for left and right the _tail_ends at the nodes' distances from
+    -X and from X: adds each edge value times its tail column and the
+    Euler-Maclaurin h^2/12 end terms. The trapezoid over [-X, X] errs by
+    -h^2/12 (F'(X) - F'(-X)) with F(y) = K(x-y) u0(y), and the kernel
+    slope there is not small when x sits near an edge.
     """
     h = u0.spacing
     v = u0.values
@@ -229,40 +254,8 @@ def _trapezoid_end_correction(u0: GridField, left: tuple,
     dv_l = (v[1] - v[0]) / h
     Fp_right = right[1] * v[-1] + right[0] * dv_r
     Fp_left = -left[1] * v[0] + left[0] * dv_l
-    return -h ** 2 / 12.0 * (Fp_right - Fp_left)
-
-
-def _add_edge_terms(u0: GridField, profile: StableDensityProfile, t: float,
-                    body: np.ndarray, idx: np.ndarray, left: tuple,
-                    right: tuple, variant: int = 0) -> np.ndarray:
-    """int K(x - y) u0(y) dy at the nodes idx from the body sum there, for
-    K = G(t, .), or its time derivative for variant 1.
-
-    Adds the end correction and the part of the integral beyond the grid's
-    edges under u0's extension rule -- the kernel's mass beyond the edge for
-    constant extensions; for power-law ones, log-panel quadrature of the
-    kernel matrix against the rule's Extension.model at the panel nodes.
-    left and right are the kernel's _kernel_ends at the nodes' distances
-    from -X and X.
-    """
-    v = u0.values
-    out = body + _trapezoid_end_correction(u0, left, right)
-    ext = u0.extension
-    if ext.kind == "constant":
-        # exact for a literally constant-extended field
-        return out + v[-1] * right[2] + v[0] * left[2]
-    X = u0.extent
-    x = u0.x[idx]
-    nodes, weights = _tail_nodes(X)
-    for sign, edge in ((1.0, v[-1]), (-1.0, v[0])):
-        # kernel matrix K(x_i - sign * y_k), vectorized over the nodes
-        D = x[:, None] - sign * nodes[None, :]
-        K = eval_G(profile, t, D)
-        if variant:  # dG/dt, which reads L' alone
-            r, tf = np.abs(D), t ** (-1.0 / profile.beta)
-            K = _dG_dt(profile, t, r, K, tf * K * profile.log_slope(r * tf))
-        out = out + K @ (weights * ext.model(edge, nodes / X))
-    return out
+    return (body - h ** 2 / 12.0 * (Fp_right - Fp_left)
+            + v[-1] * right[2] + v[0] * left[2])
 
 
 def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
@@ -278,9 +271,9 @@ def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
         raise ValueError("the plan is for another profile, t or grid, or "
                          "has no d/dt variant")
     ends = plan.ends[variant]
-    out = _add_edge_terms(u0, profile, t, _convolve_body(u0, plan, variant),
-                          np.arange(key[3]), ends,
-                          tuple(a[::-1] for a in ends), variant)
+    left = _tail_ends(u0, profile, t, np.arange(key[3]), ends, variant)
+    out = _add_edge_terms(u0, _convolve_body(u0, plan, variant), left,
+                          tuple(a[::-1] for a in left))
     return out, ends[2]
 
 
@@ -295,7 +288,8 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     and multiplied with u0's weighted spectrum, computed afresh unless
     _keep_spectrum(u0) stored it; the kernel side is plan's, or a fresh
     HeatKernel's. An Euler-Maclaurin end correction reuses the same kernel
-    samples, and _add_edge_terms restores the mass from beyond the grid.
+    samples, and _add_edge_terms restores the mass from beyond the grid as
+    each edge value times _tail_ends' column, the right edge's reversed.
     Output fields carry a power-law or constant extension and, as
     tail_mass, the solution's mass beyond the grid, so that mass() is
     conserved.
@@ -306,14 +300,9 @@ def solve_fractional(u0: GridField, beta: float, t: float,
     out = np.maximum(out, 1e-300)
 
     ext = u0.extension
-    if ext.kind == "constant":
-        # mass bookkeeping treats the exterior as empty (it is infinite
-        # otherwise)
-        u0_tail_mass = 0.0
-    else:
-        q = ext.exponent
-        u0_tail_mass = ((v[0] + v[-1]) * u0.extent / (q - 1.0) if q > 1
-                        else float("inf"))
+    # mass bookkeeping treats a constant exterior as empty (it is infinite
+    # otherwise)
+    u0_tail_mass = 0.0 if ext.kind == "constant" else u0.power_tail_mass()
     # mass of the solution beyond the grid: exterior initial mass stays
     # counted as exterior, interior mass leaks by the exceedance law; summed
     # outside BLAS, whose ddot rounds differently at each thread count
@@ -374,9 +363,11 @@ def _solve_window(u0: GridField, beta: float, t: float, x: float,
     # entry k is sum_j G(|j - (hi - k)| h) weighted_j: the window reversed
     body = np.correlate(kernel[m - 1 - hi:m - 1 - lo + n],
                         _trapezoid_weighted(u0))[::-1]
-    # the kernel at each window node's distance from -X and from X
-    ends = [_kernel_ends(profile, t, h * k, g[k])[0] for k in (idx, n - 1 - idx)]
-    u = _add_edge_terms(u0, profile, t, body, idx, *ends)
+    # the kernel and its tail at each window node's distance from -X and X
+    ends = [_tail_ends(u0, profile, t, k,
+                       _kernel_ends(profile, t, h * k, g[k])[0])
+            for k in (idx, n - 1 - idx)]
+    u = _add_edge_terms(u0, body, *ends)
     return idx, np.maximum(u, 1e-300)
 
 

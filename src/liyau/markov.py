@@ -86,8 +86,8 @@ def transition_matrix(chain: MarkovChain, t: float) -> np.ndarray:
     Entries in [-1e-14, 0) are clipped to zero with a warning (the logarithm
     of p is needed downstream); anything more negative is a hard failure.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < np.inf:  # NaN or inf would pass every check below
+        raise ValueError("t must be finite and non-negative")
     if chain.symmetric:
         lam, V = chain._eig
         P = (V * np.exp(t * lam)) @ V.T
@@ -107,7 +107,7 @@ def transition_kn(n: int, t: float) -> np.ndarray:
     """Closed-form e^{tQ} for K_n: diagonal (1+(n-1)E)/n, off-diagonal (1-E)/n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if t < 0:
+    if not t >= 0:  # NaN passes t < 0 and every check after it
         raise ValueError("t must be non-negative")
     E = np.exp(-n * t)
     off = -np.expm1(-n * t) / n

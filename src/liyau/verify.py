@@ -225,6 +225,8 @@ def spike_field(spacing: float, extent: float, x0: float = 0.0,
     k = int(round(extent / spacing))
     vals = np.full(2 * k + 1, floor)
     i0 = k + int(round(x0 / spacing))
+    if not 0 <= i0 <= 2 * k:
+        raise ValueError(f"x0 = {x0:g} lies off the grid's extent X = {extent:g}")
     vals[i0] += mass / spacing
     return GridField(spacing, vals, Extension("constant"), positive=True)
 

@@ -107,6 +107,9 @@ def test_mass_power_tail():
     # integral of 1/(1+x^2) = pi; the power model approximates the true tail
     assert f.mass() == pytest.approx(np.pi, rel=2e-2)
     assert f.mass() > float(np.trapezoid(f.values, dx=f.spacing))
+    assert f.power_tail_mass() == 2.0 * f.values[0] * X
+    heavy = GridField(0.01, f.values, Extension("power", 1.0), positive=True)
+    assert heavy.power_tail_mass() == heavy.mass() == np.inf
 
 
 def test_text_round_trip_is_bit_exact():

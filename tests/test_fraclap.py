@@ -617,6 +617,28 @@ def test_solve_at_matches_grid_solve(beta, profname, t, ext, request):
         assert abs(got - want) <= 1e-13 * want, x
 
 
+def test_power_tail_is_one_kernel_matrix_per_sum(profile_b1_d1, monkeypatch):
+    # a node's tail depends on its distance from the edge alone, so both
+    # edges read one n x 288 column matrix: u's sum builds one, du/dt's one
+    h, X = 0.1, 10.0
+    u0 = GridField.from_function(lambda x: (1.0 + x ** 2) ** -0.75, h, X,
+                                 Extension("power", 1.5), positive=True)
+    n, m = u0.values.size, _tail_nodes(X)[0].size
+    points = []
+    eval_G_ = fraclap.eval_G
+
+    def counting(profile, t, r):
+        if np.ndim(r) == 2:  # the tail's kernel matrix
+            points.append(np.size(r))
+        return eval_G_(profile, t, r)
+
+    monkeypatch.setattr(fraclap, "eval_G", counting)
+    u = solve_fractional(u0, 1.0, 0.5, profile_b1_d1)
+    assert m == 288 and points == [n * m]
+    dt_log_u(u0, 1.0, 0.5, profile_b1_d1, u)
+    assert points == [n * m, n * m]
+
+
 @pytest.mark.parametrize("x", [0.013, -7.77, -10.0, 9.98])
 def test_window_reads_are_scipy_cubic_spline_bit_for_bit(x, profile_b05_d1):
     # the window's not-a-knot spline through its solved nodes, interior and

@@ -125,6 +125,22 @@ def test_solve_markov_validation_and_mass():
     assert np.all(u > 0)
 
 
+def test_non_finite_time_is_rejected():
+    # NaN passes t < 0, the clip check and the row-sum check alike, and so
+    # does the NaN that an infinite t makes of e^{tQ}
+    asymmetric = MarkovChain.from_rates([[0.0, 1.0], [2.0, 0.0]])
+    for chain in (complete_graph(3), asymmetric):
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                transition_matrix(chain, t)
+            with pytest.raises(ValueError, match="non-negative"):
+                solve_markov(chain, np.ones(chain.n), t)
+    with pytest.raises(ValueError, match="non-negative"):
+        transition_kn(3, np.nan)
+    # the closed form reaches the stationary limit
+    assert np.array_equal(transition_kn(3, np.inf), np.full((3, 3), 1 / 3))
+
+
 # --------------------------------------------------- closed-form pieces
 
 def test_L_log_p_kn_anchor():

@@ -192,6 +192,16 @@ def test_spike_field_geometry():
     assert body == pytest.approx(1.0, rel=1e-6)
 
 
+def test_spike_field_rejects_an_x0_off_the_grid():
+    # a negative node index would wrap to the far end of the grid
+    for x0 in (-15.0, 25.0, 10.1):
+        with pytest.raises(ValueError, match=r"extent X = 10"):
+            spike_field(0.1, 10.0, x0=x0)
+    for x0 in (-10.0, 10.0):
+        f = spike_field(0.1, 10.0, x0=x0)
+        assert f.x[int(np.argmax(f.values))] == pytest.approx(x0, abs=1e-12)
+
+
 def test_fractional_margin_positive_interior(profile_b1_d1):
     u0 = random_positive_field(np.random.default_rng(3), spacing=0.01,
                                extent=60.0)
