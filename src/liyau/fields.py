@@ -14,7 +14,7 @@ the cell widths and the knots' passed near-uniform check beside it, and
 each field costs one tridiagonal solve and its coefficients. Point
 quadratures build one spline of log u per (u, t) on grids of 10^4 nodes
 and more, which is what this pays for; a field keeps its log() as it
-keeps its spline.
+keeps its spline. A field is frozen, so neither can go stale.
 
 A point quadrature around x splits at one grid cell: PointExpansion reads
 the spline's Taylor data at x inside that cell, all four orders from one
@@ -174,7 +174,7 @@ class PiecewiseCubic:
     the same reads of orders 0-3 in PPoly's term order, and PPoly's
     extrapolation of the end cells' cubics beyond the knots. A NaN point
     reads NaN. The knots are near-uniform when each lies within half a mean
-    cell width of its place on the uniform grid, which the constructor checks.
+    cell width of its place on the uniform grid, which _knot_scale checks.
 
     A read estimates each point's cell from its distance to x[0] in mean cell
     widths and corrects it by one step either way against the knots, so
@@ -185,21 +185,11 @@ class PiecewiseCubic:
     cost page faults.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
-        """The Hermite cubic through (x, y) with slopes dydx at the knots."""
-        x = np.asarray(x, dtype=float)
-        dx = np.diff(x)
-        self._fill(x, _knot_scale(x), dx, y, np.diff(y) / dx, dydx)
-
-    @classmethod
-    def _checked(cls, x, inv, dx, y, slope, dydx) -> "PiecewiseCubic":
-        """The cubic of __init__, from knots x that _knot_scale checked
-        (inv), their cell widths dx and the secant slopes of y."""
-        cubic = cls.__new__(cls)
-        cubic._fill(x, inv, dx, y, slope, dydx)
-        return cubic
-
-    def _fill(self, x, inv, dx, y, slope, dydx) -> None:
+    def __init__(self, x: np.ndarray, inv: float, dx: np.ndarray,
+                 y: np.ndarray, slope: np.ndarray, dydx: np.ndarray):
+        """The Hermite cubic through (x, y) with knot slopes dydx, built
+        whole: x passed _knot_scale (inv), dx are its cell widths and slope
+        the secant slopes of y. spline() solves dydx for a CubicSpline."""
         # PPoly's coefficients from the secant and knot slopes
         n = x.size
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
@@ -227,7 +217,7 @@ class PiecewiseCubic:
         inv, dx = _knot_scale(x), np.diff(x)
         factors = _slope_factors(x, clamped=end_slopes is not None)
         s, slope = _spline_slopes(x, dx, y, factors, end_slopes)
-        return cls._checked(x, inv, dx, y, slope, s)
+        return cls(x, inv, dx, y, slope, s)
 
     def _cells(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(j, p - x[j]) for each point's cell j, which may be -1 or n - 1
@@ -286,7 +276,8 @@ class PiecewiseCubic:
         return out
 
 
-# a margins check reads two (grid, beta) pairs; a plan holds about 36 KB
+# a margins check reads two (grid, beta) pairs; a plan's rules hold about
+# 36 KB, and 4 slots' places 1.275 MB after one seeded margins cycle
 @lru_cache(maxsize=8)
 def _point_plan(spacing: float, n: int, beta: float,
                 max_width: float | None) -> tuple:
@@ -296,9 +287,13 @@ def _point_plan(spacing: float, n: int, beta: float,
     return RulePlan(beta, edges), []
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Samples of a scalar field on a uniform symmetric grid.
+
+    Frozen, so no cache can go stale, and compared by identity. Each cache
+    is written once, by its builder (_get_spline, log(), and for u0's
+    weighted spectrum fraclap._keep_spectrum).
 
     Parameters
     ----------
@@ -306,16 +301,15 @@ class GridField:
         Grid step h > 0.
     values : ndarray
         1-d array of odd length 2K+1 (node i sits at (i-K)*h). The field
-        keeps a read-only copy, so the caches built from it cannot go
-        stale.
+        keeps a read-only copy.
     extension : Extension
         Far-field rule applied outside the grid.
     positive : bool
         Declares the field positive (required before log()).
     tail_mass : float or None
-        The field's exact integral beyond the grid, set by solvers that
-        know it; mass() then reads it in place of the extension model.
-        Never serialized, and not carried over by log().
+        The field's exact integral beyond the grid, >= 0 and possibly inf,
+        set by solvers that know it; mass() then reads it in place of the
+        extension model. Never serialized, and not carried over by log().
     """
 
     spacing: float
@@ -324,8 +318,10 @@ class GridField:
     positive: bool = False
     tail_mass: float | None = None
 
+    _spline = _log = _spectrum = None  # until their builders write them
+
     def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
         self.values.flags.writeable = False
         if not 0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
@@ -337,9 +333,9 @@ class GridField:
             raise ValueError("field values must be finite")
         if self.positive and np.any(self.values <= 0):
             raise ValueError("field declared positive has non-positive samples")
-        self._spline = self._log = None
-        # None, or u0's weighted spectrum after fraclap._keep_spectrum
-        self._spectrum = None
+        # written so that NaN fails it; a power tail with q <= 1 holds inf
+        if self.tail_mass is not None and not self.tail_mass >= 0:
+            raise ValueError("tail_mass must be None or >= 0")
 
     @property
     def extent(self) -> float:
@@ -365,8 +361,8 @@ class GridField:
             x, inv, dx, factors = _slope_system(self.spacing,
                                                 self.values.shape[0])
             s, slope = _spline_slopes(x, dx, self.values, factors)
-            self._spline = PiecewiseCubic._checked(x, inv, dx, self.values,
-                                                   slope, s)
+            object.__setattr__(self, "_spline", PiecewiseCubic(
+                x, inv, dx, self.values, slope, s))
         return self._spline
 
     def eval(self, pts) -> np.ndarray:
@@ -448,8 +444,9 @@ class GridField:
         if self._log is None:
             if np.any(self.values <= 0):
                 raise ValueError("log() needs strictly positive samples")
-            self._log = GridField(self.spacing, np.log(self.values),
-                                  self.extension.log_transformed())
+            object.__setattr__(self, "_log", GridField(
+                self.spacing, np.log(self.values),
+                self.extension.log_transformed()))
         return self._log
 
     def mass(self) -> float:

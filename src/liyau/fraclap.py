@@ -14,11 +14,11 @@ one-sided mass for a constant extension, and for a power law a column
 from one n x 288 kernel matrix per sum. Each side is planned once and
 read by every sum, after FFTW's plan-then-execute (M. Frigo & S. G.
 Johnson, Proc. IEEE 93(2), 2005). The kernel's samples, end data and
-spectrum form a HeatKernel for (profile, t, h, n): verify's sweeps hand
-one per t to every field, and a DH point's u and du/dt sums read one.
-_keep_spectrum(u0) stores u0's weighted spectrum on the field for every
-later sum. A lone solve plans afresh and keeps nothing. Fields are
-read-only, so nothing kept can go stale.
+spectra form a HeatKernel for (profile, t, h, n), built whole: verify's
+sweeps hand one per t to every field, and a DH point's u and du/dt sums
+read one. _keep_spectrum(u0) stores u0's weighted spectrum on the field,
+once, for every later sum. A lone solve plans afresh and keeps nothing.
+Fields, profiles and plans never change, so nothing kept can go stale.
 
 solve_fractional_at reads the same solution at one x: it solves only the
 nodes within SPLINE_REACH = 40 of x's cell, each by a direct O(n) sum, and
@@ -112,26 +112,27 @@ def _fft_length(n: int) -> int:
 
 
 def _keep_spectrum(u0: GridField) -> None:
-    """Store u0's weighted spectrum on the field, which every later
+    """Store u0's weighted spectrum on the field, once, which every later
     whole-grid sum of u0 reads instead of transforming u0 again. The FFT
     length depends on n alone, so one array serves every t."""
-    u0._spectrum = scipy.fft.rfft(_trapezoid_weighted(u0),
-                                  n=_fft_length(u0.values.size))
+    if u0._spectrum is None:
+        object.__setattr__(u0, "_spectrum", scipy.fft.rfft(
+            _trapezoid_weighted(u0), n=_fft_length(u0.values.size)))
 
 
 class HeatKernel:
     """The kernel side of the heat sums at (profile, t) on a grid (h, n),
-    planned once and read by every sum over it: _kernel_ends at the n
+    built whole and read by every sum over it: _kernel_ends at the n
     offsets k h from one eval_G call, for G(t, .) (variant 0) and, when
-    dt, dG/dt (variant 1), and each variant's spectrum from its first sum.
+    dt, dG/dt (variant 1), and each variant's spectrum.
     """
 
     def __init__(self, profile: StableDensityProfile, t: float,
                  spacing: float, n: int, dt: bool = False):
-        # the plan holds profile, so its id stays unique while the key lives
-        self.key, r = (id(profile), t, spacing, n), spacing * np.arange(n)
+        self.key, r = (profile, t, spacing, n), spacing * np.arange(n)
         self.ends = _kernel_ends(profile, t, r, eval_G(profile, t, r), dt)
-        self.spectra, self._profile = [None] * len(self.ends), profile
+        self.spectra = tuple(scipy.fft.rfft(_wrapped(g, _fft_length(n)))
+                             for g, _, _ in self.ends)
 
 
 def _convolve_body(u0: GridField, plan: HeatKernel,
@@ -148,9 +149,6 @@ def _convolve_body(u0: GridField, plan: HeatKernel,
     spec = u0._spectrum
     if spec is None:
         spec = scipy.fft.rfft(_trapezoid_weighted(u0), n=length)
-    if plan.spectra[variant] is None:
-        plan.spectra[variant] = scipy.fft.rfft(
-            _wrapped(plan.ends[variant][0], length))
     kspec = plan.spectra[variant]
     # complex products round by operand order: keep the order numpy's
     # temporary elision gives spec * rfft(kernel), kernel first from 256 KiB
@@ -265,8 +263,8 @@ def _grid_sum(u0: GridField, profile: StableDensityProfile, t: float,
     one-sided mass beyond each offset k h, from plan or a fresh HeatKernel;
     the body is one FFT convolution. A plan for another profile, t or grid,
     or without the variant, raises ValueError."""
-    key = (id(profile), t, u0.spacing, u0.values.size)
-    plan = plan or HeatKernel(profile, t, *key[2:], dt=variant == 1)
+    key = (profile, t, u0.spacing, u0.values.size)
+    plan = plan or HeatKernel(*key, dt=variant == 1)
     if variant >= len(plan.ends) or plan.key != key:
         raise ValueError("the plan is for another profile, t or grid, or "
                          "has no d/dt variant")
@@ -391,9 +389,9 @@ def dt_log_u(u0: GridField, beta: float, t: float,
     solve_fractional(u0, beta, t, profile) that the caller already holds.
 
     du/dt is the heat solve's own sum with dG/dt in place of G, from plan,
-    a HeatKernel built with dt that u's solve may share, or a fresh one. It
-    reads the spectrum u0 keeps after _keep_spectrum, so that it and u's
-    solve share one transform of u0.
+    a HeatKernel built with dt that u's solve may share, or a fresh one,
+    which transforms both variants' kernels. It reads the spectrum u0 keeps
+    after _keep_spectrum, so that it and u's solve share one transform of u0.
     """
     _check_solve_args(u0, beta, t, profile)
     if u.values.shape != u0.values.shape or u.spacing != u0.spacing:

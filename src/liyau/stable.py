@@ -5,8 +5,8 @@ single radial profile Phi per (beta, d). Both ends of Phi are Bergstrom's
 series, read by one class: in r^2 below a switch radius r_s set by
 (beta, d), and in r^-beta beyond R_MAX. In between, Phi is tabulated by
 Fourier inversion of exp(-|xi|^beta) and read by a log-log spline clamped
-to both series' slopes. A profile's table arrays are read-only, so the
-caches built from them cannot go stale.
+to both series' slopes. A profile is frozen and its table arrays are
+read-only, so the caches built from them cannot go stale.
 
 The inversion integral is rotated onto the ray rho = s e^(i phi), where
 e^(i rho r) decays (V. Zolotarev, One-dimensional Stable Distributions,
@@ -22,14 +22,14 @@ evaluation bypasses the table.
 """
 from __future__ import annotations
 
+import dataclasses
 import io
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (gamma as _gamma, hankel1e as _hankel1e, k0 as _k0,
                            rgamma as _rgamma)
 
-from .fields import PiecewiseCubic
+from .fields import PiecewiseCubic, _knot_scale
 from .runio import read_table_text
 from .singular import gauss_panels
 
@@ -318,6 +318,8 @@ class _Series:
         where b_3 r^6 = SMALL_R_CUT b_0, which must reach R_SWITCH_MIN."""
         if not 0 < beta < 2:
             raise ValueError("beta must lie in (0, 2)")
+        if d not in (1, 2, 3):  # every profile is built on this series first
+            raise ValueError("d must be 1, 2, or 3")
         if beta >= 1.0:
             r_s, b = R_SWITCH, _small_r_coefs(beta, d, 64)
             n = int(np.argmax(np.abs(b) * R_SWITCH ** (2.0 * np.arange(64))
@@ -374,15 +376,15 @@ class _Series:
         return out
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class StableDensityProfile:
     """Tabulated radial profile with Bergstrom's series at both ends.
 
     r_table is 0, then r_s up to R_MAX (_table_radii, the only layout
     accepted); values are Phi at the nodes. Below r_s every reader takes the
     small-r series of (beta, d), and beyond R_MAX the large-r series. The
-    profile keeps read-only copies of both arrays, which its spline and
-    exceedance caches and constant_for's key are built from.
+    frozen profile keeps read-only copies of both arrays, which its caches
+    (each written once, by its builder) and constant_for's key read.
     """
 
     beta: float
@@ -392,18 +394,18 @@ class StableDensityProfile:
     error_estimate: float
     method: str
 
+    _spline = _exceed = None  # until their builders write them
+
     def __post_init__(self):
-        self.r_table = np.array(self.r_table, dtype=float)
-        self.values = np.array(self.values, dtype=float)
-        self.r_table.flags.writeable = False
-        self.values.flags.writeable = False
-        self._small = _Series.small_r(self.beta, self.d)
-        self._large = _Series.large_r(self.beta, self.d)
+        for name in ("r_table", "values"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_small", _Series.small_r(self.beta, self.d))
+        object.__setattr__(self, "_large", _Series.large_r(self.beta, self.d))
         if not np.array_equal(self.r_table, _table_radii(self._small.r_cut)):
             raise ValueError(f"profile radii differ from the table layout of "
                              f"beta = {self.beta:g}, d = {self.d}")
-        self._spline = None
-        self._exceed = None
 
     @property
     def r_max(self) -> float:
@@ -417,8 +419,8 @@ class StableDensityProfile:
             ends = tuple(float(r0 * series.log_derivs(np.array([r0]), True)[0][0])
                          for r0, series in ((r[0], self._small),
                                             (r[-1], self._large)))
-            self._spline = PiecewiseCubic.spline(
-                np.log(r), np.log(self.values[1:]), end_slopes=ends)
+            object.__setattr__(self, "_spline", PiecewiseCubic.spline(
+                np.log(r), np.log(self.values[1:]), end_slopes=ends))
         return self._spline
 
     def _piecewise(self, r, closed, table, series) -> tuple:
@@ -540,8 +542,11 @@ class StableDensityProfile:
             # Hermite in log r with the analytic slope de/dr = -surf Phi r^{d-1}:
             # linear interpolation of the cumulative leaves O(panel^2) bumps
             slope = -surf * self.eval(grid) * grid ** d  # d(cum)/d(log r)
-            self._exceed = (grid, cum, PiecewiseCubic(np.log(grid), cum, slope),
-                            cum[0] + self._small.mass(grid[0]))
+            u = np.log(grid)
+            du = np.diff(u)
+            object.__setattr__(self, "_exceed", (grid, cum, PiecewiseCubic(
+                u, _knot_scale(u), du, cum, np.diff(cum) / du, slope),
+                cum[0] + self._small.mass(grid[0])))
         return self._exceed
 
     # ---- serialization ----------------------------------------------------
@@ -586,9 +591,7 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
     interpolation error is measured against the same inversion at the
     log-midpoints of the nodes, and taken 5 % larger.
     """
-    if d not in (1, 2, 3):
-        raise ValueError("d must be 1, 2, or 3")
-    r = _table_radii(_Series.small_r(beta, d).r_cut)  # checks beta
+    r = _table_radii(_Series.small_r(beta, d).r_cut)  # checks beta and d
 
     if beta == 1.0:
         return StableDensityProfile(
@@ -601,12 +604,12 @@ def build_profile(beta: float, d: int) -> StableDensityProfile:
     if not np.all(vals > 0.0):
         raise RuntimeError(f"profile inversion lost positivity (beta={beta}, d={d})")
     vals = np.concatenate([[profile_at_zero(beta, d)], vals])
-    prof = StableDensityProfile(beta=beta, d=d, r_table=r, values=vals,
-                                error_estimate=0.0, method="rotated-ray")
-    interp = 1.05 * float(np.max(np.abs(prof.eval(r_check) / check - 1.0)))
-    prof.error_estimate = max(float(np.max(errs / vals[1:])), interp,
-                              prof._small.bound, prof._large.bound)
-    return prof
+    trial = StableDensityProfile(beta=beta, d=d, r_table=r, values=vals,
+                                 error_estimate=0.0, method="rotated-ray")
+    interp = 1.05 * float(np.max(np.abs(trial.eval(r_check) / check - 1.0)))
+    return dataclasses.replace(trial, error_estimate=max(
+        float(np.max(errs / vals[1:])), interp, trial._small.bound,
+        trial._large.bound))
 
 
 def eval_G(profile: StableDensityProfile, t: float, x) -> np.ndarray:

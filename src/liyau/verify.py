@@ -219,15 +219,14 @@ def random_positive_field(rng: np.random.Generator, spacing: float = 0.02,
     return GridField(spacing, vals, Extension("constant"), positive=True)
 
 
-def spike_field(spacing: float, extent: float, x0: float = 0.0,
-                floor: float = 1e-12, mass: float = 1.0) -> GridField:
-    """Near-delta initial datum: one loaded cell on a tiny positive floor."""
+def spike_field(spacing: float, extent: float, x0: float = 0.0) -> GridField:
+    """Near-delta datum: mass 1 in the cell at x0, on a floor of 1e-12."""
     k = int(round(extent / spacing))
-    vals = np.full(2 * k + 1, floor)
+    vals = np.full(2 * k + 1, 1e-12)
     i0 = k + int(round(x0 / spacing))
     if not 0 <= i0 <= 2 * k:
         raise ValueError(f"x0 = {x0:g} lies off the grid's extent X = {extent:g}")
-    vals[i0] += mass / spacing
+    vals[i0] += 1.0 / spacing
     return GridField(spacing, vals, Extension("constant"), positive=True)
 
 

@@ -464,3 +464,27 @@ def test_log_is_built_once_and_kept():
     lf = f.log()
     assert f.log() is lf and lf.extension == Extension("log-power", 2.0)
     assert np.array_equal(lf.values, np.log(f.values)) and not lf.positive
+
+
+def test_a_field_is_frozen_so_its_caches_cannot_go_stale():
+    f = GridField(0.1, np.exp(-np.linspace(-2.0, 2.0, 41) ** 2), positive=True)
+    before = f.eval(0.35)
+    lf = f.log()
+    for name, value in (("spacing", 0.2), ("values", 2.0 * f.values),
+                        ("extension", Extension("power", 2.0)),
+                        ("positive", False), ("tail_mass", 1.0)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    assert f.spacing == 0.1 and f.tail_mass is None
+    assert f.eval(0.35) == before and f.log() is lf
+    # a field compares by identity, not by its arrays
+    assert f != GridField(0.1, f.values, positive=True) and f == f
+
+
+def test_tail_mass_is_none_or_non_negative():
+    for bad in (-5.0, np.nan):
+        with pytest.raises(ValueError, match="tail_mass"):
+            GridField(0.1, np.ones(11), tail_mass=bad)
+    # a power tail with q <= 1 holds infinite mass
+    assert GridField(0.1, np.ones(11), tail_mass=np.inf).mass() == np.inf
+    assert GridField(0.1, np.ones(11), tail_mass=0.0).mass() == pytest.approx(1.0)

@@ -456,6 +456,35 @@ def test_build_profile_rejects_bad_arguments():
         build_profile(0.5, 4)
 
 
+def test_profile_rejects_d_outside_1_to_3(profile_b1_d1):
+    # a d = 4 profile would read the d = 1 closed forms: exceedance(1.0)
+    # read 0.5, where the d = 4 Poisson kernel holds 0.8839 outside r = 1
+    r = profile_b1_d1.r_table
+    for d in (4, 0):
+        with pytest.raises(ValueError, match="d must be 1, 2, or 3"):
+            StableDensityProfile(1.0, d, r, poisson_profile(4, r), 1e-15,
+                                 "closed-form-beta1")
+    text = profile_b1_d1.to_text().replace("# d = 1\n", "# d = 4\n")
+    assert "# d = 4" in text
+    with pytest.raises(ValueError, match="d must be 1, 2, or 3"):
+        StableDensityProfile.from_text(text)
+
+
+def test_a_profile_is_frozen_so_its_caches_cannot_go_stale():
+    prof = build_profile(0.5, 1)  # fresh: the fixtures are shared
+    before = prof.eval(3.0)
+    for f in dataclasses.fields(prof):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prof, f.name, getattr(prof, f.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.values = 2.0 * prof.values
+    assert prof.eval(3.0) == before
+    # build_profile hands back a profile with its error estimate in place
+    assert 0.0 < prof.error_estimate < 1e-6
+    # a profile compares by identity, not by its arrays
+    assert prof != dataclasses.replace(prof) and prof == prof
+
+
 def test_node_validation_error_recorded(profile_b05_d1, profile_b15_d1):
     # inversion must carry the validated per-node error level
     for prof in (profile_b05_d1, profile_b15_d1):

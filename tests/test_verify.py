@@ -1,4 +1,9 @@
 """Inequality checkers: discrete exact margins, reports, continuous margins."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 import scipy.fft
 from scipy.interpolate import CubicSpline
 
+import liyau
 from liyau import fraclap, verify
 from liyau.markov import MarkovChain, complete_graph
 from liyau.verify import (VerificationReport, differential_harnack_margin,
@@ -401,3 +407,45 @@ def test_dh_margin_reads_dt_log_u_through_the_window_spline(profile_b1_d1):
         assert m.error == psi.error + const.error / t
         # the window's spline equals the whole grid's to rounding
         assert window == pytest.approx(g.eval(x), rel=1e-13, abs=1e-15)
+
+
+MARGINS_SCRIPT = """
+import numpy as np
+from liyau.constant import SearchSpec, liyau_constant_numeric
+from liyau.stable import build_profile
+from liyau.verify import sweep_dh_consistency, sweep_fractional_liyau
+prof = build_profile(0.5, 1)
+# margins-shaped: one seeded field at 3 t, then 2 DH points, n = 20001
+for rep in (sweep_fractional_liyau(prof, 1, [1.0, 3.0, 10.0],
+                                   np.linspace(-40.0, 40.0, 10), seed=5,
+                                   spacing=0.01),
+            sweep_dh_consistency(prof, n_points=2, seed=5, spacing=0.01,
+                                 t_range=(1.0, 5.0))):
+    print(len(rep.samples),
+          " ".join(float(v).hex() for pair in rep.samples for v in pair))
+# constants-shaped: a short J search in d = 2
+res = liyau_constant_numeric(build_profile(0.7, 2),
+                             SearchSpec(y_max=5.0, nodes=9))
+print(" ".join(float(v).hex() for v in (res.value, res.error, res.y_star)),
+      " ".join(float(v).hex() for row in res.j_table for v in row))
+"""
+
+
+def test_margins_and_constants_do_not_depend_on_blas_threads():
+    # OpenBLAS threads ddot above n = 10000, and each thread count rounds
+    # the split sum differently. harnack is left out: its window route's
+    # np.correlate runs such ddots, so its bytes do depend on the count
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(liyau.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", MARGINS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        out.append(proc.stdout.split())
+    # 30 Li-Yau and 2 DH (margin, error) pairs, then C, its bar, y* and the
+    # 9 rows of (y, J, error)
+    assert out[0][0] == "30" and out[0][61] == "2"
+    assert len(out[0]) == (1 + 60) + (1 + 4) + 3 + 9 * 3
+    assert out[0] == out[1]
