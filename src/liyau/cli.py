@@ -283,7 +283,10 @@ def _parse_sweep(spec: str):
 
 
 def cmd_liyau_const(args, outdir, manifest) -> int:
-    search = SearchSpec(y_max=args.y_max, nodes=args.nodes)
+    try:
+        search = SearchSpec(y_max=args.y_max, nodes=args.nodes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.sweep:
         # the sharp constant at each beta, one CSV row per beta
         rows = []

@@ -12,10 +12,13 @@ pins down the constant in every dimension and anchors the numeric path.
 The search's two settings are SearchSpec's radial scan, y_max and nodes
 (the liyau-const flags). J's panel layout and the refinement's tolerance
 are fixed: default_inner_radius, singular.LOG_PER_DECADE and REFINE_TOL.
+Every margin reads the default search's result as constant_for(profile),
+one frozen result per profile, dropped with its profile.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field as dc_field
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +36,8 @@ MU_ORDER_D3 = 64
 _TAYLOR_THR = 1e-4
 # interval width at which the golden-section refinement of sup J stops
 REFINE_TOL = 1e-3
+# the scan's first non-zero radius
+SCAN_START = 1e-2
 # J_of_y hands _sphere_deficit at most this many points (radii times angular
 # nodes) at a time, so that each of its temporaries is 64 KB: small enough
 # that the search's speed does not depend on what the process freed before
@@ -42,20 +47,28 @@ ROW_BLOCK = 8192
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Radial scan of the constant's search: nodes radii from 0 to y_max."""
+    """Radial scan of the constant's search: 0, then nodes - 1 radii
+    geometric from SCAN_START to y_max, ascending and distinct."""
 
     y_max: float = 50.0
     nodes: int = 49
 
+    def __post_init__(self):
+        # written so that NaN fails it
+        if not SCAN_START < self.y_max < np.inf:
+            raise ValueError(f"y_max must be finite and > {SCAN_START:g}")
+        if not self.nodes >= 3:
+            raise ValueError("nodes must be >= 3")
 
-@dataclass
+
+@dataclass(frozen=True)
 class LiYauConstantResult:
     beta: float
     d: int
     value: float
     error: float
     y_star: float
-    j_table: list = dc_field(default_factory=list)  # (y, J, err) rows
+    j_table: tuple = ()  # (y, J, err) rows
     method: str = "numeric"
     warning: str | None = None
 
@@ -167,8 +180,8 @@ def J_of_y(profile: StableDensityProfile, y_norm: float) -> QuadResult:
     power substitution, on the profile's large-r series beyond its table.
     The integrand reads its radii ROW_BLOCK sphere points at a time.
     """
-    if y_norm < 0:
-        raise ValueError("y_norm must be non-negative")
+    if not 0 <= y_norm < np.inf:  # written so that NaN fails it
+        raise ValueError("y_norm must be finite and non-negative")
     y = float(y_norm)
     delta = default_inner_radius(y)
     R = max(100.0, 8.0 * (1.0 + y))
@@ -200,14 +213,15 @@ def liyau_constant_numeric(profile: StableDensityProfile,
     """Maximize (c/2) J over |y| >= 0: log-spaced scan + golden refinement."""
     spec = search or SearchSpec()
     c = normalizing_constant(profile.beta, profile.d)
-    ys = np.concatenate([[0.0], np.geomspace(1e-2, spec.y_max, spec.nodes - 1)])
+    ys = np.concatenate([[0.0], np.geomspace(SCAN_START, spec.y_max,
+                                             spec.nodes - 1)])
     evals = {}  # every J the scan and the refinement compute, by y
 
     def J(y):
         evals[y] = J_of_y(profile, y)
         return evals[y]
 
-    table = [(float(y),) + tuple(J(y)[:2]) for y in ys]
+    table = tuple((float(y),) + tuple(J(y)[:2]) for y in ys)
     js = np.array([row[1] for row in table])
     k = int(np.argmax(js))
     lo = ys[k - 1] if k > 0 else 0.0
@@ -238,26 +252,17 @@ def liyau_constant_beta1(d: int) -> float:
     return np.pi * d * (d + 1) * normalizing_constant(1.0, d) * ball_volume(d) / 2.0
 
 
-# constant_for keeps at most this many results, oldest dropped first
-CACHE_SIZE = 64
-_CONSTANT_CACHE: dict[tuple, LiYauConstantResult] = {}
+_CONSTANTS = weakref.WeakKeyDictionary()
 
 
-def constant_for(profile: StableDensityProfile,
-                 search: SearchSpec | None = None) -> LiYauConstantResult:
-    """Numeric constant memoized on everything the search reads: (beta, d),
-    which fix the large-r series, the profile's table and the spec (None:
-    the default)."""
-    key = (profile.beta, profile.d, profile.r_table.tobytes(),
-           profile.values.tobytes(), profile.error_estimate,
-           astuple(search or SearchSpec()))
-    if key in _CONSTANT_CACHE:
-        return _CONSTANT_CACHE[key]
-    result = liyau_constant_numeric(profile, search)
-    if len(_CONSTANT_CACHE) >= CACHE_SIZE:
-        del _CONSTANT_CACHE[next(iter(_CONSTANT_CACHE))]
-    _CONSTANT_CACHE[key] = result
-    return result
+def constant_for(profile: StableDensityProfile) -> LiYauConstantResult:
+    """The default search's constant for profile, computed once and kept
+    while the profile lives. A frozen profile fixes everything the search
+    reads ((beta, d), which fix the large-r series, and its table) and
+    compares by identity, so the profile is the whole key."""
+    if profile not in _CONSTANTS:
+        _CONSTANTS[profile] = liyau_constant_numeric(profile)
+    return _CONSTANTS[profile]
 
 
 def heat_kernel_liyau_margin(profile: StableDensityProfile, t: float,

@@ -309,7 +309,8 @@ class GridField:
     tail_mass : float or None
         The field's exact integral beyond the grid, >= 0 and possibly inf,
         set by solvers that know it; mass() then reads it in place of the
-        extension model. Never serialized, and not carried over by log().
+        extension model. Written to text when set and read back, and not
+        carried over by log().
     """
 
     spacing: float
@@ -480,6 +481,8 @@ class GridField:
         buf.write(f"# npoints = {self.values.shape[0]}\n")
         buf.write(f"# extension = {_format_extension(self.extension)}\n")
         buf.write(f"# positive = {int(self.positive)}\n")
+        if self.tail_mass is not None:
+            buf.write("# tail_mass = %.17g\n" % self.tail_mass)
         for xi, v in zip(self.x, self.values):
             buf.write("%.17g %.17g\n" % (xi, v))
         return buf.getvalue()
@@ -495,6 +498,8 @@ class GridField:
         n = int(header["npoints"])
         ext = _parse_extension(header["extension"])
         positive = bool(int(header.get("positive", "0")))
+        # texts written before tail_mass was serialized lack the line
+        tail_mass = float(header["tail_mass"]) if "tail_mass" in header else None
         # each row is the coordinate and the value, one per grid node
         if any(len(row) != 2 for row in rows):
             raise ValueError("field rows must hold exactly 2 numbers")
@@ -504,7 +509,7 @@ class GridField:
         if not np.allclose([row[0] for row in rows], _nodes(spacing, n),
                            rtol=0.0, atol=1e-9 * spacing):
             raise ValueError("field row coordinates are not the grid's nodes")
-        return cls(spacing, [row[1] for row in rows], ext, positive)
+        return cls(spacing, [row[1] for row in rows], ext, positive, tail_mass)
 
 
 class PointExpansion:

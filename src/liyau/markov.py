@@ -4,8 +4,8 @@ A chain is its Q-matrix (finite entries, non-negative off-diagonal rates,
 rows summing to zero). The complete graph K_n admits closed forms for
 everything downstream: transition probabilities, the logarithmic-derivative
 bound phi, and the relaxation ODE phi' + F(phi) = 0 it satisfies. transition_matrix computes
-e^{tQ} afresh at every call and keeps nothing; a symmetric chain's
-eigendecomposition is computed once, when the chain is built.
+e^{tQ} afresh at every call and keeps nothing; a chain is frozen, and a
+symmetric chain's eigendecomposition is computed once, when it is built.
 """
 from __future__ import annotations
 
@@ -20,35 +20,36 @@ CLIP_NEG = 1e-14
 ROWSUM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Generator matrix Q. A chain whose Q equals its transpose exactly is
-    symmetric, and keeps Q's eigendecomposition for e^{tQ}."""
+    """Generator matrix Q, frozen and compared by identity. The chain keeps
+    a read-only copy of Q; one whose Q equals its transpose exactly is
+    symmetric and keeps Q's eigendecomposition for e^{tQ}, set once."""
 
     Q: np.ndarray
 
     def __post_init__(self):
-        self.Q = np.asarray(self.Q, dtype=float)
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+        Q = np.array(self.Q, dtype=float)
+        Q.flags.writeable = False
+        object.__setattr__(self, "Q", Q)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
-        if not np.all(np.isfinite(self.Q)):
+        if not np.all(np.isfinite(Q)):
             # a NaN passes every comparison below and poisons e^{tQ}
             raise ValueError("Q must be finite")
-        off = self.Q.copy()
+        off = Q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
             raise ValueError("off-diagonal rates must be non-negative")
-        rowsums = self.Q.sum(axis=1)
-        scale = max(1.0, float(np.abs(self.Q).max()))
+        rowsums = Q.sum(axis=1)
+        scale = max(1.0, float(np.abs(Q).max()))
         if np.any(np.abs(rowsums) > ROWSUM_TOL * scale):
             raise ValueError("rows of Q must sum to zero")
         # exact: eigh reads one triangle, so near-symmetric Q would lose
         # the other
-        self.symmetric = bool(np.array_equal(self.Q, self.Q.T))
-        if self.symmetric:
-            self._eig = np.linalg.eigh(self.Q)
-        else:
-            self._eig = None
+        symmetric = bool(np.array_equal(Q, Q.T))
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "_eig", np.linalg.eigh(Q) if symmetric else None)
 
     @property
     def n(self) -> int:

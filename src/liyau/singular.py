@@ -81,7 +81,10 @@ class QuadResult(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    # a cached rule is shared by every caller, so it is read-only
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int):
@@ -99,7 +102,9 @@ def gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int):
 @lru_cache(maxsize=64)
 def _jacobi(order: int, one_minus_beta: float):
     # weight (1+x)^(1-beta) on [-1, 1]; valid for beta < 2
-    return roots_jacobi(order, 0.0, one_minus_beta)
+    x, w = roots_jacobi(order, 0.0, one_minus_beta)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

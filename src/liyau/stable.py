@@ -384,7 +384,7 @@ class StableDensityProfile:
     accepted); values are Phi at the nodes. Below r_s every reader takes the
     small-r series of (beta, d), and beyond R_MAX the large-r series. The
     frozen profile keeps read-only copies of both arrays, which its caches
-    (each written once, by its builder) and constant_for's key read.
+    (each written once, by its builder) read; constant_for keys on it.
     """
 
     beta: float

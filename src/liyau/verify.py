@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constant import LiYauConstantResult, constant_for
+from .constant import constant_for
 from .fields import Extension, GridField, _nodes
 from .fraclap import (HeatKernel, _keep_spectrum, _window_eval, dt_log_u,
                       frac_laplacian_point, solve_fractional)
@@ -235,12 +235,13 @@ def liyau_margin_on_solution(u: GridField, beta: float, t: float, x,
     """C_LY/t minus (-Delta)^(beta/2) log u at x, one point or an array."""
     if profile.beta != beta:
         raise ValueError("profile was built for a different beta")
-    return _liyau_margin(u.log(), beta, t, x, constant_for(profile))
+    return _liyau_margin(u.log(), t, x, profile)
 
 
-def _liyau_margin(log_u: GridField, beta: float, t: float, x,
-                  const: LiYauConstantResult) -> QuadResult:
-    lap = frac_laplacian_point(log_u, beta, x)
+def _liyau_margin(log_u: GridField, t: float, x,
+                  profile: StableDensityProfile) -> QuadResult:
+    const = constant_for(profile)
+    lap = frac_laplacian_point(log_u, profile.beta, x)
     return lap.scaled(-1.0) + QuadResult(const.value / t, const.error / t)
 
 
@@ -257,21 +258,23 @@ def differential_harnack_margin(u0: GridField, beta: float, t: float, x: float,
     at t. x must lie in the central 80% of the grid; it is checked before
     any solve. u's sum and the du/dt sum share one transform of u0, which
     a copy of the field keeps for the call, not the caller's u0."""
+    if profile.beta != beta:
+        raise ValueError("profile was built for a different beta")
     u0.require_central(x)
     u0 = copy.copy(u0)
     _keep_spectrum(u0)
-    return _dh_margin(u0, beta, t, x, profile, constant_for(profile))[1]
+    return _dh_margin(u0, t, x, profile)[1]
 
 
-def _dh_margin(u0: GridField, beta: float, t: float, x,
-               profile: StableDensityProfile,
-               const: LiYauConstantResult) -> tuple[GridField, QuadResult]:
+def _dh_margin(u0: GridField, t: float, x,
+               profile: StableDensityProfile) -> tuple[GridField, QuadResult]:
     """(log u, the DH margin at (t, x)) for u = u0 solved at t.
 
     u's sum and the du/dt sum share one d/dt plan. d/dt log u is
     dt_log_u's whole-grid du/dt sum divided by u, read at x by the spline
     through the nodes within SPLINE_REACH of x's cell.
     """
+    beta, const = profile.beta, constant_for(profile)
     plan = HeatKernel(profile, t, u0.spacing, u0.values.size, dt=True)
     u = solve_fractional(u0, beta, t, profile, plan=plan)
     log_u = u.log()
@@ -288,7 +291,6 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
     """Margins over seeded initial data and a (t, x) product grid."""
     start = time.perf_counter()
     beta = profile.beta
-    const = constant_for(profile)
     rng = np.random.default_rng(seed)
     report = VerificationReport(
         name="fractional-liyau",
@@ -307,7 +309,7 @@ def sweep_fractional_liyau(profile: StableDensityProfile, n_fields: int,
             if i + 1 < n_fields:
                 plans[t] = plan
             u = solve_fractional(u0, beta, t, profile, plan=plan)
-            m = _liyau_margin(u.log(), beta, t, x_grid, const)
+            m = _liyau_margin(u.log(), t, x_grid, profile)
             for value, error in zip(m.value, m.error):
                 report.add_sample(value, error)
             del plan, u  # released before the next solve
@@ -327,7 +329,6 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    const = constant_for(profile)
     u0 = random_positive_field(rng, spacing=spacing, extent=extent)
     _keep_spectrum(u0)  # one transform of u0 for every t
     report = VerificationReport(
@@ -337,8 +338,8 @@ def sweep_dh_consistency(profile: StableDensityProfile, n_points: int = 20,
         t = float(log_uniform(rng, *t_range))
         x = float(rng.uniform(-0.4 * extent, 0.4 * extent))
         # both margins read one log u
-        log_u, dh = _dh_margin(u0, profile.beta, t, x, profile, const)
-        ly = _liyau_margin(log_u, profile.beta, t, x, const)
+        log_u, dh = _dh_margin(u0, t, x, profile)
+        ly = _liyau_margin(log_u, t, x, profile)
         gap = abs(dh.value - ly.value)
         combined = dh.error + ly.error
         report.add_sample(combined - gap, 0.0)

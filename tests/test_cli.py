@@ -96,6 +96,11 @@ def test_computation_error_exits_2(tmp_path, monkeypatch):
     ["liyau-const", "--sweep", "beta:0.5:1.5:abc"],
     ["liyau-const", "--sweep", "beta:0.5:1.5:2.5"],
     ["liyau-const", "--beta", "1", "--y-max", "inf"],
+    # a scan that misses y_max: descending past it, or stopping at 0.01
+    ["liyau-const", "--beta", "1", "--y-max", "0.005", "--nodes", "5"],
+    ["liyau-const", "--beta", "1", "--nodes", "2"],
+    ["liyau-const", "--beta", "1", "--y-max", "0.01", "--nodes", "3"],
+    ["liyau-const", "--sweep", "beta:0.5:1.5:2", "--nodes", "2"],
     ["markov-verify", "--t-max", "1e400"],
     ["harnack", "--setting", "kn", "--t1", "1", "--t2", "inf"],
     ["harnack", "--setting", "frac", "--t2", "inf"],

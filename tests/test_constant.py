@@ -1,5 +1,6 @@
 """The sharp constant C(beta, d) and the radial deficit integral J."""
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -55,21 +56,12 @@ def test_constant_for_memoizes_numeric_route(profile_b1_d1):
 
 
 def test_constant_for_keys_on_search_spec_and_table(profile_b1_d1):
-    coarse = SearchSpec(y_max=5.0, nodes=9)
-    finer = SearchSpec(y_max=5.0, nodes=13)
-    a = constant_for(profile_b1_d1, coarse)
-    b = constant_for(profile_b1_d1, finer)
-    assert a is not b
-    assert len(a.j_table) == 9 and len(b.j_table) == 13
-    assert constant_for(profile_b1_d1, coarse) is a
-    assert constant_for(profile_b1_d1, SearchSpec(y_max=5.0, nodes=13)) is b
-    # same (beta, d) and spec, another table: one value changed
+    a = constant_for(profile_b1_d1)
+    # same (beta, d), another table: one value changed
     values = profile_b1_d1.values.copy()
     values[5] *= 2.0
     other = dataclasses.replace(profile_b1_d1, values=values)
-    assert constant_for(other, coarse) is not a
-    # no spec means the default spec
-    assert constant_for(profile_b1_d1) is constant_for(profile_b1_d1, SearchSpec())
+    assert constant_for(other) is not a
 
 
 def test_numeric_constant_regression_values(profile_b05_d1, profile_b15_d1):
@@ -362,28 +354,6 @@ def test_constant_search_reuses_the_j_it_computed(monkeypatch, profile_b1_d1):
     assert res.error == 0.5 * c * (j_star.error + abs(j_star.value) * 1e-6)
 
 
-def test_constant_for_cache_is_bounded(profile_b1_d1, monkeypatch):
-    calls = []
-
-    def stub(profile, search=None):
-        calls.append(search)
-        return object()
-
-    monkeypatch.setattr(constant, "_CONSTANT_CACHE", {})
-    monkeypatch.setattr(constant, "liyau_constant_numeric", stub)
-    specs = [SearchSpec(nodes=9 + k) for k in range(70)]
-    results = [constant_for(profile_b1_d1, s) for s in specs]
-    assert len(calls) == 70
-    assert len(constant._CONSTANT_CACHE) == constant.CACHE_SIZE
-    # the newest entries are hits, returned as the same object
-    assert constant_for(profile_b1_d1, SearchSpec(nodes=9 + 69)) is results[-1]
-    assert len(calls) == 70
-    # the oldest went first
-    assert constant_for(profile_b1_d1, specs[0]) is not results[0]
-    assert len(calls) == 71
-    assert len(constant._CONSTANT_CACHE) == constant.CACHE_SIZE
-
-
 @pytest.mark.parametrize("a,b,argmax", [
     (0.0, 1.0, 0.9),      # near the right end: the bracket moves right
     (0.0, 1.0, 0.4),      # in the middle: it moves both ways
@@ -394,3 +364,57 @@ def test_golden_section_max_finds_the_maximum(a, b, argmax):
     x, fx = golden_section_max(lambda x: -(x - argmax) ** 2, a, b, tol)
     assert abs(x - argmax) <= tol
     assert fx == -(x - argmax) ** 2
+
+
+def test_constant_for_result_is_frozen(profile_b1_d1):
+    # a shared result used to be writable: value = -5 moved every margin
+    # that read it, and those of every profile with the same table
+    res = constant_for(profile_b1_d1)
+    assert isinstance(res.j_table, tuple)
+    for f in dataclasses.fields(res):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, f.name, getattr(res, f.name))
+    assert constant_for(profile_b1_d1) is res
+
+
+def test_constant_for_keeps_one_result_per_profile():
+    # a separately built profile with the same table gets its own result,
+    # equal to the first, and each result goes with its profile
+    p, q = build_profile(1.0, 1), build_profile(1.0, 1)
+    assert p.to_text() == q.to_text()
+    a, b = constant_for(p), constant_for(q)
+    assert a is not b and a == b
+    held = len(constant._CONSTANTS)
+    del p, a
+    gc.collect()
+    assert len(constant._CONSTANTS) == held - 1
+    assert constant_for(q) is b
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, -1e-3])
+def test_J_rejects_a_radius_that_is_not_finite_and_non_negative(
+        profile_b1_d1, y):
+    # NaN used to give J = 0 +- inf, and a margin of 2 +- inf graded pass
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        J_of_y(profile_b1_d1, y)
+    if y != -1e-3:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            heat_kernel_liyau_margin(profile_b1_d1, 1.0, y)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"y_max": np.nan}, "y_max"),
+    ({"y_max": np.inf}, "y_max"),
+    ({"y_max": 0.01}, "y_max"),    # J twice at 0.01 with nodes = 3
+    ({"y_max": 0.005}, "y_max"),   # a descending scan past y_max
+    ({"nodes": 2}, "nodes"),       # 0 and 0.01, whatever y_max says
+    ({"nodes": 0}, "nodes"),
+])
+def test_search_spec_rejects_a_scan_that_misses_y_max(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SearchSpec(**kwargs)
+
+
+def test_smallest_search_scan_is_ascending_and_ends_at_y_max(profile_b1_d1):
+    res = liyau_constant_numeric(profile_b1_d1, SearchSpec(y_max=0.02, nodes=3))
+    assert [row[0] for row in res.j_table] == [0.0, 0.01, 0.02]

@@ -6,7 +6,9 @@ from scipy.interpolate import CubicSpline
 
 from liyau import fields
 from liyau.fields import Extension, GridField
+from liyau.fraclap import solve_fractional
 from liyau.singular import grid_cell_edges
+from liyau.verify import random_positive_field
 
 
 def bump(spacing=0.1, extent=5.0, ext=None):
@@ -121,6 +123,23 @@ def test_text_round_trip_is_bit_exact():
     assert np.array_equal(g.values, f.values)
     # serialization is canonical: a second round trip reproduces the text
     assert g.to_text() == f.to_text()
+
+
+def test_text_round_trip_keeps_tail_mass(profile_b05_d1):
+    # a solved field's text used to drop its tail mass: mass() read
+    # 18.9386 before the round trip and 18.4483 after
+    u0 = random_positive_field(np.random.default_rng(3), spacing=0.05,
+                               extent=20.0)
+    u = solve_fractional(u0, 0.5, 3.0, profile_b05_d1)
+    g = GridField.from_text(u.to_text())
+    assert g.tail_mass == u.tail_mass and g.mass() == u.mass()
+    assert g.to_text() == u.to_text()
+    for tail in (0.0, np.inf):
+        f = GridField(0.5, np.ones(7), tail_mass=tail)
+        assert GridField.from_text(f.to_text()).tail_mass == tail
+    # a text without the line, as written before it existed, has none
+    assert "tail_mass" not in u0.to_text()
+    assert GridField.from_text(u0.to_text()).tail_mass is None
 
 
 @given(st.floats(0.01, 2.0), st.integers(3, 30))

@@ -251,6 +251,15 @@ def test_planned_edges_read_as_fresh_edges_bit_for_bit(beta, rows):
         assert res.diverged == fresh.diverged
 
 
+def test_cached_rules_are_read_only():
+    # every RulePlan and gauss_panels call shares these arrays; the write
+    # stores the value already there, so a writable rule stays intact
+    for rule in (singular._leggauss(8), singular._jacobi(12, 0.5)):
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+
 @pytest.mark.parametrize("profname", ["profile_b07_d2", "profile_b13_d3",
                                       "profile_b15_d1"])
 def test_J_of_y_rounds_as_one_sphere_sum_per_rule(profname, request):

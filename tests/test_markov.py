@@ -1,4 +1,6 @@
 """Finite-state chains: closed forms on K_n, the relaxation ODE, margins."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,23 @@ def test_from_rates_derives_diagonal():
     assert chain.Q[0, 0] == -2.0
     assert chain.Q[1, 1] == -3.0
     assert chain.n == 2
+
+
+def test_chain_is_frozen_so_its_eigendecomposition_cannot_go_stale():
+    # Q used to be writable beside the eigendecomposition kept for it:
+    # after chain.Q = 2 * chain.Q, e^{Q} was still the old chain's
+    chain = complete_graph(3)
+    P = transition_matrix(chain, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.Q = 2 * chain.Q
+    with pytest.raises(ValueError, match="read-only"):
+        chain.Q[0, 1] = 5.0
+    # the chain keeps a copy of the caller's Q
+    Q = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    other = MarkovChain(Q)
+    Q[0, 1] = 7.0
+    assert other.Q[0, 1] == 1.0 and other.Q is not Q
+    assert np.array_equal(transition_matrix(chain, 1.0), P)
 
 
 def test_complete_graph_structure():

@@ -300,6 +300,15 @@ def test_dh_margin_rejects_x_before_any_solve(profile_b1_d1, monkeypatch):
             differential_harnack_margin(u0, 1.0, 1.0, x, profile_b1_d1)
 
 
+def test_dh_margin_rejects_another_beta(profile_b1_d1):
+    # the DH margin reads beta from its profile; another beta is an error,
+    # not a beta = 1 margin scored for beta = 0.5
+    u0 = random_positive_field(np.random.default_rng(9), spacing=0.05,
+                               extent=40.0)
+    with pytest.raises(ValueError, match="different beta"):
+        differential_harnack_margin(u0, 0.5, 1.0, 2.0, profile_b1_d1)
+
+
 def test_margins_check_builds_one_kernel_log_and_spline_per_solve(
         profile_b1_d1, monkeypatch):
     # the margins workload's check: one field at 10 t, then 2 DH points
